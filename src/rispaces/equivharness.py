@@ -19,14 +19,14 @@ import numpy as np
 
 from .config import DEFAULT, DEFAULT_CEILING, Resolution
 from .errors import BadExponent, NotMonotone
-from .interpolation import identify_target, theorem_couple
+from .interpolation import derived_exponents, doubling_time, identify_target, theorem_couple
 from .kfunctional import couple_spaces, k_curve
 from .logcalc import (
     LogWeight,
     UGrid,
     log_quad,
     log_weight_integral,
-    tail_block_integral,
+    sup_on_grid,
     weight_integral,
 )
 from .norms import (
@@ -36,7 +36,10 @@ from .norms import (
     LorentzZygmund,
     Small,
     SpaceSpec,
+    grand_norm,
+    prefix_log_integral,
     space_norm,
+    tail_log_integral,
 )
 from .rearrangement import (
     Char,
@@ -47,6 +50,7 @@ from .rearrangement import (
     StepFunction,
     StepRearrangement,
     discretize_model,
+    evaluate_many,
     prefix_power_at,
     product_integral,
     tail_power_at,
@@ -65,6 +69,7 @@ __all__ = [
     "lemma31_33_check",
     "associate_lower_bound",
     "model_in_space",
+    "ZSpace",
 ]
 
 DEFAULT_SEED = 20240801
@@ -136,6 +141,15 @@ def standard_family(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class ZSpace:
+    """The same-exponent couple's (theta, r) interpolation space, normed by z_norm."""
+
+    p: float
+    theta: float
+    r: float
+
+
 def model_in_space(model: FunctionModel, spec) -> bool:
     if not isinstance(model, PowerLog):
         return True  # indicators, explicit steps and samples are bounded
@@ -159,9 +173,9 @@ def model_in_space(model: FunctionModel, spec) -> bool:
     if isinstance(spec, Small):
         ip = 1.0 / spec.p
         return g < ip or (g == ip and d > spec.alpha * (1.0 - ip) + ip)
-    if isinstance(spec, tuple) and spec and spec[0] == "zspace":
-        _, p, theta, r = spec
-        return g < 1.0 / p or (g == 1.0 / p and d > theta)
+    if isinstance(spec, ZSpace):
+        ip = 1.0 / spec.p
+        return g < ip or (g == ip and d > spec.theta)
     if isinstance(spec, GammaDouble):
         # only the log-damped inner weight appears in-scope
         ip = 1.0 / spec.p
@@ -176,8 +190,6 @@ def _required_spaces(theorem_id: str, p, q, theta, r, alpha) -> list:
     if theorem_id in ("T1.1", "T3.1"):
         req.append(Grand(q, alpha))
     elif theorem_id in ("T1.2", "T3.4", "T5.1"):
-        from .interpolation import derived_exponents
-
         d = derived_exponents(p, q, theta, r)
         if theorem_id == "T1.2":
             exp = -alpha / d.p_theta
@@ -189,7 +201,7 @@ def _required_spaces(theorem_id: str, p, q, theta, r, alpha) -> list:
     elif theorem_id in ("P4.1", "P4.2"):
         req.append(Small(p, alpha))
     elif theorem_id in ("T1.3", "T6.2"):
-        req.append(("zspace", p, theta, r))
+        req.append(ZSpace(p, theta, r))
     return req
 
 
@@ -365,34 +377,20 @@ def _hardy_sides(which: str, exponents: dict, f: StepFunction, rel_tol: float) -
     if which.endswith("first"):
         if not alpha + 1.0 / a > 0.0:
             raise BadExponent("prefix branch needs alpha + 1/a > 0")
-
-        def g(t):
-            return prefix_power_at(f, 1.0, np.asarray(t, dtype=float)) ** a
-
-        head = v1**a * weight_integral(LogWeight(a - 1.0, alpha * a), 0.0, x1, rel_tol)
-        lhs = head + log_quad(
-            g, LogWeight(-1.0, alpha * a), x1, 1.0, rel_tol, f.breaks[1:-1]
-        )
+        lhs = prefix_log_integral(f, 1.0, a, alpha * a, 1.0, rel_tol)
         rhs = log_weight_integral(
             f, a, LogWeight(a - 1.0, (1.0 + alpha) * a), 0.0, 1.0, rel_tol
         )
         return lhs ** (1.0 / a), rhs ** (1.0 / a)
     if not alpha + 1.0 / a < 0.0:
         raise BadExponent("tail branch needs alpha + 1/a < 0")
-
-    def g(t):
-        return tail_power_at(f, 1.0, np.asarray(t, dtype=float)) ** a
-
-    head = tail_block_integral(alpha * a, total, v1, a, x1, rel_tol)
-    lhs = head + log_quad(g, LogWeight(-1.0, alpha * a), x1, 1.0, rel_tol, f.breaks[1:-1])
+    lhs = tail_log_integral(f, 1.0, a, alpha * a, rel_tol)
     rhs = log_weight_integral(f, a, LogWeight(a - 1.0, (1.0 + alpha) * a), 0.0, 1.0, rel_tol)
     return lhs ** (1.0 / a), rhs ** (1.0 / a)
 
 
 def _hardy_sup_sides(which: str, lam: float, beta: float, f: StepFunction):
     """The b = inf form: integrals replaced by suprema on both sides."""
-    from .logcalc import sup_on_grid
-
     grid = UGrid(35.0, 2048)
     prefixy = which.endswith("first")
     s = -lam if prefixy else lam
@@ -401,8 +399,6 @@ def _hardy_sup_sides(which: str, lam: float, beta: float, f: StepFunction):
         t = np.asarray(t, dtype=float)
         inner = prefix_power_at(f, 1.0, t) if prefixy else tail_power_at(f, 1.0, t)
         return t**s * (1.0 - np.log(t)) ** beta * inner
-
-    from .rearrangement import evaluate_many
 
     def rhs_obj(t):
         t = np.asarray(t, dtype=float)
@@ -525,8 +521,6 @@ def sup_smoothing_check(
 
 def _doubling_blocks(f: StepFunction, q: float) -> np.ndarray:
     """∫_{t_{k+1}}^{t_k} f over the doubly-exponential grid, exact, until 0."""
-    from .interpolation import doubling_time
-
     vals = []
     k = 0
     while True:
@@ -550,8 +544,6 @@ def discretization_check(
     """
     if q <= 0.0:
         raise BadExponent("need q > 0")
-    from .interpolation import doubling_time
-
     lam_abs = abs(lam) if lam != 0.0 else 1.0
     blocks = _doubling_blocks(h, q)
     n = blocks.size
@@ -579,36 +571,17 @@ def discretization_check(
     ]
     report.params["panel_integral_bracket"] = [float(min(wint)), float(max(wint))]
     # sum vs integral, by the sign of lam
-    x1 = float(h.breaks[1])
-    v1 = float(h.values[0])
     total = float(prefix_power_at(h, 1.0, 1.0))
     if lam > 0.0:
-        integral = v1**q * weight_integral(LogWeight(q - 1.0, lam * q - 1.0), 0.0, x1, rel_tol)
-
-        def g(t):
-            return prefix_power_at(h, 1.0, np.asarray(t, dtype=float)) ** q
-
-        integral += log_quad(
-            g, LogWeight(-1.0, lam * q - 1.0), x1, 1.0, rel_tol, h.breaks[1:-1]
-        )
+        integral = prefix_log_integral(h, 1.0, q, lam * q - 1.0, 1.0, rel_tol)
         pairs.append(("sum-vs-integral", d1_lhs, integral))
         report.params["equivalence_expected"] = bool(total <= 2.0 * prefix_power_at(h, 1.0, 0.5))
     elif lam < 0.0:
-
-        def g(t):
-            return tail_power_at(h, 1.0, np.asarray(t, dtype=float)) ** q
-
-        integral = tail_block_integral(lam * q - 1.0, total, v1, q, x1, rel_tol)
-        integral += log_quad(g, LogWeight(-1.0, lam * q - 1.0), x1, 1.0, rel_tol, h.breaks[1:-1])
+        integral = tail_log_integral(h, 1.0, q, lam * q - 1.0, rel_tol)
         pairs.append(("sum-vs-integral", d2_lhs, integral))
     else:
         sum0 = float(np.sum(prefix**q))
-
-        def g(t):
-            return prefix_power_at(h, 1.0, np.asarray(t, dtype=float)) ** q
-
-        integral = v1**q * weight_integral(LogWeight(q - 1.0, -1.0), 0.0, x1, rel_tol)
-        integral += log_quad(g, LogWeight(-1.0, -1.0), x1, 1.0, rel_tol, h.breaks[1:-1])
+        integral = prefix_log_integral(h, 1.0, q, -1.0, 1.0, rel_tol)
         pairs.append(("sum-vs-integral", sum0, integral))
     rows, skipped = _ratio_rows(pairs)
     report.members.extend(rows)
@@ -670,9 +643,6 @@ def lemma31_33_check(
     """Windowed-sup domination ratios: prefix means against grand-type sups."""
     if not (1.0 < p < q and alpha > 0.0):
         raise BadExponent("need 1 < p < q and alpha > 0")
-    from .logcalc import sup_on_grid
-    from .norms import grand_norm
-
     grid = UGrid(res.u_max, res.sup_count)
     sigma = p / (p - 1.0)
 

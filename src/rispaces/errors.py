@@ -54,7 +54,8 @@ class InfiniteNorm(RispacesError):
 
 
 class Divergent(RispacesError):
-    """A quadrature grows without bound under refinement."""
+    """A quadrature grows without bound: its integrand is not finite, or its
+    open-ended sum overflows or keeps growing."""
 
 
 class NotMonotone(RispacesError):

@@ -28,17 +28,19 @@ from .kfunctional import (
     SmallSmall,
     k_curve,
 )
-from .logcalc import LogWeight, UGrid, log_quad, tail_block_integral, weight_integral
+from .logcalc import LogWeight, UGrid, log_quad, weight_integral
 from .norms import (
     GammaDouble,
     Small,
     ggamma_norm,
     grand_norm,
-    lebesgue_norm,
     lorentz_zygmund_norm,
+    prefix_log_integral,
     small_norm,
+    tail_log_integral,
+    w2_prefix_at,
 )
-from .rearrangement import StepRearrangement, power_integral, prefix_power_at, tail_power_at
+from .rearrangement import StepRearrangement, power_integral
 
 __all__ = [
     "InterpParams",
@@ -355,29 +357,8 @@ def z_norm(
             k += 1
         return total ** (1.0 / r)
     if theta < ip:
-        tot = float(prefix_power_at(f, p, 1.0))
-        if tot == 0.0:
-            return 0.0
-
-        def g(t):
-            return tail_power_at(f, p, np.asarray(t, dtype=float)) ** (r / p)
-
-        x1 = f.min_positive_break()
-        v1 = float(f.values[0]) ** p
-        head = tail_block_integral(bt * r, tot, v1, r / p, x1, res.rel_tol)
-        return (head + log_quad(g, LogWeight(-1.0, bt * r), x1, 1.0, res.rel_tol, f.breaks[1:-1])) ** (
-            1.0 / r
-        )
-
-    def g(t):
-        return prefix_power_at(f, p, np.asarray(t, dtype=float)) ** (r / p)
-
-    x1 = f.min_positive_break()
-    v1 = float(f.values[0])
-    head = v1**r * weight_integral(LogWeight(r / p - 1.0, bt * r), 0.0, x1, res.rel_tol)
-    return (head + log_quad(g, LogWeight(-1.0, bt * r), x1, 1.0, res.rel_tol, f.breaks[1:-1])) ** (
-        1.0 / r
-    )
+        return tail_log_integral(f, p, r / p, bt * r, res.rel_tol) ** (1.0 / r)
+    return prefix_log_integral(f, p, r / p, bt * r, 1.0, res.rel_tol) ** (1.0 / r)
 
 
 def z_norm_alt(
@@ -388,10 +369,9 @@ def z_norm_alt(
     if not (1.0 < p < math.inf and 0.0 < theta < 1.0 and 1.0 <= r < math.inf):
         raise BadExponent("need 1 < p < inf, 0 < theta < 1, 1 <= r < inf")
     spec = GammaDouble(p, r, LogWeight(-1.0, theta * r - 1.0), LogWeight(0.0, -1.0))
-    from .norms import _w2_prefix_at
 
     def g(t):
-        return _w2_prefix_at(f, spec, np.asarray(t, dtype=float)) ** (r / p)
+        return w2_prefix_at(f, spec, np.asarray(t, dtype=float)) ** (r / p)
 
     return log_quad(
         g, LogWeight(-1.0, theta * r - 1.0), 0.0, 1.0, res.rel_tol, f.breaks[1:-1]

@@ -29,8 +29,7 @@ from .logcalc import (
     LogWeight,
     MonotoneMap,
     UGrid,
-    _adaptive_u,
-    _subdivide,
+    adaptive_quad,
     log_quad,
     sup_on_interval,
     weight_integral,
@@ -42,6 +41,7 @@ from .norms import (
     SpaceSpec,
     fundamental_equivalent_weight,
     norms_over_cuts,
+    prefix_log_integral,
     space_norm,
 )
 from .rearrangement import (
@@ -182,10 +182,6 @@ def split_point(c: CoupleSpec, t: float, tol: float = 1e-12) -> float:
         iq = 0.0 if math.isinf(c.q) else 1.0 / c.q
         sigma = 1.0 / (1.0 / c.p - iq)
         return min(t**sigma, 1.0)
-    if isinstance(c, GrandSmallSameP):
-        if t > 1.0:
-            raise OutOfRange("ratio map of this couple only reaches 1")
-        return math.exp(1.0 - 1.0 / t)
     return MonotoneMap(couple_psi(c)).inverse(t, tol)
 
 
@@ -256,23 +252,6 @@ def _windowed_grand_sup(
     return val
 
 
-def _windowed_tail_sup(
-    f: StepRearrangement, q: float, alpha: float, lo: float, res: Resolution
-) -> float:
-    """sup over (lo, 1) of (1-Log s)^{-alpha/q} (∫_s^1 f^q)^{1/q}."""
-    e = -alpha / q
-    iq = 1.0 / q
-
-    def g(s):
-        s = np.asarray(s, dtype=float)
-        return (1.0 - np.log(s)) ** e * tail_power_at(f, q, s) ** iq
-
-    val, _ = sup_on_interval(
-        g, lo, 1.0, res.sup_count, f.breaks[1:], u_cap=res.u_max + 6.0
-    )
-    return val
-
-
 def _offset_prefix_integral(
     f: StepRearrangement, p: float, phi: float, res: Resolution
 ) -> float:
@@ -308,7 +287,7 @@ def _offset_prefix_integral(
                 ratio = 1.0 / (1.0 + np.exp(log_phi - l))
                 return p * v * ratio * (1.0 - log_s) ** (-ip)
 
-            total += _adaptive_u(fy, _subdivide(0.0, y_top, y_top / 8.0), res.rel_tol)
+            total += adaptive_quad(fy, np.linspace(0.0, y_top, 9), res.rel_tol)[0]
         if s1 < x_hi:
 
             def g1(s):
@@ -347,27 +326,18 @@ def k_explicit(
     if isinstance(couple, GrandGrand):
         phi = split_point(couple, t)
         first = _windowed_grand_sup(f, couple.p, couple.alpha, 0.0, phi, res)
-        second = t * _windowed_tail_sup(f, couple.q, couple.alpha, phi, res)
+        second = t * _windowed_grand_sup(f, couple.q, couple.alpha, phi, 1.0, res)
         return first + second
     if isinstance(couple, SmallSmall):
         p, q = couple.p, couple.q
         phi = split_point(couple, t)
         ip = 1.0 / p
-
-        def g(s):
-            return prefix_power_at(f, p, np.asarray(s, dtype=float)) ** ip
-
-        x1 = f.min_positive_break()
-        k1 = f.values[0] * weight_integral(
-            LogWeight(ip - 1.0, -ip), 0.0, min(x1, phi), res.rel_tol
-        )
-        if phi > x1:
-            k1 += log_quad(g, LogWeight(-1.0, -ip), x1, phi, res.rel_tol, f.breaks[1:-1])
+        k1 = prefix_log_integral(f, p, ip, -ip, phi, res.rel_tol)
         if t >= math.e:
             raise OutOfRange("second term of this form needs 1 - Log t > 0")
         # the middle term carries the outer argument t, not the split point
         k2 = (1.0 - math.log(t)) ** ((p - 1.0) / p) * float(prefix_power_at(f, p, phi)) ** ip
-        k3 = t * _windowed_tail_sup(f, q, 1.0, phi, res)
+        k3 = t * _windowed_grand_sup(f, q, 1.0, phi, 1.0, res)
         return float(k1 + k2 + k3)
     if isinstance(couple, GrandSmallSameP):
         p = couple.p

@@ -35,8 +35,11 @@ __all__ = [
     "weight_integral",
     "log_weight_integral",
     "log_quad",
+    "log_quad_multi",
+    "adaptive_quad",
     "sup_on_grid",
     "sup_on_interval",
+    "golden_refine",
     "invert_monotone",
     "log_integral_bounds_check",
     "tail_block_integral",
@@ -45,6 +48,7 @@ __all__ = [
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_PANELS = 200_000
+_TAIL_CHUNKS = 4000
 
 
 def u_of_t(t):
@@ -115,93 +119,105 @@ class UGrid:
 # ---------------------------------------------------------------------------
 
 
-def _gl_batch(fu: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _gl(fu: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """15-point Gauss-Legendre on each panel [a_i, b_i]: an (n, m) array for fu
+    mapping flat nodes to (len(u), m) values, or (n, 1) for len(u) values."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    u = mid[:, None] + half[:, None] * _GL_X[None, :]
-    vals = np.asarray(fu(u.ravel()), dtype=float).reshape(u.shape)
-    return half * (vals @ _GL_W)
+    u = mid[:, None] + half[:, None] * _GL_X
+    vals = np.asarray(fu(u.ravel()), dtype=float).reshape(a.size, _GL_X.size, -1)
+    return half[:, None] * (_GL_W @ vals)
 
 
-def _adaptive_u(
+def adaptive_quad(
     fu: Callable[[np.ndarray], np.ndarray],
     edges: np.ndarray,
     rel_tol: float,
     max_depth: int = 40,
-) -> float:
-    """Σ over panels of ∫ fu du with per-panel whole-vs-halves refinement."""
-    a = edges[:-1].astype(float)
-    b = edges[1:].astype(float)
-    keep = b > a
-    a, b = a[keep], b[keep]
-    if a.size == 0:
-        return 0.0
-    coarse = _gl_batch(fu, a, b)
+) -> np.ndarray:
+    """Σ over the panels between consecutive (increasing) edges of ∫ fu, one
+    entry per output column, with per-panel whole-vs-halves refinement until
+    every column of a panel meets the tolerance.  A non-finite integrand
+    raises Divergent."""
+    edges = np.asarray(edges, dtype=float)
+    a, b = edges[:-1], edges[1:]
+    coarse = _gl(fu, a, b)
     span = float(edges[-1] - edges[0])
-    total = float(np.sum(np.abs(coarse))) + 1e-300
+    total = np.abs(coarse).sum(axis=0) + 1e-300
     acc = 0.0
     for _ in range(max_depth):
+        # total sums |coarse| and every |fine| not yet accepted, so it catches a
+        # non-finite integrand value
+        if not np.isfinite(total).all():
+            raise Divergent("integrand is not finite on a quadrature panel")
         m = 0.5 * (a + b)
-        fine = _gl_batch(fu, a, m) + _gl_batch(fu, m, b)
+        fine = _gl(fu, a, m) + _gl(fu, m, b)
         err = np.abs(fine - coarse)
-        budget = rel_tol * np.maximum(np.abs(fine), total * (b - a) / span)
-        ok = err <= budget
-        acc += float(np.sum(fine[ok]))
-        if np.all(ok):
-            return acc
-        a, b, fine = a[~ok], b[~ok], fine[~ok]
-        total = max(total, abs(acc) + float(np.sum(np.abs(fine))))
-        m = 0.5 * (a + b)
-        a = np.concatenate([a, m])
-        b = np.concatenate([m, b])
+        budget = rel_tol * np.maximum(np.abs(fine), total * ((b - a) / span)[:, None])
+        ok = (err <= budget).all(axis=1)
+        if ok.all():
+            return acc + fine.sum(axis=0)
+        acc = acc + fine[ok].sum(axis=0)
+        a, b, m, fine = a[~ok], b[~ok], m[~ok], fine[~ok]
+        total = np.maximum(total, np.abs(acc) + np.abs(fine).sum(axis=0))
+        a, b = np.concatenate([a, m]), np.concatenate([m, b])
         if a.size > _MAX_PANELS:
             raise NoConvergence("adaptive panel count exploded")
-        coarse = _gl_batch(fu, a, b)
+        coarse = _gl(fu, a, b)
     raise NoConvergence("adaptive depth exhausted before tolerance")
 
 
-def _subdivide(u_lo: float, u_hi: float, max_width: float = 1.0) -> np.ndarray:
-    n = max(1, int(math.ceil((u_hi - u_lo) / max_width)))
-    return np.linspace(u_lo, u_hi, n + 1)
+def _split(lo: np.ndarray, hi: np.ndarray, width) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each [lo_i, hi_i] cut evenly into panels at most width (or width_i) wide:
+    (panel starts, panel ends, index i of each panel's interval)."""
+    n = np.maximum(1, np.ceil((hi - lo) / width).astype(int))
+    ids = np.repeat(np.arange(lo.size), n)
+    k = np.arange(ids.size) - np.repeat(np.cumsum(n) - n, n)
+    step = ((hi - lo) / n)[ids]
+    a = lo[ids] + k * step
+    b = np.where(k + 1 == n[ids], hi[ids], a + step)
+    return a, b, ids
 
 
-def _gl_batch_multi(fu, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    u = mid[:, None] + half[:, None] * _GL_X[None, :]
-    vals = np.asarray(fu(u.ravel()), dtype=float)
-    vals = vals.reshape(a.size, _GL_X.size, -1)
-    return half[:, None] * np.tensordot(vals, _GL_W, axes=([1], [0]))
+def _u_integral(
+    fu, u_top: float, u_bottom: float, u_breaks: np.ndarray, rel_tol: float, max_depth: int = 40
+) -> np.ndarray:
+    """∫ fu du over [u_top, u_bottom], split at u_breaks into panels at most one
+    unit wide.
 
-
-def _adaptive_u_multi(fu, edges: np.ndarray, rel_tol: float, max_depth: int = 40) -> np.ndarray:
-    """Vector-valued twin of _adaptive_u: fu maps flat u to (len(u), m) values."""
-    a = edges[:-1].astype(float)
-    b = edges[1:].astype(float)
-    keep = b > a
-    a, b = a[keep], b[keep]
-    coarse = _gl_batch_multi(fu, a, b)
-    span = float(edges[-1] - edges[0])
-    total = np.sum(np.abs(coarse), axis=0) + 1e-300
-    acc = np.zeros(coarse.shape[1])
-    for _ in range(max_depth):
-        m = 0.5 * (a + b)
-        fine = _gl_batch_multi(fu, a, m) + _gl_batch_multi(fu, m, b)
-        err = np.abs(fine - coarse)
-        budget = rel_tol * np.maximum(np.abs(fine), total[None, :] * ((b - a) / span)[:, None])
-        ok = np.all(err <= budget, axis=1)
-        acc += np.sum(fine[ok], axis=0)
-        if np.all(ok):
-            return acc
-        a, b, fine = a[~ok], b[~ok], fine[~ok]
-        total = np.maximum(total, np.abs(acc) + np.sum(np.abs(fine), axis=0))
-        m = 0.5 * (a + b)
-        a = np.concatenate([a, m])
-        b = np.concatenate([m, b])
-        if a.size > _MAX_PANELS:
-            raise NoConvergence("adaptive panel count exploded")
-        coarse = _gl_batch_multi(fu, a, b)
-    raise NoConvergence("adaptive depth exhausted before tolerance")
+    u_bottom = inf (t = 0) integrates up to the last break, then marches
+    two-unit chunks upward until two in a row are negligible against the sum.
+    The march raises Divergent when the sum overflows or the chunks still grow
+    at its end, and NoConvergence when they stop growing without vanishing.
+    """
+    edges = np.unique(np.concatenate([u_breaks, [u_top, u_bottom]]))
+    edges = edges[np.isfinite(edges)]
+    acc = 0.0
+    if edges.size > 1:
+        a, b, _ = _split(edges[:-1], edges[1:], 1.0)
+        acc = adaptive_quad(fu, np.append(a, b[-1]), rel_tol, max_depth)
+    if math.isfinite(u_bottom):
+        return acc
+    u0 = float(edges[-1])
+    small = 0
+    mag = np.inf
+    for _ in range(_TAIL_CHUNKS):
+        chunk = adaptive_quad(fu, np.array([u0, u0 + 2.0]), rel_tol, max_depth)
+        acc = acc + chunk
+        prev, mag = mag, np.abs(chunk)
+        # an overflowed sum also passes this test, hence the check on return
+        if (mag <= rel_tol * 1e-2 * (np.abs(acc) + 1e-300)).all():
+            small += 1
+            if small >= 2:
+                if not np.isfinite(acc).all():
+                    raise Divergent("integrand grows without bound toward 0")
+                return acc
+        else:
+            small = 0
+        u0 += 2.0
+    if (mag > prev).any():
+        raise Divergent("integrand grows without bound toward 0")
+    raise NoConvergence("u-tail did not converge toward 0")
 
 
 def log_quad_multi(
@@ -213,23 +229,43 @@ def log_quad_multi(
     breaks: Sequence[float] = (),
     max_depth: int = 40,
 ) -> np.ndarray:
-    """Vector-valued log_quad over a closed interval: g maps t to (len(t), m)."""
-    if not (0.0 < lo <= hi <= 1.0):
-        raise BadInterval("multi-output quadrature needs a closed interval in (0, 1]")
+    """∫_lo^hi g(t) w(t) dt per output column of a vectorized g mapping t to
+    (len(t), m) values; adaptive in u, split at breaks.
+
+    With lo = 0 the u-tail is marched chunk by chunk, which suits integrands
+    that decay exponentially in u (weights with a+1 > 0, or g vanishing near
+    0); slowly decaying tails must be handled by callers through closed forms
+    such as ``tail_block_integral``.
+    """
+    if not (0.0 <= lo <= hi <= 1.0):
+        raise BadInterval(f"bad interval [{lo}, {hi}]")
     if lo == hi:
-        return np.zeros(np.asarray(g(np.array([hi]))).shape[-1])
+        return np.zeros(np.shape(g(np.array([hi])))[-1])
 
     def fu(u):
         return np.asarray(g(t_of_u(u)), dtype=float) * w.u_form(u)[:, None]
 
-    brk = np.asarray([x for x in breaks if lo < x < hi], dtype=float)
-    edges = np.unique(np.concatenate([u_of_t(brk), [u_of_t(hi), u_of_t(lo)]]))
-    widths = np.diff(edges)
-    if np.any(widths > 1.0):
-        chain = [edges[:1]]
-        chain += [_subdivide(x, y)[1:] for x, y in zip(edges[:-1], edges[1:])]
-        edges = np.concatenate(chain)
-    return _adaptive_u_multi(fu, edges, rel_tol, max_depth)
+    brk = np.asarray(breaks, dtype=float)
+    brk = brk[(brk > lo) & (brk < hi)]
+    u_bottom = float(u_of_t(lo)) if lo > 0.0 else math.inf
+    return _u_integral(fu, float(u_of_t(hi)), u_bottom, u_of_t(brk), rel_tol, max_depth)
+
+
+def log_quad(
+    g: Callable[[np.ndarray], np.ndarray],
+    w: LogWeight,
+    lo: float,
+    hi: float,
+    rel_tol: float = 1e-10,
+    breaks: Sequence[float] = (),
+    max_depth: int = 40,
+) -> float:
+    """∫_lo^hi g(t) w(t) dt for vectorized g: the one-column log_quad_multi."""
+
+    def column(t):
+        return np.reshape(np.asarray(g(t), dtype=float), (-1, 1))
+
+    return float(log_quad_multi(column, w, lo, hi, rel_tol, breaks, max_depth)[0])
 
 
 def weight_integral(w: LogWeight, lo: float, hi: float, rel_tol: float = 1e-12) -> float:
@@ -259,47 +295,31 @@ def weight_integral(w: LogWeight, lo: float, hi: float, rel_tol: float = 1e-12) 
         if lo == 0.0:
             return -(uh**e) / e if e < 0 else math.inf
         return ((1.0 - math.log(lo)) ** e - uh**e) / e
-    c = a + 1.0
-    u_lo_end = float(u_of_t(hi))
-    if lo > 0.0:
-        edges = _subdivide(u_lo_end, float(u_of_t(lo)))
-        return _adaptive_u(w.u_form, edges, rel_tol)
-    if c <= 0.0:
+    if lo == 0.0 and a + 1.0 <= 0.0:
         return math.inf
-    # open lower end: march u-chunks upward until the exponential factor kills them
-    acc = 0.0
-    u0 = u_lo_end
-    small = 0
-    for _ in range(4000):
-        u1 = u0 + 2.0
-        chunk = _adaptive_u(w.u_form, np.array([u0, u1]), rel_tol)
-        acc += chunk
-        small = small + 1 if abs(chunk) <= rel_tol * 1e-2 * (abs(acc) + 1e-300) else 0
-        if small >= 2:
-            return acc
-        u0 = u1
-    raise NoConvergence("weight integral tail did not converge")
+    u_bottom = float(u_of_t(lo)) if lo > 0.0 else math.inf
+    return float(_u_integral(w.u_form, float(u_of_t(hi)), u_bottom, np.zeros(0), rel_tol)[0])
 
 
-def _narrow_weight_integrals(w: LogWeight, los: np.ndarray, his: np.ndarray) -> np.ndarray:
-    """∫_lo^hi w for many positive intervals: one Gauss-Legendre panel in u
-    apiece, with a scalar fallback where the u-width exceeds one unit."""
+def _weight_integrals(w: LogWeight, los: np.ndarray, his: np.ndarray) -> np.ndarray:
+    """∫_lo^hi w for many intervals, 0 where lo = 0 or hi <= lo.
+
+    Closed forms where they exist; otherwise one 15-point Gauss-Legendre pass
+    per panel, with panels at most 1/(2κ) wide in u, where κ = 1 + |a+1| + |b|/u
+    bounds how fast log w varies.  On such panels the rule is exact to
+    rounding.
+    """
     out = np.zeros(los.size)
-    mask = (his > los) & (los > 0.0)
-    if not np.any(mask):
+    idx = np.nonzero((his > los) & (los > 0.0))[0]
+    if idx.size == 0:
         return out
-    ua = 1.0 - np.log(his[mask])
-    ub = 1.0 - np.log(los[mask])
-    narrow = (ub - ua) <= 1.0
-    idx = np.nonzero(mask)[0]
-    if np.any(narrow):
-        a, b = ua[narrow], ub[narrow]
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        u = mid[:, None] + half[:, None] * _GL_X[None, :]
-        out[idx[narrow]] = half * (w.u_form(u.ravel()).reshape(u.shape) @ _GL_W)
-    for j in idx[~narrow]:
-        out[j] = weight_integral(w, float(los[j]), float(his[j]))
+    if w.b == 0.0 or w.a == -1.0:
+        out[idx] = [weight_integral(w, float(los[i]), float(his[i])) for i in idx]
+        return out
+    ua, ub = u_of_t(his[idx]), u_of_t(los[idx])
+    kappa = 1.0 + abs(w.a + 1.0) + abs(w.b) / ua
+    a, b, ids = _split(ua, ub, 0.5 / kappa)
+    out[idx] = np.bincount(ids, _gl(w.u_form, a, b)[:, 0], idx.size)
     return out
 
 
@@ -309,8 +329,7 @@ def weight_prefix_many(w: LogWeight, ts: np.ndarray, rel_tol: float = 1e-12) -> 
     order = np.argsort(ts)
     s = ts[order]
     base = weight_integral(w, 0.0, float(s[0]), rel_tol) if s.size else 0.0
-    segs = _narrow_weight_integrals(w, s[:-1], s[1:]) if s.size > 1 else np.zeros(0)
-    acc = base + np.concatenate([[0.0], np.cumsum(segs)])
+    acc = base + np.concatenate([[0.0], np.cumsum(_weight_integrals(w, s[:-1], s[1:]))])
     out = np.empty_like(acc)
     out[order] = acc
     return out
@@ -327,7 +346,7 @@ def log_weight_integral(
     """∫_a^b f^p(s) w(s) ds with f a step function: exact values, panel weights.
 
     Weight factors over each overlapped panel are integrated by closed form or
-    adaptive Gauss-Legendre in u (depth-limited: NoConvergence past tolerance).
+    Gauss-Legendre in u; rel_tol governs the open-ended first panel.
     """
     if not (0.0 <= a < b <= 1.0):
         raise BadInterval(f"bad interval [{a}, {b}]")
@@ -339,95 +358,9 @@ def log_weight_integral(
     if not np.any(mask):
         return 0.0
     los, his, vp = lo[mask], hi[mask], f.values[mask] ** p
-    total = 0.0
     # the only possibly-open-ended panel is the first
-    if los[0] == 0.0:
-        total += vp[0] * weight_integral(w, 0.0, float(his[0]), rel_tol)
-        los, his, vp = los[1:], his[1:], vp[1:]
-    if los.size == 0:
-        return total
-    if w.b == 0.0 or w.a == -1.0:
-        vals = np.array([weight_integral(w, float(l), float(h)) for l, h in zip(los, his)])
-        return total + float(np.dot(vp, vals))
-    ua = u_of_t(his)
-    ub = u_of_t(los)
-    n_sub = np.maximum(1, np.ceil(ub - ua).astype(int))
-    ids = np.repeat(np.arange(los.size), n_sub)
-    steps = (ub - ua) / n_sub
-    offs = np.concatenate([np.arange(k) for k in n_sub])
-    a_sub = ua[ids] + offs * steps[ids]
-    b_sub = a_sub + steps[ids]
-    coarse = _gl_batch(w.u_form, a_sub, b_sub)
-    mid = 0.5 * (a_sub + b_sub)
-    fine = _gl_batch(w.u_form, a_sub, mid) + _gl_batch(w.u_form, mid, b_sub)
-    panel = np.zeros(los.size)
-    np.add.at(panel, ids, fine)
-    bad = np.zeros(los.size, dtype=bool)
-    np.logical_or.at(bad, ids, np.abs(fine - coarse) > rel_tol * np.maximum(np.abs(fine), 1e-300))
-    for i in np.nonzero(bad)[0]:
-        panel[i] = _adaptive_u(w.u_form, _subdivide(float(ua[i]), float(ub[i])), rel_tol)
-    return total + float(np.dot(vp, panel))
-
-
-def log_quad(
-    g: Callable[[np.ndarray], np.ndarray],
-    w: LogWeight,
-    lo: float,
-    hi: float,
-    rel_tol: float = 1e-10,
-    breaks: Sequence[float] = (),
-    max_depth: int = 40,
-) -> float:
-    """∫_lo^hi g(t) w(t) dt for vectorized g, adaptive in u, split at breaks.
-
-    Intended for integrands whose u-tail decays exponentially when lo = 0
-    (weights with a+1 > 0 or g vanishing near 0); slowly decaying tails must be
-    handled by callers through closed forms such as ``tail_block_integral``.
-    """
-    if not (0.0 <= lo <= hi <= 1.0):
-        raise BadInterval(f"bad interval [{lo}, {hi}]")
-    if lo == hi:
-        return 0.0
-
-    def fu(u):
-        return np.asarray(g(t_of_u(u)), dtype=float) * w.u_form(u)
-
-    brk = np.asarray([x for x in breaks if lo < x < hi], dtype=float)
-    u_lo_end = float(u_of_t(hi))
-    ends = [u_lo_end] if lo == 0.0 else [u_lo_end, float(u_of_t(lo))]
-    edges = np.unique(np.concatenate([u_of_t(brk), ends])) if brk.size else np.asarray(
-        sorted(set(ends)), dtype=float
-    )
-    if edges.size < 2 and lo == 0.0:
-        edges = np.array([u_lo_end, u_lo_end + 2.0])
-    widths = np.diff(edges)
-    if np.any(widths > 1.0):
-        chain = [edges[:1]]
-        chain += [_subdivide(a, b)[1:] for a, b in zip(edges[:-1], edges[1:])]
-        edges = np.concatenate(chain)
-    acc = _adaptive_u(fu, edges, rel_tol, max_depth) if edges.size > 1 else 0.0
-    if lo > 0.0:
-        return acc
-    u0 = float(edges[-1])
-    small = 0
-    grow = 0
-    prev = math.inf
-    for _ in range(2000):
-        u1 = u0 + 2.0
-        chunk = _adaptive_u(fu, np.array([u0, u1]), rel_tol, max_depth)
-        acc += chunk
-        if abs(chunk) <= rel_tol * 1e-2 * (abs(acc) + 1e-300):
-            small += 1
-            if small >= 2:
-                return acc
-        else:
-            small = 0
-        grow = grow + 1 if abs(chunk) > prev else 0
-        if grow >= 40:
-            raise Divergent("integrand grows without bound toward 0")
-        prev = abs(chunk)
-        u0 = u1
-    raise NoConvergence("log_quad tail did not converge")
+    head = vp[0] * weight_integral(w, 0.0, float(his[0]), rel_tol) if los[0] == 0.0 else 0.0
+    return head + float(np.dot(vp, _weight_integrals(w, los, his)))
 
 
 def tail_block_integral(
@@ -473,23 +406,38 @@ def _eval_probe(g, ts: np.ndarray) -> np.ndarray:
     return np.array([float(g(float(t))) for t in ts])
 
 
-def _golden_max(h: Callable[[float], float], ua: float, ub: float, rel: float = 1e-8):
+def golden_refine(
+    h: Callable[[float], float], ts: np.ndarray, i: int, best: float
+) -> Tuple[float, float]:
+    """Golden-section refinement of a grid maximum: ts is an increasing grid whose
+    node ts[i] scored best under h (scalar t -> float).  Searches in u between
+    the node's neighbours and returns (sup, argmax t), keeping the node unless
+    the search beats it."""
+    ua = float(u_of_t(ts[min(i + 1, ts.size - 1)]))
+    ub = float(u_of_t(ts[max(i - 1, 0)]))
+    best_t = float(ts[i])
+    if not ub > ua:
+        return best, best_t
+
+    def hu(u):
+        return h(float(t_of_u(u)))
+
     c = ub - _INVPHI * (ub - ua)
     d = ua + _INVPHI * (ub - ua)
-    fc, fd = h(c), h(d)
+    fc, fd = hu(c), hu(d)
     for _ in range(200):
-        if (ub - ua) <= rel * max(1.0, abs(ua), abs(ub)):
+        if (ub - ua) <= 1e-8 * max(1.0, abs(ua), abs(ub)):
             break
         if fc >= fd:
             ub, d, fd = d, c, fc
             c = ub - _INVPHI * (ub - ua)
-            fc = h(c)
+            fc = hu(c)
         else:
             ua, c, fc = c, d, fd
             d = ua + _INVPHI * (ub - ua)
-            fd = h(d)
-    u = c if fc >= fd else d
-    return (fc if fc >= fd else fd), u
+            fd = hu(d)
+    v, u = (fc, c) if fc >= fd else (fd, d)
+    return (v, float(t_of_u(u))) if v > best else (best, best_t)
 
 
 def sup_on_interval(
@@ -511,20 +459,14 @@ def sup_on_interval(
     if not np.all(np.isfinite(vals)):
         raise NonFiniteValue("objective returned a non-finite value")
     i = int(np.argmax(vals))
-    best_v, best_t = float(vals[i]), float(ts[i])
-    ua = float(u_of_t(ts[min(i + 1, ts.size - 1)]))
-    ub = float(u_of_t(ts[max(i - 1, 0)]))
-    if ub > ua:
-        def h(u):
-            v = float(g(float(t_of_u(u))))
-            if not math.isfinite(v):
-                raise NonFiniteValue("objective returned a non-finite value")
-            return v
 
-        v, u = _golden_max(h, ua, ub)
-        if v > best_v:
-            best_v, best_t = v, float(t_of_u(u))
-    return best_v, best_t
+    def h(t):
+        v = float(g(t))
+        if not math.isfinite(v):
+            raise NonFiniteValue("objective returned a non-finite value")
+        return v
+
+    return golden_refine(h, ts, i, float(vals[i]))
 
 
 def sup_on_grid(
@@ -596,35 +538,14 @@ class MonotoneMap:
 
 
 def invert_monotone(psi, y: float, tol: float = 1e-10) -> float:
-    """Invert a strictly monotone map on (0, 1]; closed form when available."""
+    """Invert a monotone map given as a MonotoneMap or as the LogWeight it restricts."""
     if not (0.0 < tol <= 1e-6):
         raise BadInterval("tol must lie in (0, 1e-6]")
     if isinstance(psi, LogWeight):
         psi = MonotoneMap(psi)
-    if isinstance(psi, MonotoneMap):
-        return psi.inverse(y, tol)
-    # generic callable assumed increasing on (0, 1]
-    top = float(psi(1.0))
-    if y <= 0.0 or y > top * (1.0 + 1e-12):
-        raise OutOfRange(f"target {y} outside map range")
-    goal = tol * max(abs(y), 1e-300)
-    u_lo, u_hi = 1.0, 8.0
-    for _ in range(200):
-        if float(psi(float(t_of_u(u_hi)))) < y:
-            break
-        u_hi *= 2.0
-        if u_hi > 1e6:
-            raise OutOfRange("target not bracketed")
-    for _ in range(400):
-        um = 0.5 * (u_lo + u_hi)
-        fm = float(psi(float(t_of_u(um))))
-        if abs(fm - y) <= goal:
-            return float(t_of_u(um))
-        if fm > y:
-            u_lo = um
-        else:
-            u_hi = um
-    raise NoConvergence("bisection failed to reach the requested residual")
+    if not isinstance(psi, MonotoneMap):
+        raise TypeError(f"expected a LogWeight or MonotoneMap, got {psi!r}")
+    return psi.inverse(y, tol)
 
 
 # ---------------------------------------------------------------------------

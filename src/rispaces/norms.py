@@ -19,15 +19,20 @@ from .errors import BadExponent, ConditionC2Failed
 from .logcalc import (
     LogWeight,
     UGrid,
+    golden_refine,
     log_quad,
     log_quad_multi,
+    log_weight_integral,
     sup_on_grid,
+    tail_block_integral,
     weight_integral,
     weight_prefix_many,
 )
 from .rearrangement import (
     StepRearrangement,
+    capped_part,
     evaluate_many,
+    excess_part,
     prefix_power_at,
     tail_power_at,
 )
@@ -45,6 +50,10 @@ __all__ = [
     "grand_norm",
     "small_norm",
     "ggamma_norm",
+    "norms_over_cuts",
+    "prefix_log_integral",
+    "tail_log_integral",
+    "w2_prefix_at",
     "fundamental_function",
     "fundamental_equivalent_weight",
     "ggamma_lower_bound_check",
@@ -190,8 +199,6 @@ def lorentz_zygmund_norm(
         val, _ = sup_on_grid(g, UGrid(res.u_max, res.sup_count), extras)
         return val
     w = LogWeight(q / p - 1.0, alpha * q)
-    from .logcalc import log_weight_integral
-
     return log_weight_integral(f, q, w, 0.0, 1.0, res.rel_tol) ** (1.0 / q)
 
 
@@ -199,16 +206,7 @@ def grand_norm(
     f: StepRearrangement, p: float, alpha: float, res: Resolution = DEFAULT
 ) -> float:
     """sup_t (1-Log t)^{-alpha/p} (∫_t^1 f^p)^{1/p}, exact tails on step data."""
-    Grand(p, alpha)
-    e = -alpha / p
-    ip = 1.0 / p
-
-    def g(t):
-        t = np.asarray(t, dtype=float)
-        return (1.0 - np.log(t)) ** e * tail_power_at(f, p, t) ** ip
-
-    val, _ = sup_on_grid(g, UGrid(res.u_max, res.sup_count), f.breaks[1:])
-    return val
+    return float(norms_over_cuts(f, Grand(p, alpha), np.zeros(1), "excess", res)[0])
 
 
 def small_norm(
@@ -219,22 +217,10 @@ def small_norm(
     The exponent p is the space's own exponent; pairing it with a grand space
     of exponent r requires passing p = r' explicitly.
     """
-    Small(p, alpha)
-    w = LogWeight(-1.0, alpha - alpha / p - 1.0)
-    ip = 1.0 / p
-
-    def g(t):
-        return prefix_power_at(f, p, np.asarray(t, dtype=float)) ** ip
-
-    x1 = f.min_positive_break()
-    # below the first breakpoint the prefix is exactly v1^p t: a pure kernel
-    head = f.values[0] * weight_integral(
-        LogWeight(ip - 1.0, w.b), 0.0, x1, res.rel_tol
-    )
-    return head + log_quad(g, w, x1, 1.0, res.rel_tol, breaks=f.breaks[1:-1])
+    return float(norms_over_cuts(f, Small(p, alpha), np.zeros(1), "excess", res)[0])
 
 
-def _w2_prefix_at(f: StepRearrangement, spec: GammaDouble, ts: np.ndarray) -> np.ndarray:
+def w2_prefix_at(f: StepRearrangement, spec: GammaDouble, ts: np.ndarray) -> np.ndarray:
     """∫_0^t f^p w2 at many points, exact panel structure."""
     cache = f._cache
     key = ("w2prefix", spec.p, spec.w2)
@@ -255,7 +241,7 @@ def ggamma_norm(f: StepRearrangement, spec: GammaDouble, res: Resolution = DEFAU
     p, m = spec.p, spec.m
 
     def g(t):
-        return _w2_prefix_at(f, spec, t) ** (1.0 / p)
+        return w2_prefix_at(f, spec, t) ** (1.0 / p)
 
     if math.isinf(m):
         def obj(t):
@@ -266,7 +252,7 @@ def ggamma_norm(f: StepRearrangement, spec: GammaDouble, res: Resolution = DEFAU
         return val
 
     def gm(t):
-        return _w2_prefix_at(f, spec, t) ** (m / p)
+        return w2_prefix_at(f, spec, t) ** (m / p)
 
     return log_quad(gm, spec.w1, 0.0, 1.0, res.rel_tol, breaks=f.breaks[1:-1]) ** (1.0 / m)
 
@@ -309,6 +295,51 @@ def _prefix_multi(f: StepRearrangement, vp, pref, ts: np.ndarray) -> np.ndarray:
     return pref[idx - 1, :] + vp[idx - 1, :] * (ts - f.breaks[idx - 1])[:, None]
 
 
+def _prefix_log_integrals(
+    f: StepRearrangement, vp, pref, s: float, b: float, h: float, rel_tol: float
+) -> np.ndarray:
+    """∫_0^h (1-Log t)^b P(t)^s dt/t for each column of panel powers vp, with
+    P(t) the exact prefix integral of that column (cumulative column of pref).
+
+    Below the first break P is exactly vp[0]·t, so that stretch is the pure
+    kernel t^{s-1}(1-Log t)^b; the rest is one multi-column log_quad.
+    """
+    x1 = f.min_positive_break()
+    out = vp[0, :] ** s * weight_integral(LogWeight(s - 1.0, b), 0.0, min(x1, h), rel_tol)
+    if h > x1:
+
+        def g(ts):
+            return _prefix_multi(f, vp, pref, np.asarray(ts, dtype=float)) ** s
+
+        out = out + log_quad_multi(g, LogWeight(-1.0, b), x1, h, rel_tol, f.breaks[1:-1])
+    return out
+
+
+def prefix_log_integral(
+    f: StepRearrangement, p: float, s: float, b: float, h: float, rel_tol: float
+) -> float:
+    """∫_0^h (1-Log t)^b (∫_0^t f^p)^s dt/t: the one-column _prefix_log_integrals."""
+    pref, vp = f.prefix_power(p)
+    return float(_prefix_log_integrals(f, vp[:, None], pref[:, None], s, b, h, rel_tol)[0])
+
+
+def tail_log_integral(f: StepRearrangement, p: float, s: float, d: float, rel_tol: float) -> float:
+    """∫_0^1 (1-Log t)^d (∫_t^1 f^p)^s dt/t.
+
+    Below the first break the tail is exactly total - v1^p·t, which
+    ``tail_block_integral`` closes even where the weight alone decays only
+    polynomially in u; the rest is one log_quad.
+    """
+    total = float(prefix_power_at(f, p, 1.0))
+    x1 = f.min_positive_break()
+    head = tail_block_integral(d, total, float(f.values[0]) ** p, s, x1, rel_tol)
+
+    def g(t):
+        return tail_power_at(f, p, np.asarray(t, dtype=float)) ** s
+
+    return head + log_quad(g, LogWeight(-1.0, d), x1, 1.0, rel_tol, f.breaks[1:-1])
+
+
 def norms_over_cuts(
     f: StepRearrangement,
     spec: SpaceSpec,
@@ -324,50 +355,29 @@ def norms_over_cuts(
         vp, pref = _cut_panel_powers(f, spec.p, cuts, kind)
         return pref[-1, :] ** (1.0 / spec.p)
     if isinstance(spec, Grand):
-        p, alpha = spec.p, spec.alpha
-        vp, pref = _cut_panel_powers(f, p, cuts, kind)
+        e, ip = -spec.alpha / spec.p, 1.0 / spec.p
+        vp, pref = _cut_panel_powers(f, spec.p, cuts, kind)
         ts = np.unique(np.concatenate([UGrid(res.u_max, res.sup_count).t_nodes(), f.breaks[1:]]))
         tails = np.maximum(pref[-1, :][None, :] - _prefix_multi(f, vp, pref, ts), 0.0)
-        obj = (1.0 - np.log(ts))[:, None] ** (-alpha / p) * tails ** (1.0 / p)
+        obj = (1.0 - np.log(ts))[:, None] ** e * tails**ip
         best = np.argmax(obj, axis=0)
         out = np.empty(cuts.size)
-        e = -alpha / p
         for j in range(cuts.size):
-            i = int(best[j])
             col_vp, col_pref = vp[:, j], pref[:, j]
-            total = col_pref[-1]
 
             def gj(t):
                 k = min(max(int(np.searchsorted(f.breaks, t, side="left")), 1), f.n)
-                tail = total - (col_pref[k - 1] + col_vp[k - 1] * (t - f.breaks[k - 1]))
-                return (1.0 - math.log(t)) ** e * max(tail, 0.0) ** (1.0 / p)
+                tail = col_pref[-1] - (col_pref[k - 1] + col_vp[k - 1] * (t - f.breaks[k - 1]))
+                return (1.0 - math.log(t)) ** e * max(tail, 0.0) ** ip
 
-            ua = float(1.0 - np.log(ts[min(i + 1, ts.size - 1)]))
-            ub = float(1.0 - np.log(ts[max(i - 1, 0)]))
-            val = float(obj[i, j])
-            if ub > ua:
-                from .logcalc import _golden_max, t_of_u
-
-                ref, _ = _golden_max(lambda u: gj(float(t_of_u(u))), ua, ub)
-                val = max(val, ref)
-            out[j] = val
+            i = int(best[j])
+            out[j], _ = golden_refine(gj, ts, i, float(obj[i, j]))
         return out
     if isinstance(spec, Small):
         p, alpha = spec.p, spec.alpha
         vp, pref = _cut_panel_powers(f, p, cuts, kind)
-        ip = 1.0 / p
-        b = alpha - alpha / p - 1.0
-        x1 = f.min_positive_break()
-        head = vp[0, :] ** ip * weight_integral(LogWeight(ip - 1.0, b), 0.0, x1, res.rel_tol)
-
-        def g(ts):
-            return _prefix_multi(f, vp, pref, np.asarray(ts, dtype=float)) ** ip
-
-        body = log_quad_multi(g, LogWeight(-1.0, b), x1, 1.0, res.rel_tol, f.breaks[1:-1])
-        return head + body
+        return _prefix_log_integrals(f, vp, pref, 1.0 / p, alpha - alpha / p - 1.0, 1.0, res.rel_tol)
     # no batched path: fall back to one norm per cut
-    from .rearrangement import capped_part, excess_part
-
     make = excess_part if kind == "excess" else capped_part
     return np.array([space_norm(make(f, float(c)), spec, res) for c in cuts])
 
@@ -420,7 +430,7 @@ def ggamma_lower_bound_check(
     unit = StepRearrangement(np.array([0.0, 1.0]), np.array([1.0]))
 
     def w2_pref(t):
-        return _w2_prefix_at(unit, spec, np.atleast_1d(np.asarray(t, dtype=float)))
+        return w2_prefix_at(unit, spec, np.atleast_1d(np.asarray(t, dtype=float)))
 
     if math.isinf(m):
         def obj(t):
@@ -433,5 +443,5 @@ def ggamma_lower_bound_check(
 
         denom = log_quad(gm, spec.w1, 0.0, measE, res.rel_tol) ** (1.0 / m)
     lhs = rho * w2_mass ** (1.0 / p) / denom if denom > 0 else math.inf
-    rhs_sq = _w2_prefix_at(f, spec, np.array([measE]))[0]
+    rhs_sq = w2_prefix_at(f, spec, np.array([measE]))[0]
     return lhs, float(rhs_sq ** (1.0 / p))

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate as si
@@ -10,7 +11,7 @@ import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rispaces.errors import BadExponent, BadInterval, NonFiniteValue, OutOfRange
+from rispaces.errors import BadExponent, BadInterval, Divergent, NonFiniteValue, OutOfRange
 from rispaces.logcalc import (
     LogWeight,
     MonotoneMap,
@@ -23,6 +24,7 @@ from rispaces.logcalc import (
     t_of_u,
     u_of_t,
     weight_integral,
+    weight_prefix_many,
 )
 from rispaces.rearrangement import PowerLog, StepFunction, discretize_model
 
@@ -87,6 +89,43 @@ def test_log_quad_matches_scipy():
     ours = log_quad(g, w, 0.0, 1.0, 1e-12)
     ref, _ = si.quad(lambda t: math.sqrt(1 + t) * t**-0.5 * (1 - math.log(t)), 0, 1)
     assert ours == pytest.approx(ref, rel=1e-9)
+
+
+def _head_integral(a, b, x):
+    """∫_0^x t^a (1-Log t)^b dt = e^c c^{-b-1} Γ(b+1, c(1-Log x)), c = a+1 > 0."""
+    c = mpmath.mpf(a) + 1
+    return float(mpmath.e**c * c ** (-(b + 1)) * mpmath.gammainc(b + 1, c * (1 - mpmath.log(x))))
+
+
+@pytest.mark.parametrize("a,b", [(-0.5, 1.5), (0.0, -1.0), (4.0, -3.0), (12.0, 8.0), (0.3, -20.0)])
+def test_weight_prefix_many_against_incomplete_gamma(a, b):
+    """Panels between consecutive points take one Gauss-Legendre pass each,
+    steep weights included."""
+    ts = np.exp(1.0 - np.linspace(1.0, 30.0, 40))
+    got = weight_prefix_many(LogWeight(a, b), ts)
+    want = [_head_integral(a, b, float(t)) for t in ts]
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("a,b", [(-0.99, 5.0), (-0.995, 1.0)])
+def test_open_end_tail_past_a_distant_peak(a, b):
+    """The u-integrand e^{(1-u)(a+1)} u^b rises until u = b/(a+1) (500 and 200
+    here) before it decays, so the tail march must not mistake the rise for
+    divergence; both entry points share it and match the closed form."""
+    exact = _head_integral(a, b, 0.5)
+    w = LogWeight(a, b)
+    via_weight = weight_integral(w, 0.0, 0.5, 1e-12)
+    via_quad = log_quad(lambda t: np.ones_like(t), w, 0.0, 0.5, 1e-12)
+    assert via_weight == pytest.approx(exact, rel=5e-12)
+    assert via_quad == pytest.approx(via_weight, rel=1e-14)
+
+
+@pytest.mark.parametrize("w", [LogWeight(-1.5, 0.0), LogWeight(-3.0, 0.0), LogWeight(-1.0, 2.0)])
+def test_growing_tail_is_divergent(w):
+    """Exponential growth overflows the sum (or the integrand first); u^2
+    still grows when the march ends."""
+    with np.errstate(over="ignore"), pytest.raises(Divergent):
+        log_quad(lambda t: np.ones_like(t), w, 0.0, 0.5)
 
 
 def test_sup_parabola():

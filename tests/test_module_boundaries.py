@@ -1,0 +1,32 @@
+"""Package modules reach each other only through public, top-level imports."""
+
+import ast
+from pathlib import Path
+
+import rispaces
+
+PACKAGE = Path(rispaces.__file__).parent
+
+
+def _sibling_imports(tree: ast.Module):
+    """(node, imported names, inside a function) for every relative import."""
+    def visit(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            nested = in_function or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            if isinstance(child, ast.ImportFrom) and child.level > 0:
+                yield child, [a.name for a in child.names], nested
+            yield from visit(child, nested)
+
+    yield from visit(tree, False)
+
+
+def test_no_private_or_function_local_sibling_imports():
+    problems = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node, names, in_function in _sibling_imports(tree):
+            where = f"{path.name}:{node.lineno}"
+            if in_function:
+                problems.append(f"{where} imports a sibling module inside a function")
+            problems += [f"{where} imports private {n}" for n in names if n.startswith("_")]
+    assert not problems, "\n".join(problems)
