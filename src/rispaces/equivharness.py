@@ -13,7 +13,7 @@ import json
 import math
 import statistics
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from .rearrangement import (
     ExplicitSteps,
     FunctionModel,
     PowerLog,
-    Samples,
     StepFunction,
     StepRearrangement,
     discretize_model,

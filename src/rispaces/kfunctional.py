@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -46,8 +46,6 @@ from .norms import (
 )
 from .rearrangement import (
     StepRearrangement,
-    capped_part,
-    excess_part,
     head_restriction,
     prefix_power_at,
     rearrange_from_samples,
@@ -176,12 +174,15 @@ def couple_psi(c: CoupleSpec) -> LogWeight:
     raise TypeError(f"unknown couple {c!r}")
 
 
-def split_point(c: CoupleSpec, t: float, tol: float = 1e-12) -> float:
-    """phi(t): inverse of the couple's ratio map at t."""
+def split_point(c: CoupleSpec, t, tol: float = 1e-12):
+    """phi(t): inverse of the couple's ratio map at t, elementwise over an array
+    of t; a scalar t gives a float."""
     if isinstance(c, LpLq):
         iq = 0.0 if math.isinf(c.q) else 1.0 / c.q
         sigma = 1.0 / (1.0 / c.p - iq)
-        return min(t**sigma, 1.0)
+        ts = np.asarray(t, dtype=float)
+        phi = np.minimum(ts**sigma, 1.0)
+        return float(phi) if ts.ndim == 0 else phi
     return MonotoneMap(couple_psi(c)).inverse(t, tol)
 
 
@@ -231,25 +232,24 @@ def k_oracle(
 
 
 def _windowed_grand_sup(
-    f: StepRearrangement, p: float, alpha: float, lo: float, hi: float, res: Resolution
-) -> float:
-    """sup over (lo, hi] of (1-Log s)^{-alpha/p} (∫_s^hi f^p)^{1/p}."""
-    if hi < 1e-300:
-        return 0.0
+    f: StepRearrangement, p: float, alpha: float, lo, hi, res: Resolution
+) -> np.ndarray:
+    """sup over (lo_k, hi_k] of (1-Log s)^{-alpha/p} (∫_s^{hi_k} f^p)^{1/p}, one
+    value per window (lo and hi broadcast against each other)."""
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    out = np.zeros(lo.shape)
+    k = np.flatnonzero(hi >= 1e-300)
+    if k.size == 0:
+        return out
     e = -alpha / p
     ip = 1.0 / p
-    top = prefix_power_at(f, p, hi)
+    top = prefix_power_at(f, p, hi[k])
 
-    def g(s):
-        s = np.asarray(s, dtype=float)
-        return (1.0 - np.log(s)) ** e * np.maximum(
-            top - prefix_power_at(f, p, s), 0.0
-        ) ** ip
+    def g(s, j):
+        return (1.0 - np.log(s)) ** e * np.maximum(top[j] - prefix_power_at(f, p, s), 0.0) ** ip
 
-    val, _ = sup_on_interval(
-        g, lo, hi, res.sup_count, f.breaks[1:], u_cap=res.u_max + 6.0
-    )
-    return val
+    out[k], _ = sup_on_interval(g, lo[k], hi[k], res.sup_count, f.breaks[1:], u_cap=res.u_max + 6.0)
+    return out
 
 
 def _offset_prefix_integral(
@@ -306,53 +306,60 @@ def _offset_prefix_integral(
     return total
 
 
-def k_explicit(
-    f: StepRearrangement, couple: CoupleSpec, t: float, res: Resolution = DEFAULT
-) -> float:
-    """The couple's displayed equivalent of K(f, t), term by term."""
-    if not t > 0.0:
+def k_explicit(f: StepRearrangement, couple: CoupleSpec, t, res: Resolution = DEFAULT):
+    """The couple's displayed equivalent of K(f, t), term by term, at a scalar t
+    (a float) or elementwise over a 1-D array of t.
+
+    Terms that depend on t only through the split point phi(t) are evaluated
+    once per distinct phi.
+    """
+    t_in = np.asarray(t, dtype=float)
+    if t_in.ndim > 1:
+        raise BadExponent("K argument must be a scalar or a 1-D array")
+    ts = np.atleast_1d(t_in)
+    if not np.all(ts > 0.0):
         raise BadExponent("K argument must be positive")
-    if isinstance(couple, LpLq):
-        phi = split_point(couple, t)
-        first = prefix_power_at(f, couple.p, phi) ** (1.0 / couple.p)
-        if math.isinf(couple.q):
-            return float(first)
-        return float(first + t * tail_power_at(f, couple.q, phi) ** (1.0 / couple.q))
-    if isinstance(couple, GrandLq):
-        phi = split_point(couple, t)
-        first = _windowed_grand_sup(f, couple.p, couple.alpha, 0.0, phi, res)
-        second = t * tail_power_at(f, couple.q, phi) ** (1.0 / couple.q)
-        return first + float(second)
-    if isinstance(couple, GrandGrand):
-        phi = split_point(couple, t)
-        first = _windowed_grand_sup(f, couple.p, couple.alpha, 0.0, phi, res)
-        second = t * _windowed_grand_sup(f, couple.q, couple.alpha, phi, 1.0, res)
-        return first + second
-    if isinstance(couple, SmallSmall):
-        p, q = couple.p, couple.q
-        phi = split_point(couple, t)
-        ip = 1.0 / p
-        k1 = prefix_log_integral(f, p, ip, -ip, phi, res.rel_tol)
-        if t >= math.e:
-            raise OutOfRange("second term of this form needs 1 - Log t > 0")
-        # the middle term carries the outer argument t, not the split point
-        k2 = (1.0 - math.log(t)) ** ((p - 1.0) / p) * float(prefix_power_at(f, p, phi)) ** ip
-        k3 = t * _windowed_grand_sup(f, q, 1.0, phi, 1.0, res)
-        return float(k1 + k2 + k3)
-    if isinstance(couple, GrandSmallSameP):
-        p = couple.p
-        phi = split_point(couple, t)
-        first = _windowed_grand_sup(f, p, 1.0, 0.0, phi, res)
-        second = t * _offset_prefix_integral(f, p, phi, res) if phi < 1.0 else 0.0
-        return first + float(second)
+    vals = _k_explicit_many(f, couple, ts, res)
+    return float(vals[0]) if t_in.ndim == 0 else vals
+
+
+def _k_explicit_many(f: StepRearrangement, couple: CoupleSpec, ts: np.ndarray, res: Resolution) -> np.ndarray:
     if isinstance(couple, General):
         _ensure_conditions(couple, res)
-        x = split_point(couple, t)
-        if not (0.0 < x < 1.0):
+    phi, at = np.unique(split_point(couple, ts), return_inverse=True)
+    if isinstance(couple, LpLq):
+        first = prefix_power_at(f, couple.p, phi) ** (1.0 / couple.p)
+        if math.isinf(couple.q):
+            return first[at]
+        return first[at] + ts * (tail_power_at(f, couple.q, phi) ** (1.0 / couple.q))[at]
+    if isinstance(couple, GrandLq):
+        first = _windowed_grand_sup(f, couple.p, couple.alpha, 0.0, phi, res)
+        return first[at] + ts * (tail_power_at(f, couple.q, phi) ** (1.0 / couple.q))[at]
+    if isinstance(couple, GrandGrand):
+        first = _windowed_grand_sup(f, couple.p, couple.alpha, 0.0, phi, res)
+        second = _windowed_grand_sup(f, couple.q, couple.alpha, phi, 1.0, res)
+        return first[at] + ts * second[at]
+    if isinstance(couple, SmallSmall):
+        p, q = couple.p, couple.q
+        ip = 1.0 / p
+        if np.any(ts >= math.e):
+            raise OutOfRange("second term of this form needs 1 - Log t > 0")
+        k1 = prefix_log_integral(f, p, ip, -ip, phi, res.rel_tol)
+        # the middle term carries the outer argument t, not the split point
+        k2 = (1.0 - np.log(ts)) ** ((p - 1.0) / p) * (prefix_power_at(f, p, phi) ** ip)[at]
+        k3 = _windowed_grand_sup(f, q, 1.0, phi, 1.0, res)
+        return k1[at] + k2 + ts * k3[at]
+    if isinstance(couple, GrandSmallSameP):
+        p = couple.p
+        first = _windowed_grand_sup(f, p, 1.0, 0.0, phi, res)
+        second = np.array([_offset_prefix_integral(f, p, float(x), res) if x < 1.0 else 0.0 for x in phi])
+        return first[at] + ts * second[at]
+    if isinstance(couple, General):
+        if not np.all((phi > 0.0) & (phi < 1.0)):
             raise OutOfRange("split point left (0, 1)")
-        head = space_norm(head_restriction(f, x), couple.x0, res)
-        tail = space_norm(tail_rearranged(f, x), couple.x1, res)
-        return head + t * tail
+        head = np.array([space_norm(head_restriction(f, float(x)), couple.x0, res) for x in phi])
+        tail = np.array([space_norm(tail_rearranged(f, float(x)), couple.x1, res) for x in phi])
+        return head[at] + ts * tail[at]
     raise TypeError(f"unknown couple {couple!r}")
 
 
@@ -411,7 +418,7 @@ def k_curve(
             raise InfiniteNorm("no trial decomposition has finite component norms")
         vals = np.min(A[finite][None, :] + ts[:, None] * B[finite][None, :], axis=1)
     elif method == "explicit":
-        vals = np.array([k_explicit(f, couple, float(t), res) for t in ts])
+        vals = k_explicit(f, couple, ts, res)
     else:
         raise BadExponent(f"unknown method {method!r}")
     return KCurve(ts, vals)
@@ -479,7 +486,8 @@ def check_C_conditions(x0: SpaceSpec, x1: SpaceSpec, grid: UGrid, res: Resolutio
     m = max(9, grid.count // 2 + 1)
     base = sups(grid, m)
     fine = sups(grid.doubled(), 2 * m - 1)
-    drift = np.abs(fine - base) / np.maximum(np.abs(base), 1e-300)
+    with np.errstate(invalid="ignore"):  # inf - inf: a divergent sup fails below anyway
+        drift = np.abs(fine - base) / np.maximum(np.abs(base), 1e-300)
     finite = bool(np.all(np.isfinite(base)) and np.all(np.isfinite(fine)))
     return {
         "c0": (float(base[0]), float(base[1])),

@@ -24,7 +24,7 @@ from .errors import (
     NonFiniteValue,
     OutOfRange,
 )
-from .rearrangement import StepFunction, prefix_power_at
+from .rearrangement import StepFunction
 
 __all__ = [
     "LogWeight",
@@ -49,6 +49,7 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_PANELS = 200_000
 _TAIL_CHUNKS = 4000
+_SCAN_BLOCK = 1 << 19
 
 
 def u_of_t(t):
@@ -407,66 +408,116 @@ def _eval_probe(g, ts: np.ndarray) -> np.ndarray:
 
 
 def golden_refine(
-    h: Callable[[float], float], ts: np.ndarray, i: int, best: float
-) -> Tuple[float, float]:
-    """Golden-section refinement of a grid maximum: ts is an increasing grid whose
-    node ts[i] scored best under h (scalar t -> float).  Searches in u between
-    the node's neighbours and returns (sup, argmax t), keeping the node unless
-    the search beats it."""
-    ua = float(u_of_t(ts[min(i + 1, ts.size - 1)]))
-    ub = float(u_of_t(ts[max(i - 1, 0)]))
-    best_t = float(ts[i])
-    if not ub > ua:
-        return best, best_t
+    h: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    t_left: np.ndarray,
+    t_right: np.ndarray,
+    best: np.ndarray,
+    best_t: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Golden-section refinement of grid maxima, one per bracket.
 
-    def hu(u):
-        return h(float(t_of_u(u)))
+    Bracket k holds the grid node best_t[k], which scored best[k], between its
+    neighbours t_left[k] <= t_right[k]; h(t, k) evaluates the objectives of
+    brackets k at points t (arrays of equal length).  Each bracket is searched
+    in u and stops on its own.  Returns (sup, argmax t) arrays, keeping a node
+    unless its search beats it."""
+    sup = np.array(best, dtype=float)
+    arg = np.array(best_t, dtype=float)
+    ua, ub = u_of_t(np.asarray(t_right, dtype=float)), u_of_t(np.asarray(t_left, dtype=float))
+    live = np.flatnonzero(ub > ua)
+    if live.size == 0:
+        return sup, arg
+    ua, ub = ua[live], ub[live]
 
+    def hu(u, j):
+        return np.asarray(h(t_of_u(u), live[j]), dtype=float)
+
+    every = np.arange(live.size)
     c = ub - _INVPHI * (ub - ua)
     d = ua + _INVPHI * (ub - ua)
-    fc, fd = hu(c), hu(d)
+    fc, fd = hu(c, every), hu(d, every)
+    act = every
     for _ in range(200):
-        if (ub - ua) <= 1e-8 * max(1.0, abs(ua), abs(ub)):
+        act = act[(ub[act] - ua[act]) > 1e-8 * np.maximum(np.maximum(1.0, np.abs(ua[act])), np.abs(ub[act]))]
+        if act.size == 0:
             break
-        if fc >= fd:
-            ub, d, fd = d, c, fc
-            c = ub - _INVPHI * (ub - ua)
-            fc = hu(c)
-        else:
-            ua, c, fc = c, d, fd
-            d = ua + _INVPHI * (ub - ua)
-            fd = hu(d)
-    v, u = (fc, c) if fc >= fd else (fd, d)
-    return (v, float(t_of_u(u))) if v > best else (best, best_t)
+        left = fc[act] >= fd[act]
+        lo, hi = act[left], act[~left]
+        ub[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
+        c[lo] = ub[lo] - _INVPHI * (ub[lo] - ua[lo])
+        ua[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
+        d[hi] = ua[hi] + _INVPHI * (ub[hi] - ua[hi])
+        vals = hu(np.where(left, c[act], d[act]), act)
+        fc[lo], fd[hi] = vals[left], vals[~left]
+    pick = fc >= fd
+    v, u = np.where(pick, fc, fd), np.where(pick, c, d)
+    better = v > sup[live]
+    sup[live[better]] = v[better]
+    arg[live[better]] = t_of_u(u[better])
+    return sup, arg
 
 
 def sup_on_interval(
-    g: Callable,
-    lo: float,
-    hi: float,
+    g: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
     count: int,
     extra_points: Iterable[float] = (),
     u_cap: float = 41.0,
-) -> Tuple[float, float]:
-    """(sup, argmax) of g over (lo, hi] by log-grid scan plus golden refinement."""
-    u_hi = float(u_of_t(hi))
-    u_lo = float(u_of_t(lo)) if lo > 0.0 else max(u_cap, u_hi + 8.0)
-    n = max(8, min(count, int(count * (u_lo - u_hi) / 34.0) + 8))
-    ts = t_of_u(np.linspace(u_hi, u_lo, n))
-    extras = np.asarray([x for x in extra_points if lo < x <= hi], dtype=float)
-    ts = np.unique(np.concatenate([ts, extras]))
-    vals = _eval_probe(g, ts)
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteValue("objective returned a non-finite value")
-    i = int(np.argmax(vals))
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(sup, argmax) arrays of g over windows (lo_k, hi_k] by log-grid scan plus
+    golden refinement; g(t, k) evaluates window k's objective at points t.
 
-    def h(t):
-        v = float(g(t))
-        if not math.isfinite(v):
+    Window k scans n_k log-spaced nodes (n_k scales with its u-length, between
+    8 and count) and the extra points inside it; a window open at 0 reaches
+    down to u = max(u_cap, u(hi_k) + 8).  Grids are scanned in blocks of about
+    _SCAN_BLOCK points, then every window is refined in one golden pass.
+    """
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    u_hi = u_of_t(hi)
+    u_lo = np.maximum(u_cap, u_hi + 8.0)
+    u_lo[lo > 0.0] = u_of_t(lo[lo > 0.0])
+    n = np.maximum(8, np.minimum(count, (count * (u_lo - u_hi) / 34.0).astype(int) + 8))
+    xs = np.sort(np.asarray(list(extra_points), dtype=float))
+    x_from = np.searchsorted(xs, lo, side="right")
+    x_to = np.searchsorted(xs, hi, side="right")
+    best = np.empty(lo.size)
+    best_t = np.empty(lo.size)
+    t_left = np.empty(lo.size)
+    t_right = np.empty(lo.size)
+    k0 = 0
+    while k0 < lo.size:
+        grids = []
+        size = 0
+        for k in range(k0, lo.size):
+            grid = np.unique(np.concatenate([t_of_u(np.linspace(u_hi[k], u_lo[k], n[k])), xs[x_from[k]:x_to[k]]]))
+            grids.append(grid)
+            size += grid.size
+            if size >= _SCAN_BLOCK:
+                break
+        sizes = np.array([grid.size for grid in grids])
+        starts = np.cumsum(sizes) - sizes
+        ts = np.concatenate(grids)
+        ks = np.arange(k0, k0 + sizes.size)
+        vals = np.asarray(g(ts, np.repeat(ks, sizes)), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise NonFiniteValue("objective returned a non-finite value")
+        top = np.maximum.reduceat(vals, starts)
+        hits = np.flatnonzero(vals == np.repeat(top, sizes))
+        i = hits[np.searchsorted(hits, starts)]
+        best[ks], best_t[ks] = top, ts[i]
+        t_left[ks] = ts[np.maximum(i - 1, starts)]
+        t_right[ks] = ts[np.minimum(i + 1, starts + sizes - 1)]
+        k0 += sizes.size
+
+    def h(t, k):
+        v = np.asarray(g(t, k), dtype=float)
+        if not np.all(np.isfinite(v)):
             raise NonFiniteValue("objective returned a non-finite value")
         return v
 
-    return golden_refine(h, ts, i, float(vals[i]))
+    return golden_refine(h, t_left, t_right, best, best_t)
 
 
 def sup_on_grid(
@@ -474,7 +525,12 @@ def sup_on_grid(
 ) -> Tuple[float, float]:
     """(sup estimate, argmax t) of g over (0, 1]: all grid nodes and supplied
     breakpoints, then golden-section refinement around the best node."""
-    return sup_on_interval(g, 0.0, 1.0, grid.count, extra_points, u_cap=grid.u_max)
+
+    def gk(t, k):
+        return _eval_probe(g, t)
+
+    val, arg = sup_on_interval(gk, np.zeros(1), np.ones(1), grid.count, extra_points, u_cap=grid.u_max)
+    return float(val[0]), float(arg[0])
 
 
 # ---------------------------------------------------------------------------
@@ -503,33 +559,54 @@ class MonotoneMap:
     def value(self, t):
         return self.forward(t)
 
-    def inverse(self, y: float, tol: float = 1e-10) -> float:
-        """t in the monotone domain with |forward(t) - y| <= tol·max(|y|, tiny)."""
+    def inverse(self, y, tol: float = 1e-10):
+        """t in the monotone domain with |forward(t) - y| <= tol·max(|y|, tiny),
+        elementwise over an array of targets; a scalar target gives a float.
+
+        Each target expands its own bracket in u and bisects it until its own
+        residual meets the tolerance."""
         a, b = self.forward.a, self.forward.b
-        if y <= 0.0 or y > self.top * (1.0 + 1e-12):
-            raise OutOfRange(f"target {y} outside map range (0, {self.top}]")
+        ys = np.asarray(y, dtype=float)
+        flat = ys.reshape(-1)
+        bad = ~((flat > 0.0) & (flat <= self.top * (1.0 + 1e-12)))
+        if bad.any():
+            raise OutOfRange(f"target {float(flat[np.argmax(bad)])} outside map range (0, {self.top}]")
         if b == 0.0:
-            return min(y ** (1.0 / a), 1.0)
-        if a == 0.0:
-            return math.exp(1.0 - y ** (1.0 / b))
-        goal = tol * max(abs(y), 1e-300)
-        u_lo = float(u_of_t(self.t0))
+            out = np.minimum(flat ** (1.0 / a), 1.0)
+        elif a == 0.0:
+            out = np.exp(1.0 - flat ** (1.0 / b))
+        else:
+            out = self._bisect(flat, tol)
+        return float(out[0]) if ys.ndim == 0 else out.reshape(ys.shape)
+
+    def _bisect(self, ys: np.ndarray, tol: float) -> np.ndarray:
+        goal = tol * np.maximum(np.abs(ys), 1e-300)
+        u_lo = np.full(ys.size, float(u_of_t(self.t0)))
         u_hi = u_lo + 1.0
+        grow = np.arange(ys.size)
         for _ in range(200):
-            if float(self.forward.value_at_u(u_hi)) < y:
+            grow = grow[self.forward.value_at_u(u_hi[grow]) >= ys[grow]]
+            if grow.size == 0:
                 break
-            u_hi += max(4.0, u_hi)
-            if u_hi > 1e7:
-                raise OutOfRange("target not bracketed on the monotone domain")
+            u_hi[grow] += np.maximum(4.0, u_hi[grow])
+            far = grow[u_hi[grow] > 1e7]
+            if far.size:
+                raise OutOfRange(f"target {float(ys[far[0]])} not bracketed on the monotone domain")
+        # a target keeps the midpoint that first met its residual; bisecting
+        # on past that leaves it unchanged
+        out = np.full(ys.size, np.nan)
+        open_ = np.ones(ys.size, dtype=bool)
         for _ in range(400):
             um = 0.5 * (u_lo + u_hi)
-            fm = float(self.forward.value_at_u(um))
-            if abs(fm - y) <= goal:
-                return float(t_of_u(um))
-            if fm > y:
-                u_lo = um
-            else:
-                u_hi = um
+            fm = self.forward.value_at_u(um)
+            hit = np.abs(fm - ys) <= goal
+            out = np.where(hit & open_, um, out)
+            open_ &= ~hit
+            if not open_.any():
+                return t_of_u(out)
+            above = fm > ys
+            u_lo = np.where(above, um, u_lo)
+            u_hi = np.where(above, u_hi, um)
         raise NoConvergence("bisection failed to reach the requested residual")
 
     def normalized_inverse(self, y: float, tol: float = 1e-10) -> float:
@@ -537,8 +614,9 @@ class MonotoneMap:
         return self.inverse(y * self.top, tol) / self.t0
 
 
-def invert_monotone(psi, y: float, tol: float = 1e-10) -> float:
-    """Invert a monotone map given as a MonotoneMap or as the LogWeight it restricts."""
+def invert_monotone(psi, y, tol: float = 1e-10):
+    """Invert a monotone map given as a MonotoneMap or as the LogWeight it
+    restricts, at a scalar target or elementwise over an array of targets."""
     if not (0.0 < tol <= 1e-6):
         raise BadInterval("tol must lie in (0, 1e-6]")
     if isinstance(psi, LogWeight):

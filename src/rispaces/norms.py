@@ -296,31 +296,45 @@ def _prefix_multi(f: StepRearrangement, vp, pref, ts: np.ndarray) -> np.ndarray:
 
 
 def _prefix_log_integrals(
-    f: StepRearrangement, vp, pref, s: float, b: float, h: float, rel_tol: float
+    f: StepRearrangement, vp, pref, s: float, b: float, hs: np.ndarray, rel_tol: float
 ) -> np.ndarray:
-    """∫_0^h (1-Log t)^b P(t)^s dt/t for each column of panel powers vp, with
-    P(t) the exact prefix integral of that column (cumulative column of pref).
+    """∫_0^h (1-Log t)^b P(t)^s dt/t for each h of the increasing array hs and
+    each column of panel powers vp: a (len(hs), columns) array, with P(t) the
+    exact prefix integral of that column (cumulative column of pref).
 
     Below the first break P is exactly vp[0]·t, so that stretch is the pure
-    kernel t^{s-1}(1-Log t)^b; the rest is one multi-column log_quad.
+    kernel t^{s-1}(1-Log t)^b, taken by one cumulative sweep; above it the
+    multi-column log_quads between consecutive h accumulate.
     """
     x1 = f.min_positive_break()
-    out = vp[0, :] ** s * weight_integral(LogWeight(s - 1.0, b), 0.0, min(x1, h), rel_tol)
-    if h > x1:
+    heads = np.minimum(hs, x1)
+    kernel = np.zeros(hs.size)
+    kernel[heads > 0.0] = weight_prefix_many(LogWeight(s - 1.0, b), heads[heads > 0.0], rel_tol)
+    out = vp[0, :] ** s * kernel[:, None]
+    above = hs > x1
+    if above.any():
 
         def g(ts):
             return _prefix_multi(f, vp, pref, np.asarray(ts, dtype=float)) ** s
 
-        out = out + log_quad_multi(g, LogWeight(-1.0, b), x1, h, rel_tol, f.breaks[1:-1])
+        edges = np.concatenate([[x1], hs[above]])
+        w = LogWeight(-1.0, b)
+        pieces = [
+            log_quad_multi(g, w, lo, hi, rel_tol, f.breaks[1:-1]) for lo, hi in zip(edges[:-1], edges[1:])
+        ]
+        out[above] += np.cumsum(pieces, axis=0)
     return out
 
 
 def prefix_log_integral(
-    f: StepRearrangement, p: float, s: float, b: float, h: float, rel_tol: float
-) -> float:
-    """∫_0^h (1-Log t)^b (∫_0^t f^p)^s dt/t: the one-column _prefix_log_integrals."""
+    f: StepRearrangement, p: float, s: float, b: float, h, rel_tol: float
+) -> Union[float, np.ndarray]:
+    """∫_0^h (1-Log t)^b (∫_0^t f^p)^s dt/t at a scalar h (a float) or at each h
+    of an increasing array: the one-column _prefix_log_integrals."""
     pref, vp = f.prefix_power(p)
-    return float(_prefix_log_integrals(f, vp[:, None], pref[:, None], s, b, h, rel_tol)[0])
+    hs = np.asarray(h, dtype=float)
+    out = _prefix_log_integrals(f, vp[:, None], pref[:, None], s, b, np.atleast_1d(hs), rel_tol)[:, 0]
+    return float(out[0]) if hs.ndim == 0 else out
 
 
 def tail_log_integral(f: StepRearrangement, p: float, s: float, d: float, rel_tol: float) -> float:
@@ -360,23 +374,22 @@ def norms_over_cuts(
         ts = np.unique(np.concatenate([UGrid(res.u_max, res.sup_count).t_nodes(), f.breaks[1:]]))
         tails = np.maximum(pref[-1, :][None, :] - _prefix_multi(f, vp, pref, ts), 0.0)
         obj = (1.0 - np.log(ts))[:, None] ** e * tails**ip
-        best = np.argmax(obj, axis=0)
-        out = np.empty(cuts.size)
-        for j in range(cuts.size):
-            col_vp, col_pref = vp[:, j], pref[:, j]
+        i = np.argmax(obj, axis=0)
+        cols = np.arange(cuts.size)
 
-            def gj(t):
-                k = min(max(int(np.searchsorted(f.breaks, t, side="left")), 1), f.n)
-                tail = col_pref[-1] - (col_pref[k - 1] + col_vp[k - 1] * (t - f.breaks[k - 1]))
-                return (1.0 - math.log(t)) ** e * max(tail, 0.0) ** ip
+        def h(t, j):
+            k = np.clip(np.searchsorted(f.breaks, t, side="left"), 1, f.n)
+            tail = pref[-1, j] - (pref[k - 1, j] + vp[k - 1, j] * (t - f.breaks[k - 1]))
+            return (1.0 - np.log(t)) ** e * np.maximum(tail, 0.0) ** ip
 
-            i = int(best[j])
-            out[j], _ = golden_refine(gj, ts, i, float(obj[i, j]))
+        out, _ = golden_refine(
+            h, ts[np.maximum(i - 1, 0)], ts[np.minimum(i + 1, ts.size - 1)], obj[i, cols], ts[i]
+        )
         return out
     if isinstance(spec, Small):
         p, alpha = spec.p, spec.alpha
         vp, pref = _cut_panel_powers(f, p, cuts, kind)
-        return _prefix_log_integrals(f, vp, pref, 1.0 / p, alpha - alpha / p - 1.0, 1.0, res.rel_tol)
+        return _prefix_log_integrals(f, vp, pref, 1.0 / p, alpha - alpha / p - 1.0, np.ones(1), res.rel_tol)[0]
     # no batched path: fall back to one norm per cut
     make = excess_part if kind == "excess" else capped_part
     return np.array([space_norm(make(f, float(c)), spec, res) for c in cuts])

@@ -92,6 +92,25 @@ def test_kfunc_zero_function_has_empty_ratio(tmp_path):
     assert all(r[1] == "0.0" and r[3] == "" for r in rows)
 
 
+def test_kfunc_reports_explicit_failure_on_stderr(tmp_path, capsys):
+    # L^1 has Φ(t) = t, so ∫_0^t ds/Φ diverges and the coupling conditions fail
+    out = tmp_path / "k.csv"
+    args = (
+        "kfunc",
+        "--fn", '{"kind":"char","a":0.5}',
+        "--couple", '{"couple":"general","x0":{"space":"lebesgue","p":1},"x1":{"space":"lebesgue","p":2}}',
+        "--k-nodes", "8", "--panels", "64",
+    )
+    code, _ = run_cli(*args, "--out", str(out))
+    assert code == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("explicit K failed: ConditionCheckFailed: ")
+    rows = [l.split(",") for l in out.read_text().strip().splitlines()[1:]]
+    assert len(rows) == 8 and all(r[2] == "" and r[3] == "" for r in rows)
+    code, stdout = run_cli(*args)
+    assert code == 0 and stdout == out.read_text()
+
+
 def test_interp_single_function(tmp_path):
     out = tmp_path / "interp.csv"
     code, _ = run_cli(

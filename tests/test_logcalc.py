@@ -16,6 +16,7 @@ from rispaces.logcalc import (
     LogWeight,
     MonotoneMap,
     UGrid,
+    golden_refine,
     invert_monotone,
     log_integral_bounds_check,
     log_quad,
@@ -188,6 +189,49 @@ def test_invert_out_of_range():
         m.inverse(m.top * 1.1)
     with pytest.raises(OutOfRange):
         invert_monotone(LogWeight(0.5, 0.0), -1.0)
+
+
+def test_inverse_on_arrays_equals_batches_of_one():
+    for w in (LogWeight(0.25, 0.75), LogWeight(0.5, -0.5), LogWeight(0.25, 0.0), LogWeight(0.0, -1.0)):
+        m = MonotoneMap(w)
+        ys = m.top * np.exp(-np.array([30.0, 0.0, 2.5, 1e-9, 2.5, 11.0, 0.3]))
+        got = m.inverse(ys, 1e-12)
+        assert isinstance(got, np.ndarray) and got.shape == ys.shape
+        assert isinstance(m.inverse(float(ys[0]), 1e-12), float)
+        assert got.tolist() == [m.inverse(np.array([y]), 1e-12)[0] for y in ys]
+        assert got.tolist() == [m.inverse(float(y), 1e-12) for y in ys]
+
+
+def test_inverse_array_with_one_bad_target_names_it():
+    m = MonotoneMap(LogWeight(1.0, 3.0))
+    for bad in (m.top * 1.1, -2.0, 0.0):
+        ys = np.array([0.5 * m.top, 0.1 * m.top, bad, 0.2 * m.top])
+        with pytest.raises(OutOfRange, match=f"target {bad!r} outside"):
+            m.inverse(ys)
+
+
+def test_golden_refine_on_arrays_equals_batches_of_one():
+    peaks = np.array([0.3, 1e-4, 0.9, 0.05, 0.3])
+    widths = np.array([1.0, 3.0, 0.5, 2.0, 0.25])
+
+    def h(t, k):
+        return np.exp(-((u_of_t(t) - u_of_t(peaks[k])) / widths[k]) ** 2)
+
+    # brackets around a node next to each peak, one degenerate
+    best_t = peaks * 1.01
+    t_left, t_right = best_t * 0.9, np.minimum(best_t * 1.1, 1.0)
+    t_left[2] = t_right[2] = best_t[2]
+    best = h(best_t, np.arange(peaks.size))
+    sup, arg = golden_refine(h, t_left, t_right, best, best_t)
+    for k in range(peaks.size):
+
+        def hk(t, j, k=k):
+            return h(t, np.full(np.size(t), k))
+
+        one = golden_refine(hk, t_left[k:k + 1], t_right[k:k + 1], best[k:k + 1], best_t[k:k + 1])
+        assert (sup[k], arg[k]) == (one[0][0], one[1][0])
+    assert sup[[0, 1, 3, 4]] == pytest.approx(1.0, abs=1e-12)
+    assert (sup[2], arg[2]) == (best[2], best_t[2])
 
 
 def test_monotone_map_t0_rule():

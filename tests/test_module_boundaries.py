@@ -1,4 +1,5 @@
-"""Package modules reach each other only through public, top-level imports."""
+"""Package modules reach each other only through public, top-level imports,
+and import nothing they do not use."""
 
 import ast
 from pathlib import Path
@@ -29,4 +30,37 @@ def test_no_private_or_function_local_sibling_imports():
             if in_function:
                 problems.append(f"{where} imports a sibling module inside a function")
             problems += [f"{where} imports private {n}" for n in names if n.startswith("_")]
+    assert not problems, "\n".join(problems)
+
+
+def _module_imports(tree: ast.Module):
+    """(bound name, line) for every module-level import but __future__'s."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                yield a.asname or a.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                yield a.asname or a.name, node.lineno
+
+
+def _exported(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_no_unused_module_imports():
+    problems = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
+        problems += [
+            f"{path.name}:{line} imports {name}, which it neither uses nor lists in __all__"
+            for name, line in _module_imports(tree)
+            if name not in used
+        ]
     assert not problems, "\n".join(problems)
