@@ -323,7 +323,9 @@ def k_explicit(f: StepRearrangement, couple: CoupleSpec, t, res: Resolution = DE
     return float(vals[0]) if t_in.ndim == 0 else vals
 
 
-def _k_explicit_many(f: StepRearrangement, couple: CoupleSpec, ts: np.ndarray, res: Resolution) -> np.ndarray:
+def _k_explicit_many(
+    f: StepRearrangement, couple: CoupleSpec, ts: np.ndarray, res: Resolution
+) -> np.ndarray:
     if isinstance(couple, General):
         _ensure_conditions(couple, res)
     phi, at = np.unique(split_point(couple, ts), return_inverse=True)
@@ -352,7 +354,9 @@ def _k_explicit_many(f: StepRearrangement, couple: CoupleSpec, ts: np.ndarray, r
     if isinstance(couple, GrandSmallSameP):
         p = couple.p
         first = _windowed_grand_sup(f, p, 1.0, 0.0, phi, res)
-        second = np.array([_offset_prefix_integral(f, p, float(x), res) if x < 1.0 else 0.0 for x in phi])
+        second = np.array(
+            [_offset_prefix_integral(f, p, float(x), res) if x < 1.0 else 0.0 for x in phi]
+        )
         return first[at] + ts * second[at]
     if isinstance(couple, General):
         if not np.all((phi > 0.0) & (phi < 1.0)):

@@ -438,17 +438,18 @@ def golden_refine(
     fc, fd = hu(c, every), hu(d, every)
     act = every
     for _ in range(200):
-        act = act[(ub[act] - ua[act]) > 1e-8 * np.maximum(np.maximum(1.0, np.abs(ua[act])), np.abs(ub[act]))]
+        scale = np.maximum(np.maximum(1.0, np.abs(ua[act])), np.abs(ub[act]))
+        act = act[(ub[act] - ua[act]) > 1e-8 * scale]
         if act.size == 0:
             break
         left = fc[act] >= fd[act]
-        lo, hi = act[left], act[~left]
-        ub[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
-        c[lo] = ub[lo] - _INVPHI * (ub[lo] - ua[lo])
-        ua[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
-        d[hi] = ua[hi] + _INVPHI * (ub[hi] - ua[hi])
+        down, up = act[left], act[~left]  # brackets whose upper / lower end moves
+        ub[down], d[down], fd[down] = d[down], c[down], fc[down]
+        c[down] = ub[down] - _INVPHI * (ub[down] - ua[down])
+        ua[up], c[up], fc[up] = c[up], d[up], fd[up]
+        d[up] = ua[up] + _INVPHI * (ub[up] - ua[up])
         vals = hu(np.where(left, c[act], d[act]), act)
-        fc[lo], fd[hi] = vals[left], vals[~left]
+        fc[down], fd[up] = vals[left], vals[~left]
     pick = fc >= fd
     v, u = np.where(pick, fc, fd), np.where(pick, c, d)
     better = v > sup[live]
@@ -491,7 +492,8 @@ def sup_on_interval(
         grids = []
         size = 0
         for k in range(k0, lo.size):
-            grid = np.unique(np.concatenate([t_of_u(np.linspace(u_hi[k], u_lo[k], n[k])), xs[x_from[k]:x_to[k]]]))
+            nodes = t_of_u(np.linspace(u_hi[k], u_lo[k], n[k]))
+            grid = np.unique(np.concatenate([nodes, xs[x_from[k]:x_to[k]]]))
             grids.append(grid)
             size += grid.size
             if size >= _SCAN_BLOCK:
@@ -529,7 +531,9 @@ def sup_on_grid(
     def gk(t, k):
         return _eval_probe(g, t)
 
-    val, arg = sup_on_interval(gk, np.zeros(1), np.ones(1), grid.count, extra_points, u_cap=grid.u_max)
+    val, arg = sup_on_interval(
+        gk, np.zeros(1), np.ones(1), grid.count, extra_points, u_cap=grid.u_max
+    )
     return float(val[0]), float(arg[0])
 
 
@@ -570,7 +574,8 @@ class MonotoneMap:
         flat = ys.reshape(-1)
         bad = ~((flat > 0.0) & (flat <= self.top * (1.0 + 1e-12)))
         if bad.any():
-            raise OutOfRange(f"target {float(flat[np.argmax(bad)])} outside map range (0, {self.top}]")
+            y_bad = float(flat[np.argmax(bad)])
+            raise OutOfRange(f"target {y_bad} outside map range (0, {self.top}]")
         if b == 0.0:
             out = np.minimum(flat ** (1.0 / a), 1.0)
         elif a == 0.0:

@@ -320,7 +320,8 @@ def _prefix_log_integrals(
         edges = np.concatenate([[x1], hs[above]])
         w = LogWeight(-1.0, b)
         pieces = [
-            log_quad_multi(g, w, lo, hi, rel_tol, f.breaks[1:-1]) for lo, hi in zip(edges[:-1], edges[1:])
+            log_quad_multi(g, w, lo, hi, rel_tol, f.breaks[1:-1])
+            for lo, hi in zip(edges[:-1], edges[1:])
         ]
         out[above] += np.cumsum(pieces, axis=0)
     return out
@@ -333,7 +334,9 @@ def prefix_log_integral(
     of an increasing array: the one-column _prefix_log_integrals."""
     pref, vp = f.prefix_power(p)
     hs = np.asarray(h, dtype=float)
-    out = _prefix_log_integrals(f, vp[:, None], pref[:, None], s, b, np.atleast_1d(hs), rel_tol)[:, 0]
+    out = _prefix_log_integrals(
+        f, vp[:, None], pref[:, None], s, b, np.atleast_1d(hs), rel_tol
+    )[:, 0]
     return float(out[0]) if hs.ndim == 0 else out
 
 
@@ -389,7 +392,8 @@ def norms_over_cuts(
     if isinstance(spec, Small):
         p, alpha = spec.p, spec.alpha
         vp, pref = _cut_panel_powers(f, p, cuts, kind)
-        return _prefix_log_integrals(f, vp, pref, 1.0 / p, alpha - alpha / p - 1.0, np.ones(1), res.rel_tol)[0]
+        b = alpha - alpha / p - 1.0
+        return _prefix_log_integrals(f, vp, pref, 1.0 / p, b, np.ones(1), res.rel_tol)[0]
     # no batched path: fall back to one norm per cut
     make = excess_part if kind == "excess" else capped_part
     return np.array([space_norm(make(f, float(c)), spec, res) for c in cuts])
