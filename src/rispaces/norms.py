@@ -275,9 +275,16 @@ def space_norm(f: StepRearrangement, spec: SpaceSpec, res: Resolution = DEFAULT)
 # batched norms over a family of truncation cuts
 #
 # K-functional oracles minimize norm0((f-c)_+) + t·norm1(min(f,c)) over many
-# cuts c at once; the prefix integrals of every cut share the panel grid, so
-# all three norm families evaluate as matrix passes.
+# cuts c at once.  Each truncation keeps most of f's panel structure: with v
+# the nonincreasing panel values, (f - c)_+ vanishes past the first
+# J = #{v > c} panels, and min(f, c) is the constant c on the first
+# K = #{v >= c} panels and f after them.  So the prefix integral P_c of a
+# cut's p-th power is linear below one break and constant from another
+# (_cut_reach), and the Small and Grand branches evaluate a cut at points only
+# where it is neither, in blocks of at most about _CELLS (point, cut) values.
 # ---------------------------------------------------------------------------
+
+_CELLS = 1 << 20
 
 
 def _cut_panel_powers(f: StepRearrangement, p: float, cuts: np.ndarray, kind: str):
@@ -290,40 +297,95 @@ def _cut_panel_powers(f: StepRearrangement, p: float, cuts: np.ndarray, kind: st
     return vp, pref
 
 
-def _prefix_multi(f: StepRearrangement, vp, pref, ts: np.ndarray) -> np.ndarray:
-    idx = np.clip(np.searchsorted(f.breaks, ts, side="left"), 1, f.n)
-    return pref[idx - 1, :] + vp[idx - 1, :] * (ts - f.breaks[idx - 1])[:, None]
+def _cut_reach(f: StepRearrangement, cuts: np.ndarray, kind: str):
+    """Panel counts (H, Z) per cut: P_c(t) = VP[0]·t on (0, x_H], H >= 1, and
+    P_c is constant on [x_Z, 1].  Both are nonincreasing in the cut."""
+    neg = -f.values
+    if kind == "excess":
+        return np.ones(cuts.size, dtype=int), np.searchsorted(neg, -cuts, side="left")
+    positive = int(np.searchsorted(neg, 0.0, side="left"))
+    linear = np.maximum(np.searchsorted(neg, -cuts, side="right"), 1)
+    return linear, np.where(cuts > 0.0, positive, 0)
 
 
 def _prefix_log_integrals(
-    f: StepRearrangement, vp, pref, s: float, b: float, hs: np.ndarray, rel_tol: float
+    f: StepRearrangement,
+    p: float,
+    s: float,
+    b: float,
+    cuts: np.ndarray,
+    kind: str,
+    hs: np.ndarray,
+    rel_tol: float,
 ) -> np.ndarray:
-    """∫_0^h (1-Log t)^b P(t)^s dt/t for each h of the increasing array hs and
-    each column of panel powers vp: a (len(hs), columns) array, with P(t) the
-    exact prefix integral of that column (cumulative column of pref).
+    """∫_0^h (1-Log t)^b P_c(t)^s dt/t for each h of the increasing array hs
+    and each cut: a (len(hs), len(cuts)) array, with P_c the exact prefix
+    integral of the p-th power of the cut's truncation (kind as in
+    norms_over_cuts).
 
-    Below the first break P is exactly vp[0]·t, so that stretch is the pure
-    kernel t^{s-1}(1-Log t)^b, taken by one cumulative sweep; above it the
-    multi-column log_quads between consecutive h accumulate.
+    The pieces run between edges: the hs and every block-th panel break from
+    x_1 on.  Below the last edge under x_H, P_c^s is VP[0]^s·t^s, a pure
+    kernel that one weight_prefix_many sweep gives for every cut; past the
+    first edge over x_Z the constant P_c^s integrates in closed form.  Each
+    piece in between is one log_quad_multi call over just the cuts that need
+    it.  Once a piece starts past x_H, a capped cut's P_c there is its prefix
+    at the piece's first break plus the one column ∫ f^p from that break: a
+    broadcast, not a gather.
     """
+    x, n = f.breaks, f.n
+    vp, pref = _cut_panel_powers(f, p, cuts, kind)
+    linear, flat = _cut_reach(f, cuts, kind)
+    # in this order the cuts a piece needs come first: Z falls along it for
+    # the excess (whose H is 1), H rises for the capped (whose Z is shared,
+    # but for c = 0, which is zero and comes last)
+    order = np.argsort(cuts if kind == "excess" else -cuts, kind="stable")
+    vp, pref, linear, flat = vp[:, order], pref[:, order], linear[order], flat[order]
     x1 = f.min_positive_break()
-    heads = np.minimum(hs, x1)
-    kernel = np.zeros(hs.size)
-    kernel[heads > 0.0] = weight_prefix_many(LogWeight(s - 1.0, b), heads[heads > 0.0], rel_tol)
-    out = vp[0, :] ** s * kernel[:, None]
-    above = hs > x1
-    if above.any():
+    block = max(1, _CELLS // (15 * cuts.size))  # 15 quadrature nodes per panel
+    edges = np.unique(np.concatenate([x[1::block], [1.0], hs]))
+    edges = edges[(edges >= x1) & (edges <= max(float(hs[-1]), x1))]
+    first = np.searchsorted(edges, x[linear], side="right") - 1
+    last = np.maximum(np.searchsorted(edges, x[flat], side="left"), first)
+    last = np.minimum(last, edges.size - 1)
 
-        def g(ts):
-            return _prefix_multi(f, vp, pref, np.asarray(ts, dtype=float)) ** s
+    # a head may carry the whole integral (a capped cut at or above most
+    # values), so it takes weight_prefix_many's own, tighter tolerance
+    heads = np.minimum(hs[:, None], edges[first][None, :])
+    kernel = np.zeros(heads.shape)
+    kernel[heads > 0.0] = weight_prefix_many(LogWeight(s - 1.0, b), heads[heads > 0.0])
 
-        edges = np.concatenate([[x1], hs[above]])
-        w = LogWeight(-1.0, b)
-        pieces = [
-            log_quad_multi(g, w, lo, hi, rel_tol, f.breaks[1:-1])
-            for lo, hi in zip(edges[:-1], edges[1:])
-        ]
-        out[above] += np.cumsum(pieces, axis=0)
+    w = LogWeight(-1.0, b)
+    closed = [weight_integral(w, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    piece = np.arange(edges.size - 1)[:, None]
+    parts = np.where(piece >= last, pref[-1] ** s * np.reshape(closed, (-1, 1)), 0.0)
+    vpf = f.values**p
+    for k in range(edges.size - 1):
+        m = int(np.count_nonzero((first <= k) & (k < last)))
+        if m == 0:
+            continue
+        lo, hi = edges[k], edges[k + 1]
+        i0 = int(np.searchsorted(x, lo, side="right")) - 1
+        mb = int(np.count_nonzero(linear[:m] <= i0)) if kind == "capped" else 0
+        i1 = min(int(np.searchsorted(x, hi, side="left")), n)
+        local = np.concatenate([[0.0], np.cumsum(vpf[i0:i1] * f.widths[i0:i1])])
+
+        def g(t, m=m, mb=mb, i0=i0, local=local):
+            j = np.clip(np.searchsorted(x, t, side="left"), 1, n) - 1
+            dt = t - x[j]
+            out = np.empty((t.size, m))
+            if mb:
+                np.add(pref[i0, :mb], (local[j - i0] + vpf[j] * dt)[:, None], out=out[:, :mb])
+            if m > mb:
+                np.multiply(vp[j, mb:m], dt[:, None], out=out[:, mb:])
+                out[:, mb:] += pref[j, mb:m]
+            out **= s
+            return out
+
+        parts[k, :m] = log_quad_multi(g, w, lo, hi, rel_tol, x[1:-1])
+    done = np.cumsum(np.vstack([np.zeros(cuts.size), parts]), axis=0)
+    below = np.maximum(np.searchsorted(edges, hs, side="right") - 1, 0)
+    out = np.empty(heads.shape)
+    out[:, order] = vp[0] ** s * kernel + done[below]
     return out
 
 
@@ -331,11 +393,10 @@ def prefix_log_integral(
     f: StepRearrangement, p: float, s: float, b: float, h, rel_tol: float
 ) -> Union[float, np.ndarray]:
     """∫_0^h (1-Log t)^b (∫_0^t f^p)^s dt/t at a scalar h (a float) or at each h
-    of an increasing array: the one-column _prefix_log_integrals."""
-    pref, vp = f.prefix_power(p)
+    of an increasing array: the one-cut (c = 0) _prefix_log_integrals."""
     hs = np.asarray(h, dtype=float)
     out = _prefix_log_integrals(
-        f, vp[:, None], pref[:, None], s, b, np.atleast_1d(hs), rel_tol
+        f, p, s, b, np.zeros(1), "excess", np.atleast_1d(hs), rel_tol
     )[:, 0]
     return float(out[0]) if hs.ndim == 0 else out
 
@@ -357,6 +418,72 @@ def tail_log_integral(f: StepRearrangement, p: float, s: float, d: float, rel_to
     return head + log_quad(g, LogWeight(-1.0, d), x1, 1.0, rel_tol, f.breaks[1:-1])
 
 
+def _grand_over_cuts(
+    f: StepRearrangement, p: float, alpha: float, cuts: np.ndarray, kind: str, res: Resolution
+) -> np.ndarray:
+    """sup_t (1-Log t)^{-alpha/p} (∫_t^1 g_c^p)^{1/p} for each cut's truncation
+    g_c: a scan of the sup grid and the breaks, then one golden_refine pass.
+
+    The excess objective is 0 from x_Z on and the capped one is f's own from
+    x_H on, so a cut is scanned only in the row blocks that start below that
+    break; past them the capped cut takes f's objective's suffix maximum.
+    """
+    e, ip = -alpha / p, 1.0 / p
+    x, n = f.breaks, f.n
+    vp, pref = _cut_panel_powers(f, p, cuts, kind)
+    linear, flat = _cut_reach(f, cuts, kind)
+    ts = np.unique(np.concatenate([UGrid(res.u_max, res.sup_count).t_nodes(), x[1:]]))
+    lw = (1.0 - np.log(ts)) ** e
+    rows = max(1, _CELLS // cuts.size)
+    # ascending cuts: the row counts fall, so a block's cuts come first
+    order = np.argsort(cuts, kind="stable")
+    vs, ps = vp[:, order], pref[:, order]
+    stop = np.searchsorted(ts, x[flat if kind == "excess" else linear][order], side="left")
+    stop = np.minimum(-(-stop // rows) * rows, ts.size)
+    best = np.zeros(cuts.size)
+    at = np.zeros(cuts.size, dtype=int)
+    for r0 in range(0, ts.size, rows):
+        m = int(np.count_nonzero(stop > r0))
+        if m == 0:
+            break
+        t = ts[r0 : r0 + rows]
+        j = np.clip(np.searchsorted(x, t, side="left"), 1, n) - 1
+        obj = vs[j, :m]
+        obj *= (t - x[j])[:, None]
+        obj += ps[j, :m]
+        np.subtract(ps[-1, :m], obj, out=obj)
+        np.maximum(obj, 0.0, out=obj)
+        obj **= ip
+        obj *= lw[r0 : r0 + rows, None]
+        i = np.argmax(obj, axis=0)
+        top = obj[i, np.arange(m)]
+        up = np.flatnonzero(top > best[:m])
+        best[up], at[up] = top[up], r0 + i[up]
+    if kind == "capped":
+        pf, vpf = f.prefix_power(p)
+        j = np.clip(np.searchsorted(x, ts, side="left"), 1, n) - 1
+        own = lw * np.maximum(pf[-1] - (pf[j] + vpf[j] * (ts - x[j])), 0.0) ** ip
+        records = np.flatnonzero(own == np.maximum.accumulate(own[::-1])[::-1])
+        rest = np.flatnonzero(stop < ts.size)
+        k = records[np.searchsorted(records, stop[rest])]
+        win = own[k] > best[rest]
+        best[rest[win]], at[rest[win]] = own[k[win]], k[win]
+    i = np.empty(cuts.size, dtype=int)
+    i[order] = at
+    best_all = np.empty(cuts.size)
+    best_all[order] = best
+
+    def h(t, c):
+        k = np.clip(np.searchsorted(x, t, side="left"), 1, n)
+        tail = pref[-1, c] - (pref[k - 1, c] + vp[k - 1, c] * (t - x[k - 1]))
+        return (1.0 - np.log(t)) ** e * np.maximum(tail, 0.0) ** ip
+
+    out, _ = golden_refine(
+        h, ts[np.maximum(i - 1, 0)], ts[np.minimum(i + 1, ts.size - 1)], best_all, ts[i]
+    )
+    return out
+
+
 def norms_over_cuts(
     f: StepRearrangement,
     spec: SpaceSpec,
@@ -365,6 +492,7 @@ def norms_over_cuts(
     res: Resolution = DEFAULT,
 ) -> np.ndarray:
     """Norms of (f - c)_+ (kind='excess') or min(f, c) (kind='capped'), all cuts."""
+    cuts = np.asarray(cuts, dtype=float)
     if isinstance(spec, Lebesgue):
         if math.isinf(spec.p):
             v = f.values[0]
@@ -372,28 +500,11 @@ def norms_over_cuts(
         vp, pref = _cut_panel_powers(f, spec.p, cuts, kind)
         return pref[-1, :] ** (1.0 / spec.p)
     if isinstance(spec, Grand):
-        e, ip = -spec.alpha / spec.p, 1.0 / spec.p
-        vp, pref = _cut_panel_powers(f, spec.p, cuts, kind)
-        ts = np.unique(np.concatenate([UGrid(res.u_max, res.sup_count).t_nodes(), f.breaks[1:]]))
-        tails = np.maximum(pref[-1, :][None, :] - _prefix_multi(f, vp, pref, ts), 0.0)
-        obj = (1.0 - np.log(ts))[:, None] ** e * tails**ip
-        i = np.argmax(obj, axis=0)
-        cols = np.arange(cuts.size)
-
-        def h(t, j):
-            k = np.clip(np.searchsorted(f.breaks, t, side="left"), 1, f.n)
-            tail = pref[-1, j] - (pref[k - 1, j] + vp[k - 1, j] * (t - f.breaks[k - 1]))
-            return (1.0 - np.log(t)) ** e * np.maximum(tail, 0.0) ** ip
-
-        out, _ = golden_refine(
-            h, ts[np.maximum(i - 1, 0)], ts[np.minimum(i + 1, ts.size - 1)], obj[i, cols], ts[i]
-        )
-        return out
+        return _grand_over_cuts(f, spec.p, spec.alpha, cuts, kind, res)
     if isinstance(spec, Small):
         p, alpha = spec.p, spec.alpha
-        vp, pref = _cut_panel_powers(f, p, cuts, kind)
         b = alpha - alpha / p - 1.0
-        return _prefix_log_integrals(f, vp, pref, 1.0 / p, b, np.ones(1), res.rel_tol)[0]
+        return _prefix_log_integrals(f, p, 1.0 / p, b, cuts, kind, np.ones(1), res.rel_tol)[0]
     # no batched path: fall back to one norm per cut
     make = excess_part if kind == "excess" else capped_part
     return np.array([space_norm(make(f, float(c)), spec, res) for c in cuts])
