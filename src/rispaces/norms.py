@@ -19,6 +19,7 @@ from .errors import BadExponent, ConditionC2Failed
 from .logcalc import (
     LogWeight,
     UGrid,
+    adaptive_quad,
     golden_refine,
     log_quad,
     log_quad_multi,
@@ -406,16 +407,33 @@ def tail_log_integral(f: StepRearrangement, p: float, s: float, d: float, rel_to
 
     Below the first break the tail is exactly total - v1^p·t, which
     ``tail_block_integral`` closes even where the weight alone decays only
-    polynomially in u; the rest is one log_quad.
+    polynomially in u; the rest is one log_quad.  On the last positive panel,
+    ending at x_m, the tail is exactly v_m^p (x_m - t), so for s < 1 the
+    integrand vanishes like the root (x_m - t)^s; from where t is half of x_m
+    (or from the panel's start) that stretch is integrated after the
+    substitution y = (x_m - t)^s, which makes it smooth.
     """
     total = float(prefix_power_at(f, p, 1.0))
     x1 = f.min_positive_break()
     head = tail_block_integral(d, total, float(f.values[0]) ** p, s, x1, rel_tol)
+    w = LogWeight(-1.0, d)
 
     def g(t):
         return tail_power_at(f, p, np.asarray(t, dtype=float)) ** s
 
-    return head + log_quad(g, LogWeight(-1.0, d), x1, 1.0, rel_tol, f.breaks[1:-1])
+    m = int(np.count_nonzero(f.values > 0.0))
+    if not (s < 1.0 and m >= 2):
+        return head + log_quad(g, w, x1, 1.0, rel_tol, f.breaks[1:-1])
+    x_m = float(f.breaks[m])
+    t_root = max(float(f.breaks[m - 1]), 0.5 * x_m)
+    scale = float(f.values[m - 1]) ** (p * s) / s
+
+    def fy(y):
+        t = x_m - y ** (1.0 / s)
+        return scale * y ** (1.0 / s) * (1.0 - np.log(t)) ** d / t
+
+    root = adaptive_quad(fy, np.linspace(0.0, (x_m - t_root) ** s, 9), rel_tol)[0]
+    return head + log_quad(g, w, x1, t_root, rel_tol, f.breaks[1:-1]) + float(root)
 
 
 def _grand_over_cuts(

@@ -1,7 +1,9 @@
 """Space norms: closed forms, scipy cross-checks, and axiom-style properties."""
 
+import bisect
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate as si
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rispaces.config import Resolution
+from rispaces.equivharness import standard_family
 from rispaces.errors import ConditionC2Failed
 from rispaces.logcalc import LogWeight
 from rispaces.norms import (
@@ -26,6 +29,7 @@ from rispaces.norms import (
     lorentz_zygmund_norm,
     small_norm,
     space_norm,
+    tail_log_integral,
 )
 from rispaces.rearrangement import (
     Char,
@@ -308,3 +312,52 @@ def test_lower_bound_random(measure, seed):
     spec = GammaDouble(2, 2, THM13_W1, THM13_W2)
     lhs, rhs = ggamma_lower_bound_check(f, spec, measure, FAST)
     assert lhs >= rhs * (1 - 1e-8)
+
+
+def _tail_log_integral_mp(f, p, s, d):
+    """∫_0^1 (1-Log t)^d (∫_t^1 f^p)^s dt/t by mpmath in u = 1 - Log t.
+
+    Panel by panel: tanh-sinh on the last positive panel, whose tail has the
+    root (x_m - t)^s, Gauss-Legendre on the others; past the last break the
+    tail is total - v_1^p t, whose constant part integrates in closed form.
+    """
+    mp = mpmath.mp
+    x = [mp.mpf(float(b)) for b in f.breaks]
+    vp = [mp.mpf(float(v)) ** p for v in f.values]
+    tails = [mp.mpf(0)] * len(x)
+    for i in range(len(vp) - 1, -1, -1):
+        tails[i] = tails[i + 1] + vp[i] * (x[i + 1] - x[i])
+
+    def fu(u):
+        t = mp.e ** (1 - u)
+        i = max(bisect.bisect_left(x, t), 1)
+        tail = tails[i] + vp[i - 1] * (x[i] - t)
+        return u**d * tail**s if tail > 0 else mp.mpf(0)
+
+    us = [1 - mp.log(b) for b in x[1:]][::-1]
+    m = sum(1 for v in f.values if v > 0)
+    u_root = 1 - mp.log(x[m])
+    smooth = [u for u in us if u > u_root]
+    top, total, v1p = us[-1], tails[0], vp[0]
+    far = total**s * top ** (d + 1) / (-d - 1) + mp.quad(
+        lambda u: u**d * ((total - v1p * mp.e ** (1 - u)) ** s - total**s), [top, top + 10, mp.inf]
+    )
+    return (
+        mp.quad(fu, [u_root, smooth[0]])
+        + mp.quad(fu, smooth, method="gauss-legendre", maxdegree=8)
+        + far
+    )
+
+
+@pytest.mark.parametrize("p,s,d", [(2.0, 0.5, -1.25), (4.0, 0.25, -1.5)])
+def test_tail_log_integral_root_at_support_end(p, s, d):
+    """For s < 1 the integrand vanishes like (x_m - t)^s at the end x_m of the
+    last positive panel (x_m = 1 for const); these raised NoConvergence or an
+    exploding panel count before that panel was integrated in y = (x_m - t)^s."""
+    realized = dict(standard_family(q=4.0, seed=20240801).realize(Resolution()))
+    with mpmath.workdps(15):
+        for name in ("const", "char_0.125", "plog_g0_d-1", "rand_00"):
+            f = realized[name]
+            want = float(_tail_log_integral_mp(f, p, s, d))
+            got = tail_log_integral(f, p, s, d, 1e-10)
+            assert got == pytest.approx(want, rel=1e-10, abs=0.0), name
