@@ -254,7 +254,19 @@ class EquivReport:
             "ceiling": self.ceiling,
             "seed": self.seed,
         }
-        return json.dumps(payload, sort_keys=True, allow_nan=True, indent=2)
+        return json.dumps(_finite_or_null(payload), sort_keys=True, allow_nan=False, indent=2)
+
+
+def _finite_or_null(obj):
+    """obj with every non-finite float replaced by None, so that the JSON is
+    strict: an undefined ratio or drift is written as null, not NaN."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(value) for value in obj]
+    return obj
 
 
 def _ratio_rows(pairs: Sequence[Tuple[str, float, float]]) -> Tuple[List[dict], List[dict]]:

@@ -291,3 +291,20 @@ def test_associate_bound_respects_duality(power_quarter):
     bound = associate_lower_bound(power_quarter, Grand(2, 1.0), MINI, FAST)
     ceiling = small_norm(power_quarter, 2.0, 1.0, FAST)
     assert bound <= 64.0 * ceiling
+
+
+def test_report_json_is_strict_with_null_for_non_finite():
+    """A report whose drift is undefined (NaN) and whose member ratio is
+    infinite parses with a parser that refuses NaN and Infinity."""
+    rep = EquivReport("T1.1", {"p": 2.0, "bound": math.inf})
+    rep.members.append({"id": "m", "lhs": 1.0, "rhs": 0.0, "ratio": math.inf})
+    rep.finalize(drift=math.nan)
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    payload = json.loads(rep.to_json(), parse_constant=refuse)
+    assert payload["drift"] is None
+    assert payload["max_ratio"] is None and payload["members"][0]["ratio"] is None
+    assert payload["params"] == {"p": 2.0, "bound": None}
+    assert payload["pass"] is False
