@@ -292,9 +292,11 @@ def _cut_panel_powers(f: StepRearrangement, p: float, cuts: np.ndarray, kind: st
     """(VP, PREF): panel values^p and cumulative prefix integrals, per cut."""
     v = f.values[:, None]
     c = cuts[None, :]
-    vals = np.maximum(v - c, 0.0) if kind == "excess" else np.minimum(v, c)
-    vp = vals**p
-    pref = np.vstack([np.zeros(cuts.size), np.cumsum(vp * f.widths[:, None], axis=0)])
+    vp = np.maximum(v - c, 0.0) if kind == "excess" else np.minimum(v, c)
+    vp **= p
+    pref = np.empty((f.n + 1, cuts.size))
+    pref[0] = 0.0
+    np.cumsum(vp * f.widths[:, None], axis=0, out=pref[1:])
     return vp, pref
 
 
@@ -370,8 +372,9 @@ def _prefix_log_integrals(
         i1 = min(int(np.searchsorted(x, hi, side="left")), n)
         local = np.concatenate([[0.0], np.cumsum(vpf[i0:i1] * f.widths[i0:i1])])
 
-        def g(t, m=m, mb=mb, i0=i0, local=local):
-            j = np.clip(np.searchsorted(x, t, side="left"), 1, n) - 1
+        def g(t, m=m, mb=mb, i0=i0, i1=i1, local=local):
+            # panel (x_j, x_{j+1}] of each point, kept inside the piece's panels
+            j = np.clip(np.searchsorted(x, t, side="left") - 1, i0, i1 - 1)
             dt = t - x[j]
             out = np.empty((t.size, m))
             if mb:
@@ -511,6 +514,8 @@ def norms_over_cuts(
 ) -> np.ndarray:
     """Norms of (f - c)_+ (kind='excess') or min(f, c) (kind='capped'), all cuts."""
     cuts = np.asarray(cuts, dtype=float)
+    if cuts.size == 0:
+        return np.zeros(0)
     if isinstance(spec, Lebesgue):
         if math.isinf(spec.p):
             v = f.values[0]
