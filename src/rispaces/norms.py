@@ -302,7 +302,8 @@ def _cut_panel_powers(f: StepRearrangement, p: float, cuts: np.ndarray, kind: st
 
 def _cut_reach(f: StepRearrangement, cuts: np.ndarray, kind: str):
     """Panel counts (H, Z) per cut: P_c(t) = VP[0]·t on (0, x_H], H >= 1, and
-    P_c is constant on [x_Z, 1].  Both are nonincreasing in the cut."""
+    P_c is constant on [x_Z, 1].  H and the excess's Z are nonincreasing in
+    the cut; the capped Z is #{v > 0} for every positive cut."""
     neg = -f.values
     if kind == "excess":
         return np.ones(cuts.size, dtype=int), np.searchsorted(neg, -cuts, side="left")
