@@ -419,25 +419,27 @@ def tail_log_integral(f: StepRearrangement, p: float, s: float, d: float, rel_to
     """
     total = float(prefix_power_at(f, p, 1.0))
     x1 = f.min_positive_break()
-    head = tail_block_integral(d, total, float(f.values[0]) ** p, s, x1, rel_tol)
     w = LogWeight(-1.0, d)
 
     def g(t):
         return tail_power_at(f, p, np.asarray(t, dtype=float)) ** s
 
     m = int(np.count_nonzero(f.values > 0.0))
-    if not (s < 1.0 and m >= 2):
-        return head + log_quad(g, w, x1, 1.0, rel_tol, f.breaks[1:-1])
+    rooted = s < 1.0 and m > 0
     x_m = float(f.breaks[m])
-    t_root = max(float(f.breaks[m - 1]), 0.5 * x_m)
-    scale = float(f.values[m - 1]) ** (p * s) / s
+    t_root = max(float(f.breaks[m - 1]), 0.5 * x_m) if rooted else 1.0
+    out = tail_block_integral(d, total, float(f.values[0]) ** p, s, min(x1, t_root), rel_tol)
+    if t_root > x1:
+        out += log_quad(g, w, x1, t_root, rel_tol, f.breaks[1:-1])
+    if rooted:
+        scale = float(f.values[m - 1]) ** (p * s) / s
 
-    def fy(y):
-        t = x_m - y ** (1.0 / s)
-        return scale * y ** (1.0 / s) * (1.0 - np.log(t)) ** d / t
+        def fy(y):
+            t = x_m - y ** (1.0 / s)
+            return scale * y ** (1.0 / s) * (1.0 - np.log(t)) ** d / t
 
-    root = adaptive_quad(fy, np.linspace(0.0, (x_m - t_root) ** s, 9), rel_tol)[0]
-    return head + log_quad(g, w, x1, t_root, rel_tol, f.breaks[1:-1]) + float(root)
+        out += float(adaptive_quad(fy, np.linspace(0.0, (x_m - t_root) ** s, 9), rel_tol)[0])
+    return out
 
 
 def _grand_over_cuts(

@@ -318,8 +318,10 @@ def _tail_log_integral_mp(f, p, s, d):
     """∫_0^1 (1-Log t)^d (∫_t^1 f^p)^s dt/t by mpmath in u = 1 - Log t.
 
     Panel by panel: tanh-sinh on the last positive panel, whose tail has the
-    root (x_m - t)^s, Gauss-Legendre on the others; past the last break the
-    tail is total - v_1^p t, whose constant part integrates in closed form.
+    root (x_m - t)^s, Gauss-Legendre on the others.  Below the first break x_1
+    the tail is total - v_1^p t: its constant part integrates in closed form
+    and tanh-sinh takes the rest, root included when that panel is the only
+    positive one.
     """
     mp = mpmath.mp
     x = [mp.mpf(float(b)) for b in f.breaks]
@@ -339,9 +341,13 @@ def _tail_log_integral_mp(f, p, s, d):
     u_root = 1 - mp.log(x[m])
     smooth = [u for u in us if u > u_root]
     top, total, v1p = us[-1], tails[0], vp[0]
-    far = total**s * top ** (d + 1) / (-d - 1) + mp.quad(
-        lambda u: u**d * ((total - v1p * mp.e ** (1 - u)) ** s - total**s), [top, top + 10, mp.inf]
-    )
+
+    def near(u):
+        return u**d * (max(total - v1p * mp.e ** (1 - u), 0) ** s - total**s)
+
+    far = total**s * top ** (d + 1) / (-d - 1) + mp.quad(near, [top, top + 10, mp.inf])
+    if not smooth:  # the only positive panel is the first, all of it past top
+        return far
     return (
         mp.quad(fu, [u_root, smooth[0]])
         + mp.quad(fu, smooth, method="gauss-legendre", maxdegree=8)
@@ -353,10 +359,14 @@ def _tail_log_integral_mp(f, p, s, d):
 def test_tail_log_integral_root_at_support_end(p, s, d):
     """For s < 1 the integrand vanishes like (x_m - t)^s at the end x_m of the
     last positive panel (x_m = 1 for const); these raised NoConvergence or an
-    exploding panel count before that panel was integrated in y = (x_m - t)^s."""
+    exploding panel count before that panel was integrated in y = (x_m - t)^s.
+    The benchmark's four members, and two functions whose only positive panel
+    is the first, below the smallest break."""
     realized = dict(standard_family(q=4.0, seed=20240801).realize(Resolution()))
+    realized["one panel"] = StepRearrangement(np.array([0.0, 1.0]), np.array([2.0]))
+    realized["one of two"] = StepRearrangement(np.array([0.0, 0.3, 1.0]), np.array([2.0, 0.0]))
     with mpmath.workdps(15):
-        for name in ("const", "char_0.125", "plog_g0_d-1", "rand_00"):
+        for name in ("const", "char_0.125", "plog_g0_d-1", "rand_00", "one panel", "one of two"):
             f = realized[name]
             want = float(_tail_log_integral_mp(f, p, s, d))
             got = tail_log_integral(f, p, s, d, 1e-10)
