@@ -49,7 +49,7 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_PANELS = 200_000
 _TAIL_CHUNKS = 4000
-_SCAN_BLOCK = 1 << 19
+_SCAN_BLOCK = 1 << 16
 
 
 def u_of_t(t):
