@@ -362,7 +362,7 @@ def _prefix_log_integrals(
     closed = [weight_integral(w, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     piece = np.arange(edges.size - 1)[:, None]
     parts = np.where(piece >= last, pref[-1] ** s * np.reshape(closed, (-1, 1)), 0.0)
-    vpf = f.values**p
+    _, vpf = f.prefix_power(p)
     for k in range(edges.size - 1):
         m = int(np.count_nonzero((first <= k) & (k < last)))
         if m == 0:
@@ -492,10 +492,8 @@ def _grand_over_cuts(
         k = records[np.searchsorted(records, stop[rest])]
         win = own[k] > best[rest]
         best[rest[win]], at[rest[win]] = own[k[win]], k[win]
-    i = np.empty(cuts.size, dtype=int)
-    i[order] = at
-    best_all = np.empty(cuts.size)
-    best_all[order] = best
+    back = np.argsort(order)
+    i, best = at[back], best[back]
 
     def h(t, c):
         k = np.clip(np.searchsorted(x, t, side="left"), 1, n)
@@ -503,7 +501,7 @@ def _grand_over_cuts(
         return (1.0 - np.log(t)) ** e * np.maximum(tail, 0.0) ** ip
 
     out, _ = golden_refine(
-        h, ts[np.maximum(i - 1, 0)], ts[np.minimum(i + 1, ts.size - 1)], best_all, ts[i]
+        h, ts[np.maximum(i - 1, 0)], ts[np.minimum(i + 1, ts.size - 1)], best, ts[i]
     )
     return out
 
