@@ -3,9 +3,14 @@
 Every weight in this package has the shape w(t) = t^a (1 - Log t)^b on (0, 1).
 Substituting u = 1 - Log t turns such weights into e^{(1-u)(a+1)} u^b, smooth
 and polynomially-varying on a uniform grid, so all integrals and suprema are
-done in the u variable.  Integrals over step panels use closed forms where the
-antiderivative is elementary (b = 0, or a = -1) and adaptive 15-point
-Gauss-Legendre panels otherwise.
+done in the u variable.
+
+Integrals of a weight alone (weight_integral) take no adaptive step: the
+elementary antiderivative where b = 0 or a = -1, the incomplete gamma function
+for an open lower end (one Gauss-Legendre pass, then a continued fraction),
+and otherwise one 15-point Gauss-Legendre pass over panels narrow enough for
+the rule to be exact to rounding.  Integrals of a general g times a weight
+(log_quad) refine 15-point Gauss-Legendre panels adaptively.
 """
 
 from __future__ import annotations
@@ -139,18 +144,19 @@ def adaptive_quad(
     """Σ over the panels between consecutive (increasing) edges of ∫ fu, one
     entry per output column, with per-panel whole-vs-halves refinement until
     every column of a panel meets the tolerance.  A non-finite integrand
-    raises Divergent."""
+    raises Divergent; errors name the interval, rel_tol and the depth."""
     edges = np.asarray(edges, dtype=float)
+    where = f"on [{float(edges[0])!r}, {float(edges[-1])!r}] with rel_tol {rel_tol:g}"
     a, b = edges[:-1], edges[1:]
     coarse = _gl(fu, a, b)
     span = float(edges[-1] - edges[0])
     total = np.abs(coarse).sum(axis=0) + 1e-300
     acc = 0.0
-    for _ in range(max_depth):
+    for depth in range(max_depth):
         # total sums |coarse| and every |fine| not yet accepted, so it catches a
         # non-finite integrand value
         if not np.isfinite(total).all():
-            raise Divergent("integrand is not finite on a quadrature panel")
+            raise Divergent(f"integrand is not finite {where} at depth {depth}")
         m = 0.5 * (a + b)
         fine = _gl(fu, a, m) + _gl(fu, m, b)
         err = np.abs(fine - coarse)
@@ -163,9 +169,9 @@ def adaptive_quad(
         total = np.maximum(total, np.abs(acc) + np.abs(fine).sum(axis=0))
         a, b = np.concatenate([a, m]), np.concatenate([m, b])
         if a.size > _MAX_PANELS:
-            raise NoConvergence("adaptive panel count exploded")
+            raise NoConvergence(f"over {_MAX_PANELS} adaptive panels {where} at depth {depth + 1}")
         coarse = _gl(fu, a, b)
-    raise NoConvergence("adaptive depth exhausted before tolerance")
+    raise NoConvergence(f"adaptive depth {max_depth} exhausted {where}")
 
 
 def _split(lo: np.ndarray, hi: np.ndarray, width) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -189,7 +195,8 @@ def _u_integral(
     u_bottom = inf (t = 0) integrates up to the last break, then marches
     two-unit chunks upward until two in a row are negligible against the sum.
     The march raises Divergent when the sum overflows or the chunks still grow
-    at its end, and NoConvergence when they stop growing without vanishing.
+    at its end, and NoConvergence when they stop growing without vanishing;
+    both name the u-interval, rel_tol and the chunks marched.
     """
     edges = np.unique(np.concatenate([u_breaks, [u_top, u_bottom]]))
     edges = edges[np.isfinite(edges)]
@@ -202,7 +209,14 @@ def _u_integral(
     u0 = float(edges[-1])
     small = 0
     mag = np.inf
-    for _ in range(_TAIL_CHUNKS):
+
+    def where(chunks):
+        return (
+            f"on u in [{u_top!r}, inf) with rel_tol {rel_tol:g}: "
+            f"{chunks} two-unit chunks marched from u = {float(edges[-1])!r}"
+        )
+
+    for n in range(1, _TAIL_CHUNKS + 1):
         chunk = adaptive_quad(fu, np.array([u0, u0 + 2.0]), rel_tol, max_depth)
         acc = acc + chunk
         prev, mag = mag, np.abs(chunk)
@@ -211,14 +225,14 @@ def _u_integral(
             small += 1
             if small >= 2:
                 if not np.isfinite(acc).all():
-                    raise Divergent("integrand grows without bound toward 0")
+                    raise Divergent(f"integrand grows without bound toward 0 {where(n)}")
                 return acc
         else:
             small = 0
         u0 += 2.0
     if (mag > prev).any():
-        raise Divergent("integrand grows without bound toward 0")
-    raise NoConvergence("u-tail did not converge toward 0")
+        raise Divergent(f"integrand grows without bound toward 0 {where(_TAIL_CHUNKS)}")
+    raise NoConvergence(f"u-tail did not converge toward 0 {where(_TAIL_CHUNKS)}")
 
 
 def log_quad_multi(
@@ -270,66 +284,160 @@ def log_quad(
 
 
 def weight_integral(w: LogWeight, lo: float, hi: float, rel_tol: float = 1e-12) -> float:
-    """∫_lo^hi t^a (1 - Log t)^b dt, 0 <= lo <= hi <= 1.
+    """∫_lo^hi t^a (1 - Log t)^b dt, 0 <= lo <= hi <= 1, with no adaptive step.
 
-    Closed form for b = 0 and for a = -1; otherwise adaptive panels in u.
-    Returns inf when the integral diverges at 0.
+    Three cases: the elementary antiderivative for b = 0 and for a = -1; for
+    lo = 0 and a > -1 the incomplete-gamma head (_head_integral); for lo > 0
+    one κ-panel Gauss-Legendre pass (_weight_integrals).  Each is exact to
+    rounding, so rel_tol governs nothing; it stays for callers.  Returns inf
+    when the integral diverges at 0.
     """
     if not (0.0 <= lo <= hi <= 1.0):
         raise BadInterval(f"bad interval [{lo}, {hi}]")
     if hi == lo:
         return 0.0
-    a, b = w.a, w.b
-    if b == 0.0:
-        c = a + 1.0
-        if c == 0.0:
-            return math.inf if lo == 0.0 else math.log(hi / lo)
-        if lo == 0.0:
-            return hi**c / c if c > 0 else math.inf
-        return (hi**c - lo**c) / c
-    if a == -1.0:
-        # antiderivative of (1 - Log s)^b / s is -(1 - Log s)^{b+1}/(b+1)
-        uh = 1.0 - math.log(hi)
-        if b == -1.0:
-            return math.inf if lo == 0.0 else math.log((1.0 - math.log(lo)) / uh)
-        e = b + 1.0
-        if lo == 0.0:
-            return -(uh**e) / e if e < 0 else math.inf
-        return ((1.0 - math.log(lo)) ** e - uh**e) / e
-    if lo == 0.0 and a + 1.0 <= 0.0:
+    if lo > 0.0:
+        return float(_weight_integrals(w, np.array([lo]), np.array([hi]))[0])
+    return _head_integral(w, hi)
+
+
+def _head_integral(w: LogWeight, x: float) -> float:
+    """∫_0^x w for 0 < x <= 1; inf when it diverges at 0.
+
+    With c = a + 1 > 0 and s = b + 1 this is e^c c^{-s} Γ(s, c·u), u = 1 - Log x
+    (DLMF 8.2.2): the u-integral of e^{(1-v)c} v^b over [u, U] by one κ-panel
+    pass, with U >= u the first point where c·U >= max(s, 0) + 2, plus the
+    rest e^{c(1-U)} U^s·_gamma_cf(s, cU), whose exponent is summed before one
+    exp, so it overflows only where the value does.  Any real s works, 0 and
+    negative integers included.
+    """
+    c, s = w.a + 1.0, w.b + 1.0
+    u = 1.0 - math.log(x)
+    if c < 0.0 or (c == 0.0 and s >= 0.0):
         return math.inf
-    u_bottom = float(u_of_t(lo)) if lo > 0.0 else math.inf
-    return float(_u_integral(w.u_form, float(u_of_t(hi)), u_bottom, np.zeros(0), rel_tol)[0])
+    if c == 0.0:
+        return -(u**s) / s
+    if w.b == 0.0:
+        return x**c / c
+    top = max(u, (max(s, 0.0) + 2.0) / c)
+    body = 0.0
+    if top > u:
+
+        def fu(v, i):
+            return w.u_form(v)
+
+        body = float(_kappa_pass(fu, np.array([c]), w.b, np.array([u]), np.array([top - u]))[0])
+    return body + float(np.exp(c * (1.0 - top) + s * math.log(top))) * _gamma_cf(s, c * top)
+
+
+def _gamma_cf(s: float, z: float) -> float:
+    """Γ(s, z) e^z z^{-s} for z > 0 by Lentz's method on the continued fraction
+    1/(z+1-s- 1(1-s)/(z+3-s- 2(2-s)/(z+5-s- ...))), the even part of DLMF
+    8.9.2; it takes a few dozen steps once z >= max(s, 0) + 2."""
+    tiny = 1e-300
+    den = z + 1.0 - s
+    num, inv = 1.0 / tiny, 1.0 / den
+    out = inv
+    for n in range(1, 1000):
+        an = -n * (n - s)
+        den += 2.0
+        inv = an * inv + den
+        inv = 1.0 / (inv if abs(inv) > tiny else tiny)
+        num = den + an / num
+        num = num if abs(num) > tiny else tiny
+        out *= inv * num
+        if abs(inv * num - 1.0) <= 1e-16:
+            return out
+    raise NoConvergence(f"continued fraction of Gamma({s}, {z}) took 1000 steps")
 
 
 def _weight_integrals(w: LogWeight, los: np.ndarray, his: np.ndarray) -> np.ndarray:
-    """∫_lo^hi w for many intervals, 0 where lo = 0 or hi <= lo.
-
-    Closed forms where they exist; otherwise one 15-point Gauss-Legendre pass
-    per panel, with panels at most 1/(2κ) wide in u, where κ = 1 + |a+1| + |b|/u
-    bounds how fast log w varies.  On such panels the rule is exact to
-    rounding.
-    """
+    """∫_lo^hi w for many intervals, 0 where lo = 0 or hi <= lo."""
     out = np.zeros(los.size)
     idx = np.nonzero((his > los) & (los > 0.0))[0]
-    if idx.size == 0:
-        return out
-    if w.b == 0.0 or w.a == -1.0:
-        out[idx] = [weight_integral(w, float(los[i]), float(his[i])) for i in idx]
-        return out
-    ua, ub = u_of_t(his[idx]), u_of_t(los[idx])
-    kappa = 1.0 + abs(w.a + 1.0) + abs(w.b) / ua
-    a, b, ids = _split(ua, ub, 0.5 / kappa)
-    out[idx] = np.bincount(ids, _gl(w.u_form, a, b)[:, 0], idx.size)
+    if idx.size:
+        out[idx] = power_log_integrals(w.a, w.b, los[idx], his[idx])
     return out
 
 
-def weight_prefix_many(w: LogWeight, ts: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
+def power_log_integrals(a, b: float, los: np.ndarray, his: np.ndarray) -> np.ndarray:
+    """∫_lo^hi t^{a_i} (1 - Log t)^b dt for intervals 0 < lo_i < hi_i <= 1, with
+    one exponent a_i per interval, or one a for all.
+
+    Elementary where b = 0 or a_i = -1: (y^e - x^e)/e = z^e (1 - e^{-|e| l})/|e|
+    with l = Log(y/x) and z the end where the power is larger, written with
+    log1p and expm1 so that narrow intervals lose nothing to cancellation and
+    nothing overflows that the value does not.  Otherwise one κ-panel pass.
+    """
+    c = np.broadcast_to(np.asarray(a, dtype=float) + 1.0, los.shape)
+    with np.errstate(over="ignore"):
+        d = np.log1p((his - los) / los)  # u(lo) - u(hi), with no cancellation
+    big = np.isinf(d)  # lo so small that the ratio overflows
+    d[big] = np.log(his[big]) - np.log(los[big])
+    flat = c == 0.0
+    if b == 0.0:
+        return np.where(flat, d, _power_difference(los, his, np.where(flat, 1.0, c), d))
+    uh = 1.0 - np.log(his)
+    out = np.empty(los.size)
+    if flat.any():
+        e, uf = b + 1.0, uh[flat]
+        r = np.log1p(d[flat] / uf)  # Log(u(lo)/u(hi))
+        out[flat] = r if e == 0.0 else _power_difference(uf, uf + d[flat], e, r)
+    rest = np.flatnonzero(~flat)
+    if rest.size:
+        if np.ndim(a) == 0:
+            w = LogWeight(float(a), b)
+
+            def fu(v, i):
+                return w.u_form(v)
+
+        else:
+            cr = c[rest]
+
+            def fu(v, i):
+                return np.exp((1.0 - v) * cr[i][:, None] + b * np.log(v))
+
+        out[rest] = _kappa_pass(fu, c[rest], b, uh[rest], d[rest])
+    return out
+
+
+def _power_difference(x, y, e, l):
+    """(y^e - x^e)/e for 0 < x < y, e != 0 and l = Log(y/x), as z^e(1 - e^{-|e| l})/|e|."""
+    z = np.where(e > 0.0, y, x)
+    return z**e * -np.expm1(-np.abs(e) * l) / np.abs(e)
+
+
+def _kappa_pass(fu, c: np.ndarray, b: float, lo: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """∫ fu(v, i) dv over [lo_i, lo_i + span_i] (1 <= lo_i) by one 15-point
+    Gauss-Legendre pass, with fu(v, i) the u-integrand e^{(1-v)c_i} v^b of
+    each panel's interval i at its (panels, 15) nodes v.
+
+    Each interval is cut at lo_i·2^k, and each piece evenly into panels at
+    most 1/(2κ) wide, with κ = |c_i| + (1 + |b|)/v at the piece's start v.
+    κ bounds how fast log fu varies, and the 1/v keeps every panel within
+    half its start from the branch point at v = 0, so on such panels the rule
+    is exact to rounding, however wide the interval.  Panels are laid out as
+    offsets from lo_i, so a narrow interval keeps every digit of its span.
+    """
+    n = np.maximum(1, np.ceil(np.log1p(span / lo) / math.log(2.0))).astype(int)
+    ids = np.repeat(np.arange(lo.size), n)
+    k = np.arange(ids.size) - np.repeat(np.cumsum(n) - n, n)
+    start = np.minimum(lo[ids] * (2.0**k - 1.0), span[ids])
+    end = np.minimum(lo[ids] * (2.0 ** (k + 1) - 1.0), span[ids])
+    kappa = np.abs(c[ids]) + (1.0 + abs(b)) / (lo[ids] + start)
+    pa, pb, j = _split(start, end, 0.5 / kappa)
+    ids = ids[j]
+    half = 0.5 * (pb - pa)
+    v = (lo[ids] + 0.5 * (pa + pb))[:, None] + half[:, None] * _GL_X
+    return np.bincount(ids, half * (fu(v, ids) @ _GL_W), lo.size)
+
+
+def weight_prefix_many(w: LogWeight, ts: np.ndarray) -> np.ndarray:
     """∫_0^{t_i} w for an array of points, by one cumulative sweep."""
     ts = np.asarray(ts, dtype=float)
     order = np.argsort(ts)
     s = ts[order]
-    base = weight_integral(w, 0.0, float(s[0]), rel_tol) if s.size else 0.0
+    base = weight_integral(w, 0.0, float(s[0])) if s.size else 0.0
     acc = base + np.concatenate([[0.0], np.cumsum(_weight_integrals(w, s[:-1], s[1:]))])
     out = np.empty_like(acc)
     out[order] = acc
@@ -346,8 +454,8 @@ def log_weight_integral(
 ) -> float:
     """∫_a^b f^p(s) w(s) ds with f a step function: exact values, panel weights.
 
-    Weight factors over each overlapped panel are integrated by closed form or
-    Gauss-Legendre in u; rel_tol governs the open-ended first panel.
+    Weight factors over each overlapped panel are integrated as weight_integral
+    does, exactly to rounding; rel_tol is checked but governs nothing.
     """
     if not (0.0 <= a < b <= 1.0):
         raise BadInterval(f"bad interval [{a}, {b}]")
@@ -360,7 +468,7 @@ def log_weight_integral(
         return 0.0
     los, his, vp = lo[mask], hi[mask], f.values[mask] ** p
     # the only possibly-open-ended panel is the first
-    head = vp[0] * weight_integral(w, 0.0, float(his[0]), rel_tol) if los[0] == 0.0 else 0.0
+    head = vp[0] * weight_integral(w, 0.0, float(his[0])) if los[0] == 0.0 else 0.0
     return head + float(np.dot(vp, _weight_integrals(w, los, his)))
 
 
@@ -385,10 +493,10 @@ def tail_block_integral(
             return (total - slope * t) ** s
 
         acc += log_quad(g, LogWeight(-1.0, d), t_freeze, cut, rel_tol)
-    head = weight_integral(LogWeight(-1.0, d), 0.0, t_freeze, rel_tol)
+    head = weight_integral(LogWeight(-1.0, d), 0.0, t_freeze)
     if not math.isfinite(head):
         return math.inf
-    corr = weight_integral(LogWeight(0.0, d), 0.0, t_freeze, rel_tol)
+    corr = weight_integral(LogWeight(0.0, d), 0.0, t_freeze)
     return acc + total**s * head - s * total ** (s - 1.0) * slope * corr
 
 

@@ -352,8 +352,6 @@ def _prefix_log_integrals(
     last = np.maximum(np.searchsorted(edges, x[flat], side="left"), first)
     last = np.minimum(last, edges.size - 1)
 
-    # a head may carry the whole integral (a capped cut at or above most
-    # values), so it takes weight_prefix_many's own, tighter tolerance
     heads = np.minimum(hs[:, None], edges[first][None, :])
     kernel = np.zeros(heads.shape)
     kernel[heads > 0.0] = weight_prefix_many(LogWeight(s - 1.0, b), heads[heads > 0.0])

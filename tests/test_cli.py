@@ -156,6 +156,23 @@ def test_divergent_space_exits_1():
     assert code == 1
 
 
+def test_small_norm_near_the_edge_exponent():
+    """Small(1000, 1) of the constant 1 is ∫_0^1 t^{-0.999}(1 - Log t)^{-0.001} dt
+    = e^c c^{-s} Γ(s, c) with c = 0.001, s = 0.999: an open-ended weight
+    integral whose u-integrand decays only like e^{-u/1000}."""
+    code, out = run_cli(
+        "norm",
+        "--space",
+        '{"space":"small","p":1000,"alpha":1}',
+        "--fn",
+        '{"kind":"power_log","gamma":0,"delta":0}',
+    )
+    assert code == 0
+    value = json.loads(out)["value"]
+    assert math.isfinite(value)
+    assert value == pytest.approx(993.68295907635, rel=1e-11)
+
+
 def test_bad_space_parameters_exit_2():
     code, _ = run_cli(
         "norm", "--space", '{"space":"grand","p":0.5,"alpha":1}', "--fn", '{"kind":"char","a":0.5}'

@@ -11,11 +11,20 @@ import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rispaces.errors import BadExponent, BadInterval, Divergent, NonFiniteValue, OutOfRange
+from rispaces import logcalc
+from rispaces.errors import (
+    BadExponent,
+    BadInterval,
+    Divergent,
+    NoConvergence,
+    NonFiniteValue,
+    OutOfRange,
+)
 from rispaces.logcalc import (
     LogWeight,
     MonotoneMap,
     UGrid,
+    adaptive_quad,
     golden_refine,
     invert_monotone,
     log_integral_bounds_check,
@@ -111,14 +120,84 @@ def test_weight_prefix_many_against_incomplete_gamma(a, b):
 @pytest.mark.parametrize("a,b", [(-0.99, 5.0), (-0.995, 1.0)])
 def test_open_end_tail_past_a_distant_peak(a, b):
     """The u-integrand e^{(1-u)(a+1)} u^b rises until u = b/(a+1) (500 and 200
-    here) before it decays, so the tail march must not mistake the rise for
-    divergence; both entry points share it and match the closed form."""
+    here) before it decays, so log_quad's tail march must not mistake the rise
+    for divergence; weight_integral takes the incomplete-gamma head, which is
+    exact to rounding."""
     exact = _head_integral(a, b, 0.5)
     w = LogWeight(a, b)
     via_weight = weight_integral(w, 0.0, 0.5, 1e-12)
     via_quad = log_quad(lambda t: np.ones_like(t), w, 0.0, 0.5, 1e-12)
-    assert via_weight == pytest.approx(exact, rel=5e-12)
-    assert via_quad == pytest.approx(via_weight, rel=1e-14)
+    assert via_weight == pytest.approx(exact, rel=1e-13)
+    assert via_quad == pytest.approx(exact, rel=5e-12)
+
+
+@pytest.mark.parametrize("a", [-0.999, -0.99, -0.5, 0.0, 0.7, 3.0])
+def test_open_ended_weight_integral_against_gammainc(a):
+    """The incomplete-gamma head over a grid that reaches a -> -1, b = -1
+    (s = 0), the negative integers and both sides of s = 0, and x up to 1."""
+    bs = [-5.0, -3.0, -2.0, -1.0 - 1e-6, -1.0, -1.0 + 1e-6, -0.3, 0.0, 0.5, 2.0, 5.0]
+    xs = [1e-15, 1e-6, 0.01, 0.3, 0.9, 1.0 - 1e-12]
+    with mpmath.workdps(30):
+        for b in bs:
+            for x in xs:
+                got = weight_integral(LogWeight(a, b), 0.0, x)
+                assert got == pytest.approx(_head_integral(a, b, x), rel=1e-12), (a, b, x)
+
+
+def test_open_ended_weight_integral_near_a_minus_one():
+    """c = a + 1 = 1e-3 once made the u-tail march fail to converge."""
+    got = weight_integral(LogWeight(-0.999, 1.0), 0.0, 0.3)
+    assert got == pytest.approx(1000998.0725578988, rel=1e-12)
+
+
+def test_finite_weight_integral_against_mpmath_quad():
+    """Seeded random panels, from 1e-6 to 10 units wide in u, against mpmath
+    on sub-panels short enough for its Gauss-Legendre rule; b = 0 and a = -1
+    take the elementary forms."""
+    rng = np.random.default_rng(5)
+    cases = [(rng.uniform(-6.0, 6.0), rng.uniform(-5.0, 5.0)) for _ in range(30)]
+    cases += [(rng.uniform(-6.0, 6.0), 0.0) for _ in range(4)]
+    cases += [(-1.0, 2.5), (-1.0, -1.0), (-1.0, 0.0)]
+    with mpmath.workdps(30):
+        for a, b in cases:
+            u_hi = rng.uniform(1.0, 36.0)
+            du = math.exp(rng.uniform(math.log(1e-6), math.log(10.0)))
+            hi, lo = math.exp(1.0 - u_hi), math.exp(1.0 - u_hi - du)
+            c = mpmath.mpf(a) + 1
+            ua, ub = 1 - mpmath.log(hi), 1 - mpmath.log(mpmath.mpf(lo))
+            pieces = mpmath.linspace(ua, ub, math.ceil(du * (1.0 + abs(a + 1.0) + abs(b))) + 1)
+            want = mpmath.quad(
+                lambda v: mpmath.exp((1 - v) * c) * v**b, pieces, method="gauss-legendre"
+            )
+            assert weight_integral(LogWeight(a, b), lo, hi) == pytest.approx(
+                float(want), rel=1e-11
+            ), (a, b, lo, hi)
+
+
+def test_weight_integral_takes_no_adaptive_step(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("adaptive step taken")
+
+    monkeypatch.setattr(logcalc, "_u_integral", refuse)
+    monkeypatch.setattr(logcalc, "adaptive_quad", refuse)
+    for a, b in [(-0.999, 1.0), (0.0, -1.0), (2.0, -3.0), (-1.0, -2.0), (-0.5, 0.0), (-3.0, 1.5)]:
+        for lo, hi in [(0.0, 0.3), (1e-9, 0.3), (0.2, 0.2 + 1e-9), (0.5, 1.0)]:
+            assert weight_integral(LogWeight(a, b), lo, hi) > 0.0
+
+
+def test_errors_name_interval_tolerance_and_steps():
+    with pytest.raises(
+        Divergent, match=r"on u in \[1\.69\d*, inf\) with rel_tol 1e-10: 4000 two-unit chunks"
+    ):
+        log_quad(lambda t: np.ones_like(t), LogWeight(-1.0, 2.0), 0.0, 0.5)
+    with np.errstate(over="ignore"), pytest.raises(
+        Divergent, match=r"not finite on \[\d+\.\d+, \d+\.\d+\] with rel_tol 1e-10 at depth 0"
+    ):
+        log_quad(lambda t: np.ones_like(t), LogWeight(-3.0, 0.0), 0.0, 0.5)
+    with pytest.raises(
+        NoConvergence, match=r"adaptive depth 3 exhausted on \[0\.0, 1\.0\] with rel_tol 1e-14"
+    ):
+        adaptive_quad(lambda u: np.sqrt(np.abs(u - 0.3)), np.array([0.0, 1.0]), 1e-14, max_depth=3)
 
 
 @pytest.mark.parametrize("w", [LogWeight(-1.5, 0.0), LogWeight(-3.0, 0.0), LogWeight(-1.0, 2.0)])
