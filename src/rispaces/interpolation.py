@@ -28,7 +28,7 @@ from .kfunctional import (
     SmallSmall,
     k_curve,
 )
-from .logcalc import LogWeight, UGrid, log_quad, weight_integral
+from .logcalc import LogWeight, UGrid, log_quad, power_log_integrals, weight_integral
 from .norms import (
     GammaDouble,
     Small,
@@ -173,23 +173,22 @@ def interp_norm(curve: KCurve, params: InterpParams, rel_tol: float = 1e-10) -> 
         if math.isinf(w):
             raise Divergent("interpolation integral diverges at 0")
         total += slope0**r * w
-    for i in range(t.size - 1):
-        m = _segment_power(t[i], t[i + 1], k[i], k[i + 1])
-        if m is None:
-            if k[i] == 0.0 and k[i + 1] == 0.0:
-                continue
-            lo, hi = float(t[i]), float(t[i + 1])
-            k0, k1 = float(k[i]), float(k[i + 1])
+    up = k > 0.0
+    # K = 0 at one end only: K is linear in t on the segment
+    for i in np.flatnonzero(up[:-1] != up[1:]):
+        lo, hi = float(t[i]), float(t[i + 1])
+        k0, k1 = float(k[i]), float(k[i + 1])
 
-            def g(s):
-                return (k0 + (k1 - k0) * (s - lo) / (hi - lo)) ** r
+        def g(s):
+            return (k0 + (k1 - k0) * (s - lo) / (hi - lo)) ** r
 
-            total += log_quad(g, LogWeight(-theta * r - 1.0, alpha * r), lo, hi, rel_tol)
-            continue
-        scale = float(k[i]) ** r * float(t[i]) ** (-m * r)
-        total += scale * weight_integral(
-            LogWeight((m - theta) * r - 1.0, alpha * r), float(t[i]), float(t[i + 1]), rel_tol
-        )
+        total += log_quad(g, LogWeight(-theta * r - 1.0, alpha * r), lo, hi, rel_tol)
+    # elsewhere K is the power K(t_i)(t/t_i)^{m_i} on the segment
+    i = np.flatnonzero(up[:-1] & up[1:])
+    m = np.log(k[i + 1] / k[i]) / np.log(t[i + 1] / t[i])
+    scale = k[i] ** r * t[i] ** (-m * r)
+    segments = power_log_integrals((m - theta) * r - 1.0, alpha * r, t[i], t[i + 1])
+    total += float(np.dot(scale, segments))
     if not math.isfinite(total):
         raise Divergent("interpolation integral diverges")
     return total ** (1.0 / r)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate as si
@@ -65,6 +66,34 @@ def test_interp_norm_matches_scipy_quad():
         limit=400,
     )
     assert got == pytest.approx(ref ** (1 / 1.5), rel=1e-8)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.7])
+def test_interp_norm_segments_against_mpmath(alpha):
+    """Power segments of several slopes (the array pass: closed form for
+    alpha = 0, one Gauss-Legendre pass otherwise) and a segment that starts
+    at K = 0 (linear in t there) against mpmath on the interpolated curve."""
+    ts = np.array([1e-6, 1e-4, 0.01, 0.1, 0.5, 1.0])
+    ks = np.array([0.0, 0.0, 2e-3, 0.05, 0.3, 0.4])
+    theta, r = 0.3, 2.5
+
+    def k_of(t, i):
+        if ks[i] == 0.0:
+            return ks[i + 1] * (t - ts[i]) / (ts[i + 1] - ts[i])
+        m = mpmath.log(ks[i + 1] / ks[i]) / mpmath.log(ts[i + 1] / ts[i])
+        return ks[i] * (t / ts[i]) ** m
+
+    with mpmath.workdps(30):
+        ref = sum(
+            mpmath.quad(
+                lambda t, i=i: (t**-theta * (1 - mpmath.log(t)) ** alpha * k_of(t, i)) ** r / t,
+                [ts[i], ts[i + 1]],
+            )
+            for i in range(1, ts.size - 1)
+        )
+        ref = float(ref ** (1 / mpmath.mpf(r)))
+    got = interp_norm(KCurve(ts, ks), InterpParams(theta, r, alpha))
+    assert got == pytest.approx(ref, rel=1e-10)
 
 
 def test_interp_norm_zero_curve():
