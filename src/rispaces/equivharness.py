@@ -19,12 +19,17 @@ import numpy as np
 
 from .config import DEFAULT, DEFAULT_CEILING, Resolution
 from .errors import BadExponent, NotMonotone
-from .interpolation import derived_exponents, doubling_time, identify_target, theorem_couple
+from .interpolation import (
+    derived_exponents,
+    doubling_blocks,
+    doubling_time,
+    identify_target,
+    theorem_couple,
+)
 from .kfunctional import couple_spaces, k_curve
 from .logcalc import (
     LogWeight,
     UGrid,
-    log_quad,
     log_weight_integral,
     sup_on_grid,
     weight_integral,
@@ -344,9 +349,10 @@ _HARDY_KINDS = ("thm2.1-first", "thm2.1-second", "thm2.2-first", "thm2.2-second"
 
 
 def _hardy_sides(which: str, exponents: dict, f: StepFunction, rel_tol: float) -> Tuple[float, float]:
-    x1 = float(f.breaks[1])
-    v1 = float(f.values[0])
-    total = float(prefix_power_at(f, 1.0, 1.0))
+    """Both sides of one display: the lhs is a prefix or tail power integral
+    ∫_0^1 w(t) (∫_0^t f or ∫_t^1 f)^s dt, the rhs ∫_0^1 f^s w_rhs, each to the
+    power root."""
+    prefix = which.endswith("first")
     if which.startswith("thm2.1"):
         lam = exponents["lam"]
         b = exponents["b"]
@@ -355,49 +361,29 @@ def _hardy_sides(which: str, exponents: dict, f: StepFunction, rel_tol: float) -
             raise BadExponent("need lam > 0 and b >= 1")
         if math.isinf(b):
             return _hardy_sup_sides(which, lam, beta, f)
-        if which.endswith("first"):
-
-            def g(t):
-                return prefix_power_at(f, 1.0, np.asarray(t, dtype=float)) ** b
-
-            head = v1**b * weight_integral(
-                LogWeight((1.0 - lam) * b - 1.0, beta * b), 0.0, x1, rel_tol
-            )
-            lhs = head + log_quad(
-                g, LogWeight(-lam * b - 1.0, beta * b), x1, 1.0, rel_tol, f.breaks[1:-1]
-            )
-            rhs = log_weight_integral(
-                f, b, LogWeight((1.0 - lam) * b - 1.0, beta * b), 0.0, 1.0, rel_tol
-            )
-            return lhs, rhs
-
-        def g(t):
-            return tail_power_at(f, 1.0, np.asarray(t, dtype=float)) ** b
-
-        # below x1 the tail is exactly total - v1 t, and t^{lam b} decays in u
-        lhs = _tail_head(f, b, lam, beta, total, v1, x1, rel_tol)
-        lhs += log_quad(g, LogWeight(lam * b - 1.0, beta * b), x1, 1.0, rel_tol, f.breaks[1:-1])
-        rhs = log_weight_integral(
-            f, b, LogWeight((1.0 + lam) * b - 1.0, beta * b), 0.0, 1.0, rel_tol
-        )
-        return lhs, rhs
-    a = exponents["a"]
-    alpha = exponents["alpha"]
-    if not a >= 1.0 or alpha + 1.0 / a == 0.0:
-        raise BadExponent("need a >= 1 and alpha + 1/a != 0")
-    if which.endswith("first"):
-        if not alpha + 1.0 / a > 0.0:
+        # [t^{∓lam} (1-Log t)^beta · inner]^b dt/t against [t^{1∓lam} (1-Log t)^beta f]^b dt/t
+        signed = -lam if prefix else lam
+        s, root = b, 1.0
+        w = LogWeight(signed * b - 1.0, beta * b)
+        w_rhs = LogWeight((1.0 + signed) * b - 1.0, beta * b)
+    else:
+        a = exponents["a"]
+        alpha = exponents["alpha"]
+        if not a >= 1.0 or alpha + 1.0 / a == 0.0:
+            raise BadExponent("need a >= 1 and alpha + 1/a != 0")
+        if prefix and not alpha + 1.0 / a > 0.0:
             raise BadExponent("prefix branch needs alpha + 1/a > 0")
-        lhs = prefix_log_integral(f, 1.0, a, alpha * a, 1.0, rel_tol)
-        rhs = log_weight_integral(
-            f, a, LogWeight(a - 1.0, (1.0 + alpha) * a), 0.0, 1.0, rel_tol
-        )
-        return lhs ** (1.0 / a), rhs ** (1.0 / a)
-    if not alpha + 1.0 / a < 0.0:
-        raise BadExponent("tail branch needs alpha + 1/a < 0")
-    lhs = tail_log_integral(f, 1.0, a, alpha * a, rel_tol)
-    rhs = log_weight_integral(f, a, LogWeight(a - 1.0, (1.0 + alpha) * a), 0.0, 1.0, rel_tol)
-    return lhs ** (1.0 / a), rhs ** (1.0 / a)
+        if not prefix and not alpha + 1.0 / a < 0.0:
+            raise BadExponent("tail branch needs alpha + 1/a < 0")
+        s, root = a, 1.0 / a
+        w = LogWeight(-1.0, alpha * a)
+        w_rhs = LogWeight(a - 1.0, (1.0 + alpha) * a)
+    if prefix:
+        lhs = prefix_log_integral(f, 1.0, s, w, 1.0, rel_tol)
+    else:
+        lhs = tail_log_integral(f, 1.0, s, w, rel_tol)
+    rhs = log_weight_integral(f, s, w_rhs, 0.0, 1.0, rel_tol)
+    return lhs**root, rhs**root
 
 
 def _hardy_sup_sides(which: str, lam: float, beta: float, f: StepFunction):
@@ -418,19 +404,6 @@ def _hardy_sup_sides(which: str, lam: float, beta: float, f: StepFunction):
     lhs, _ = sup_on_grid(lhs_obj, grid, f.breaks[1:])
     rhs, _ = sup_on_grid(rhs_obj, grid, f.breaks[1:])
     return lhs, rhs
-
-
-def _tail_head(f, b, lam, beta, total, v1, x1, rel_tol) -> float:
-    """∫_0^{x1} [t^{lam}(1-Log t)^{beta} (∫_t^1 f)]^b dt/t with the exact linear
-    tail form of the lowest panel."""
-
-    def g(t):
-        t = np.asarray(t, dtype=float)
-        return (total - v1 * t) ** b
-
-    w = LogWeight(lam * b - 1.0, beta * b)
-    # positive t-power: exponential decay in u, plain quadrature converges
-    return log_quad(g, w, 0.0, x1, rel_tol)
 
 
 def hardy_check(
@@ -530,19 +503,6 @@ def sup_smoothing_check(
 # ---------------------------------------------------------------------------
 
 
-def _doubling_blocks(f: StepFunction, q: float) -> np.ndarray:
-    """∫_{t_{k+1}}^{t_k} f over the doubly-exponential grid, exact, until 0."""
-    vals = []
-    k = 0
-    while True:
-        hi, lo = doubling_time(k), doubling_time(k + 1)
-        vals.append(float(prefix_power_at(f, 1.0, hi) - prefix_power_at(f, 1.0, lo)))
-        if lo == 0.0:
-            break
-        k += 1
-    return np.asarray(vals)
-
-
 def discretization_check(
     h: StepFunction, lam: float, q: float, rel_tol: float = 1e-10, ceiling: float = 32.0
 ) -> EquivReport:
@@ -556,7 +516,7 @@ def discretization_check(
     if q <= 0.0:
         raise BadExponent("need q > 0")
     lam_abs = abs(lam) if lam != 0.0 else 1.0
-    blocks = _doubling_blocks(h, q)
+    blocks = doubling_blocks(h, 1.0)
     n = blocks.size
     k = np.arange(n)
     prefix = np.cumsum(blocks[::-1])[::-1]  # ∫_0^{t_k} h
@@ -584,15 +544,15 @@ def discretization_check(
     # sum vs integral, by the sign of lam
     total = float(prefix_power_at(h, 1.0, 1.0))
     if lam > 0.0:
-        integral = prefix_log_integral(h, 1.0, q, lam * q - 1.0, 1.0, rel_tol)
+        integral = prefix_log_integral(h, 1.0, q, LogWeight(-1.0, lam * q - 1.0), 1.0, rel_tol)
         pairs.append(("sum-vs-integral", d1_lhs, integral))
         report.params["equivalence_expected"] = bool(total <= 2.0 * prefix_power_at(h, 1.0, 0.5))
     elif lam < 0.0:
-        integral = tail_log_integral(h, 1.0, q, lam * q - 1.0, rel_tol)
+        integral = tail_log_integral(h, 1.0, q, LogWeight(-1.0, lam * q - 1.0), rel_tol)
         pairs.append(("sum-vs-integral", d2_lhs, integral))
     else:
         sum0 = float(np.sum(prefix**q))
-        integral = prefix_log_integral(h, 1.0, q, -1.0, 1.0, rel_tol)
+        integral = prefix_log_integral(h, 1.0, q, LogWeight(-1.0, -1.0), 1.0, rel_tol)
         pairs.append(("sum-vs-integral", sum0, integral))
     rows, skipped = _ratio_rows(pairs)
     report.members.extend(rows)

@@ -38,9 +38,8 @@ from .norms import (
     prefix_log_integral,
     small_norm,
     tail_log_integral,
-    w2_prefix_at,
 )
-from .rearrangement import StepRearrangement, power_integral
+from .rearrangement import StepFunction, StepRearrangement, prefix_power_at
 
 __all__ = [
     "InterpParams",
@@ -52,6 +51,7 @@ __all__ = [
     "z_norm",
     "z_norm_alt",
     "doubling_time",
+    "doubling_blocks",
     "THEOREM_IDS",
 ]
 
@@ -104,27 +104,6 @@ def derived_exponents(p: float, q: float, theta: float, r: float) -> DerivedExpo
 # ---------------------------------------------------------------------------
 
 
-def _segment_power(t0, t1, k0, k1) -> Optional[float]:
-    if k0 <= 0.0 or k1 <= 0.0:
-        return None
-    return math.log(k1 / k0) / math.log(t1 / t0)
-
-
-def _sup_power_log(c: float, d: float, ua: float, ub: float) -> Tuple[float, float]:
-    """max of e^{(1-u)c} u^d over [ua, ub], closed form (endpoints or u* = d/c)."""
-    cands = [ua, ub]
-    if c != 0.0 and d != 0.0:
-        ustar = d / c
-        if ua < ustar < ub:
-            cands.append(ustar)
-    best_v, best_u = -math.inf, ua
-    for u in cands:
-        v = math.exp((1.0 - u) * c) * u**d
-        if v > best_v:
-            best_v, best_u = v, u
-    return best_v, best_u
-
-
 def interp_norm(curve: KCurve, params: InterpParams, rel_tol: float = 1e-10) -> float:
     """(∫_0^1 [t^{-theta}(1-Log t)^alpha K(t)]^r dt/t)^{1/r}, sup form for r = inf.
 
@@ -137,35 +116,26 @@ def interp_norm(curve: KCurve, params: InterpParams, rel_tol: float = 1e-10) -> 
     if np.all(k == 0.0):
         return 0.0
     slope0 = k[0] / t[0]
+    up = k > 0.0
+    # where K > 0 at both ends, K is the power K(t_i)(t/t_i)^{m_i} on the segment
+    i = np.flatnonzero(up[:-1] & up[1:])
+    m = np.log(k[i + 1] / k[i]) / np.log(t[i + 1] / t[i])
     if math.isinf(r):
-        best = 0.0
-        # below the first node: K = slope0 * t, objective slope0 t^{1-theta}(1-Log t)^alpha
-        if slope0 > 0.0:
-            ua = float(1.0 - np.log(t[0]))
-            if theta < 1.0:
-                ub = max(ua + 1.0, alpha / (1.0 - theta) + 1.0)
-                v, _ = _sup_power_log(1.0 - theta, alpha, ua, ub)
-                best = slope0 * v
-            elif alpha > 0.0:
-                raise Divergent("sup form diverges toward 0")
-            else:
-                best = slope0 * ua**alpha
-        for i in range(t.size - 1):
-            m = _segment_power(t[i], t[i + 1], k[i], k[i + 1])
-            ua, ub = float(1.0 - np.log(t[i + 1])), float(1.0 - np.log(t[i]))
-            if m is None:
-                vals = [
-                    k[j] * t[j] ** -theta * (1.0 - math.log(t[j])) ** alpha
-                    for j in (i, i + 1)
-                    if k[j] > 0
-                ]
-                best = max([best, *vals]) if vals else best
-                continue
-            c = m - theta
-            scale = k[i] * t[i] ** -m
-            v, _ = _sup_power_log(c, alpha, ua, ub)
-            best = max(best, scale * v)
-        return best
+        if slope0 > 0.0 and theta == 1.0 and alpha > 0.0:
+            raise Divergent("sup form diverges toward 0")
+        # the objective t^{-theta}(1-Log t)^alpha K(t) at the nodes, and on each
+        # power piece K = c·t^m (also c = slope0, m = 1 below the first node)
+        # where its log-derivative in u vanishes, at u* = alpha/(m - theta)
+        u = 1.0 - np.log(t)
+        m = np.concatenate([[1.0], m])
+        scale = np.concatenate([[slope0], k[i] * t[i] ** -m[1:]])
+        ua, ub = np.concatenate([u[:1], u[i + 1]]), np.concatenate([[np.inf], u[i]])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            us = alpha / (m - theta)
+        inside = (ua < us) & (us < ub)  # a nan u* is never inside
+        c, us = m[inside] - theta, us[inside]
+        stationary = scale[inside] * np.exp((1.0 - us) * c) * us**alpha
+        return float(max(np.max(k * t**-theta * u**alpha), np.max(stationary, initial=0.0)))
     total = 0.0
     # analytic tail below the first node
     if slope0 > 0.0:
@@ -173,19 +143,15 @@ def interp_norm(curve: KCurve, params: InterpParams, rel_tol: float = 1e-10) -> 
         if math.isinf(w):
             raise Divergent("interpolation integral diverges at 0")
         total += slope0**r * w
-    up = k > 0.0
     # K = 0 at one end only: K is linear in t on the segment
-    for i in np.flatnonzero(up[:-1] != up[1:]):
-        lo, hi = float(t[i]), float(t[i + 1])
-        k0, k1 = float(k[i]), float(k[i + 1])
+    for j in np.flatnonzero(up[:-1] != up[1:]):
+        lo, hi = float(t[j]), float(t[j + 1])
+        k0, k1 = float(k[j]), float(k[j + 1])
 
         def g(s):
             return (k0 + (k1 - k0) * (s - lo) / (hi - lo)) ** r
 
         total += log_quad(g, LogWeight(-theta * r - 1.0, alpha * r), lo, hi, rel_tol)
-    # elsewhere K is the power K(t_i)(t/t_i)^{m_i} on the segment
-    i = np.flatnonzero(up[:-1] & up[1:])
-    m = np.log(k[i + 1] / k[i]) / np.log(t[i + 1] / t[i])
     scale = k[i] ** r * t[i] ** (-m * r)
     segments = power_log_integrals((m - theta) * r - 1.0, alpha * r, t[i], t[i + 1])
     total += float(np.dot(scale, segments))
@@ -308,10 +274,7 @@ def identify_target(
     elif theorem_id in ("P4.1", "P4.2"):
         rhs = small_norm(f, p, alpha, res)
     elif theorem_id == "T1.3":
-        spec = GammaDouble(
-            p, r, LogWeight(-1.0, theta * r - 1.0), LogWeight(0.0, -1.0)
-        )
-        rhs = ggamma_norm(f, spec, res)
+        rhs = ggamma_norm(f, _t13_space(p, theta, r), res)
     elif theorem_id == "T6.2":
         rhs = z_norm(f, p, theta, r, res)
     else:  # pragma: no cover
@@ -331,6 +294,16 @@ def doubling_time(k: int) -> float:
     return float(2.0 ** (1.0 - 2.0 ** float(k)))
 
 
+def doubling_blocks(f: StepFunction, p: float) -> np.ndarray:
+    """∫_{t_{k+1}}^{t_k} f^p for k = 0, 1, ... until t_{k+1} underflows to 0
+    (11 blocks), exact on step data."""
+    ts = [1.0]
+    while ts[-1] > 0.0:
+        ts.append(doubling_time(len(ts)))
+    pref = prefix_power_at(f, p, np.array(ts))
+    return pref[:-1] - pref[1:]
+
+
 def z_norm(
     f: StepRearrangement, p: float, theta: float, r: float, res: Resolution = DEFAULT
 ) -> float:
@@ -344,20 +317,14 @@ def z_norm(
     bt = theta - 1.0 / p - 1.0 / r
     ip = 1.0 / p
     if theta == ip:
-        # block sum over t_k = 2^{1-2^k}; exact on step data, and the grid
-        # underflows past machine range after ~11 blocks
         total = 0.0
-        k = 0
-        while True:
-            t_hi, t_lo = doubling_time(k), doubling_time(k + 1)
-            total += power_integral(f, p, t_lo, t_hi) ** (r / p)
-            if t_lo == 0.0:
-                break
-            k += 1
+        for block in doubling_blocks(f, p).tolist():  # in order, one at a time
+            total += block ** (r / p)
         return total ** (1.0 / r)
+    w = LogWeight(-1.0, bt * r)
     if theta < ip:
-        return tail_log_integral(f, p, r / p, bt * r, res.rel_tol) ** (1.0 / r)
-    return prefix_log_integral(f, p, r / p, bt * r, 1.0, res.rel_tol) ** (1.0 / r)
+        return tail_log_integral(f, p, r / p, w, res.rel_tol) ** (1.0 / r)
+    return prefix_log_integral(f, p, r / p, w, 1.0, res.rel_tol) ** (1.0 / r)
 
 
 def z_norm_alt(
@@ -367,11 +334,10 @@ def z_norm_alt(
     integrals under an outer (1 - Log t)^{theta r} weight in dt/((1-Log t) t)."""
     if not (1.0 < p < math.inf and 0.0 < theta < 1.0 and 1.0 <= r < math.inf):
         raise BadExponent("need 1 < p < inf, 0 < theta < 1, 1 <= r < inf")
-    spec = GammaDouble(p, r, LogWeight(-1.0, theta * r - 1.0), LogWeight(0.0, -1.0))
+    return ggamma_norm(f, _t13_space(p, theta, r), res)
 
-    def g(t):
-        return w2_prefix_at(f, spec, np.asarray(t, dtype=float)) ** (r / p)
 
-    return log_quad(
-        g, LogWeight(-1.0, theta * r - 1.0), 0.0, 1.0, res.rel_tol, f.breaks[1:-1]
-    ) ** (1.0 / r)
+def _t13_space(p: float, theta: float, r: float) -> GammaDouble:
+    """T1.3's target space: outer (1-Log t)^{theta r - 1} dt/t over the inner
+    prefix integrals of f^p against (1-Log t)^{-1}."""
+    return GammaDouble(p, r, LogWeight(-1.0, theta * r - 1.0), LogWeight(0.0, -1.0))

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Tuple, Union
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -190,8 +189,6 @@ def split_point(c: CoupleSpec, t, tol: float = 1e-12):
 # oracle
 # ---------------------------------------------------------------------------
 
-_LINES_CACHE: "WeakKeyDictionary[StepRearrangement, dict]" = WeakKeyDictionary()
-
 
 def oracle_lines(
     f: StepRearrangement, couple: CoupleSpec, res: Resolution = DEFAULT
@@ -199,17 +196,16 @@ def oracle_lines(
     """Per-cut intercepts/slopes (norm0 of the excess, norm1 of the cap).
 
     The oracle K at any t is the lower envelope min_c(A_c + t B_c); cuts do not
-    depend on t, so the arrays are cached on the function.
+    depend on t, so the arrays are memoized on the function.
     """
-    per_f = _LINES_CACHE.setdefault(f, {})
-    key = (couple, res.sup_count, res.u_max, res.rel_tol)
-    if key not in per_f:
+
+    def make():
         x0, x1 = couple_spaces(couple)
         cuts = np.unique(np.concatenate([[0.0], f.values]))
         A = norms_over_cuts(f, x0, cuts, "excess", res)
-        B = norms_over_cuts(f, x1, cuts, "capped", res)
-        per_f[key] = (A, B)
-    return per_f[key]
+        return A, norms_over_cuts(f, x1, cuts, "capped", res)
+
+    return f.memo(("lines", couple, res.sup_count, res.u_max, res.rel_tol), make)
 
 
 def k_oracle(
@@ -346,7 +342,7 @@ def _k_explicit_many(
         ip = 1.0 / p
         if np.any(ts >= math.e):
             raise OutOfRange("second term of this form needs 1 - Log t > 0")
-        k1 = prefix_log_integral(f, p, ip, -ip, phi, res.rel_tol)
+        k1 = prefix_log_integral(f, p, ip, LogWeight(-1.0, -ip), phi, res.rel_tol)
         # the middle term carries the outer argument t, not the split point
         k2 = (1.0 - np.log(ts)) ** ((p - 1.0) / p) * (prefix_power_at(f, p, phi) ** ip)[at]
         k3 = _windowed_grand_sup(f, q, 1.0, phi, 1.0, res)

@@ -186,9 +186,7 @@ def _split(lo: np.ndarray, hi: np.ndarray, width) -> Tuple[np.ndarray, np.ndarra
     return a, b, ids
 
 
-def _u_integral(
-    fu, u_top: float, u_bottom: float, u_breaks: np.ndarray, rel_tol: float, max_depth: int = 40
-) -> np.ndarray:
+def _u_integral(fu, u_top: float, u_bottom: float, u_breaks: np.ndarray, rel_tol: float) -> np.ndarray:
     """∫ fu du over [u_top, u_bottom], split at u_breaks into panels at most one
     unit wide.
 
@@ -203,7 +201,7 @@ def _u_integral(
     acc = 0.0
     if edges.size > 1:
         a, b, _ = _split(edges[:-1], edges[1:], 1.0)
-        acc = adaptive_quad(fu, np.append(a, b[-1]), rel_tol, max_depth)
+        acc = adaptive_quad(fu, np.append(a, b[-1]), rel_tol)
     if math.isfinite(u_bottom):
         return acc
     u0 = float(edges[-1])
@@ -217,7 +215,7 @@ def _u_integral(
         )
 
     for n in range(1, _TAIL_CHUNKS + 1):
-        chunk = adaptive_quad(fu, np.array([u0, u0 + 2.0]), rel_tol, max_depth)
+        chunk = adaptive_quad(fu, np.array([u0, u0 + 2.0]), rel_tol)
         acc = acc + chunk
         prev, mag = mag, np.abs(chunk)
         # an overflowed sum also passes this test, hence the check on return
@@ -242,7 +240,6 @@ def log_quad_multi(
     hi: float,
     rel_tol: float = 1e-10,
     breaks: Sequence[float] = (),
-    max_depth: int = 40,
 ) -> np.ndarray:
     """∫_lo^hi g(t) w(t) dt per output column of a vectorized g mapping t to
     (len(t), m) values; adaptive in u, split at breaks.
@@ -263,7 +260,7 @@ def log_quad_multi(
     brk = np.asarray(breaks, dtype=float)
     brk = brk[(brk > lo) & (brk < hi)]
     u_bottom = float(u_of_t(lo)) if lo > 0.0 else math.inf
-    return _u_integral(fu, float(u_of_t(hi)), u_bottom, u_of_t(brk), rel_tol, max_depth)
+    return _u_integral(fu, float(u_of_t(hi)), u_bottom, u_of_t(brk), rel_tol)
 
 
 def log_quad(
@@ -273,14 +270,13 @@ def log_quad(
     hi: float,
     rel_tol: float = 1e-10,
     breaks: Sequence[float] = (),
-    max_depth: int = 40,
 ) -> float:
     """∫_lo^hi g(t) w(t) dt for vectorized g: the one-column log_quad_multi."""
 
     def column(t):
         return np.reshape(np.asarray(g(t), dtype=float), (-1, 1))
 
-    return float(log_quad_multi(column, w, lo, hi, rel_tol, breaks, max_depth)[0])
+    return float(log_quad_multi(column, w, lo, hi, rel_tol, breaks)[0])
 
 
 def weight_integral(w: LogWeight, lo: float, hi: float, rel_tol: float = 1e-12) -> float:
@@ -473,14 +469,14 @@ def log_weight_integral(
 
 
 def tail_block_integral(
-    d: float, total: float, slope: float, s: float, cut: float, rel_tol: float = 1e-12
+    w: LogWeight, total: float, slope: float, s: float, cut: float, rel_tol: float = 1e-12
 ) -> float:
-    """∫_0^cut (1 - Log t)^d (total - slope·t)^s dt/t for the region below the
-    smallest breakpoint, where a tail power integral is exactly total - slope·t.
+    """∫_0^cut w(t) (total - slope·t)^s dt for the region below the smallest
+    breakpoint, where a tail power integral is exactly total - slope·t.
 
     Marches down until slope·t <= 1e-8·total, then closes with the two leading
-    terms of (total - slope·t)^s; converges even when the weight part alone
-    decays only polynomially in u (needs d < -1 there).
+    terms of (total - slope·t)^s; converges even when the weight alone decays
+    only polynomially in u (for a = -1 that needs b < -1).
     """
     if total <= 0.0 or cut <= 0.0:
         return 0.0
@@ -492,27 +488,17 @@ def tail_block_integral(
         def g(t):
             return (total - slope * t) ** s
 
-        acc += log_quad(g, LogWeight(-1.0, d), t_freeze, cut, rel_tol)
-    head = weight_integral(LogWeight(-1.0, d), 0.0, t_freeze)
+        acc += log_quad(g, w, t_freeze, cut, rel_tol)
+    head = weight_integral(w, 0.0, t_freeze)
     if not math.isfinite(head):
         return math.inf
-    corr = weight_integral(LogWeight(0.0, d), 0.0, t_freeze)
+    corr = weight_integral(LogWeight(w.a + 1.0, w.b), 0.0, t_freeze)
     return acc + total**s * head - s * total ** (s - 1.0) * slope * corr
 
 
 # ---------------------------------------------------------------------------
 # suprema
 # ---------------------------------------------------------------------------
-
-
-def _eval_probe(g, ts: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(g(ts), dtype=float)
-        if out.shape == ts.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(g(float(t))) for t in ts])
 
 
 def golden_refine(
@@ -633,11 +619,12 @@ def sup_on_interval(
 def sup_on_grid(
     g: Callable, grid: UGrid, extra_points: Iterable[float] = ()
 ) -> Tuple[float, float]:
-    """(sup estimate, argmax t) of g over (0, 1]: all grid nodes and supplied
-    breakpoints, then golden-section refinement around the best node."""
+    """(sup estimate, argmax t) of a vectorized g over (0, 1]: all grid nodes
+    and supplied breakpoints, then golden-section refinement around the best
+    node."""
 
     def gk(t, k):
-        return _eval_probe(g, t)
+        return g(t)
 
     val, arg = sup_on_interval(
         gk, np.zeros(1), np.ones(1), grid.count, extra_points, u_cap=grid.u_max

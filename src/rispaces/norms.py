@@ -30,6 +30,7 @@ from .logcalc import (
     weight_prefix_many,
 )
 from .rearrangement import (
+    StepFunction,
     StepRearrangement,
     capped_part,
     evaluate_many,
@@ -223,14 +224,13 @@ def small_norm(
 
 def w2_prefix_at(f: StepRearrangement, spec: GammaDouble, ts: np.ndarray) -> np.ndarray:
     """∫_0^t f^p w2 at many points, exact panel structure."""
-    cache = f._cache
-    key = ("w2prefix", spec.p, spec.w2)
-    if key not in cache:
+
+    def make():
         w2_at_breaks = weight_prefix_many(spec.w2, f.breaks)
         vp = f.values**spec.p
-        pref = np.concatenate([[0.0], np.cumsum(vp * np.diff(w2_at_breaks))])
-        cache[key] = (pref, vp, w2_at_breaks)
-    pref, vp, w2_at_breaks = cache[key]
+        return np.concatenate([[0.0], np.cumsum(vp * np.diff(w2_at_breaks))]), vp, w2_at_breaks
+
+    pref, vp, w2_at_breaks = f.memo(("w2prefix", spec.p, spec.w2), make)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     idx = np.clip(np.searchsorted(f.breaks, ts, side="left"), 1, f.n)
     part = weight_prefix_many(spec.w2, ts) - w2_at_breaks[idx - 1]
@@ -303,12 +303,14 @@ def _cut_panel_powers(f: StepRearrangement, p: float, cuts: np.ndarray, kind: st
 def _cut_reach(f: StepRearrangement, cuts: np.ndarray, kind: str):
     """Panel counts (H, Z) per cut: P_c(t) = VP[0]·t on (0, x_H], H >= 1, and
     P_c is constant on [x_Z, 1].  H and the excess's Z are nonincreasing in
-    the cut; the capped Z is #{v > 0} for every positive cut."""
-    neg = -f.values
+    the cut; the capped Z is #{v > 0} for every positive cut.  Z counts the
+    suffix maxima of the values, so the excess of any step function (the
+    prefix integrals take c = 0) stops at its last value above c."""
+    reach = -np.maximum.accumulate(f.values[::-1])[::-1]
     if kind == "excess":
-        return np.ones(cuts.size, dtype=int), np.searchsorted(neg, -cuts, side="left")
-    positive = int(np.searchsorted(neg, 0.0, side="left"))
-    linear = np.maximum(np.searchsorted(neg, -cuts, side="right"), 1)
+        return np.ones(cuts.size, dtype=int), np.searchsorted(reach, -cuts, side="left")
+    positive = int(np.searchsorted(reach, 0.0, side="left"))
+    linear = np.maximum(np.searchsorted(-f.values, -cuts, side="right"), 1)
     return linear, np.where(cuts > 0.0, positive, 0)
 
 
@@ -316,20 +318,19 @@ def _prefix_log_integrals(
     f: StepRearrangement,
     p: float,
     s: float,
-    b: float,
+    w: LogWeight,
     cuts: np.ndarray,
     kind: str,
     hs: np.ndarray,
     rel_tol: float,
 ) -> np.ndarray:
-    """∫_0^h (1-Log t)^b P_c(t)^s dt/t for each h of the increasing array hs
-    and each cut: a (len(hs), len(cuts)) array, with P_c the exact prefix
-    integral of the p-th power of the cut's truncation (kind as in
-    norms_over_cuts).
+    """∫_0^h w(t) P_c(t)^s dt for each h of the increasing array hs and each
+    cut: a (len(hs), len(cuts)) array, with P_c the exact prefix integral of
+    the p-th power of the cut's truncation (kind as in norms_over_cuts).
 
     The pieces run between edges: the hs and every block-th panel break from
-    x_1 on.  Below the last edge under x_H, P_c^s is VP[0]^s·t^s, a pure
-    kernel that one weight_prefix_many sweep gives for every cut; past the
+    x_1 on.  Below the last edge under x_H, P_c^s w is VP[0]^s·t^s w(t), a
+    pure weight that one weight_prefix_many sweep gives for every cut; past the
     first edge over x_Z the constant P_c^s integrates in closed form.  Each
     piece in between is one log_quad_multi call over just the cuts that need
     it.  Once a piece starts past x_H, a capped cut's P_c there is its prefix
@@ -354,9 +355,8 @@ def _prefix_log_integrals(
 
     heads = np.minimum(hs[:, None], edges[first][None, :])
     kernel = np.zeros(heads.shape)
-    kernel[heads > 0.0] = weight_prefix_many(LogWeight(s - 1.0, b), heads[heads > 0.0])
+    kernel[heads > 0.0] = weight_prefix_many(LogWeight(w.a + s, w.b), heads[heads > 0.0])
 
-    w = LogWeight(-1.0, b)
     closed = [weight_integral(w, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     piece = np.arange(edges.size - 1)[:, None]
     parts = np.where(piece >= last, pref[-1] ** s * np.reshape(closed, (-1, 1)), 0.0)
@@ -393,19 +393,19 @@ def _prefix_log_integrals(
 
 
 def prefix_log_integral(
-    f: StepRearrangement, p: float, s: float, b: float, h, rel_tol: float
+    f: StepFunction, p: float, s: float, w: LogWeight, h, rel_tol: float
 ) -> Union[float, np.ndarray]:
-    """∫_0^h (1-Log t)^b (∫_0^t f^p)^s dt/t at a scalar h (a float) or at each h
-    of an increasing array: the one-cut (c = 0) _prefix_log_integrals."""
+    """∫_0^h w(t) (∫_0^t f^p)^s dt at a scalar h (a float) or at each h of an
+    increasing array: the one-cut (c = 0) _prefix_log_integrals."""
     hs = np.asarray(h, dtype=float)
     out = _prefix_log_integrals(
-        f, p, s, b, np.zeros(1), "excess", np.atleast_1d(hs), rel_tol
+        f, p, s, w, np.zeros(1), "excess", np.atleast_1d(hs), rel_tol
     )[:, 0]
     return float(out[0]) if hs.ndim == 0 else out
 
 
-def tail_log_integral(f: StepRearrangement, p: float, s: float, d: float, rel_tol: float) -> float:
-    """∫_0^1 (1-Log t)^d (∫_t^1 f^p)^s dt/t.
+def tail_log_integral(f: StepFunction, p: float, s: float, w: LogWeight, rel_tol: float) -> float:
+    """∫_0^1 w(t) (∫_t^1 f^p)^s dt.
 
     Below the first break the tail is exactly total - v1^p·t, which
     ``tail_block_integral`` closes even where the weight alone decays only
@@ -417,16 +417,15 @@ def tail_log_integral(f: StepRearrangement, p: float, s: float, d: float, rel_to
     """
     total = float(prefix_power_at(f, p, 1.0))
     x1 = f.min_positive_break()
-    w = LogWeight(-1.0, d)
 
     def g(t):
         return tail_power_at(f, p, np.asarray(t, dtype=float)) ** s
 
-    m = int(np.count_nonzero(f.values > 0.0))
+    m = int(np.max(np.flatnonzero(f.values > 0.0), initial=-1)) + 1  # x_m ends the support
     rooted = s < 1.0 and m > 0
     x_m = float(f.breaks[m])
     t_root = max(float(f.breaks[m - 1]), 0.5 * x_m) if rooted else 1.0
-    out = tail_block_integral(d, total, float(f.values[0]) ** p, s, min(x1, t_root), rel_tol)
+    out = tail_block_integral(w, total, float(f.values[0]) ** p, s, min(x1, t_root), rel_tol)
     if t_root > x1:
         out += log_quad(g, w, x1, t_root, rel_tol, f.breaks[1:-1])
     if rooted:
@@ -434,7 +433,8 @@ def tail_log_integral(f: StepRearrangement, p: float, s: float, d: float, rel_to
 
         def fy(y):
             t = x_m - y ** (1.0 / s)
-            return scale * y ** (1.0 / s) * (1.0 - np.log(t)) ** d / t
+            # w(t) as t^{a+1} (1-Log t)^b / t: exactly the dt/t form when a = -1
+            return scale * y ** (1.0 / s) * (1.0 - np.log(t)) ** w.b * t ** (w.a + 1.0) / t
 
         out += float(adaptive_quad(fy, np.linspace(0.0, (x_m - t_root) ** s, 9), rel_tol)[0])
     return out
@@ -525,8 +525,8 @@ def norms_over_cuts(
         return _grand_over_cuts(f, spec.p, spec.alpha, cuts, kind, res)
     if isinstance(spec, Small):
         p, alpha = spec.p, spec.alpha
-        b = alpha - alpha / p - 1.0
-        return _prefix_log_integrals(f, p, 1.0 / p, b, cuts, kind, np.ones(1), res.rel_tol)[0]
+        w = LogWeight(-1.0, alpha - alpha / p - 1.0)
+        return _prefix_log_integrals(f, p, 1.0 / p, w, cuts, kind, np.ones(1), res.rel_tol)[0]
     # no batched path: fall back to one norm per cut
     make = excess_part if kind == "excess" else capped_part
     return np.array([space_norm(make(f, float(c)), spec, res) for c in cuts])

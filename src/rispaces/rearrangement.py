@@ -74,29 +74,34 @@ class StepFunction:
     def n(self) -> int:
         return self.values.size
 
+    def memo(self, key, make):
+        """make()'s result, computed on the first call with this key and kept as
+        long as this function lives: the one cache of per-function data."""
+        if key not in self._cache:
+            self._cache[key] = make()
+        return self._cache[key]
+
     @property
     def widths(self) -> np.ndarray:
-        cache = self._cache
-        if "widths" not in cache:
-            w = np.diff(self.breaks)
-            w.flags.writeable = False
-            cache["widths"] = w
-        return cache["widths"]
+        return self.memo("widths", lambda: _read_only(np.diff(self.breaks)))
 
     def prefix_power(self, p: float) -> np.ndarray:
         """Cumulative ∫_0^{x_i} f^p, one entry per break (exact)."""
-        cache = self._cache
-        key = ("prefix", p)
-        if key not in cache:
+
+        def make():
             vp = self.values**p
             pref = np.concatenate([[0.0], np.cumsum(vp * self.widths)])
-            pref.flags.writeable = False
-            vp.flags.writeable = False
-            cache[key] = (pref, vp)
-        return cache[key]
+            return _read_only(pref), _read_only(vp)
+
+        return self.memo(("prefix", p), make)
 
     def min_positive_break(self) -> float:
         return float(self.breaks[1])
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 class StepRearrangement(StepFunction):

@@ -27,6 +27,7 @@ from rispaces.norms import (
     grand_norm,
     lebesgue_norm,
     lorentz_zygmund_norm,
+    prefix_log_integral,
     small_norm,
     space_norm,
     tail_log_integral,
@@ -34,6 +35,7 @@ from rispaces.norms import (
 from rispaces.rearrangement import (
     Char,
     PowerLog,
+    StepFunction,
     StepRearrangement,
     discretize_model,
     rearrange_from_samples,
@@ -369,5 +371,77 @@ def test_tail_log_integral_root_at_support_end(p, s, d):
         for name in ("const", "char_0.125", "plog_g0_d-1", "rand_00", "one panel", "one of two"):
             f = realized[name]
             want = float(_tail_log_integral_mp(f, p, s, d))
-            got = tail_log_integral(f, p, s, d, 1e-10)
+            got = tail_log_integral(f, p, s, LogWeight(-1.0, d), 1e-10)
             assert got == pytest.approx(want, rel=1e-10, abs=0.0), name
+
+
+def _log_integral_mp(f, p, s, w, tail):
+    """∫_0^1 w(t) (∫_t^1 f^p)^s dt (tail) or ∫_0^1 w(t) (∫_0^t f^p)^s dt by
+    mpmath in u = 1 - Log t, for any step function: tanh-sinh between
+    consecutive breaks, where a root of the tail at the end of the support
+    sits at an end.  Past the smallest break, a tail under a = -1 decays only
+    like u^b, so its constant part total^s is integrated in closed form."""
+    mp = mpmath.mp
+    a, b = mp.mpf(w.a), mp.mpf(w.b)
+    x = [mp.mpf(float(v)) for v in f.breaks]
+    vp = [mp.mpf(float(v)) ** p for v in f.values]
+    pref = [mp.mpf(0)]
+    for i, v in enumerate(vp):
+        pref.append(pref[-1] + v * (x[i + 1] - x[i]))
+    total = pref[-1]
+
+    def inner(t):
+        i = max(bisect.bisect_left(x, t), 1)
+        prefix = pref[i - 1] + vp[i - 1] * (t - x[i - 1])
+        return max(total - prefix, 0) if tail else prefix
+
+    def fu(u):
+        return mp.e ** ((1 - u) * (a + 1)) * u**b * inner(mp.e ** (1 - u)) ** s
+
+    us = [1 - mp.log(t) for t in reversed(x[1:])]
+    top = us[-1]
+    body = mp.quad(fu, us)
+    if not (tail and w.a == -1.0):
+        return body + mp.quad(fu, [top, top + 10, mp.inf])
+
+    def near(u):
+        return u**b * ((total - vp[0] * mp.e ** (1 - u)) ** s - total**s)
+
+    return body + total**s * top ** (b + 1) / (-b - 1) + mp.quad(near, [top, top + 10, mp.inf])
+
+
+@pytest.mark.parametrize("a,b", [(-0.5, 1.5), (0.7, -2.0), (2.0, 0.5)])
+@pytest.mark.parametrize("s", [0.5, 2.0])
+def test_prefix_and_tail_log_integrals_take_any_weight(a, b, s):
+    """The weights t^a (1-Log t)^b dt with a != -1 of the Hardy displays
+    (thm2.1), on a function whose support ends at 1 and one with a zero tail."""
+    w = LogWeight(a, b)
+    fs = [
+        StepRearrangement(np.array([0.0, 0.1, 0.45, 1.0]), np.array([3.0, 1.5, 0.5])),
+        StepRearrangement(np.array([0.0, 0.2, 0.7, 1.0]), np.array([2.0, 1.0, 0.0])),
+    ]
+    with mpmath.workdps(20):
+        for f in fs:
+            want = float(_log_integral_mp(f, 2.0, s, w, tail=False))
+            assert prefix_log_integral(f, 2.0, s, w, 1.0, 1e-10) == pytest.approx(want, rel=1e-10)
+            want = float(_log_integral_mp(f, 2.0, s, w, tail=True))
+            assert tail_log_integral(f, 2.0, s, w, 1e-10) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "tail,s,b", [(False, 1.5, -0.5), (False, 2.0, -1.0), (True, 0.5, -1.5)]
+)
+def test_log_integrals_of_a_step_function_that_is_not_monotone(tail, s, b):
+    """The discretization check feeds unsorted steps to these integrals: the
+    prefix stays constant only past the last positive value, and the tail's
+    root sits at the end of the last positive panel, not after #{v > 0}
+    panels."""
+    h = StepFunction(np.array([0.0, 0.3, 0.6, 1.0]), np.array([1.0, 0.0, 2.0]))
+    w = LogWeight(-1.0, b)
+    with mpmath.workdps(20):
+        want = float(_log_integral_mp(h, 1.0, s, w, tail))
+    if tail:
+        got = tail_log_integral(h, 1.0, s, w, 1e-10)
+    else:
+        got = prefix_log_integral(h, 1.0, s, w, 1.0, 1e-10)
+    assert got == pytest.approx(want, rel=1e-10)
