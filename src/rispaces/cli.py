@@ -28,7 +28,7 @@ import numpy as np
 from . import equivharness as harness
 from .config import DEFAULT, DEFAULT_CEILING, Resolution
 from .errors import BadExponent, HypothesisViolation, RispacesError
-from .interpolation import THEOREM_IDS, identify_target
+from .interpolation import THEOREM_IDS, THEOREM_PARAMS, identify_target
 from .kfunctional import (
     CoupleSpec,
     General,
@@ -60,19 +60,8 @@ from .rearrangement import (
 )
 
 EXPERIMENT_CATALOG = {
-    "T1.1": "p q alpha",
-    "T3.1": "p q alpha",
-    "T1.2": "p q theta r alpha",
-    "T3.4": "p q theta r alpha",
-    "T5.1": "p q theta r",
-    "P4.1": "p alpha",
-    "P4.2": "p q alpha",
-    "T1.3": "p theta r",
-    "T6.2": "p theta r",
-    "hardy:thm2.1-first": "lam b beta",
-    "hardy:thm2.1-second": "lam b beta",
-    "hardy:thm2.2-first": "a alpha",
-    "hardy:thm2.2-second": "a alpha",
+    **{tid: " ".join(names) for tid, names in THEOREM_PARAMS.items()},
+    **{f"hardy:{which}": " ".join(names) for which, names in harness.HARDY_PARAMS.items()},
     "discretization": "lambda q",
 }
 
@@ -220,7 +209,8 @@ def _fmt(x: float) -> str:
 def cmd_norm(cfg: RunConfig) -> int:
     f = discretize_model(cfg.fn, cfg.res.u_max, cfg.res.panels)
     value = space_norm(f, cfg.space, cfg.res)
-    print(json.dumps({"space": cfg.space.__class__.__name__.lower(), "value": value}))
+    payload = {"space": cfg.space.__class__.__name__.lower(), "value": value}
+    _write_text(cfg.out, json.dumps(payload) + "\n")
     return 0
 
 

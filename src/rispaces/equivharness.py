@@ -13,17 +13,19 @@ import json
 import math
 import statistics
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .config import DEFAULT, DEFAULT_CEILING, Resolution
 from .errors import BadExponent, NotMonotone
 from .interpolation import (
-    derived_exponents,
+    ZSpace,
+    check_hypotheses,
     doubling_blocks,
     doubling_time,
     identify_target,
+    target_space,
     theorem_couple,
 )
 from .kfunctional import couple_spaces, k_curve
@@ -67,6 +69,7 @@ __all__ = [
     "random_steps",
     "run_identity_experiment",
     "hardy_check",
+    "HARDY_PARAMS",
     "sup_smoothing_check",
     "discretization_check",
     "prop32_check",
@@ -81,15 +84,14 @@ DEFAULT_SEED = 20240801
 
 @dataclass(frozen=True)
 class FunctionFamily:
-    """Named list of function models plus the discretization they share."""
+    """Named list of function models; ``realize`` discretizes them at a
+    resolution's depth and panel count."""
 
     name: str
     members: Tuple[Tuple[str, FunctionModel], ...]
-    u_max: float = 35.0
-    panels: int = 600
 
     def realize(self, res: Resolution) -> List[Tuple[str, StepRearrangement]]:
-        """Discretized members, memoized per panel count."""
+        """Discretized members, memoized per (panels, u_max)."""
         cache = _REALIZED.setdefault(self, {})
         key = (res.panels, res.u_max)
         if key not in cache:
@@ -145,15 +147,6 @@ def standard_family(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZSpace:
-    """The same-exponent couple's (theta, r) interpolation space, normed by z_norm."""
-
-    p: float
-    theta: float
-    r: float
-
-
 def model_in_space(model: FunctionModel, spec) -> bool:
     if not isinstance(model, PowerLog):
         return True  # indicators, explicit steps and samples are bounded
@@ -185,28 +178,6 @@ def model_in_space(model: FunctionModel, spec) -> bool:
         ip = 1.0 / spec.p
         return g < ip or (g == ip and d > max(0.0, -spec.w1.b / spec.m + ip))
     return True
-
-
-def _required_spaces(theorem_id: str, p, q, theta, r, alpha) -> list:
-    couple = theorem_couple(theorem_id, p, q, alpha)
-    x0, _ = couple_spaces(couple)
-    req = [x0]
-    if theorem_id in ("T1.1", "T3.1"):
-        req.append(Grand(q, alpha))
-    elif theorem_id in ("T1.2", "T3.4", "T5.1"):
-        d = derived_exponents(p, q, theta, r)
-        if theorem_id == "T1.2":
-            exp = -alpha / d.p_theta
-        elif theorem_id == "T3.4":
-            exp = alpha / d.p_theta
-        else:
-            exp = d.alpha_theta
-        req.append(LorentzZygmund(d.p_theta, r, exp))
-    elif theorem_id in ("P4.1", "P4.2"):
-        req.append(Small(p, alpha))
-    elif theorem_id in ("T1.3", "T6.2"):
-        req.append(ZSpace(p, theta, r))
-    return req
 
 
 # ---------------------------------------------------------------------------
@@ -274,17 +245,37 @@ def _finite_or_null(obj):
     return obj
 
 
-def _ratio_rows(pairs: Sequence[Tuple[str, float, float]]) -> Tuple[List[dict], List[dict]]:
-    rows, skipped = [], []
-    for name, lhs, rhs in pairs:
+def _judge(report: EquivReport, rows: Iterable[Tuple[str, Optional[float], Optional[float]]]):
+    """Add (id, lhs, rhs) rows, in order, to the report's members, or to its
+    skips when a side is 0 or not finite.  Sides of None mark a member outside
+    a required space, which was not evaluated."""
+    for name, lhs, rhs in rows:
+        if lhs is None:
+            report.skipped.append({"id": name, "reason": "outside a required space"})
+            continue
         lhs, rhs = float(lhs), float(rhs)
         if lhs == 0.0 or rhs == 0.0:
-            skipped.append({"id": name, "reason": "degenerate member skipped"})
+            report.skipped.append({"id": name, "reason": "degenerate member skipped"})
         elif not (math.isfinite(lhs) and math.isfinite(rhs)):
-            skipped.append({"id": name, "reason": "non-finite side"})
+            report.skipped.append({"id": name, "reason": "non-finite side"})
         else:
-            rows.append({"id": name, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs})
-    return rows, skipped
+            report.members.append({"id": name, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs})
+    return report
+
+
+def _judge_with_drift(report: EquivReport, rows_at, res: Resolution, two_sided: bool = True):
+    """Judge rows_at(res) into the report and rows_at(res.doubled()) aside; the
+    drift is the relative change of the largest ratio (two-sided: of the
+    largest ratio or inverse ratio) under the doubling."""
+
+    def worst(judged: EquivReport) -> float:
+        ratios = [m["ratio"] for m in judged.members]
+        return max([0.0] + ratios + ([1.0 / x for x in ratios] if two_sided else []))
+
+    base = worst(_judge(report, rows_at(res)))
+    fine = worst(_judge(EquivReport("", {}), rows_at(res.doubled())))
+    drift = abs(fine - base) / base if base > 0 else math.nan
+    return report.finalize(drift, require_two_sided=two_sided)
 
 
 # ---------------------------------------------------------------------------
@@ -301,54 +292,42 @@ def run_identity_experiment(
     seed: int = DEFAULT_SEED,
 ) -> EquivReport:
     """Both sides of one identity over a family, plus refinement drift."""
-    p = params.get("p")
-    q = params.get("q")
-    theta = params.get("theta")
-    r = params.get("r")
-    alpha = params.get("alpha")
+    args = {name: params.get(name) for name in ("p", "q", "theta", "r", "alpha")}
+    check_hypotheses(theorem_id, **args)
     if family is None:
-        couple_q = q if q is not None else p
-        family = standard_family(q=couple_q, seed=seed)
-    required = _required_spaces(theorem_id, p, q, theta, r, alpha)
+        family = standard_family(q=args["q"] if args["q"] is not None else args["p"], seed=seed)
+    couple = theorem_couple(theorem_id, args["p"], args["q"], args["alpha"])
+    required = (couple_spaces(couple)[0], target_space(theorem_id, **args))
 
-    def max_ratio_at(resolution: Resolution, collect: Optional[EquivReport] = None) -> float:
-        worst = 0.0
-        couple = theorem_couple(theorem_id, p, q, alpha)
+    def rows_at(resolution: Resolution):
         grid = UGrid(resolution.u_max, resolution.k_nodes)
+        realized = dict(family.realize(resolution))
         for name, model in family.members:
             if not all(model_in_space(model, s) for s in required):
-                if collect is not None:
-                    collect.skipped.append({"id": name, "reason": "outside a required space"})
+                yield name, None, None
                 continue
-            f = dict(family.realize(resolution))[name]
-            curve = k_curve(f, couple, grid, "oracle", resolution)
-            lhs, rhs = identify_target(
-                theorem_id, f, p=p, q=q, theta=theta, r=r, alpha=alpha,
-                res=resolution, curve=curve,
-            )
-            rows, skipped = _ratio_rows([(name, lhs, rhs)])
-            if collect is not None:
-                collect.members.extend(rows)
-                collect.skipped.extend(skipped)
-            for row in rows:
-                worst = max(worst, row["ratio"], 1.0 / row["ratio"])
-        return worst
+            curve = k_curve(realized[name], couple, grid, "oracle", resolution)
+            sides = identify_target(theorem_id, realized[name], **args, res=resolution, curve=curve)
+            yield (name, *sides)
 
     report = EquivReport(theorem_id, dict(params), ceiling=ceiling, seed=seed)
-    base = max_ratio_at(res, report)
-    fine = max_ratio_at(res.doubled())
-    drift = abs(fine - base) / base if base > 0 else math.nan
-    return report.finalize(drift)
+    return _judge_with_drift(report, rows_at, res)
 
 
 # ---------------------------------------------------------------------------
 # weighted Hardy inequalities
 # ---------------------------------------------------------------------------
 
-_HARDY_KINDS = ("thm2.1-first", "thm2.1-second", "thm2.2-first", "thm2.2-second")
+# Each display's exponents.
+HARDY_PARAMS = {
+    "thm2.1-first": ("lam", "b", "beta"),
+    "thm2.1-second": ("lam", "b", "beta"),
+    "thm2.2-first": ("a", "alpha"),
+    "thm2.2-second": ("a", "alpha"),
+}
 
 
-def _hardy_sides(which: str, exponents: dict, f: StepFunction, rel_tol: float) -> Tuple[float, float]:
+def _hardy_sides(which: str, exponents: dict, f: StepFunction, res: Resolution):
     """Both sides of one display: the lhs is a prefix or tail power integral
     ∫_0^1 w(t) (∫_0^t f or ∫_t^1 f)^s dt, the rhs ∫_0^1 f^s w_rhs, each to the
     power root."""
@@ -360,7 +339,7 @@ def _hardy_sides(which: str, exponents: dict, f: StepFunction, rel_tol: float) -
         if not lam > 0.0 or not b >= 1.0:
             raise BadExponent("need lam > 0 and b >= 1")
         if math.isinf(b):
-            return _hardy_sup_sides(which, lam, beta, f)
+            return _hardy_sup_sides(which, lam, beta, f, res)
         # [t^{∓lam} (1-Log t)^beta · inner]^b dt/t against [t^{1∓lam} (1-Log t)^beta f]^b dt/t
         signed = -lam if prefix else lam
         s, root = b, 1.0
@@ -379,16 +358,17 @@ def _hardy_sides(which: str, exponents: dict, f: StepFunction, rel_tol: float) -
         w = LogWeight(-1.0, alpha * a)
         w_rhs = LogWeight(a - 1.0, (1.0 + alpha) * a)
     if prefix:
-        lhs = prefix_log_integral(f, 1.0, s, w, 1.0, rel_tol)
+        lhs = prefix_log_integral(f, 1.0, s, w, 1.0, res.rel_tol)
     else:
-        lhs = tail_log_integral(f, 1.0, s, w, rel_tol)
-    rhs = log_weight_integral(f, s, w_rhs, 0.0, 1.0, rel_tol)
+        lhs = tail_log_integral(f, 1.0, s, w, res.rel_tol)
+    rhs = log_weight_integral(f, s, w_rhs, 0.0, 1.0, res.rel_tol)
     return lhs**root, rhs**root
 
 
-def _hardy_sup_sides(which: str, lam: float, beta: float, f: StepFunction):
-    """The b = inf form: integrals replaced by suprema on both sides."""
-    grid = UGrid(35.0, 2048)
+def _hardy_sup_sides(which: str, lam: float, beta: float, f: StepFunction, res: Resolution):
+    """The b = inf form: integrals replaced by suprema on both sides, searched
+    on the resolution's supremum grid."""
+    grid = UGrid(res.u_max, res.sup_count)
     prefixy = which.endswith("first")
     s = -lam if prefixy else lam
 
@@ -415,28 +395,15 @@ def hardy_check(
     seed: int = DEFAULT_SEED,
 ) -> EquivReport:
     """LHS/RHS of one weighted Hardy display per member; family-uniform bracket."""
-    if which not in _HARDY_KINDS:
-        raise BadExponent(f"unknown display {which!r}; pick one of {_HARDY_KINDS}")
+    if which not in HARDY_PARAMS:
+        raise BadExponent(f"unknown display {which!r}; pick one of {tuple(HARDY_PARAMS)}")
 
-    def ratios(resolution: Resolution, collect: Optional[EquivReport] = None) -> float:
-        worst = 0.0
-        pairs = []
-        for name, f in family.realize(resolution):
-            lhs, rhs = _hardy_sides(which, exponents, f, resolution.rel_tol)
-            pairs.append((name, lhs, rhs))
-        rows, skipped = _ratio_rows(pairs)
-        if collect is not None:
-            collect.members.extend(rows)
-            collect.skipped.extend(skipped)
-        for row in rows:
-            worst = max(worst, row["ratio"])
-        return worst
+    def rows_at(resolution: Resolution):
+        realized = family.realize(resolution)
+        return [(name, *_hardy_sides(which, exponents, f, resolution)) for name, f in realized]
 
     report = EquivReport(f"hardy:{which}", dict(exponents), ceiling=ceiling, seed=seed)
-    base = ratios(res, report)
-    fine = ratios(res.doubled())
-    drift = abs(fine - base) / base if base > 0 else math.nan
-    return report.finalize(drift, require_two_sided=False)
+    return _judge_with_drift(report, rows_at, res, two_sided=False)
 
 
 # ---------------------------------------------------------------------------
@@ -554,10 +521,7 @@ def discretization_check(
         sum0 = float(np.sum(prefix**q))
         integral = prefix_log_integral(h, 1.0, q, LogWeight(-1.0, -1.0), 1.0, rel_tol)
         pairs.append(("sum-vs-integral", sum0, integral))
-    rows, skipped = _ratio_rows(pairs)
-    report.members.extend(rows)
-    report.skipped.extend(skipped)
-    return report.finalize()
+    return _judge(report, pairs).finalize()
 
 
 # ---------------------------------------------------------------------------
@@ -635,12 +599,8 @@ def lemma31_33_check(
     lhs33, _ = sup_on_grid(g33, grid, f.breaks[1:])
     rhs33 = grand_norm(f, q, alpha, res)
     report = EquivReport("lemma3.1+3.3", {"p": p, "q": q, "alpha": alpha}, ceiling=ceiling)
-    rows, skipped = _ratio_rows(
-        [("windowed-l1-mean", lhs31, rhs31), ("prefix-p-mean", lhs33, rhs33)]
-    )
-    report.members.extend(rows)
-    report.skipped.extend(skipped)
-    return report.finalize(require_two_sided=False)
+    pairs = [("windowed-l1-mean", lhs31, rhs31), ("prefix-p-mean", lhs33, rhs33)]
+    return _judge(report, pairs).finalize(require_two_sided=False)
 
 
 def associate_lower_bound(

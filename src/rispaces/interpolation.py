@@ -31,12 +31,12 @@ from .kfunctional import (
 from .logcalc import LogWeight, UGrid, log_quad, power_log_integrals, weight_integral
 from .norms import (
     GammaDouble,
+    Grand,
+    LorentzZygmund,
     Small,
     ggamma_norm,
-    grand_norm,
-    lorentz_zygmund_norm,
     prefix_log_integral,
-    small_norm,
+    space_norm,
     tail_log_integral,
 )
 from .rearrangement import StepFunction, StepRearrangement, prefix_power_at
@@ -47,12 +47,16 @@ __all__ = [
     "derived_exponents",
     "interp_norm",
     "identify_target",
+    "check_hypotheses",
+    "target_space",
     "theorem_couple",
     "z_norm",
     "z_norm_alt",
     "doubling_time",
     "doubling_blocks",
     "THEOREM_IDS",
+    "THEOREM_PARAMS",
+    "ZSpace",
 ]
 
 
@@ -164,7 +168,29 @@ def interp_norm(curve: KCurve, params: InterpParams, rel_tol: float = 1e-10) -> 
 # identified target norms
 # ---------------------------------------------------------------------------
 
-THEOREM_IDS = ("T1.1", "T3.1", "T1.2", "T3.4", "T5.1", "P4.1", "P4.2", "T1.3", "T6.2")
+# Each identity's parameters, in catalogue order.
+THEOREM_PARAMS = {
+    "T1.1": ("p", "q", "alpha"),
+    "T3.1": ("p", "q", "alpha"),
+    "T1.2": ("p", "q", "theta", "r", "alpha"),
+    "T3.4": ("p", "q", "theta", "r", "alpha"),
+    "T5.1": ("p", "q", "theta", "r"),
+    "P4.1": ("p", "alpha"),
+    "P4.2": ("p", "q", "alpha"),
+    "T1.3": ("p", "theta", "r"),
+    "T6.2": ("p", "theta", "r"),
+}
+THEOREM_IDS = tuple(THEOREM_PARAMS)
+
+
+@dataclass(frozen=True)
+class ZSpace:
+    """The same-exponent couple's (theta, r) interpolation space, normed by
+    z_norm (T6.2) or z_norm_alt (T1.3)."""
+
+    p: float
+    theta: float
+    r: float
 
 
 def _need(cond: bool, msg: str) -> None:
@@ -204,43 +230,45 @@ def _interp_params(theorem_id, p, q, theta, r, alpha) -> InterpParams:
     raise HypothesisViolation(f"unknown experiment id {theorem_id!r}")
 
 
-def _check_hypotheses(theorem_id, p, q, theta, r, alpha) -> None:
-    if theorem_id == "T1.1":
-        _need(p is not None and q is not None and alpha is not None, "need p, q, alpha")
-        _need(1.0 < p < q < math.inf, "need 1 < p < q < inf")
-        _need(alpha > 0.0, "need alpha > 0")
-    elif theorem_id == "T3.1":
-        _need(p is not None and q is not None and alpha is not None, "need p, q, alpha")
-        _need(1.0 <= p < q < math.inf, "need 1 <= p < q < inf")
-        _need(alpha > 0.0, "need alpha > 0")
-    elif theorem_id in ("T1.2", "T3.4"):
-        _need(None not in (p, q, theta, r, alpha), "need p, q, theta, r, alpha")
-        _need(1.0 < p < q < math.inf, "need 1 < p < q < inf")
-        _need(0.0 < theta < 1.0, "need 0 < theta < 1")
-        _need(1.0 <= r < math.inf, "need 1 <= r < inf")
-        _need(alpha > 0.0, "need alpha > 0")
-        if theorem_id == "T3.4":
-            _need(r > 1.0, "need r > 1")
-    elif theorem_id == "T5.1":
-        _need(None not in (p, q, theta, r), "need p, q, theta, r")
-        _need(1.0 < p < q < math.inf, "need 1 < p < q < inf")
-        _need(0.0 < theta < 1.0, "need 0 < theta < 1")
-        _need(1.0 <= r < math.inf, "need 1 <= r < inf")
-    elif theorem_id == "P4.1":
-        _need(None not in (p, alpha), "need p, alpha")
-        _need(1.0 < p < math.inf, "need 1 < p < inf")
-        _need(alpha > 0.0, "need alpha > 0")
-    elif theorem_id == "P4.2":
-        _need(None not in (p, q, alpha), "need p, q, alpha")
-        _need(1.0 < p < q < math.inf, "need 1 < p < q < inf")
-        _need(alpha > 0.0, "need alpha > 0")
-    elif theorem_id in ("T1.3", "T6.2"):
-        _need(None not in (p, theta, r), "need p, theta, r")
-        _need(1.0 < p < math.inf, "need 1 < p < inf")
-        _need(0.0 < theta < 1.0, "need 0 < theta < 1")
-        _need(1.0 <= r < math.inf, "need 1 <= r < inf")
-    else:
+def check_hypotheses(theorem_id, p=None, q=None, theta=None, r=None, alpha=None) -> None:
+    """Raise HypothesisViolation unless the identity's parameters are all given
+    and lie in its range."""
+    if theorem_id not in THEOREM_PARAMS:
         raise HypothesisViolation(f"unknown experiment id {theorem_id!r}")
+    names = THEOREM_PARAMS[theorem_id]
+    given = dict(p=p, q=q, theta=theta, r=r, alpha=alpha)
+    _need(all(given[n] is not None for n in names), "need " + ", ".join(names))
+    if theorem_id == "T3.1":
+        _need(1.0 <= p < q < math.inf, "need 1 <= p < q < inf")
+    elif "q" in names:
+        _need(1.0 < p < q < math.inf, "need 1 < p < q < inf")
+    else:
+        _need(1.0 < p < math.inf, "need 1 < p < inf")
+    if "theta" in names:
+        _need(0.0 < theta < 1.0, "need 0 < theta < 1")
+        _need(1.0 <= r < math.inf, "need 1 <= r < inf")
+    if "alpha" in names:
+        _need(alpha > 0.0, "need alpha > 0")
+    if theorem_id == "T3.4":
+        _need(r > 1.0, "need r > 1")
+
+
+def target_space(theorem_id, p=None, q=None, theta=None, r=None, alpha=None):
+    """The space whose norm is the identity's right side."""
+    if theorem_id in ("T1.1", "T3.1"):
+        return Grand(q, alpha)
+    if theorem_id in ("P4.1", "P4.2"):
+        return Small(p, alpha)
+    if theorem_id in ("T1.3", "T6.2"):
+        return ZSpace(p, theta, r)
+    if theorem_id in ("T1.2", "T3.4", "T5.1"):
+        d = derived_exponents(p, q, theta, r)
+        if theorem_id == "T1.2":
+            return LorentzZygmund(d.p_theta, r, -alpha / d.p_theta)
+        if theorem_id == "T3.4":
+            return LorentzZygmund(d.p_theta, r, alpha / d.p_theta)
+        return LorentzZygmund(d.p_theta, r, d.alpha_theta)
+    raise HypothesisViolation(f"unknown experiment id {theorem_id!r}")
 
 
 def identify_target(
@@ -255,31 +283,16 @@ def identify_target(
     curve: Optional[KCurve] = None,
 ) -> Tuple[float, float]:
     """(interpolation norm from the oracle K-curve, identified target norm)."""
-    _check_hypotheses(theorem_id, p, q, theta, r, alpha)
+    check_hypotheses(theorem_id, p, q, theta, r, alpha)
     couple = theorem_couple(theorem_id, p, q, alpha)
     if curve is None:
         curve = k_curve(f, couple, UGrid(res.u_max, res.k_nodes), "oracle", res)
     lhs = interp_norm(curve, _interp_params(theorem_id, p, q, theta, r, alpha), res.rel_tol)
-    if theorem_id in ("T1.1", "T3.1"):
-        rhs = grand_norm(f, q, alpha, res)
-    elif theorem_id == "T1.2":
-        d = derived_exponents(p, q, theta, r)
-        rhs = lorentz_zygmund_norm(f, d.p_theta, r, -alpha / d.p_theta, res)
-    elif theorem_id == "T3.4":
-        d = derived_exponents(p, q, theta, r)
-        rhs = lorentz_zygmund_norm(f, d.p_theta, r, alpha / d.p_theta, res)
-    elif theorem_id == "T5.1":
-        d = derived_exponents(p, q, theta, r)
-        rhs = lorentz_zygmund_norm(f, d.p_theta, r, d.alpha_theta, res)
-    elif theorem_id in ("P4.1", "P4.2"):
-        rhs = small_norm(f, p, alpha, res)
-    elif theorem_id == "T1.3":
-        rhs = ggamma_norm(f, _t13_space(p, theta, r), res)
-    elif theorem_id == "T6.2":
-        rhs = z_norm(f, p, theta, r, res)
-    else:  # pragma: no cover
-        raise HypothesisViolation(theorem_id)
-    return lhs, rhs
+    space = target_space(theorem_id, p, q, theta, r, alpha)
+    if isinstance(space, ZSpace):
+        norm = z_norm if theorem_id == "T6.2" else z_norm_alt
+        return lhs, norm(f, space.p, space.theta, space.r, res)
+    return lhs, space_norm(f, space, res)
 
 
 # ---------------------------------------------------------------------------
@@ -330,14 +343,10 @@ def z_norm(
 def z_norm_alt(
     f: StepRearrangement, p: float, theta: float, r: float, res: Resolution = DEFAULT
 ) -> float:
-    """The discretization-derived twin of z_norm: inner log-damped prefix
-    integrals under an outer (1 - Log t)^{theta r} weight in dt/((1-Log t) t)."""
+    """The discretization-derived twin of z_norm, T1.3's target norm: the inner
+    prefix integrals of f^p against (1 - Log t)^{-1} under an outer
+    (1 - Log t)^{theta r - 1} dt/t."""
     if not (1.0 < p < math.inf and 0.0 < theta < 1.0 and 1.0 <= r < math.inf):
         raise BadExponent("need 1 < p < inf, 0 < theta < 1, 1 <= r < inf")
-    return ggamma_norm(f, _t13_space(p, theta, r), res)
-
-
-def _t13_space(p: float, theta: float, r: float) -> GammaDouble:
-    """T1.3's target space: outer (1-Log t)^{theta r - 1} dt/t over the inner
-    prefix integrals of f^p against (1-Log t)^{-1}."""
-    return GammaDouble(p, r, LogWeight(-1.0, theta * r - 1.0), LogWeight(0.0, -1.0))
+    space = GammaDouble(p, r, LogWeight(-1.0, theta * r - 1.0), LogWeight(0.0, -1.0))
+    return ggamma_norm(f, space, res)

@@ -11,6 +11,7 @@ Two evaluation routes exist for every couple:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Tuple, Union
@@ -323,7 +324,9 @@ def _k_explicit_many(
     f: StepRearrangement, couple: CoupleSpec, ts: np.ndarray, res: Resolution
 ) -> np.ndarray:
     if isinstance(couple, General):
-        _ensure_conditions(couple, res)
+        verdict = _condition_verdict(couple.x0, couple.x1, res)
+        if not verdict["passed"]:
+            raise ConditionCheckFailed(f"coupling conditions failed: {verdict}")
     phi, at = np.unique(split_point(couple, ts), return_inverse=True)
     if isinstance(couple, LpLq):
         first = prefix_power_at(f, couple.p, phi) ** (1.0 / couple.p)
@@ -428,9 +431,6 @@ def k_curve(
 # coupling conditions for the general two-space equivalent
 # ---------------------------------------------------------------------------
 
-_CONDITION_CACHE: dict = {}
-
-
 def _discretized_quotient(weight: LogWeight, lo: float, hi: float, grid: UGrid):
     """Rearrangement of 1/weight restricted to (lo, hi], as weighted samples."""
     u_hi = 1.0 - math.log(max(lo, math.exp(1.0 - grid.u_max)))
@@ -498,11 +498,7 @@ def check_C_conditions(x0: SpaceSpec, x1: SpaceSpec, grid: UGrid, res: Resolutio
     }
 
 
-def _ensure_conditions(couple: General, res: Resolution) -> None:
-    key = (couple.x0, couple.x1)
-    if key not in _CONDITION_CACHE:
-        _CONDITION_CACHE[key] = check_C_conditions(
-            couple.x0, couple.x1, UGrid(res.u_max, 256), res
-        )
-    if not _CONDITION_CACHE[key]["passed"]:
-        raise ConditionCheckFailed(f"coupling conditions failed: {_CONDITION_CACHE[key]}")
+@functools.lru_cache(maxsize=None)
+def _condition_verdict(x0: SpaceSpec, x1: SpaceSpec, res: Resolution) -> dict:
+    """check_C_conditions, once per couple and resolution."""
+    return check_C_conditions(x0, x1, UGrid(res.u_max, 256), res)

@@ -48,6 +48,8 @@ __all__ = [
     "invert_monotone",
     "log_integral_bounds_check",
     "tail_block_integral",
+    "power_log_integrals",
+    "weight_prefix_many",
 ]
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(15)

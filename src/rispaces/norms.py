@@ -583,8 +583,9 @@ def ggamma_lower_bound_check(
         return w2_prefix_at(unit, spec, np.atleast_1d(np.asarray(t, dtype=float)))
 
     if math.isinf(m):
-        def obj(t):
-            return spec.w1(np.asarray(t)) * w2_pref(t) ** (1.0 / p)
+        def obj(t):  # the sup over (0, measE], as the integral below runs over it
+            t = np.asarray(t)
+            return np.where(t <= measE, spec.w1(t) * w2_pref(t) ** (1.0 / p), 0.0)
 
         denom, _ = sup_on_grid(obj, UGrid(res.u_max, res.sup_count), [measE])
     else:

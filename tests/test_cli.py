@@ -9,6 +9,11 @@ import numpy as np
 import pytest
 
 from rispaces.cli import main
+from rispaces.config import Resolution
+from rispaces.equivharness import hardy_check, standard_family
+from rispaces.kfunctional import GrandGrand, GrandLq, GrandSmallSameP, SmallSmall, k_curve
+from rispaces.logcalc import UGrid
+from rispaces.rearrangement import PowerLog, discretize_model
 
 
 def run_cli(*argv):
@@ -43,6 +48,15 @@ def test_norm_grand_constant():
     assert json.loads(out)["value"] == pytest.approx(0.4199, abs=1e-3)
 
 
+def test_norm_writes_to_out(tmp_path):
+    args = ("norm", "--space", '{"space":"lebesgue","p":2}', "--fn", '{"kind":"char","a":0.25}')
+    out = tmp_path / "norm.json"
+    code, stdout = run_cli(*args, "--out", str(out))
+    assert code == 0 and stdout == ""
+    assert out.read_text() == run_cli(*args)[1]
+    assert json.loads(out.read_text())["value"] == pytest.approx(0.5, abs=1e-12)
+
+
 def test_malformed_json_exits_2(capsys):
     assert main(["norm", "--space", "{oops", "--fn", '{"kind":"char","a":0.5}']) == 2
 
@@ -58,6 +72,13 @@ def test_bad_hypothesis_exits_2(tmp_path):
         "--out", str(tmp_path / "r.json"),
     )
     assert code == 2
+
+
+def test_reversed_exponents_are_a_hypothesis_violation(capsys):
+    """p > q is checked before the couple is built: exit 2, not a numerical failure."""
+    code, stdout = run_cli("experiment", "T1.2", "p=4", "q=2", "theta=0.5", "r=2", "alpha=1")
+    assert code == 2 and stdout == ""
+    assert capsys.readouterr().err == "error: need 1 < p < q < inf\n"
 
 
 def test_kfunc_csv(tmp_path):
@@ -76,6 +97,32 @@ def test_kfunc_csv(tmp_path):
         t, ko, ke, ratio = line.split(",")
         assert float(ko) == pytest.approx(min(float(t), 0.5), abs=1e-10)
         assert float(ke) == pytest.approx(min(float(t), 0.5), abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "spec,couple",
+    [
+        ('{"couple":"grand_lq","p":2,"q":4,"alpha":1}', GrandLq(2, 4, 1.0)),
+        ('{"couple":"grand_grand","p":2,"q":3,"alpha":0.5}', GrandGrand(2, 3, 0.5)),
+        ('{"couple":"small_small","p":2,"q":4}', SmallSmall(2, 4)),
+        ('{"couple":"grand_small_same_p","p":3}', GrandSmallSameP(3)),
+    ],
+)
+def test_kfunc_parses_each_couple(tmp_path, spec, couple):
+    """The CSV carries the K-curves of the couple the spec names."""
+    out = tmp_path / "k.csv"
+    fn = PowerLog(0.25, 0.0)
+    code, _ = run_cli(
+        "kfunc", "--fn", '{"kind":"power_log","gamma":0.25,"delta":0}', "--couple", spec,
+        "--k-nodes", "12", "--panels", "64", "--sup-count", "256", "--out", str(out),
+    )
+    assert code == 0
+    res = Resolution(panels=64, sup_count=256, k_nodes=12)
+    f = discretize_model(fn, res.u_max, res.panels)
+    grid = UGrid(res.u_max, res.k_nodes)
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [float(r[1]) for r in rows] == k_curve(f, couple, grid, "oracle", res).k_values.tolist()
+    assert [float(r[2]) for r in rows] == k_curve(f, couple, grid, "explicit", res).k_values.tolist()
 
 
 def test_kfunc_zero_function_has_empty_ratio(tmp_path):
@@ -140,6 +187,28 @@ def test_experiment_report_and_determinism(tmp_path):
     assert payload["pass"] is True
 
 
+@pytest.mark.parametrize(
+    "which,params",
+    [
+        ("thm2.1-first", ("lam=0.5", "b=2", "beta=0.5")),
+        ("thm2.1-second", ("lam=0.5", "b=inf", "beta=0")),
+        ("thm2.2-first", ("a=2", "alpha=0.5")),
+        ("thm2.2-second", ("a=2", "alpha=-1")),
+    ],
+)
+def test_experiment_hardy(tmp_path, which, params):
+    """hardy:<display> runs hardy_check over the seeded standard family."""
+    out = tmp_path / "hardy.json"
+    flags = ("--panels", "64", "--sup-count", "256", "--seed", "5")
+    code, _ = run_cli("experiment", f"hardy:{which}", *params, *flags, "--out", str(out))
+    exponents = {k: float(v) for k, v in (kv.split("=") for kv in params)}
+    res = Resolution(panels=64, sup_count=256)
+    want = hardy_check(which, exponents, standard_family(seed=5), res, seed=5)
+    assert code == (0 if want.passed else 3)
+    assert out.read_text() == want.to_json() + "\n"
+    assert json.loads(out.read_text())["experiment"] == f"hardy:{which}"
+
+
 def test_experiment_unknown_name():
     code, _ = run_cli("experiment", "T9.9", "p=2")
     assert code == 2
@@ -193,7 +262,22 @@ def test_failed_bracket_exits_3(tmp_path):
 def test_list_experiments():
     code, out = run_cli("list-experiments")
     assert code == 0
-    assert "T1.2" in out and "hardy:thm2.2-first" in out
+    assert out.splitlines() == [
+        "T1.1                     p q alpha",
+        "T3.1                     p q alpha",
+        "T1.2                     p q theta r alpha",
+        "T3.4                     p q theta r alpha",
+        "T5.1                     p q theta r",
+        "P4.1                     p alpha",
+        "P4.2                     p q alpha",
+        "T1.3                     p theta r",
+        "T6.2                     p theta r",
+        "hardy:thm2.1-first       lam b beta",
+        "hardy:thm2.1-second      lam b beta",
+        "hardy:thm2.2-first       a alpha",
+        "hardy:thm2.2-second      a alpha",
+        "discretization           lambda q",
+    ]
 
 
 def test_console_script_runs():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.integrate as si
 
+from rispaces import equivharness
 from rispaces.config import Resolution
 from rispaces.equivharness import (
     EquivReport,
@@ -22,7 +23,8 @@ from rispaces.equivharness import (
     standard_family,
     sup_smoothing_check,
 )
-from rispaces.errors import BadExponent, NotMonotone
+from rispaces.errors import BadExponent, HypothesisViolation, NotMonotone
+from rispaces.logcalc import sup_on_grid
 from rispaces.norms import Grand, Lebesgue, Small, small_norm
 from rispaces.rearrangement import (
     Char,
@@ -146,6 +148,30 @@ def test_hardy_sup_form(chi_half):
     for which in ("thm2.1-first", "thm2.1-second"):
         rep = hardy_check(which, dict(lam=0.5, b=math.inf, beta=0.0), fam, FAST)
         assert rep.passed and math.isfinite(rep.max_ratio)
+
+
+def test_hardy_sup_form_follows_the_resolution(monkeypatch):
+    """b = inf: both sides search the resolution's sup grid, and the doubled
+    pass the doubled one."""
+    counts = []
+
+    def spy(g, grid, extra_points=()):
+        counts.append((grid.u_max, grid.count))
+        return sup_on_grid(g, grid, extra_points)
+
+    monkeypatch.setattr(equivharness, "sup_on_grid", spy)
+    fam = FunctionFamily("single", (("chi", Char(0.5)),))
+    res = Resolution(u_max=30.0, panels=64, sup_count=96, k_nodes=16)
+    hardy_check("thm2.1-first", dict(lam=0.5, b=math.inf, beta=0.0), fam, res)
+    assert counts == [(30.0, 96)] * 2 + [(30.0, 192)] * 2
+
+
+def test_identity_experiment_checks_hypotheses_first():
+    """p > q is a hypothesis violation, not a failure to build the couple."""
+    with pytest.raises(HypothesisViolation, match="need 1 < p < q < inf"):
+        run_identity_experiment("T1.2", dict(p=4, q=2, theta=0.5, r=2, alpha=1.0), MINI, FAST)
+    with pytest.raises(HypothesisViolation, match="need p, q, alpha"):
+        run_identity_experiment("T1.1", dict(p=2, q=4), MINI, FAST)
 
 
 def test_hardy_bad_exponents():

@@ -7,6 +7,8 @@ import pytest
 import scipy.integrate as si
 import scipy.optimize as so
 
+from rispaces import kfunctional
+from rispaces.config import Resolution
 from rispaces.errors import BadExponent, OutOfRange
 from rispaces.kfunctional import (
     General,
@@ -186,6 +188,22 @@ def test_check_c_conditions_grand_vs_lq():
     rep = check_C_conditions(Grand(2, 1.0), Lebesgue(4), UGrid(35.0, 64), FAST)
     assert rep["passed"]
     assert all(math.isfinite(v) for v in (rep["c0"][0], rep["c0"][1], rep["c1"], rep["c2"]))
+
+
+def test_coupling_conditions_are_checked_per_resolution(monkeypatch, chi_half):
+    """The verdict is computed on a grid of the resolution's depth, so a
+    second depth gets its own check (a couple no other test uses)."""
+    calls = []
+
+    def spy(x0, x1, grid, res):
+        calls.append((x0, x1, grid.u_max, res.u_max))
+        return {"passed": True}
+
+    monkeypatch.setattr(kfunctional, "check_C_conditions", spy)
+    couple = General(Grand(2, 1.375), Lebesgue(4.5))
+    for u_max in (35.0, 25.0, 35.0):
+        k_explicit(chi_half, couple, 0.4, Resolution(u_max=u_max, panels=200, sup_count=1024))
+    assert calls == [(couple.x0, couple.x1, 35.0, 35.0), (couple.x0, couple.x1, 25.0, 25.0)]
 
 
 def test_general_couple_explicit_runs(power_quarter):

@@ -45,22 +45,43 @@ def _module_imports(tree: ast.Module):
 
 
 def _exported(tree: ast.Module):
+    """The module's __all__ as a set, or None when it has none."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             return set(ast.literal_eval(node.value))
-    return set()
+    return None
 
 
 def test_no_unused_module_imports():
     problems = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | (_exported(tree) or set())
         problems += [
             f"{path.name}:{line} imports {name}, which it neither uses nor lists in __all__"
             for name, line in _module_imports(tree)
             if name not in used
         ]
+    assert not problems, "\n".join(problems)
+
+
+def test_sibling_imports_are_exported():
+    """A name one module imports from a sibling is in the sibling's __all__
+    (a sibling without __all__ exports every public name)."""
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    exports = {name: _exported(tree) for name, tree in trees.items()}
+    problems = []
+    for module, tree in trees.items():
+        for node, names, _ in _sibling_imports(tree):
+            exported = exports.get(node.module)
+            problems += [
+                f"{module}.py:{node.lineno} imports {n}, which {node.module}.__all__ leaves out"
+                for n in names
+                if exported is not None and n not in exported
+            ]
     assert not problems, "\n".join(problems)

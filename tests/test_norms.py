@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.integrate as si
+import scipy.optimize as so
 import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -297,6 +298,84 @@ def test_lower_bound_indicator(chi_half):
     spec = GammaDouble(2, 2, THM13_W1, THM13_W2)
     lhs, rhs = ggamma_lower_bound_check(chi_half, spec, 0.5, FAST)
     assert lhs >= rhs * (1 - 1e-8)
+
+
+# ---------------------------------------------------------------------------
+# GammaDouble with m = inf, against a dense oracle that reaches below x_1
+# ---------------------------------------------------------------------------
+
+# w2 = (1 - Log t)^{-1}: ∫_0^t w2 = e E1(1 - Log t)
+SUP_STEPS = StepRearrangement(np.array([0.0, 0.1, 0.4, 1.0]), np.array([3.0, 2.0, 0.5]))
+
+
+def _w2_prefix(t):
+    return math.e * sp.exp1(1.0 - np.log(t))
+
+
+def _dense_sup(obj_u, breaks, top=1.0):
+    """max of obj over u = 1 - Log t in [1 - Log top, 80] (t down to e^{-79},
+    far below the first break): a 400,001-node grid, a bounded search around
+    its best node, and the breaks up to top."""
+    u = np.linspace(1.0 - math.log(top), 80.0, 400_001)
+    y = obj_u(u)
+    k = int(np.argmax(y))
+    best = so.minimize_scalar(
+        lambda x: -obj_u(np.array([x]))[0],
+        bounds=(u[max(k - 1, 0)], u[min(k + 1, u.size - 1)]),
+        method="bounded",
+        options={"xatol": 1e-12},
+    )
+    return max(y[k], -best.fun, *obj_u(1.0 - np.log(breaks[1:][breaks[1:] <= top])))
+
+
+def _sup_oracle(f, w1, top=1.0):
+    """sup_{t <= top} w1(t) (∫_0^t f^2 w2)^{1/2} for a step function f."""
+    lo, hi = f.breaks[:-1], f.breaks[1:]
+    below = np.concatenate([[0.0], _w2_prefix(lo[1:])])
+
+    def obj_u(u):
+        t = np.exp(1.0 - u)[:, None]
+        pieces = np.where(t > lo, _w2_prefix(np.minimum(t, hi)) - below, 0.0)
+        inner = np.sum(f.values**2 * pieces, axis=1)
+        return np.exp((1.0 - u) * w1.a) * u**w1.b * np.sqrt(inner)
+
+    return _dense_sup(obj_u, f.breaks, top)
+
+
+@pytest.mark.parametrize("w1", [LogWeight(-0.45, 2.0), LogWeight(-0.25, 1.0), LogWeight(-0.5, 0.0)])
+def test_ggamma_sup_form_against_dense_oracle(w1):
+    """m = inf: the sup of w1 (∫_0^t f^2 w2)^{1/2}.  For w1 = t^{-0.45}(1 - Log t)^2
+    it lies at u ≈ 30, inside the first panel; for the other two at the first break."""
+    spec = GammaDouble(2.0, math.inf, w1, THM13_W2)
+    want = _sup_oracle(SUP_STEPS, w1)
+    assert ggamma_norm(SUP_STEPS, spec, FAST) == pytest.approx(want, rel=1e-12)
+    assert ggamma_norm(SUP_STEPS, spec) == pytest.approx(want, rel=1e-12)
+
+
+def test_ggamma_sup_form_weight_conditions():
+    """m = inf takes t^a1 (1 - Log t)^b1 ∫_0^t w2 ~ t^{a1 + 1/2} (1 - Log t)^{b1 - 1/2}
+    bounded at 0: a1 + 1/2 > 0, or = 0 with b1 - 1/2 <= 0."""
+    GammaDouble(2.0, math.inf, LogWeight(-0.5, 0.5), THM13_W2)
+    with pytest.raises(ConditionC2Failed):
+        GammaDouble(2.0, math.inf, LogWeight(-0.5, 0.6), THM13_W2)
+    with pytest.raises(ConditionC2Failed):
+        GammaDouble(2.0, math.inf, LogWeight(-0.6, -3.0), THM13_W2)
+
+
+@pytest.mark.parametrize("w1", [LogWeight(-0.45, 2.0), LogWeight(-0.25, 1.0)])
+def test_lower_bound_sup_form_against_dense_oracle(w1):
+    """m = inf: the denominator is the sup over (0, measure] for the unit
+    function.  With t^{-0.25}(1 - Log t), whose sup for the unit function lies
+    above the measure, a sup over all of (0, 1] gave lhs < rhs."""
+    spec = GammaDouble(2.0, math.inf, w1, THM13_W2)
+    unit = StepRearrangement(np.array([0.0, 1.0]), np.array([1.0]))
+    measure = 0.05
+    lhs, rhs = ggamma_lower_bound_check(SUP_STEPS, spec, measure, FAST)
+    denom = _sup_oracle(unit, w1, measure)
+    want_lhs = _sup_oracle(SUP_STEPS, w1) * math.sqrt(_w2_prefix(measure)) / denom
+    assert lhs == pytest.approx(want_lhs, rel=1e-12)
+    assert rhs == pytest.approx(3.0 * math.sqrt(_w2_prefix(measure)), rel=1e-12)
+    assert lhs >= rhs * (1 - 1e-12)
 
 
 def test_lower_bound_zero():
