@@ -81,7 +81,7 @@ class RunConfig:
     out: Optional[str] = None
     seed: int = harness.DEFAULT_SEED
     res: Resolution = DEFAULT
-    ceiling: float = DEFAULT_CEILING
+    ceiling: Optional[float] = None  # --ceiling; None keeps each experiment's own
 
 
 def _load_json(text: str) -> dict:
@@ -266,28 +266,31 @@ def cmd_interp(cfg: RunConfig) -> int:
 def cmd_experiment(cfg: RunConfig) -> int:
     name = cfg.theorem
     params = dict(cfg.params)
+    ceiling = DEFAULT_CEILING if cfg.ceiling is None else cfg.ceiling
     if name in THEOREM_IDS:
         report = harness.run_identity_experiment(
-            name, params, res=cfg.res, ceiling=cfg.ceiling, seed=cfg.seed
+            name, params, res=cfg.res, ceiling=ceiling, seed=cfg.seed
         )
     elif name.startswith("hardy:"):
         fam = harness.standard_family(seed=cfg.seed)
         report = harness.hardy_check(
-            name.split(":", 1)[1], params, fam, cfg.res, cfg.ceiling, cfg.seed
+            name.split(":", 1)[1], params, fam, cfg.res, ceiling, cfg.seed
         )
     elif name == "discretization":
         lam = params.get("lambda", params.get("lam", 1.0))
         q = params.get("q", 1.0)
         rng = np.random.default_rng(cfg.seed)
+        given = {} if cfg.ceiling is None else {"ceiling": cfg.ceiling}
         reports = []
         for i in range(20):
             m = harness.random_steps(rng, nonincreasing=False)
             h = StepFunction(np.asarray(m.breaks), np.asarray(m.values))
-            reports.append(harness.discretization_check(h, lam, q, cfg.res.rel_tol))
+            reports.append(harness.discretization_check(h, lam, q, cfg.res.rel_tol, **given))
         report = reports[0]
         for other in reports[1:]:
             report.members.extend(other.members)
         report = report.finalize()
+        report.seed = cfg.seed
     else:
         raise ConfigError(f"unknown experiment {name!r}; see list-experiments")
     _write_text(cfg.out, report.to_json() + "\n")
@@ -326,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--panels", type=int, default=DEFAULT.panels)
         sp.add_argument("--k-nodes", type=int, default=DEFAULT.k_nodes)
         sp.add_argument("--sup-count", type=int, default=DEFAULT.sup_count)
-        sp.add_argument("--ceiling", type=float, default=DEFAULT_CEILING)
+        sp.add_argument("--ceiling", type=float, help="ratio ceiling (default: the experiment's)")
 
     add_common(sub.add_parser("norm", help="evaluate a norm"), fn=True, space=True)
     add_common(sub.add_parser("kfunc", help="sample K curves"), fn=True, couple=True)

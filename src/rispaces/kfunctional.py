@@ -29,8 +29,6 @@ from .logcalc import (
     LogWeight,
     MonotoneMap,
     UGrid,
-    adaptive_quad,
-    log_quad,
     sup_on_interval,
     weight_integral,
 )
@@ -249,60 +247,6 @@ def _windowed_grand_sup(
     return out
 
 
-def _offset_prefix_integral(
-    f: StepRearrangement, p: float, phi: float, res: Resolution
-) -> float:
-    """∫_phi^1 (1-Log s)^{-1/p} (∫_phi^s f^p)^{1/p} ds/s.
-
-    The integrand vanishes like (s-phi)^{1/p} at the left end; within the step
-    panel containing phi the inner integral is exactly v^p (s-phi), so that
-    stretch is integrated after the substitution y = (s-phi)^{1/p}, which makes
-    it smooth.  The remainder has a positive offset and needs no special care.
-    """
-    ip = 1.0 / p
-    base = float(prefix_power_at(f, p, phi))
-    j = min(int(np.searchsorted(f.breaks, phi, side="left")), f.n)
-    x_hi = float(f.breaks[j]) if f.breaks[j] > phi else float(f.breaks[min(j + 1, f.n)])
-    x_hi = min(x_hi, 1.0)
-    v = float(f.values[max(j, 1) - 1]) if f.breaks[j] > phi else float(f.values[min(j, f.n - 1)])
-    total = 0.0
-    if phi == 0.0:
-        # inner integral is exactly v^p s on the whole stretch: a pure kernel
-        total += v * weight_integral(LogWeight(ip - 1.0, -ip), 0.0, x_hi, res.rel_tol)
-    else:
-        # the (s - phi)^{1/p} root is resolved by y = (s - phi)^{1/p} up to 2 phi,
-        # beyond which (1 - phi/s)^{1/p} is smooth on the log scale
-        s1 = min(x_hi, 2.0 * phi)
-        y_top = (s1 - phi) ** ip
-        if y_top > 0.0:
-            log_phi = math.log(phi)
-
-            def fy(y):
-                l = p * np.log(np.asarray(y, dtype=float))
-                m = np.maximum(l, log_phi)
-                log_s = m + np.log1p(np.exp(-np.abs(l - log_phi)))
-                ratio = 1.0 / (1.0 + np.exp(log_phi - l))
-                return p * v * ratio * (1.0 - log_s) ** (-ip)
-
-            total += adaptive_quad(fy, np.linspace(0.0, y_top, 9), res.rel_tol)[0]
-        if s1 < x_hi:
-
-            def g1(s):
-                s = np.asarray(s, dtype=float)
-                return v * (1.0 - phi / s) ** ip
-
-            total += log_quad(g1, LogWeight(ip - 1.0, -ip), s1, x_hi, res.rel_tol)
-    if x_hi < 1.0:
-
-        def g(s):
-            return np.maximum(
-                prefix_power_at(f, p, np.asarray(s, dtype=float)) - base, 0.0
-            ) ** ip
-
-        total += log_quad(g, LogWeight(-1.0, -ip), x_hi, 1.0, res.rel_tol, f.breaks[1:-1])
-    return total
-
-
 def k_explicit(f: StepRearrangement, couple: CoupleSpec, t, res: Resolution = DEFAULT):
     """The couple's displayed equivalent of K(f, t), term by term, at a scalar t
     (a float) or elementwise over a 1-D array of t.
@@ -351,11 +295,9 @@ def _k_explicit_many(
         k3 = _windowed_grand_sup(f, q, 1.0, phi, 1.0, res)
         return k1[at] + k2 + ts * k3[at]
     if isinstance(couple, GrandSmallSameP):
-        p = couple.p
-        first = _windowed_grand_sup(f, p, 1.0, 0.0, phi, res)
-        second = np.array(
-            [_offset_prefix_integral(f, p, float(x), res) if x < 1.0 else 0.0 for x in phi]
-        )
+        first = _windowed_grand_sup(f, couple.p, 1.0, 0.0, phi, res)
+        # ∫_phi^1 (1-Log s)^{-1/p} (∫_phi^s f^p)^{1/p} ds/s: Small(p, 1) of f·χ_(phi,1]
+        second = norms_over_cuts(f, Small(couple.p, 1.0), phi, "tail", res)
         return first[at] + ts * second[at]
     if isinstance(couple, General):
         if not np.all((phi > 0.0) & (phi < 1.0)):

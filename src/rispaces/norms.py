@@ -139,13 +139,14 @@ class GammaDouble:
             ok = a2 < 0.0 or (a2 == 0.0 and b2 >= 0.0)
         if not ok:
             raise ConditionC2Failed("inner weight does not embed L^p(w2) into L^1")
-        # leading behavior of W2(t) = ∫_0^t w2 near zero
+        # leading behavior of W2(t) = ∫_0^t w2 near zero: t^e_t (1 - Log t)^e_b
         if a2 > -1.0:
             e_t, e_b = a2 + 1.0, b2
         elif a2 == -1.0 and b2 < -1.0:
             e_t, e_b = 0.0, b2 + 1.0
         else:
             raise ConditionC2Failed("∫_0^t w2 diverges")
+        object.__setattr__(self, "growth", (e_t, e_b))
         a1, b1 = self.w1.a, self.w1.b
         if math.isinf(m):
             power = a1 + e_t / p
@@ -249,7 +250,13 @@ def ggamma_norm(f: StepRearrangement, spec: GammaDouble, res: Resolution = DEFAU
             t = np.asarray(t, dtype=float)
             return spec.w1(t) * g(t)
 
-        val, _ = sup_on_grid(obj, UGrid(res.u_max, res.sup_count), f.breaks[1:])
+        # on the first panel obj ~ t^a (1-Log t)^b, which peaks near u = b/a,
+        # maybe far below the grid: probe there and at half and twice that
+        e_t, e_b = spec.growth
+        a, b = spec.w1.a + e_t / p, spec.w1.b + e_b / p
+        u = b / a * np.array([0.5, 1.0, 2.0]) if a > 0.0 and b > 0.0 else np.zeros(0)
+        extras = np.concatenate([f.breaks[1:], np.exp(1.0 - np.minimum(u, 700.0))])
+        val, _ = sup_on_grid(obj, UGrid(res.u_max, res.sup_count), extras)
         return val
 
     def gm(t):
@@ -283,13 +290,26 @@ def space_norm(f: StepRearrangement, spec: SpaceSpec, res: Resolution = DEFAULT)
 # cut's p-th power is linear below one break and constant from another
 # (_cut_reach), and the Small and Grand branches evaluate a cut at points only
 # where it is neither, in blocks of at most about _CELLS (point, cut) values.
+# The tail kind cuts by position: f·χ_(c,1] has P_c = 0 up to c, P - P(c) after.
 # ---------------------------------------------------------------------------
 
 _CELLS = 1 << 20
 
 
 def _cut_panel_powers(f: StepRearrangement, p: float, cuts: np.ndarray, kind: str):
-    """(VP, PREF): panel values^p and cumulative prefix integrals, per cut."""
+    """(VP, PREF): panel values^p and cumulative prefix integrals, per cut.
+
+    A tail cut keeps f's values on the panels that reach past c; its PREF at
+    x_i is ∫_c^{x_i} f^p, negative before c, taken from the nearer break
+    around c, so it keeps its digits however close c lies to either."""
+    if kind == "tail":
+        x, (pf, vpf) = f.breaks, f.prefix_power(p)
+        k = np.searchsorted(x, cuts, side="right") - 1  # x_k <= c < x_{k+1}, or k = n at 1
+        vp = np.where(np.arange(f.n)[:, None] >= k, vpf[:, None], 0.0)
+        k = np.minimum(k, f.n - 1)
+        i = np.arange(f.n + 1)[:, None]
+        after = (pf[:, None] - pf[k + 1]) + vpf[k] * (x[k + 1] - cuts)
+        return vp, np.where(i > k, after, (pf[:, None] - pf[k]) - vpf[k] * (cuts - x[k]))
     v = f.values[:, None]
     c = cuts[None, :]
     vp = np.maximum(v - c, 0.0) if kind == "excess" else np.minimum(v, c)
@@ -303,15 +323,33 @@ def _cut_panel_powers(f: StepRearrangement, p: float, cuts: np.ndarray, kind: st
 def _cut_reach(f: StepRearrangement, cuts: np.ndarray, kind: str):
     """Panel counts (H, Z) per cut: P_c(t) = VP[0]·t on (0, x_H], H >= 1, and
     P_c is constant on [x_Z, 1].  H and the excess's Z are nonincreasing in
-    the cut; the capped Z is #{v > 0} for every positive cut.  Z counts the
-    suffix maxima of the values, so the excess of any step function (the
+    the cut; the capped Z is #{v > 0} for every positive cut, and so is the
+    tail's for every cut below x_Z (past it the truncation is zero).  Z counts
+    the suffix maxima of the values, so the excess of any step function (the
     prefix integrals take c = 0) stops at its last value above c."""
     reach = -np.maximum.accumulate(f.values[::-1])[::-1]
     if kind == "excess":
         return np.ones(cuts.size, dtype=int), np.searchsorted(reach, -cuts, side="left")
     positive = int(np.searchsorted(reach, 0.0, side="left"))
+    if kind == "tail":
+        return np.ones(cuts.size, dtype=int), np.where(cuts < f.breaks[positive], positive, 0)
     linear = np.maximum(np.searchsorted(-f.values, -cuts, side="right"), 1)
     return linear, np.where(cuts > 0.0, positive, 0)
+
+
+def _root_integrals(w: LogWeight, rho, vp, s: float, ends, rel_tol: float) -> np.ndarray:
+    """∫ w(t) (vp |t - rho|)^s dt between each rho > 0 and its end, which lies
+    in [rho/2, 2 rho]: a root of a power integral, smooth in y = |t - rho|^s,
+    each stretch mapped onto [0, 1] for one adaptive pass.  Log t stays in
+    log space, so a subnormal rho keeps its digits."""
+    span, side, log_rho = np.abs(ends - rho) ** s, np.sign(ends - rho), np.log(rho)
+
+    def fz(z):
+        lq = np.log(z[:, None] * span) / s  # Log |t - rho|
+        lt = log_rho + np.log1p(side * np.exp(lq - log_rho))
+        return span * vp**s / s * np.exp(lq + w.a * lt) * (1.0 - lt) ** w.b
+
+    return adaptive_quad(fz, np.linspace(0.0, 1.0, 9), rel_tol)
 
 
 def _prefix_log_integrals(
@@ -328,34 +366,54 @@ def _prefix_log_integrals(
     cut: a (len(hs), len(cuts)) array, with P_c the exact prefix integral of
     the p-th power of the cut's truncation (kind as in norms_over_cuts).
 
-    The pieces run between edges: the hs and every block-th panel break from
-    x_1 on.  Below the last edge under x_H, P_c^s w is VP[0]^s·t^s w(t), a
-    pure weight that one weight_prefix_many sweep gives for every cut; past the
-    first edge over x_Z the constant P_c^s integrates in closed form.  Each
-    piece in between is one log_quad_multi call over just the cuts that need
-    it.  Once a piece starts past x_H, a capped cut's P_c there is its prefix
-    at the piece's first break plus the one column ∫ f^p from that break: a
-    broadcast, not a gather.
+    The pieces run between edges: the hs, every block-th panel break from
+    x_1 on, and the starts r of the rooted cuts below.  Below the last edge
+    under x_H, P_c^s w is VP[0]^s·t^s w(t), a pure weight that one
+    weight_prefix_many sweep gives for every cut; past the first edge over
+    x_Z the constant P_c^s integrates in closed form.  Each piece in between
+    is one log_quad_multi call over just the cuts that need it.  Once a piece
+    starts past x_H, a capped cut's P_c there is its prefix at the piece's
+    first break plus the one column ∫ f^p from that break: a broadcast, not a
+    gather; a tail cut's P_c is that broadcast everywhere.
+
+    A cut whose P_c is zero up to rho > 0 (a tail cut, or a step function
+    with a zero head) has no linear head: its root stretch from rho to the
+    end of rho's panel, or to 2 rho if nearer, goes to _root_integrals, and
+    its pieces start where that stretch ends, at r, an edge.
     """
     x, n = f.breaks, f.n
     vp, pref = _cut_panel_powers(f, p, cuts, kind)
     linear, flat = _cut_reach(f, cuts, kind)
+    kr = np.argmax(vp > 0.0, axis=0)  # each cut's first positive panel
+    vr = vp[kr, np.arange(cuts.size)]  # and its p-th power there
+    rho = np.maximum(x[kr], cuts if kind == "tail" else 0.0)
+    rooted = (rho > 0.0) & (flat > 0)
+    start = np.where(rooted, np.minimum(x[kr + 1], 2.0 * rho), x[linear])
     # in this order the cuts a piece needs come first: Z falls along it for
     # the excess (whose H is 1), H rises for the capped (whose Z is shared,
-    # but for c = 0, which is zero and comes last)
-    order = np.argsort(cuts if kind == "excess" else -cuts, kind="stable")
+    # but for c = 0, which is zero and comes last), and the tail cuts, whose
+    # Z is shared but for the zero ones, start one after another
+    key = {"excess": cuts, "capped": -cuts}.get(kind, np.where(flat > 0, start, np.inf))
+    order = np.argsort(key, kind="stable")
     vp, pref, linear, flat = vp[:, order], pref[:, order], linear[order], flat[order]
-    x1 = f.min_positive_break()
+    vr, rho, rooted, start = vr[order], rho[order], rooted[order], start[order]
+    bottom = min(f.min_positive_break(), float(np.min(start[rooted], initial=1.0)))
     block = max(1, _CELLS // (15 * cuts.size))  # 15 quadrature nodes per panel
-    edges = np.unique(np.concatenate([x[1::block], [1.0], hs]))
-    edges = edges[(edges >= x1) & (edges <= max(float(hs[-1]), x1))]
-    first = np.searchsorted(edges, x[linear], side="right") - 1
+    edges = np.unique(np.concatenate([x[1::block], [1.0], hs, start[rooted]]))
+    edges = edges[(edges >= bottom) & (edges <= max(float(hs[-1]), bottom))]
+    first = np.searchsorted(edges, start, side="right") - 1
     last = np.maximum(np.searchsorted(edges, x[flat], side="left"), first)
     last = np.minimum(last, edges.size - 1)
 
     heads = np.minimum(hs[:, None], edges[first][None, :])
-    kernel = np.zeros(heads.shape)
-    kernel[heads > 0.0] = weight_prefix_many(LogWeight(w.a + s, w.b), heads[heads > 0.0])
+    head = np.zeros(heads.shape)
+    linear_head = (heads > 0.0) & ~rooted
+    head[linear_head] = weight_prefix_many(LogWeight(w.a + s, w.b), heads[linear_head])
+    head *= vp[0] ** s
+    ends = np.clip(hs[:, None], rho, start)
+    root = rooted & (ends > rho)
+    rho_h, vr_h = (np.broadcast_to(a, ends.shape)[root] for a in (rho, vr))
+    head[root] = _root_integrals(w, rho_h, vr_h, s, ends[root], rel_tol)
 
     closed = [weight_integral(w, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     piece = np.arange(edges.size - 1)[:, None]
@@ -367,7 +425,7 @@ def _prefix_log_integrals(
             continue
         lo, hi = edges[k], edges[k + 1]
         i0 = int(np.searchsorted(x, lo, side="right")) - 1
-        mb = int(np.count_nonzero(linear[:m] <= i0)) if kind == "capped" else 0
+        mb = {"excess": 0, "capped": int(np.count_nonzero(linear[:m] <= i0)), "tail": m}[kind]
         i1 = min(int(np.searchsorted(x, hi, side="left")), n)
         local = np.concatenate([[0.0], np.cumsum(vpf[i0:i1] * f.widths[i0:i1])])
 
@@ -388,7 +446,7 @@ def _prefix_log_integrals(
     done = np.cumsum(np.vstack([np.zeros(cuts.size), parts]), axis=0)
     below = np.maximum(np.searchsorted(edges, hs, side="right") - 1, 0)
     out = np.empty(heads.shape)
-    out[:, order] = vp[0] ** s * kernel + done[below]
+    out[:, order] = head + done[below]
     return out
 
 
@@ -413,7 +471,7 @@ def tail_log_integral(f: StepFunction, p: float, s: float, w: LogWeight, rel_tol
     ending at x_m, the tail is exactly v_m^p (x_m - t), so for s < 1 the
     integrand vanishes like the root (x_m - t)^s; from where t is half of x_m
     (or from the panel's start) that stretch is integrated after the
-    substitution y = (x_m - t)^s, which makes it smooth.
+    substitution y = (x_m - t)^s, which makes it smooth (_root_integrals).
     """
     total = float(prefix_power_at(f, p, 1.0))
     x1 = f.min_positive_break()
@@ -429,14 +487,7 @@ def tail_log_integral(f: StepFunction, p: float, s: float, w: LogWeight, rel_tol
     if t_root > x1:
         out += log_quad(g, w, x1, t_root, rel_tol, f.breaks[1:-1])
     if rooted:
-        scale = float(f.values[m - 1]) ** (p * s) / s
-
-        def fy(y):
-            t = x_m - y ** (1.0 / s)
-            # w(t) as t^{a+1} (1-Log t)^b / t: exactly the dt/t form when a = -1
-            return scale * y ** (1.0 / s) * (1.0 - np.log(t)) ** w.b * t ** (w.a + 1.0) / t
-
-        out += float(adaptive_quad(fy, np.linspace(0.0, (x_m - t_root) ** s, 9), rel_tol)[0])
+        out += float(_root_integrals(w, x_m, float(f.values[m - 1]) ** p, s, t_root, rel_tol)[0])
     return out
 
 
@@ -511,10 +562,13 @@ def norms_over_cuts(
     kind: str,
     res: Resolution = DEFAULT,
 ) -> np.ndarray:
-    """Norms of (f - c)_+ (kind='excess') or min(f, c) (kind='capped'), all cuts."""
+    """Norms of (f - c)_+ (kind='excess'), min(f, c) (kind='capped') or, for a
+    Small space, f·χ_(c,1] in place, not rearranged (kind='tail'), all cuts."""
     cuts = np.asarray(cuts, dtype=float)
     if cuts.size == 0:
         return np.zeros(0)
+    if kind == "tail" and not isinstance(spec, Small):
+        raise TypeError(f"tail cuts are evaluated for Small spaces, not {spec!r}")
     if isinstance(spec, Lebesgue):
         if math.isinf(spec.p):
             v = f.values[0]

@@ -76,3 +76,23 @@ def test_log_quad_is_one_column_of_log_quad_multi(members):
             multi = log_quad_multi(g_multi, w, lo, hi, DEFAULT.rel_tol, f.breaks[1:-1])
             assert multi.shape == (1,)
             assert _close(float(multi[0]), one), (name, lo, hi, multi, one)
+
+
+def test_tail_cuts_are_one_cut_each(members):
+    """Small norms of the tail truncations f·χ_(c,1], batched and one cut at a
+    time, at split points that exercise each start of a cut: c = 0 (a linear
+    head, the Small norm of f), inside the first panel, subnormal (a root
+    summed in log space), on a break, inside a panel, past the support of
+    char_0.125 (zero), and 1.  The cuts are not sorted."""
+    spec = Small(2.0, 1.0)
+    for name, f in members:
+        x = f.breaks
+        cuts = np.array([0.5, 0.0, 0.5 * x[1], 5.4e-322, x[2], 0.5 * (x[2] + x[3]), 0.2, 0.99, 1.0])
+        batched = norms_over_cuts(f, spec, cuts, "tail", DEFAULT)
+        for c, got in zip(cuts, batched):
+            want = float(norms_over_cuts(f, spec, np.array([c]), "tail", DEFAULT)[0])
+            assert abs(float(got) - want) <= 1e-12 * abs(want), (name, c, got, want)
+        assert _close(float(batched[1]), small_norm(f, 2.0, 1.0, DEFAULT)), name
+        assert batched[-1] == 0.0, name
+        if name == "char_0.125":
+            assert np.all(batched[cuts >= 0.125] == 0.0)

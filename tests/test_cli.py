@@ -259,6 +259,22 @@ def test_failed_bracket_exits_3(tmp_path):
     assert code == 3
 
 
+def test_discretization_report_takes_ceiling_and_seed(monkeypatch):
+    """The discretization experiment judges against an explicit --ceiling and
+    records --seed; without the flags it keeps its own ceiling, 32."""
+    monkeypatch.delenv("RISPACES_SEED", raising=False)
+    code, out = run_cli("experiment", "discretization", "lambda=0.5", "q=2")
+    report = json.loads(out)
+    assert code == 0 and report["pass"]
+    assert report["ceiling"] == 32.0 and report["seed"] == 20240801
+    code, out = run_cli(
+        "experiment", "discretization", "lambda=0.5", "q=2", "--seed", "7", "--ceiling", "1.5"
+    )
+    report = json.loads(out)
+    assert report["ceiling"] == 1.5 and report["seed"] == 7
+    assert report["max_ratio"] > 1.5 and not report["pass"] and code == 3
+
+
 def test_list_experiments():
     code, out = run_cli("list-experiments")
     assert code == 0

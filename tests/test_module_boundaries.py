@@ -85,3 +85,11 @@ def test_sibling_imports_are_exported():
                 if exported is not None and n not in exported
             ]
     assert not problems, "\n".join(problems)
+
+
+def test_explicit_forms_reach_integrals_only_through_norms():
+    """kfunctional imports no quadrature from logcalc: every integral of an
+    explicit K-form is a norm or a log integral that norms owns."""
+    tree = ast.parse((PACKAGE / "kfunctional.py").read_text(encoding="utf-8"))
+    imported = {name for _, names, _ in _sibling_imports(tree) for name in names}
+    assert not imported & {"adaptive_quad", "log_quad", "log_quad_multi"}

@@ -342,12 +342,26 @@ def _sup_oracle(f, w1, top=1.0):
     return _dense_sup(obj_u, f.breaks, top)
 
 
-@pytest.mark.parametrize("w1", [LogWeight(-0.45, 2.0), LogWeight(-0.25, 1.0), LogWeight(-0.5, 0.0)])
+@pytest.mark.parametrize(
+    "w1", [LogWeight(-0.45, 2.0), LogWeight(-0.25, 1.0), LogWeight(-0.5, 0.0), LogWeight(-0.48, 2.0)]
+)
 def test_ggamma_sup_form_against_dense_oracle(w1):
     """m = inf: the sup of w1 (∫_0^t f^2 w2)^{1/2}.  For w1 = t^{-0.45}(1 - Log t)^2
-    it lies at u ≈ 30, inside the first panel; for the other two at the first break."""
+    it lies at u ≈ 30, inside the first panel; for t^{-0.48}(1 - Log t)^2 at
+    u ≈ 75, far below the grid (it read 310.42 for 440.68); for the other two
+    at the first break."""
     spec = GammaDouble(2.0, math.inf, w1, THM13_W2)
     want = _sup_oracle(SUP_STEPS, w1)
+    assert ggamma_norm(SUP_STEPS, spec, FAST) == pytest.approx(want, rel=1e-12)
+    assert ggamma_norm(SUP_STEPS, spec) == pytest.approx(want, rel=1e-12)
+
+
+def test_ggamma_sup_form_below_the_grid_with_a_log_inner_weight():
+    """w2 = t^{-1}(1 - Log t)^{-3}: ∫_0^t w2 = u^{-2}/2 with u = 1 - Log t, so on the
+    first panel w1 = t^{0.05}(1 - Log t)^3 gives 3 e^{0.05(1-u)} u^2 / sqrt 2, whose
+    maximum at u = 40 lies below the grid."""
+    spec = GammaDouble(2.0, math.inf, LogWeight(0.05, 3.0), LogWeight(-1.0, -3.0))
+    want = 3.0 / math.sqrt(2.0) * math.exp(0.05 * (1.0 - 40.0)) * 40.0**2
     assert ggamma_norm(SUP_STEPS, spec, FAST) == pytest.approx(want, rel=1e-12)
     assert ggamma_norm(SUP_STEPS, spec) == pytest.approx(want, rel=1e-12)
 
@@ -508,14 +522,26 @@ def test_prefix_and_tail_log_integrals_take_any_weight(a, b, s):
 
 
 @pytest.mark.parametrize(
-    "tail,s,b", [(False, 1.5, -0.5), (False, 2.0, -1.0), (True, 0.5, -1.5)]
+    "values,tail,s,b",
+    [
+        pytest.param(v, tail, s, b, id=f"{tail}-{s}-{b}" + ("" if v[0] else f"-zero-head-{v[1]}"))
+        for v in ((1.0, 0.0, 2.0), (0.0, 1.0, 2.0), (0.0, 0.0, 2.0))
+        for tail, s, b in (
+            (False, 1.5, -0.5),
+            (False, 2.0, -1.0),
+            (True, 0.5, -1.5),
+            (False, 1 / 3, -1 / 3),
+            (False, 0.5, -1 / 3),
+        )
+    ],
 )
-def test_log_integrals_of_a_step_function_that_is_not_monotone(tail, s, b):
+def test_log_integrals_of_a_step_function_that_is_not_monotone(values, tail, s, b):
     """The discretization check feeds unsorted steps to these integrals: the
     prefix stays constant only past the last positive value, and the tail's
     root sits at the end of the last positive panel, not after #{v > 0}
-    panels."""
-    h = StepFunction(np.array([0.0, 0.3, 0.6, 1.0]), np.array([1.0, 0.0, 2.0]))
+    panels.  With a zero head the prefix starts from 0 at the first positive
+    panel, a root (t - rho)^s that raised NoConvergence for s < 1."""
+    h = StepFunction(np.array([0.0, 0.3, 0.6, 1.0]), np.array(values))
     w = LogWeight(-1.0, b)
     with mpmath.workdps(20):
         want = float(_log_integral_mp(h, 1.0, s, w, tail))
