@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -124,28 +123,22 @@ def parse_fn(text: str) -> FunctionModel:
     raise ConfigError(f"unknown function kind {kind!r}")
 
 
-def _num(x) -> float:
-    if isinstance(x, str) and x.lower() in ("inf", "infinity"):
-        return math.inf
-    return float(x)
-
-
 def parse_space(text: str) -> SpaceSpec:
     obj = _load_json(text)
     kind = obj.get("space")
     try:
         if kind == "lebesgue":
-            return Lebesgue(_num(obj["p"]))
+            return Lebesgue(float(obj["p"]))
         if kind == "lorentz_zygmund":
-            return LorentzZygmund(_num(obj["p"]), _num(obj["q"]), float(obj["alpha"]))
+            return LorentzZygmund(float(obj["p"]), float(obj["q"]), float(obj["alpha"]))
         if kind == "grand":
-            return Grand(_num(obj["p"]), float(obj["alpha"]))
+            return Grand(float(obj["p"]), float(obj["alpha"]))
         if kind == "small":
-            return Small(_num(obj["p"]), float(obj["alpha"]))
+            return Small(float(obj["p"]), float(obj["alpha"]))
         if kind == "ggamma":
             return GammaDouble(
-                _num(obj["p"]),
-                _num(obj["m"]),
+                float(obj["p"]),
+                float(obj["m"]),
                 LogWeight(float(obj["w1"]["a"]), float(obj["w1"]["b"])),
                 LogWeight(float(obj["w2"]["a"]), float(obj["w2"]["b"])),
             )
@@ -161,15 +154,15 @@ def parse_couple(text: str) -> CoupleSpec:
     kind = obj.get("couple")
     try:
         if kind == "lp_lq":
-            return LpLq(_num(obj["p"]), _num(obj["q"]))
+            return LpLq(float(obj["p"]), float(obj["q"]))
         if kind == "grand_lq":
-            return GrandLq(_num(obj["p"]), _num(obj["q"]), float(obj["alpha"]))
+            return GrandLq(float(obj["p"]), float(obj["q"]), float(obj["alpha"]))
         if kind == "grand_grand":
-            return GrandGrand(_num(obj["p"]), _num(obj["q"]), float(obj["alpha"]))
+            return GrandGrand(float(obj["p"]), float(obj["q"]), float(obj["alpha"]))
         if kind == "small_small":
-            return SmallSmall(_num(obj["p"]), _num(obj["q"]))
+            return SmallSmall(float(obj["p"]), float(obj["q"]))
         if kind == "grand_small_same_p":
-            return GrandSmallSameP(_num(obj["p"]))
+            return GrandSmallSameP(float(obj["p"]))
         if kind == "general":
             return General(parse_space(json.dumps(obj["x0"])), parse_space(json.dumps(obj["x1"])))
     except ConfigError:
@@ -185,7 +178,10 @@ def _parse_kv(tokens) -> dict:
         if "=" not in tok:
             raise ConfigError(f"expected key=value, got {tok!r}")
         key, val = tok.split("=", 1)
-        out[key] = _num(val)
+        try:
+            out[key] = float(val)
+        except ValueError:
+            raise ConfigError(f"{key} needs a number, got {val!r}") from None
     return out
 
 

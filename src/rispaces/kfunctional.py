@@ -5,8 +5,10 @@ Two evaluation routes exist for every couple:
 * an oracle that minimizes ``norm0(g_c) + t * norm1(h_c)`` over the truncation
   family g_c = (f - c)_+, h_c = min(f, c) with c running over the step values
   (an upper bound on the true infimum, adequate for ratio experiments), and
-* the explicit two-or-three-term equivalents, one per couple variant, with the
-  split point obtained by inverting the couple's fundamental-function ratio.
+* the explicit two-or-three-term equivalents, one per couple variant, built
+  from norms of the head and tail truncations f·χ_(0,phi] and f·χ_(phi,1]
+  (Holmstedt's form), with the split point phi obtained by inverting the
+  couple's fundamental-function ratio.
 """
 
 from __future__ import annotations
@@ -25,13 +27,7 @@ from .errors import (
     InfiniteNorm,
     OutOfRange,
 )
-from .logcalc import (
-    LogWeight,
-    MonotoneMap,
-    UGrid,
-    sup_on_interval,
-    weight_integral,
-)
+from .logcalc import LogWeight, MonotoneMap, UGrid, weight_integral
 from .norms import (
     Grand,
     Lebesgue,
@@ -42,14 +38,7 @@ from .norms import (
     prefix_log_integral,
     space_norm,
 )
-from .rearrangement import (
-    StepRearrangement,
-    head_restriction,
-    prefix_power_at,
-    rearrange_from_samples,
-    tail_power_at,
-    tail_rearranged,
-)
+from .rearrangement import StepRearrangement, rearrange_from_samples, tail_rearranged
 
 __all__ = [
     "LpLq",
@@ -226,27 +215,6 @@ def k_oracle(
 # ---------------------------------------------------------------------------
 
 
-def _windowed_grand_sup(
-    f: StepRearrangement, p: float, alpha: float, lo, hi, res: Resolution
-) -> np.ndarray:
-    """sup over (lo_k, hi_k] of (1-Log s)^{-alpha/p} (∫_s^{hi_k} f^p)^{1/p}, one
-    value per window (lo and hi broadcast against each other)."""
-    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    out = np.zeros(lo.shape)
-    k = np.flatnonzero(hi >= 1e-300)
-    if k.size == 0:
-        return out
-    e = -alpha / p
-    ip = 1.0 / p
-    top = prefix_power_at(f, p, hi[k])
-
-    def g(s, j):
-        return (1.0 - np.log(s)) ** e * np.maximum(top[j] - prefix_power_at(f, p, s), 0.0) ** ip
-
-    out[k], _ = sup_on_interval(g, lo[k], hi[k], res.sup_count, f.breaks[1:], u_cap=res.u_max + 6.0)
-    return out
-
-
 def k_explicit(f: StepRearrangement, couple: CoupleSpec, t, res: Resolution = DEFAULT):
     """The couple's displayed equivalent of K(f, t), term by term, at a scalar t
     (a float) or elementwise over a 1-D array of t.
@@ -272,38 +240,28 @@ def _k_explicit_many(
         if not verdict["passed"]:
             raise ConditionCheckFailed(f"coupling conditions failed: {verdict}")
     phi, at = np.unique(split_point(couple, ts), return_inverse=True)
-    if isinstance(couple, LpLq):
-        first = prefix_power_at(f, couple.p, phi) ** (1.0 / couple.p)
-        if math.isinf(couple.q):
-            return first[at]
-        return first[at] + ts * (tail_power_at(f, couple.q, phi) ** (1.0 / couple.q))[at]
-    if isinstance(couple, GrandLq):
-        first = _windowed_grand_sup(f, couple.p, couple.alpha, 0.0, phi, res)
-        return first[at] + ts * (tail_power_at(f, couple.q, phi) ** (1.0 / couple.q))[at]
-    if isinstance(couple, GrandGrand):
-        first = _windowed_grand_sup(f, couple.p, couple.alpha, 0.0, phi, res)
-        second = _windowed_grand_sup(f, couple.q, couple.alpha, phi, 1.0, res)
-        return first[at] + ts * second[at]
+    x0, x1 = couple_spaces(couple)
+    if isinstance(couple, (LpLq, GrandLq, GrandGrand, GrandSmallSameP)):
+        # Holmstedt: norm0 of f·χ_(0,phi] plus t·norm1 of f·χ_(phi,1]
+        head = norms_over_cuts(f, x0, phi, "head", res)
+        if isinstance(couple, LpLq) and math.isinf(couple.q):
+            return head[at]
+        return head[at] + ts * norms_over_cuts(f, x1, phi, "tail", res)[at]
     if isinstance(couple, SmallSmall):
         p, q = couple.p, couple.q
         ip = 1.0 / p
         if np.any(ts >= math.e):
             raise OutOfRange("second term of this form needs 1 - Log t > 0")
         k1 = prefix_log_integral(f, p, ip, LogWeight(-1.0, -ip), phi, res.rel_tol)
+        k2 = norms_over_cuts(f, Lebesgue(p), phi, "head", res)
+        k3 = norms_over_cuts(f, Grand(q, 1.0), phi, "tail", res)
         # the middle term carries the outer argument t, not the split point
-        k2 = (1.0 - np.log(ts)) ** ((p - 1.0) / p) * (prefix_power_at(f, p, phi) ** ip)[at]
-        k3 = _windowed_grand_sup(f, q, 1.0, phi, 1.0, res)
-        return k1[at] + k2 + ts * k3[at]
-    if isinstance(couple, GrandSmallSameP):
-        first = _windowed_grand_sup(f, couple.p, 1.0, 0.0, phi, res)
-        # ∫_phi^1 (1-Log s)^{-1/p} (∫_phi^s f^p)^{1/p} ds/s: Small(p, 1) of f·χ_(phi,1]
-        second = norms_over_cuts(f, Small(couple.p, 1.0), phi, "tail", res)
-        return first[at] + ts * second[at]
+        return k1[at] + (1.0 - np.log(ts)) ** ((p - 1.0) / p) * k2[at] + ts * k3[at]
     if isinstance(couple, General):
         if not np.all((phi > 0.0) & (phi < 1.0)):
             raise OutOfRange("split point left (0, 1)")
-        head = np.array([space_norm(head_restriction(f, float(x)), couple.x0, res) for x in phi])
-        tail = np.array([space_norm(tail_rearranged(f, float(x)), couple.x1, res) for x in phi])
+        head = norms_over_cuts(f, x0, phi, "head", res)
+        tail = np.array([space_norm(tail_rearranged(f, float(x)), x1, res) for x in phi])
         return head[at] + ts * tail[at]
     raise TypeError(f"unknown couple {couple!r}")
 

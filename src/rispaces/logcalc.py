@@ -383,17 +383,10 @@ def power_log_integrals(a, b: float, los: np.ndarray, his: np.ndarray) -> np.nda
         out[flat] = r if e == 0.0 else _power_difference(uf, uf + d[flat], e, r)
     rest = np.flatnonzero(~flat)
     if rest.size:
-        if np.ndim(a) == 0:
-            w = LogWeight(float(a), b)
+        cr = c[rest]
 
-            def fu(v, i):
-                return w.u_form(v)
-
-        else:
-            cr = c[rest]
-
-            def fu(v, i):
-                return np.exp((1.0 - v) * cr[i][:, None] + b * np.log(v))
+        def fu(v, i):
+            return np.exp((1.0 - v) * cr[i][:, None] + b * np.log(v))
 
         out[rest] = _kappa_pass(fu, c[rest], b, uh[rest], d[rest])
     return out

@@ -25,6 +25,7 @@ from .logcalc import (
     log_quad_multi,
     log_weight_integral,
     sup_on_grid,
+    sup_on_interval,
     tail_block_integral,
     weight_integral,
     weight_prefix_many,
@@ -35,6 +36,7 @@ from .rearrangement import (
     capped_part,
     evaluate_many,
     excess_part,
+    head_restriction,
     prefix_power_at,
     tail_power_at,
 )
@@ -170,10 +172,7 @@ SpaceSpec = Union[Lebesgue, LorentzZygmund, Grand, Small, GammaDouble]
 
 def lebesgue_norm(f: StepRearrangement, p: float) -> float:
     """(∫_0^1 f^p)^{1/p}, or the essential sup for p = inf; exact on steps."""
-    _check(p >= 1.0, "Lebesgue exponent must be >= 1")
-    if math.isinf(p):
-        return float(f.values[0])
-    return float(prefix_power_at(f, p, 1.0)) ** (1.0 / p)
+    return float(norms_over_cuts(f, Lebesgue(p), np.zeros(1), "excess")[0])
 
 
 def lorentz_zygmund_norm(
@@ -555,6 +554,29 @@ def _grand_over_cuts(
     return out
 
 
+def _grand_over_windows(
+    f: StepRearrangement, p: float, alpha: float, lo, hi, res: Resolution
+) -> np.ndarray:
+    """sup over (lo_k, hi_k] of (1-Log s)^{-alpha/p} (∫_s^{hi_k} f^p)^{1/p}, one
+    value per window (lo and hi broadcast against each other): the Grand norm
+    of f·χ_(lo_k,hi_k] when lo_k = 0 or hi_k = 1.  Each window is scanned down
+    to u_max + 6 by sup_on_interval."""
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    out = np.zeros(lo.shape)
+    k = np.flatnonzero(hi >= 1e-300)
+    if k.size == 0:
+        return out
+    e = -alpha / p
+    ip = 1.0 / p
+    top = prefix_power_at(f, p, hi[k])
+
+    def g(s, j):
+        return (1.0 - np.log(s)) ** e * np.maximum(top[j] - prefix_power_at(f, p, s), 0.0) ** ip
+
+    out[k], _ = sup_on_interval(g, lo[k], hi[k], res.sup_count, f.breaks[1:], u_cap=res.u_max + 6.0)
+    return out
+
+
 def norms_over_cuts(
     f: StepRearrangement,
     spec: SpaceSpec,
@@ -562,14 +584,24 @@ def norms_over_cuts(
     kind: str,
     res: Resolution = DEFAULT,
 ) -> np.ndarray:
-    """Norms of (f - c)_+ (kind='excess'), min(f, c) (kind='capped') or, for a
-    Small space, f·χ_(c,1] in place, not rearranged (kind='tail'), all cuts."""
+    """Norms of the truncations of f at each cut c: by value, (f - c)_+
+    (kind='excess') or min(f, c) (kind='capped'); by position, f·χ_(0,c]
+    (kind='head') or f·χ_(c,1] in place, not rearranged (kind='tail').
+
+    Tails are evaluated for Lebesgue (finite p), Grand and Small spaces only."""
     cuts = np.asarray(cuts, dtype=float)
     if cuts.size == 0:
         return np.zeros(0)
-    if kind == "tail" and not isinstance(spec, Small):
-        raise TypeError(f"tail cuts are evaluated for Small spaces, not {spec!r}")
-    if isinstance(spec, Lebesgue):
+    if kind in ("head", "tail"):
+        if isinstance(spec, Lebesgue) and not math.isinf(spec.p):
+            at = prefix_power_at if kind == "head" else tail_power_at
+            return at(f, spec.p, cuts) ** (1.0 / spec.p)
+        if isinstance(spec, Grand):
+            lo, hi = (0.0, cuts) if kind == "head" else (cuts, 1.0)
+            return _grand_over_windows(f, spec.p, spec.alpha, lo, hi, res)
+        if kind == "tail" and not isinstance(spec, Small):
+            raise TypeError(f"tail cuts are not evaluated for {spec!r}")
+    if isinstance(spec, Lebesgue) and kind != "head":
         if math.isinf(spec.p):
             v = f.values[0]
             return np.maximum(v - cuts, 0.0) if kind == "excess" else np.minimum(v, cuts)
@@ -577,12 +609,12 @@ def norms_over_cuts(
         return pref[-1, :] ** (1.0 / spec.p)
     if isinstance(spec, Grand):
         return _grand_over_cuts(f, spec.p, spec.alpha, cuts, kind, res)
-    if isinstance(spec, Small):
+    if isinstance(spec, Small) and kind != "head":
         p, alpha = spec.p, spec.alpha
         w = LogWeight(-1.0, alpha - alpha / p - 1.0)
         return _prefix_log_integrals(f, p, 1.0 / p, w, cuts, kind, np.ones(1), res.rel_tol)[0]
     # no batched path: fall back to one norm per cut
-    make = excess_part if kind == "excess" else capped_part
+    make = {"excess": excess_part, "capped": capped_part, "head": head_restriction}[kind]
     return np.array([space_norm(make(f, float(c)), spec, res) for c in cuts])
 
 

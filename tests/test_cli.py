@@ -74,6 +74,12 @@ def test_bad_hypothesis_exits_2(tmp_path):
     assert code == 2
 
 
+def test_non_numeric_parameter_is_a_config_error(capsys):
+    code, stdout = run_cli("experiment", "T1.1", "p=abc", "q=4", "alpha=1")
+    assert code == 2 and stdout == ""
+    assert capsys.readouterr().err == "error: p needs a number, got 'abc'\n"
+
+
 def test_reversed_exponents_are_a_hypothesis_violation(capsys):
     """p > q is checked before the couple is built: exit 2, not a numerical failure."""
     code, stdout = run_cli("experiment", "T1.2", "p=4", "q=2", "theta=0.5", "r=2", "alpha=1")

@@ -88,8 +88,18 @@ def test_sibling_imports_are_exported():
 
 
 def test_explicit_forms_reach_integrals_only_through_norms():
-    """kfunctional imports no quadrature from logcalc: every integral of an
-    explicit K-form is a norm or a log integral that norms owns."""
+    """kfunctional imports no quadrature, supremum search or step-power helper:
+    every term of an explicit K-form is a norm of a truncation or a log
+    integral that norms owns."""
     tree = ast.parse((PACKAGE / "kfunctional.py").read_text(encoding="utf-8"))
     imported = {name for _, names, _ in _sibling_imports(tree) for name in names}
-    assert not imported & {"adaptive_quad", "log_quad", "log_quad_multi"}
+    assert not imported & {
+        "adaptive_quad",
+        "log_quad",
+        "log_quad_multi",
+        "sup_on_interval",
+        "sup_on_grid",
+        "golden_refine",
+        "prefix_power_at",
+        "tail_power_at",
+    }
