@@ -302,7 +302,7 @@ def _cut_panel_powers(f: StepRearrangement, p: float, cuts: np.ndarray, kind: st
     x_i is ∫_c^{x_i} f^p, negative before c, taken from the nearer break
     around c, so it keeps its digits however close c lies to either."""
     if kind == "tail":
-        x, (pf, vpf) = f.breaks, f.prefix_power(p)
+        x, (pf, vpf, _) = f.breaks, f.prefix_power(p)
         k = np.searchsorted(x, cuts, side="right") - 1  # x_k <= c < x_{k+1}, or k = n at 1
         vp = np.where(np.arange(f.n)[:, None] >= k, vpf[:, None], 0.0)
         k = np.minimum(k, f.n - 1)
@@ -417,7 +417,7 @@ def _prefix_log_integrals(
     closed = [weight_integral(w, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     piece = np.arange(edges.size - 1)[:, None]
     parts = np.where(piece >= last, pref[-1] ** s * np.reshape(closed, (-1, 1)), 0.0)
-    _, vpf = f.prefix_power(p)
+    _, vpf, _ = f.prefix_power(p)
     for k in range(edges.size - 1):
         m = int(np.count_nonzero((first <= k) & (k < last)))
         if m == 0:
@@ -532,7 +532,7 @@ def _grand_over_cuts(
         up = np.flatnonzero(top > best[:m])
         best[up], at[up] = top[up], r0 + i[up]
     if kind == "capped":
-        pf, vpf = f.prefix_power(p)
+        pf, vpf, _ = f.prefix_power(p)
         j = np.clip(np.searchsorted(x, ts, side="left"), 1, n) - 1
         own = lw * np.maximum(pf[-1] - (pf[j] + vpf[j] * (ts - x[j])), 0.0) ** ip
         records = np.flatnonzero(own == np.maximum.accumulate(own[::-1])[::-1])

@@ -85,13 +85,18 @@ class StepFunction:
     def widths(self) -> np.ndarray:
         return self.memo("widths", lambda: _read_only(np.diff(self.breaks)))
 
-    def prefix_power(self, p: float) -> np.ndarray:
-        """Cumulative ∫_0^{x_i} f^p, one entry per break (exact)."""
+    def prefix_power(self, p: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(∫_0^{x_i} f^p, panel values^p, ∫_{x_i}^1 f^p): prefix and suffix
+        sums, one entry per break, and one value per panel (exact).  A tail
+        is summed from the right, so it keeps its digits however small it is
+        next to the total."""
 
         def make():
             vp = self.values**p
-            pref = np.concatenate([[0.0], np.cumsum(vp * self.widths)])
-            return _read_only(pref), _read_only(vp)
+            mass = vp * self.widths
+            pref = np.concatenate([[0.0], np.cumsum(mass)])
+            suf = np.concatenate([np.cumsum(mass[::-1])[::-1], [0.0]])
+            return _read_only(pref), _read_only(vp), _read_only(suf)
 
         return self.memo(("prefix", p), make)
 
@@ -243,7 +248,7 @@ def power_integral(f: StepFunction, p: float, a: float, b: float) -> float:
 
 def prefix_power_at(f: StepFunction, p: float, t) -> Union[float, np.ndarray]:
     """∫_0^t f^p, exact, vectorized over t."""
-    pref, vp = f.prefix_power(p)
+    pref, vp, _ = f.prefix_power(p)
     ts = np.asarray(t, dtype=float)
     idx = np.searchsorted(f.breaks, ts, side="left")
     idx = np.clip(idx, 1, f.n)
@@ -252,11 +257,13 @@ def prefix_power_at(f: StepFunction, p: float, t) -> Union[float, np.ndarray]:
 
 
 def tail_power_at(f: StepFunction, p: float, t) -> Union[float, np.ndarray]:
-    """∫_t^1 f^p, exact, vectorized over t."""
-    pref, _ = f.prefix_power(p)
-    total = pref[-1]
-    res = total - prefix_power_at(f, p, t)
-    return np.maximum(res, 0.0) if isinstance(res, np.ndarray) else max(res, 0.0)
+    """∫_t^1 f^p, exact, vectorized over t: on the panel (x_{i-1}, x_i] of t,
+    the suffix sum from x_i plus v_i^p (x_i - t)."""
+    _, vp, suf = f.prefix_power(p)
+    ts = np.asarray(t, dtype=float)
+    idx = np.clip(np.searchsorted(f.breaks, ts, side="left"), 1, f.n)
+    out = np.maximum(suf[idx] + vp[idx - 1] * (f.breaks[idx] - ts), 0.0)
+    return float(out) if np.isscalar(t) or ts.ndim == 0 else out
 
 
 def evaluate_at(f: StepFunction, t: float) -> float:

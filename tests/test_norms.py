@@ -468,6 +468,17 @@ def test_tail_log_integral_root_at_support_end(p, s, d):
             assert got == pytest.approx(want, rel=1e-10, abs=0.0), name
 
 
+def test_tail_log_integral_keeps_small_tails():
+    """∫ f^4 of plog_g0.25_d-1 is about 1.05e7, almost all of it near 0, while
+    its tail at t = 0.94 is 0.068: a tail taken as the total minus a prefix
+    keeps about eight digits there, and the integral raised NoConvergence."""
+    f = dict(standard_family(q=2.0).realize(Resolution()))["plog_g0.25_d-1"]
+    with mpmath.workdps(20):
+        want = float(_tail_log_integral_mp(f, 4.0, 0.25, -1.5))
+    got = tail_log_integral(f, 4.0, 0.25, LogWeight(-1.0, -1.5), 1e-10)
+    assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
 def _log_integral_mp(f, p, s, w, tail):
     """∫_0^1 w(t) (∫_t^1 f^p)^s dt (tail) or ∫_0^1 w(t) (∫_0^t f^p)^s dt by
     mpmath in u = 1 - Log t, for any step function: tanh-sinh between
