@@ -592,15 +592,15 @@ def norms_over_cuts(
     cuts = np.asarray(cuts, dtype=float)
     if cuts.size == 0:
         return np.zeros(0)
-    if kind in ("head", "tail"):
-        if isinstance(spec, Lebesgue) and not math.isinf(spec.p):
-            at = prefix_power_at if kind == "head" else tail_power_at
-            return at(f, spec.p, cuts) ** (1.0 / spec.p)
-        if isinstance(spec, Grand):
-            lo, hi = (0.0, cuts) if kind == "head" else (cuts, 1.0)
-            return _grand_over_windows(f, spec.p, spec.alpha, lo, hi, res)
-        if kind == "tail" and not isinstance(spec, Small):
-            raise TypeError(f"tail cuts are not evaluated for {spec!r}")
+    position = kind in ("head", "tail")
+    if isinstance(spec, Lebesgue) and position and not math.isinf(spec.p):
+        at = prefix_power_at if kind == "head" else tail_power_at
+        return at(f, spec.p, cuts) ** (1.0 / spec.p)
+    if isinstance(spec, Grand) and position:
+        lo, hi = (0.0, cuts) if kind == "head" else (cuts, 1.0)
+        return _grand_over_windows(f, spec.p, spec.alpha, lo, hi, res)
+    if kind == "tail" and not isinstance(spec, Small):
+        raise TypeError(f"tail cuts are not evaluated for {spec!r}")
     if isinstance(spec, Lebesgue) and kind != "head":
         if math.isinf(spec.p):
             v = f.values[0]

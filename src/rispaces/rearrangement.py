@@ -262,7 +262,7 @@ def tail_power_at(f: StepFunction, p: float, t) -> Union[float, np.ndarray]:
     _, vp, suf = f.prefix_power(p)
     ts = np.asarray(t, dtype=float)
     idx = np.clip(np.searchsorted(f.breaks, ts, side="left"), 1, f.n)
-    out = np.maximum(suf[idx] + vp[idx - 1] * (f.breaks[idx] - ts), 0.0)
+    out = suf[idx] + vp[idx - 1] * (f.breaks[idx] - ts)
     return float(out) if np.isscalar(t) or ts.ndim == 0 else out
 
 

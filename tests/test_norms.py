@@ -471,7 +471,7 @@ def test_tail_log_integral_root_at_support_end(p, s, d):
 def test_tail_log_integral_keeps_small_tails():
     """∫ f^4 of plog_g0.25_d-1 is about 1.05e7, almost all of it near 0, while
     its tail at t = 0.94 is 0.068: a tail taken as the total minus a prefix
-    keeps about eight digits there, and the integral raised NoConvergence."""
+    keeps about eight digits there, too few for rel_tol 1e-10."""
     f = dict(standard_family(q=2.0).realize(Resolution()))["plog_g0.25_d-1"]
     with mpmath.workdps(20):
         want = float(_tail_log_integral_mp(f, 4.0, 0.25, -1.5))
