@@ -258,8 +258,8 @@ def _k_explicit_many(
         # the middle term carries the outer argument t, not the split point
         return k1[at] + (1.0 - np.log(ts)) ** ((p - 1.0) / p) * k2[at] + ts * k3[at]
     if isinstance(couple, General):
-        if not np.all((phi > 0.0) & (phi < 1.0)):
-            raise OutOfRange("split point left (0, 1)")
+        if not np.all(phi > 0.0):
+            raise OutOfRange("split point left (0, 1]")
         head = norms_over_cuts(f, x0, phi, "head", res)
         tail = np.array([space_norm(tail_rearranged(f, float(x)), x1, res) for x in phi])
         return head[at] + ts * tail[at]

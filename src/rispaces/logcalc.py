@@ -657,8 +657,9 @@ class MonotoneMap:
         """t in the monotone domain with |forward(t) - y| <= tol·max(|y|, tiny),
         elementwise over an array of targets; a scalar target gives a float.
 
-        Each target expands its own bracket in u and bisects it until its own
-        residual meets the tolerance."""
+        A target at or above top (within the accepted slack) maps to t0 exactly;
+        each other target expands its own bracket in u and bisects it until its
+        own residual meets the tolerance."""
         a, b = self.forward.a, self.forward.b
         ys = np.asarray(y, dtype=float)
         flat = ys.reshape(-1)
@@ -666,12 +667,14 @@ class MonotoneMap:
         if bad.any():
             y_bad = float(flat[np.argmax(bad)])
             raise OutOfRange(f"target {y_bad} outside map range (0, {self.top}]")
+        inner = flat < self.top
+        out = np.full(flat.size, self.t0)
         if b == 0.0:
-            out = np.minimum(flat ** (1.0 / a), 1.0)
+            out[inner] = flat[inner] ** (1.0 / a)
         elif a == 0.0:
-            out = np.exp(1.0 - flat ** (1.0 / b))
+            out[inner] = np.exp(1.0 - flat[inner] ** (1.0 / b))
         else:
-            out = self._bisect(flat, tol)
+            out[inner] = self._bisect(flat[inner], tol)
         return float(out[0]) if ys.ndim == 0 else out.reshape(ys.shape)
 
     def _bisect(self, ys: np.ndarray, tol: float) -> np.ndarray:

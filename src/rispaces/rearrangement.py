@@ -296,9 +296,11 @@ def capped_part(f: StepRearrangement, c: float) -> StepRearrangement:
 
 
 def head_restriction(f: StepRearrangement, x: float) -> StepRearrangement:
-    """f·χ_{(0,x]} as a rearrangement (zero beyond x)."""
-    if not (0.0 < x < 1.0):
-        raise BadPoint(f"cut point {x} outside (0, 1)")
+    """f·χ_{(0,x]} as a rearrangement (zero beyond x); f itself at x = 1."""
+    if not (0.0 < x <= 1.0):
+        raise BadPoint(f"cut point {x} outside (0, 1]")
+    if x == 1.0:
+        return f
     keep = f.breaks[1:-1] < x
     breaks = np.concatenate([[0.0], f.breaks[1:-1][keep], [x, 1.0]])
     idx = np.searchsorted(f.breaks, breaks[1:-1], side="left")
@@ -307,9 +309,10 @@ def head_restriction(f: StepRearrangement, x: float) -> StepRearrangement:
 
 
 def tail_rearranged(f: StepRearrangement, x: float) -> StepRearrangement:
-    """Rearrangement of f·χ_{(x,1]}: the tail values shifted back to the origin."""
-    if not (0.0 < x < 1.0):
-        raise BadPoint(f"cut point {x} outside (0, 1)")
+    """Rearrangement of f·χ_{(x,1]}: the tail values shifted back to the origin
+    (zero at x = 1)."""
+    if not (0.0 < x <= 1.0):
+        raise BadPoint(f"cut point {x} outside (0, 1]")
     inner = f.breaks[(f.breaks > x) & (f.breaks < 1.0)]
     edges = np.concatenate([[x], inner, [1.0]])
     widths = np.diff(edges)

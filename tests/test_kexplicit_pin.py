@@ -4,11 +4,14 @@ against elementwise scalar calls.
 Each couple's displayed equivalent is pinned on four members of the standard
 family (seed 20240801) at t values that reach both ends of the K-curve grid,
 the GrandSmallSameP split point underflowing to 0 (t <= 1e-3) or to a
-subnormal (t = 1.35e-3), and t near 1.
+subnormal (t = 1.35e-3), and t near 1.  At t = 1 the Grand-Lq and Grand-Grand split point is exactly
+1, so K is the member's Grand(2, 1) norm, checked against an mpmath
+per-panel maximum.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -22,6 +25,7 @@ from rispaces.kfunctional import (
     LpLq,
     SmallSmall,
     k_explicit,
+    split_point,
 )
 from rispaces.norms import Grand, Lebesgue
 from rispaces.rearrangement import discretize_model
@@ -63,7 +67,7 @@ PINNED = {
         "const": (
             1.7139084315420453e-15, 1.0000000083798358e-09, 0.001004337619354353,
             0.0013576837564880655, 0.02119253871244288, 0.2635811893022194,
-            0.8387052591860213, 0.7541365045634025, 0.5647534979088095,
+            0.8387052591860213, 0.7541365045634025, 0.5637769354091853,
         ),
         "char_0.125": (
             1.0190960506264903e-15, 5.946035658811963e-10, 0.0005989411763839586,
@@ -73,19 +77,19 @@ PINNED = {
         "plog_g0_d-1": (
             4.8666621956275015e-15, 2.839511498484724e-09, 0.0029406026845364623,
             0.0040039393193159216, 0.07165621162073042, 0.8076273880524403,
-            1.5529914903697843, 1.1616416789630057, 0.9665153117774615,
+            1.5529914903697843, 1.1616416789630057, 0.9655110338143247,
         ),
         "rand_00": (
             3.3333637228996416e-15, 1.944890231152964e-09, 0.0019577853986829344,
             0.0026484446101699057, 0.0424422300363389, 0.5647184115113654,
-            1.1314195795257078, 0.7568591916591862, 0.7234771403037042,
+            1.1314195795257078, 0.7568591916591862, 0.7233054653862862,
         ),
     },
     "grand-grand": {
         "const": (
             1.2868895301305496e-15, 7.508508086577482e-10, 0.0007517741155254888,
             0.0010153266424207936, 0.015370944389695666, 0.18220789809773474,
-            0.6961094493693655, 0.7741075687411253, 0.564938270481678,
+            0.6961094493693655, 0.7741075687411253, 0.5637769354091853,
         ),
         "char_0.125": (
             6.5541799205514435e-16, 3.824113246957802e-10, 0.0003833346315635209,
@@ -95,12 +99,12 @@ PINNED = {
         "plog_g0_d-1": (
             2.8607885315364655e-15, 1.6691604198167593e-09, 0.0016934420323662547,
             0.00229555551137758, 0.03864666376365919, 0.5407245857414207,
-            1.4545279569947809, 1.1823636634781203, 0.9667070737275221,
+            1.4545279569947809, 1.1823636634781203, 0.9655110338143247,
         ),
         "rand_00": (
             2.1887067519877873e-15, 1.2770266582724776e-09, 0.0012797715327430936,
             0.001728974621134345, 0.026592716962576996, 0.3506494674021863,
-            1.0541318279495226, 0.7604146942119027, 0.7235107623626562,
+            1.0541318279495226, 0.7604146942119027, 0.7233054653862862,
         ),
     },
     "small-small": {
@@ -178,3 +182,50 @@ def test_array_t_matches_scalar_calls():
             want = [k_explicit(f, couple, float(t), RES) for t in ts_c]
             assert isinstance(got, np.ndarray) and got.shape == ts_c.shape
             assert got == pytest.approx(want, rel=1e-12, abs=0.0), (couple, name)
+
+
+def grand_window_sup(f, p, alpha, c):
+    """sup over s in [c, 1] of (1 - Log s)^{-alpha/p} (∫_s^1 f^p)^{1/p} in mpmath,
+    panel by panel.  On a panel the log-derivative has the sign of
+    alpha·T(s) - v^p·s(1 - Log s), T the tail, which decreases in s: the panel's
+    maximum is at an end or at that expression's root, bisected in Log s."""
+    one = mpmath.mpf(1)
+    with mpmath.workdps(40):
+        x = [mpmath.mpf(float(b)) for b in f.breaks]
+        vp = [mpmath.mpf(float(v)) ** p for v in f.values]
+        suf = [mpmath.mpf(0)] * (len(vp) + 1)
+        for i in reversed(range(len(vp))):
+            suf[i] = suf[i + 1] + vp[i] * (x[i + 1] - x[i])
+        best = mpmath.mpf(0)
+        for i in range(len(vp)):
+            lo, hi = max(x[i], mpmath.mpf(float(c)), mpmath.mpf(10) ** -300), x[i + 1]
+            if hi < lo:
+                continue
+
+            def tail(s, i=i):
+                return suf[i + 1] + vp[i] * (x[i + 1] - s)
+
+            def slope(s, i=i):
+                return alpha * tail(s) - vp[i] * s * (1 - mpmath.log(s))
+
+            points = [lo, hi]
+            if slope(lo) > 0 > slope(hi):
+                a, b = mpmath.log(lo), mpmath.log(hi)
+                for _ in range(120):
+                    m = (a + b) / 2
+                    a, b = (m, b) if slope(mpmath.exp(m)) > 0 else (a, m)
+                points.append(mpmath.exp(a))
+            for s in points:
+                best = max(best, (1 - mpmath.log(s)) ** (-alpha / p) * tail(s) ** (one / p))
+        return float(best)
+
+
+@pytest.mark.parametrize("name", ["const", "plog_g0_d-1", "rand_00"])
+def test_k_at_one_is_the_grand_norm(name):
+    """The ratio map's end t0 = 1 is the split point at t = 1 exactly, so K(f, 1)
+    of Grand-Lq and Grand-Grand is the Grand(2, 1) norm of f."""
+    f = member(4.0, name)
+    want = grand_window_sup(f, 2, 1, 0.0)
+    for couple in (GrandLq(2, 4, 1.0), GrandGrand(2, 4, 1.0)):
+        assert split_point(couple, 1.0) == 1.0
+        assert k_explicit(f, couple, 1.0, RES) == pytest.approx(want, rel=1e-12, abs=0.0)

@@ -206,6 +206,14 @@ def test_coupling_conditions_are_checked_per_resolution(monkeypatch, chi_half):
     assert calls == [(couple.x0, couple.x1, 35.0, 35.0), (couple.x0, couple.x1, 25.0, 25.0)]
 
 
+def test_general_couple_at_t_one(power_quarter):
+    """At t = 1 the split point is the ratio map's end 1: the head is f itself
+    and the tail vanishes."""
+    couple = General(Grand(2, 1.0), Lebesgue(4))
+    want = space_norm(power_quarter, Grand(2, 1.0), FAST)
+    assert k_explicit(power_quarter, couple, 1.0, FAST) == pytest.approx(want, rel=1e-12)
+
+
 def test_general_couple_explicit_runs(power_quarter):
     couple = General(Grand(2, 1.0), Lebesgue(4))
     val = k_explicit(power_quarter, couple, 0.4, FAST)

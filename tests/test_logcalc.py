@@ -281,6 +281,17 @@ def test_inverse_on_arrays_equals_batches_of_one():
         assert got.tolist() == [m.inverse(float(y), 1e-12) for y in ys]
 
 
+def test_inverse_maps_the_top_to_t0_exactly():
+    """A target at the top of the range, or within the accepted slack above it,
+    is the end t0 of the monotone domain, not a bisection residual from it."""
+    for w in (LogWeight(0.25, 0.75), LogWeight(0.5, -0.5), LogWeight(0.25, 0.0), LogWeight(0.0, -1.0)):
+        m = MonotoneMap(w)
+        ys = np.array([0.5 * m.top, m.top, m.top * (1.0 + 5e-13)])
+        got = m.inverse(ys, 1e-12)
+        assert got[1] == got[2] == m.t0 and got[0] < m.t0
+        assert m.inverse(m.top, 1e-12) == m.t0
+
+
 def test_inverse_array_with_one_bad_target_names_it():
     m = MonotoneMap(LogWeight(1.0, 3.0))
     for bad in (m.top * 1.1, -2.0, 0.0):

@@ -185,6 +185,15 @@ def test_head_and_tail_partition(power_quarter):
     )
 
 
+def test_head_and_tail_at_one(power_quarter):
+    """The cut x = 1 keeps all of f in the head and leaves a zero tail."""
+    assert head_restriction(power_quarter, 1.0) is power_quarter
+    tail = tail_rearranged(power_quarter, 1.0)
+    assert tail.breaks.tolist() == [0.0, 1.0] and tail.values.tolist() == [0.0]
+    with pytest.raises(BadPoint):
+        head_restriction(power_quarter, 1.5)
+
+
 def test_product_integral_matches_riemann(rng):
     f = StepFunction(np.array([0.0, 0.3, 1.0]), np.array([2.0, 1.0]))
     g = StepFunction(np.array([0.0, 0.5, 1.0]), np.array([1.0, 3.0]))
