@@ -142,34 +142,17 @@ def couple_spaces(c: CoupleSpec) -> Tuple[SpaceSpec, SpaceSpec]:
 
 
 def couple_psi(c: CoupleSpec) -> LogWeight:
-    """The ratio map whose inverse locates the split point of the explicit forms."""
-    if isinstance(c, LpLq):
-        iq = 0.0 if math.isinf(c.q) else 1.0 / c.q
-        return LogWeight(1.0 / c.p - iq, 0.0)
-    if isinstance(c, GrandLq):
-        return LogWeight(1.0 / c.p - 1.0 / c.q, -c.alpha / c.p)
-    if isinstance(c, GrandGrand):
-        return LogWeight(1.0 / c.p - 1.0 / c.q, -c.alpha / c.p + c.alpha / c.q)
-    if isinstance(c, SmallSmall):
-        return LogWeight(1.0 / c.p - 1.0 / c.q, (c.p - c.q + c.p * c.q) / (c.p * c.q))
-    if isinstance(c, GrandSmallSameP):
-        return LogWeight(0.0, -1.0)
-    if isinstance(c, General):
-        w0 = fundamental_equivalent_weight(c.x0)
-        w1 = fundamental_equivalent_weight(c.x1)
-        return LogWeight(w0.a - w1.a, w0.b - w1.b)
-    raise TypeError(f"unknown couple {c!r}")
+    """The ratio map whose inverse locates the split point of the explicit forms:
+    the ratio of the two spaces' fundamental-function equivalents.  SmallSmall's
+    displayed form splits where that ratio times (1 - Log t) meets its argument."""
+    w0, w1 = (fundamental_equivalent_weight(x) for x in couple_spaces(c))
+    extra = 1.0 if isinstance(c, SmallSmall) else 0.0
+    return LogWeight(w0.a - w1.a, w0.b - w1.b + extra)
 
 
 def split_point(c: CoupleSpec, t, tol: float = 1e-12):
     """phi(t): inverse of the couple's ratio map at t, elementwise over an array
     of t; a scalar t gives a float."""
-    if isinstance(c, LpLq):
-        iq = 0.0 if math.isinf(c.q) else 1.0 / c.q
-        sigma = 1.0 / (1.0 / c.p - iq)
-        ts = np.asarray(t, dtype=float)
-        phi = np.minimum(ts**sigma, 1.0)
-        return float(phi) if ts.ndim == 0 else phi
     return MonotoneMap(couple_psi(c)).inverse(t, tol)
 
 

@@ -555,25 +555,31 @@ def _grand_over_cuts(
 
 
 def _grand_over_windows(
-    f: StepRearrangement, p: float, alpha: float, lo, hi, res: Resolution
+    f: StepRearrangement, p: float, alpha: float, cuts: np.ndarray, kind: str, res: Resolution
 ) -> np.ndarray:
-    """sup over (lo_k, hi_k] of (1-Log s)^{-alpha/p} (∫_s^{hi_k} f^p)^{1/p}, one
-    value per window (lo and hi broadcast against each other): the Grand norm
-    of f·χ_(lo_k,hi_k] when lo_k = 0 or hi_k = 1.  Each window is scanned down
-    to u_max + 6 by sup_on_interval."""
-    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    out = np.zeros(lo.shape)
-    k = np.flatnonzero(hi >= 1e-300)
-    if k.size == 0:
-        return out
-    e = -alpha / p
-    ip = 1.0 / p
-    top = prefix_power_at(f, p, hi[k])
+    """The Grand norm of f·χ_(0,c] (kind='head') or of f·χ_(c,1] (kind='tail')
+    at each cut c: the sup over the window of (1-Log s)^{-alpha/p} times the p-th
+    root of the truncation's tail from s, P(c) - P(s) for a head and the suffix
+    sum ∫_s^1 f^p for a tail.  Each window is scanned down to u_max + 6 by
+    sup_on_interval."""
+    e, ip = -alpha / p, 1.0 / p
+    if kind == "tail":
+        k, lo, hi = np.arange(cuts.size), cuts, np.ones(cuts.size)
 
-    def g(s, j):
-        return (1.0 - np.log(s)) ** e * np.maximum(top[j] - prefix_power_at(f, p, s), 0.0) ** ip
+        def g(s, j):
+            return (1.0 - np.log(s)) ** e * tail_power_at(f, p, s) ** ip
 
-    out[k], _ = sup_on_interval(g, lo[k], hi[k], res.sup_count, f.breaks[1:], u_cap=res.u_max + 6.0)
+    else:
+        k = np.flatnonzero(cuts >= 1e-300)
+        lo, hi = np.zeros(k.size), cuts[k]
+        top = prefix_power_at(f, p, hi)
+
+        def g(s, j):
+            return (1.0 - np.log(s)) ** e * np.maximum(top[j] - prefix_power_at(f, p, s), 0.0) ** ip
+
+    out = np.zeros(cuts.size)
+    if k.size:
+        out[k], _ = sup_on_interval(g, lo, hi, res.sup_count, f.breaks[1:], u_cap=res.u_max + 6.0)
     return out
 
 
@@ -597,8 +603,7 @@ def norms_over_cuts(
         at = prefix_power_at if kind == "head" else tail_power_at
         return at(f, spec.p, cuts) ** (1.0 / spec.p)
     if isinstance(spec, Grand) and position:
-        lo, hi = (0.0, cuts) if kind == "head" else (cuts, 1.0)
-        return _grand_over_windows(f, spec.p, spec.alpha, lo, hi, res)
+        return _grand_over_windows(f, spec.p, spec.alpha, cuts, kind, res)
     if kind == "tail" and not isinstance(spec, Small):
         raise TypeError(f"tail cuts are not evaluated for {spec!r}")
     if isinstance(spec, Lebesgue) and kind != "head":

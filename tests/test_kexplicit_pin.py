@@ -5,8 +5,8 @@ Each couple's displayed equivalent is pinned on four members of the standard
 family (seed 20240801) at t values that reach both ends of the K-curve grid,
 the GrandSmallSameP split point underflowing to 0 (t <= 1e-3) or to a
 subnormal (t = 1.35e-3), and t near 1.  At t = 1 the Grand-Lq and Grand-Grand split point is exactly
-1, so K is the member's Grand(2, 1) norm, checked against an mpmath
-per-panel maximum.
+1, so K is the member's Grand(2, 1) norm; that and the Grand tail windows are
+checked against an mpmath per-panel maximum.
 """
 
 import math
@@ -27,7 +27,7 @@ from rispaces.kfunctional import (
     k_explicit,
     split_point,
 )
-from rispaces.norms import Grand, Lebesgue
+from rispaces.norms import Grand, Lebesgue, norms_over_cuts
 from rispaces.rearrangement import discretize_model
 
 RES = Resolution()
@@ -218,6 +218,18 @@ def grand_window_sup(f, p, alpha, c):
             for s in points:
                 best = max(best, (1 - mpmath.log(s)) ** (-alpha / p) * tail(s) ** (one / p))
         return float(best)
+
+
+@pytest.mark.parametrize("name", ["plog_g0.499_d-1", "plog_g0.499_d0"])
+def test_grand_tail_windows_against_mpmath(name):
+    """Tail windows take ∫_s^1 f^p from the suffix sums: at the GrandGrand(2, 4, 1)
+    split points of t = 0.2, 0.5, 0.8 the Grand(4, 1) tail of these members is
+    not lost to P(1) - P(s) cancellation (it read 0.0 for the first)."""
+    f = member(2.0, name)
+    phi = split_point(GrandGrand(2, 4, 1.0), np.array([0.2, 0.5, 0.8]))
+    got = norms_over_cuts(f, Grand(4, 1.0), phi, "tail", RES)
+    want = [grand_window_sup(f, 4, 1, c) for c in phi]
+    assert got.tolist() == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("name", ["const", "plog_g0_d-1", "rand_00"])

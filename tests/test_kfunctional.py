@@ -26,7 +26,7 @@ from rispaces.kfunctional import (
     k_oracle,
     split_point,
 )
-from rispaces.logcalc import UGrid
+from rispaces.logcalc import LogWeight, UGrid
 from rispaces.norms import Grand, Lebesgue, space_norm
 from rispaces.rearrangement import (
     Char,
@@ -166,6 +166,41 @@ def test_split_point_residuals():
         for t in ts:
             phi = split_point(c, float(t), tol=1e-12)
             assert abs(float(psi(phi)) - t) <= 1e-10 * t
+
+
+def _psi_by_formula(c):
+    """(a, b) of each couple's ratio map, written out per couple as couple_psi
+    once did; couple_psi now forms them from the fundamental functions."""
+    p, q = c.p, getattr(c, "q", c.p)
+    if isinstance(c, LpLq):
+        return 1.0 / p - (0.0 if math.isinf(q) else 1.0 / q), 0.0
+    if isinstance(c, GrandLq):
+        return 1.0 / p - 1.0 / q, -c.alpha / p
+    if isinstance(c, GrandGrand):
+        return 1.0 / p - 1.0 / q, -c.alpha / p + c.alpha / q
+    if isinstance(c, SmallSmall):
+        return 1.0 / p - 1.0 / q, (p - q + p * q) / (p * q)
+    return 0.0, -1.0
+
+
+def test_couple_psi_matches_the_per_couple_formulas():
+    """Bit for bit on a grid of couples; SmallSmall's log exponent, a sum of
+    three terms, to rounding (and exactly for the (2, 4) couple the pins use)."""
+    couples = []
+    for p in np.linspace(1.5, 10.0, 41):
+        p = float(p)
+        couples += [GrandSmallSameP(p), LpLq(p, math.inf)]
+        for q in (3.0, 4.0, 6.0, 9.0, 12.0):
+            if p < q:
+                couples += [LpLq(p, q), SmallSmall(p, q)]
+                couples += [k(p, q, a) for k in (GrandLq, GrandGrand) for a in (0.5, 1.0, 1.5, 2.0)]
+    for c in couples:
+        w, (a, b) = couple_psi(c), _psi_by_formula(c)
+        if isinstance(c, SmallSmall):
+            assert w.a == a and w.b == pytest.approx(b, rel=1e-15, abs=0.0), c
+        else:
+            assert (w.a, w.b) == (a, b), c
+    assert couple_psi(SmallSmall(2, 4)) == LogWeight(0.25, 0.75)
 
 
 def test_split_point_power_couples_closed_form():
