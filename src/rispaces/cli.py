@@ -8,7 +8,8 @@ interp           run one identity over a family; CSV of function_id,lhs,rhs,rati
 experiment       run a named ratio experiment; write the JSON report
 list-experiments print the catalog of experiment names and their parameters
 
-Functions, spaces and couples are passed as JSON (inline or @file).  The seed
+Functions, spaces and couples are passed as JSON (inline or @file).  Each
+subcommand takes only the flags it reads; the seed of interp and experiment
 falls back to the RISPACES_SEED environment variable.  Exit codes: 0 success,
 1 numerical failure, 2 configuration error, 3 experiment failed its bracket.
 """
@@ -26,7 +27,8 @@ import numpy as np
 
 from . import equivharness as harness
 from .config import DEFAULT, DEFAULT_CEILING, Resolution
-from .errors import BadExponent, HypothesisViolation, RispacesError
+from .errors import BadExponent, BadModel, BadWeights, HypothesisViolation, NonFiniteInput
+from .errors import RispacesError
 from .interpolation import THEOREM_IDS, THEOREM_PARAMS, identify_target
 from .kfunctional import (
     CoupleSpec,
@@ -98,6 +100,8 @@ def _load_json(text: str) -> dict:
 
 
 def parse_fn(text: str) -> FunctionModel:
+    """The function model a spec names; a model its constructor or (for steps
+    and samples, which need no grid) its rearrangement rejects is a ConfigError."""
     obj = _load_json(text)
     kind = obj.get("kind")
     try:
@@ -106,7 +110,9 @@ def parse_fn(text: str) -> FunctionModel:
         if kind == "char":
             return Char(float(obj["a"]))
         if kind == "steps":
-            return ExplicitSteps(tuple(map(float, obj["breaks"])), tuple(map(float, obj["values"])))
+            model = ExplicitSteps(tuple(map(float, obj["breaks"])), tuple(map(float, obj["values"])))
+            discretize_model(model)
+            return model
         if kind == "samples":
             rows = []
             with open(obj["path"], "r") as fh:
@@ -117,8 +123,10 @@ def parse_fn(text: str) -> FunctionModel:
                     if line.strip():
                         v, w = line.strip().split(",")
                         rows.append((float(v), float(w)))
-            return Samples(tuple(rows))
-    except (KeyError, ValueError, OSError) as exc:
+            model = Samples(tuple(rows))
+            discretize_model(model)
+            return model
+    except (KeyError, ValueError, OSError, BadModel, BadWeights, NonFiniteInput) as exc:
         raise ConfigError(f"bad function spec: {exc}") from exc
     raise ConfigError(f"unknown function kind {kind!r}")
 
@@ -304,61 +312,68 @@ def cmd_list_experiments(_cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+_FLAGS = {
+    "--fn": dict(help="function spec JSON or @file"),
+    "--space": dict(required=True, help="space spec JSON"),
+    "--couple": dict(required=True, help="couple spec JSON"),
+    "--out": dict(help="output path (default stdout)"),
+    "--seed": dict(type=int, help=f"seed (default: RISPACES_SEED, else {harness.DEFAULT_SEED})"),
+    "--u-max": dict(type=float, default=DEFAULT.u_max),
+    "--panels": dict(type=int, default=DEFAULT.panels),
+    "--sup-count": dict(type=int, default=DEFAULT.sup_count),
+    "--k-nodes": dict(type=int, default=DEFAULT.k_nodes),
+    "--ceiling": dict(type=float, help="ratio ceiling (default: the experiment's)"),
+}
+_RUN = ("--out", "--u-max", "--panels", "--sup-count")
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """Each subcommand takes only the flags it reads."""
     p = argparse.ArgumentParser(prog="rispaces", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, fn=False, space=False, couple=False, theorem=False, kv=False):
-        if fn:
-            sp.add_argument("--fn", help="function spec JSON or @file")
-        if space:
-            sp.add_argument("--space", required=True, help="space spec JSON")
-        if couple:
-            sp.add_argument("--couple", required=True, help="couple spec JSON")
-        if theorem:
-            sp.add_argument("--theorem", help="experiment id (see list-experiments)")
-        if kv:
-            sp.add_argument("kv", nargs="*", help="key=value experiment parameters")
-        sp.add_argument("--out", help="output path (default stdout)")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--u-max", type=float, default=DEFAULT.u_max)
-        sp.add_argument("--panels", type=int, default=DEFAULT.panels)
-        sp.add_argument("--k-nodes", type=int, default=DEFAULT.k_nodes)
-        sp.add_argument("--sup-count", type=int, default=DEFAULT.sup_count)
-        sp.add_argument("--ceiling", type=float, help="ratio ceiling (default: the experiment's)")
+    def add(name, help, *flags):
+        sp = sub.add_parser(name, help=help)
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
+        return sp
 
-    add_common(sub.add_parser("norm", help="evaluate a norm"), fn=True, space=True)
-    add_common(sub.add_parser("kfunc", help="sample K curves"), fn=True, couple=True)
-    sp = sub.add_parser("interp", help="identity over a family or one function")
-    sp.add_argument("theorem", choices=THEOREM_IDS)
-    add_common(sp, fn=True, kv=True)
-    sp = sub.add_parser("experiment", help="run a ratio experiment")
-    sp.add_argument("theorem")
-    add_common(sp, kv=True)
-    add_common(sub.add_parser("list-experiments", help="print the catalog"))
+    add("norm", "evaluate a norm", "--fn", "--space", *_RUN)
+    add("kfunc", "sample K curves", "--fn", "--couple", "--k-nodes", *_RUN)
+    interp = add("interp", "identity over a family or one function", "--fn", "--seed", "--k-nodes", *_RUN)
+    interp.add_argument("theorem", choices=THEOREM_IDS)
+    experiment = add("experiment", "run a ratio experiment", "--seed", "--k-nodes", "--ceiling", *_RUN)
+    experiment.add_argument("theorem")
+    for sp in (interp, experiment):
+        sp.add_argument("kv", nargs="*", help="key=value experiment parameters")
+    add("list-experiments", "print the catalog")
     return p
 
 
 def _config_from_args(args) -> RunConfig:
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("RISPACES_SEED", harness.DEFAULT_SEED))
-    res = Resolution(
-        u_max=args.u_max,
-        panels=args.panels,
-        sup_count=args.sup_count,
-        k_nodes=args.k_nodes,
-    )
-    cfg = RunConfig(command=args.command, out=args.out, seed=seed, res=res, ceiling=args.ceiling)
-    if getattr(args, "fn", None):
-        cfg.fn = parse_fn(args.fn)
-    if getattr(args, "space", None):
-        cfg.space = parse_space(args.space)
-    if getattr(args, "couple", None):
-        cfg.couple = parse_couple(args.couple)
-    if getattr(args, "theorem", None):
-        cfg.theorem = args.theorem
-    cfg.params = _parse_kv(getattr(args, "kv", []) or [])
+    a = vars(args)
+    cfg = RunConfig(command=args.command, out=a.get("out"), ceiling=a.get("ceiling"))
+    if "seed" in a:
+        env = os.environ.get("RISPACES_SEED", str(harness.DEFAULT_SEED))
+        try:
+            cfg.seed = int(env) if a["seed"] is None else a["seed"]
+        except ValueError:
+            raise ConfigError(f"RISPACES_SEED must be an integer, got {env!r}") from None
+    if "u_max" in a:
+        cfg.res = Resolution(
+            u_max=a["u_max"],
+            panels=a["panels"],
+            sup_count=a["sup_count"],
+            k_nodes=a.get("k_nodes", DEFAULT.k_nodes),
+        )
+    if a.get("fn"):
+        cfg.fn = parse_fn(a["fn"])
+    if a.get("space"):
+        cfg.space = parse_space(a["space"])
+    if a.get("couple"):
+        cfg.couple = parse_couple(a["couple"])
+    cfg.theorem = a.get("theorem")
+    cfg.params = _parse_kv(a.get("kv") or [])
     return cfg
 
 

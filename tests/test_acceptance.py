@@ -351,7 +351,7 @@ def test_ac14_determinism(tmp_path):
     args_k = [
         "kfunc", "--fn", '{"kind":"char","a":0.5}',
         "--couple", '{"couple":"lp_lq","p":1,"q":2}',
-        "--k-nodes", "32", "--panels", "128", "--seed", "7",
+        "--k-nodes", "32", "--panels", "128",
     ]
     ka, kb = tmp_path / "ka.csv", tmp_path / "kb.csv"
     code3 = run(args_k, ka)

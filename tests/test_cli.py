@@ -248,6 +248,68 @@ def test_small_norm_near_the_edge_exponent():
     assert value == pytest.approx(993.68295907635, rel=1e-11)
 
 
+@pytest.mark.parametrize(
+    "fn",
+    [
+        '{"kind":"power_log","gamma":1.5,"delta":0}',
+        '{"kind":"char","a":1.5}',
+        '{"kind":"steps","breaks":[0,0.5,1],"values":[1,2]}',
+    ],
+)
+def test_rejected_function_model_exits_2(capsys, fn):
+    """A model its constructor or its rearrangement rejects is an input error."""
+    code, stdout = run_cli("norm", "--space", '{"space":"lebesgue","p":2}', "--fn", fn)
+    assert code == 2 and stdout == ""
+    assert capsys.readouterr().err.startswith("error: bad function spec: ")
+
+
+def test_samples_off_unit_mass_exit_2(tmp_path, capsys):
+    csv = tmp_path / "samples.csv"
+    csv.write_text("value,weight\n3.0,0.25\n1.0,0.5\n")
+    fn = json.dumps({"kind": "samples", "path": str(csv)})
+    code, stdout = run_cli("norm", "--space", '{"space":"lebesgue","p":1}', "--fn", fn)
+    assert code == 2 and stdout == ""
+    assert capsys.readouterr().err.startswith("error: bad function spec: weights sum to ")
+
+
+def test_seed_variable_is_read_only_by_seeded_commands(monkeypatch, capsys):
+    """norm takes no seed, so a malformed RISPACES_SEED does not concern it; an
+    experiment without --seed reads it and reports it as an input error."""
+    monkeypatch.setenv("RISPACES_SEED", "abc")
+    code, out = run_cli("norm", "--space", '{"space":"lebesgue","p":2}', "--fn", '{"kind":"char","a":0.25}')
+    assert code == 0 and json.loads(out)["value"] == pytest.approx(0.5, abs=1e-12)
+    code, out = run_cli("experiment", "discretization", "lambda=1", "q=1")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: RISPACES_SEED must be an integer, got 'abc'\n"
+    code, out = run_cli("experiment", "discretization", "lambda=1", "q=1", "--seed", "11")
+    assert code == 0 and json.loads(out)["seed"] == 11
+
+
+NORM = ("norm", "--space", '{"space":"lebesgue","p":2}', "--fn", '{"kind":"char","a":0.25}')
+KFUNC = ("kfunc", "--fn", '{"kind":"char","a":0.5}', "--couple", '{"couple":"lp_lq","p":1,"q":2}')
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(("list-experiments", flag, "1") for flag in (
+            "--out", "--seed", "--u-max", "--panels", "--k-nodes", "--sup-count", "--ceiling"
+        )),
+        (*NORM, "--seed", "3"),
+        (*NORM, "--k-nodes", "16"),
+        (*NORM, "--ceiling", "2"),
+        (*KFUNC, "--seed", "3"),
+        (*KFUNC, "--ceiling", "2"),
+        ("interp", "P4.1", "p=2", "alpha=1", "--ceiling", "2"),
+    ],
+    ids=lambda argv: f"{argv[0]} {argv[-2]}",
+)
+def test_flags_a_command_does_not_read_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+
+
 def test_bad_space_parameters_exit_2():
     code, _ = run_cli(
         "norm", "--space", '{"space":"grand","p":0.5,"alpha":1}', "--fn", '{"kind":"char","a":0.5}'
