@@ -110,10 +110,8 @@ def parse_fn(text: str) -> FunctionModel:
         if kind == "char":
             return Char(float(obj["a"]))
         if kind == "steps":
-            model = ExplicitSteps(tuple(map(float, obj["breaks"])), tuple(map(float, obj["values"])))
-            discretize_model(model)
-            return model
-        if kind == "samples":
+            model = ExplicitSteps(*(tuple(map(float, obj[key])) for key in ("breaks", "values")))
+        elif kind == "samples":
             rows = []
             with open(obj["path"], "r") as fh:
                 header = fh.readline().strip().split(",")
@@ -124,11 +122,12 @@ def parse_fn(text: str) -> FunctionModel:
                         v, w = line.strip().split(",")
                         rows.append((float(v), float(w)))
             model = Samples(tuple(rows))
-            discretize_model(model)
-            return model
+        else:
+            raise ConfigError(f"unknown function kind {kind!r}")
+        discretize_model(model)
+        return model
     except (KeyError, ValueError, OSError, BadModel, BadWeights, NonFiniteInput) as exc:
         raise ConfigError(f"bad function spec: {exc}") from exc
-    raise ConfigError(f"unknown function kind {kind!r}")
 
 
 def parse_space(text: str) -> SpaceSpec:
@@ -340,9 +339,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add("norm", "evaluate a norm", "--fn", "--space", *_RUN)
     add("kfunc", "sample K curves", "--fn", "--couple", "--k-nodes", *_RUN)
-    interp = add("interp", "identity over a family or one function", "--fn", "--seed", "--k-nodes", *_RUN)
+    interp = add("interp", "identity over a family or one function",
+                 "--fn", "--seed", "--k-nodes", *_RUN)
     interp.add_argument("theorem", choices=THEOREM_IDS)
-    experiment = add("experiment", "run a ratio experiment", "--seed", "--k-nodes", "--ceiling", *_RUN)
+    experiment = add("experiment", "run a ratio experiment",
+                     "--seed", "--k-nodes", "--ceiling", *_RUN)
     experiment.add_argument("theorem")
     for sp in (interp, experiment):
         sp.add_argument("kv", nargs="*", help="key=value experiment parameters")
@@ -359,19 +360,10 @@ def _config_from_args(args) -> RunConfig:
             cfg.seed = int(env) if a["seed"] is None else a["seed"]
         except ValueError:
             raise ConfigError(f"RISPACES_SEED must be an integer, got {env!r}") from None
-    if "u_max" in a:
-        cfg.res = Resolution(
-            u_max=a["u_max"],
-            panels=a["panels"],
-            sup_count=a["sup_count"],
-            k_nodes=a.get("k_nodes", DEFAULT.k_nodes),
-        )
-    if a.get("fn"):
-        cfg.fn = parse_fn(a["fn"])
-    if a.get("space"):
-        cfg.space = parse_space(a["space"])
-    if a.get("couple"):
-        cfg.couple = parse_couple(a["couple"])
+    cfg.res = Resolution(**{k: a[k] for k in ("u_max", "panels", "sup_count", "k_nodes") if k in a})
+    for key, parse in (("fn", parse_fn), ("space", parse_space), ("couple", parse_couple)):
+        if a.get(key):
+            setattr(cfg, key, parse(a[key]))
     cfg.theorem = a.get("theorem")
     cfg.params = _parse_kv(a.get("kv") or [])
     return cfg

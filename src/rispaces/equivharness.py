@@ -9,11 +9,12 @@ constants are asserted outright instead of bracketed.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import statistics
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -92,17 +93,14 @@ class FunctionFamily:
 
     def realize(self, res: Resolution) -> List[Tuple[str, StepRearrangement]]:
         """Discretized members, memoized per (panels, u_max)."""
-        cache = _REALIZED.setdefault(self, {})
-        key = (res.panels, res.u_max)
-        if key not in cache:
-            cache[key] = [
-                (name, discretize_model(m, res.u_max, res.panels))
-                for name, m in self.members
-            ]
-        return cache[key]
+        return _realize(self, res.panels, res.u_max)
 
 
-_REALIZED: Dict[FunctionFamily, dict] = {}
+@functools.lru_cache(maxsize=None)
+def _realize(family: FunctionFamily, panels: int, u_max: float):
+    """The one list of a family's members on one grid, kept for the process:
+    unbounded, as a run may realize every family it uses at two resolutions."""
+    return [(name, discretize_model(m, u_max, panels)) for name, m in family.members]
 
 
 def random_steps(rng: np.random.Generator, nonincreasing: bool = True) -> ExplicitSteps:

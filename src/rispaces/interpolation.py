@@ -143,7 +143,7 @@ def interp_norm(curve: KCurve, params: InterpParams, rel_tol: float = 1e-10) -> 
     total = 0.0
     # analytic tail below the first node
     if slope0 > 0.0:
-        w = weight_integral(LogWeight((1.0 - theta) * r - 1.0, alpha * r), 0.0, float(t[0]), rel_tol)
+        w = weight_integral(LogWeight((1.0 - theta) * r - 1.0, alpha * r), 0.0, float(t[0]))
         if math.isinf(w):
             raise Divergent("interpolation integral diverges at 0")
         total += slope0**r * w

@@ -281,14 +281,14 @@ def log_quad(
     return float(log_quad_multi(column, w, lo, hi, rel_tol, breaks)[0])
 
 
-def weight_integral(w: LogWeight, lo: float, hi: float, rel_tol: float = 1e-12) -> float:
+def weight_integral(w: LogWeight, lo: float, hi: float) -> float:
     """∫_lo^hi t^a (1 - Log t)^b dt, 0 <= lo <= hi <= 1, with no adaptive step.
 
     Three cases: the elementary antiderivative for b = 0 and for a = -1; for
     lo = 0 and a > -1 the incomplete-gamma head (_head_integral); for lo > 0
     one κ-panel Gauss-Legendre pass (_weight_integrals).  Each is exact to
-    rounding, so rel_tol governs nothing; it stays for callers.  Returns inf
-    when the integral diverges at 0.
+    rounding, so it takes no tolerance.  Returns inf when the integral
+    diverges at 0.
     """
     if not (0.0 <= lo <= hi <= 1.0):
         raise BadInterval(f"bad interval [{lo}, {hi}]")
