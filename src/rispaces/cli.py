@@ -288,7 +288,7 @@ def cmd_experiment(cfg: RunConfig) -> int:
         for i in range(20):
             m = harness.random_steps(rng, nonincreasing=False)
             h = StepFunction(np.asarray(m.breaks), np.asarray(m.values))
-            reports.append(harness.discretization_check(h, lam, q, cfg.res.rel_tol, **given))
+            reports.append(harness.discretization_check(h, lam, q, **given))
         report = reports[0]
         for other in reports[1:]:
             report.members.extend(other.members)
@@ -360,7 +360,11 @@ def _config_from_args(args) -> RunConfig:
             cfg.seed = int(env) if a["seed"] is None else a["seed"]
         except ValueError:
             raise ConfigError(f"RISPACES_SEED must be an integer, got {env!r}") from None
-    cfg.res = Resolution(**{k: a[k] for k in ("u_max", "panels", "sup_count", "k_nodes") if k in a})
+    floors = {"u_max": 1.0, "panels": 1, "sup_count": 1, "k_nodes": 1}  # the smallest grids
+    bad = [k for k in floors if k in a and not a[k] > floors[k]]
+    if bad:
+        raise ConfigError(f"--{bad[0].replace('_', '-')} must exceed {floors[bad[0]]:g}, got {a[bad[0]]}")
+    cfg.res = Resolution(**{k: a[k] for k in floors if k in a})
     for key, parse in (("fn", parse_fn), ("space", parse_space), ("couple", parse_couple)):
         if a.get(key):
             setattr(cfg, key, parse(a[key]))

@@ -9,7 +9,6 @@ u_max           35.0       depth of the log grid u = 1 - Log t (t down to ~1.7e-
 panels          600        panels of a discretized function model
 sup_count       4096       node count of supremum-search grids
 k_nodes         200        nodes of a sampled K-functional curve
-rel_tol         1e-10      relative tolerance of adaptive quadrature
 ==============  =========  =====================================================
 """
 
@@ -26,7 +25,6 @@ class Resolution:
     panels: int = 600
     sup_count: int = 4096
     k_nodes: int = 200
-    rel_tol: float = 1e-10
 
     def doubled(self) -> "Resolution":
         # u_max stays fixed: drift measures discretization error, not domain truncation.

@@ -356,10 +356,10 @@ def _hardy_sides(which: str, exponents: dict, f: StepFunction, res: Resolution):
         w = LogWeight(-1.0, alpha * a)
         w_rhs = LogWeight(a - 1.0, (1.0 + alpha) * a)
     if prefix:
-        lhs = prefix_log_integral(f, 1.0, s, w, 1.0, res.rel_tol)
+        lhs = prefix_log_integral(f, 1.0, s, w, 1.0)
     else:
-        lhs = tail_log_integral(f, 1.0, s, w, res.rel_tol)
-    rhs = log_weight_integral(f, s, w_rhs, 0.0, 1.0, res.rel_tol)
+        lhs = tail_log_integral(f, 1.0, s, w)
+    rhs = log_weight_integral(f, s, w_rhs, 0.0, 1.0)
     return lhs**root, rhs**root
 
 
@@ -413,7 +413,6 @@ def sup_smoothing_check(
     kd: StepFunction,
     exponents: dict,
     which: str = "prop3.1",
-    rel_tol: float = 1e-10,
     ceiling: float = DEFAULT_CEILING,
 ) -> EquivReport:
     """Both sides of a sup-smoothing display for a nonincreasing step K_d.
@@ -448,8 +447,8 @@ def sup_smoothing_check(
     peaks = (1.0 - np.log(kd.breaks[1:])) ** (-e) * kd.values
     sup_vals = np.maximum.accumulate(peaks[::-1])[::-1]
     m_step = StepFunction(kd.breaks, sup_vals)
-    i_sup = log_weight_integral(m_step, exponents["r"], w_sup, 0.0, 1.0, rel_tol)
-    i_dir = log_weight_integral(kd, exponents["r"], w_dir, 0.0, 1.0, rel_tol)
+    i_sup = log_weight_integral(m_step, exponents["r"], w_sup, 0.0, 1.0)
+    i_dir = log_weight_integral(kd, exponents["r"], w_dir, 0.0, 1.0)
     i_sup, i_dir = float(i_sup), float(i_dir)
     report = EquivReport(f"sup_smoothing:{which}", dict(exponents), ceiling=ceiling)
     if i_sup > 0.0 and i_dir > 0.0:
@@ -469,7 +468,7 @@ def sup_smoothing_check(
 
 
 def discretization_check(
-    h: StepFunction, lam: float, q: float, rel_tol: float = 1e-10, ceiling: float = 32.0
+    h: StepFunction, lam: float, q: float, ceiling: float = 32.0
 ) -> EquivReport:
     """Sum-vs-sum and sum-vs-integral brackets on the grid t_k = 2^{1-2^k}.
 
@@ -509,15 +508,15 @@ def discretization_check(
     # sum vs integral, by the sign of lam
     total = float(prefix_power_at(h, 1.0, 1.0))
     if lam > 0.0:
-        integral = prefix_log_integral(h, 1.0, q, LogWeight(-1.0, lam * q - 1.0), 1.0, rel_tol)
+        integral = prefix_log_integral(h, 1.0, q, LogWeight(-1.0, lam * q - 1.0), 1.0)
         pairs.append(("sum-vs-integral", d1_lhs, integral))
         report.params["equivalence_expected"] = bool(total <= 2.0 * prefix_power_at(h, 1.0, 0.5))
     elif lam < 0.0:
-        integral = tail_log_integral(h, 1.0, q, LogWeight(-1.0, lam * q - 1.0), rel_tol)
+        integral = tail_log_integral(h, 1.0, q, LogWeight(-1.0, lam * q - 1.0))
         pairs.append(("sum-vs-integral", d2_lhs, integral))
     else:
         sum0 = float(np.sum(prefix**q))
-        integral = prefix_log_integral(h, 1.0, q, LogWeight(-1.0, -1.0), 1.0, rel_tol)
+        integral = prefix_log_integral(h, 1.0, q, LogWeight(-1.0, -1.0), 1.0)
         pairs.append(("sum-vs-integral", sum0, integral))
     return _judge(report, pairs).finalize()
 

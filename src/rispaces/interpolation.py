@@ -28,7 +28,7 @@ from .kfunctional import (
     SmallSmall,
     k_curve,
 )
-from .logcalc import LogWeight, UGrid, log_quad, power_log_integrals, weight_integral
+from .logcalc import LogWeight, UGrid, linear_power_integrals, power_log_integrals, weight_integral
 from .norms import (
     GammaDouble,
     Grand,
@@ -108,11 +108,14 @@ def derived_exponents(p: float, q: float, theta: float, r: float) -> DerivedExpo
 # ---------------------------------------------------------------------------
 
 
-def interp_norm(curve: KCurve, params: InterpParams, rel_tol: float = 1e-10) -> float:
+def interp_norm(curve: KCurve, params: InterpParams) -> float:
     """(∫_0^1 [t^{-theta}(1-Log t)^alpha K(t)]^r dt/t)^{1/r}, sup form for r = inf.
 
-    Raises Divergent when the weighted integral is infinite (the function lies
-    outside the interpolation space).
+    Every piece is scaled by e^{-r·M}, M the largest log of the objective
+    t^{-theta}(1-Log t)^alpha K(t) at the nodes, inside the exponent of its
+    one exp, and the sum is scaled back in logs, so a large r overflows
+    nothing.  Raises Divergent when the weighted integral is infinite (the
+    function lies outside the interpolation space).
     """
     theta, r, alpha = params.theta, params.r, params.alpha
     t = curve.t_nodes
@@ -124,13 +127,13 @@ def interp_norm(curve: KCurve, params: InterpParams, rel_tol: float = 1e-10) -> 
     # where K > 0 at both ends, K is the power K(t_i)(t/t_i)^{m_i} on the segment
     i = np.flatnonzero(up[:-1] & up[1:])
     m = np.log(k[i + 1] / k[i]) / np.log(t[i + 1] / t[i])
+    u = 1.0 - np.log(t)
     if math.isinf(r):
         if slope0 > 0.0 and theta == 1.0 and alpha > 0.0:
             raise Divergent("sup form diverges toward 0")
         # the objective t^{-theta}(1-Log t)^alpha K(t) at the nodes, and on each
         # power piece K = c·t^m (also c = slope0, m = 1 below the first node)
         # where its log-derivative in u vanishes, at u* = alpha/(m - theta)
-        u = 1.0 - np.log(t)
         m = np.concatenate([[1.0], m])
         scale = np.concatenate([[slope0], k[i] * t[i] ** -m[1:]])
         ua, ub = np.concatenate([u[:1], u[i + 1]]), np.concatenate([[np.inf], u[i]])
@@ -140,28 +143,27 @@ def interp_norm(curve: KCurve, params: InterpParams, rel_tol: float = 1e-10) -> 
         c, us = m[inside] - theta, us[inside]
         stationary = scale[inside] * np.exp((1.0 - us) * c) * us**alpha
         return float(max(np.max(k * t**-theta * u**alpha), np.max(stationary, initial=0.0)))
+    lk = np.log(k[up])
+    shift = r * float(np.max(lk - theta * np.log(t[up]) + alpha * np.log(u[up])))
+    w = LogWeight(-theta * r - 1.0, alpha * r)
     total = 0.0
     # analytic tail below the first node
     if slope0 > 0.0:
-        w = weight_integral(LogWeight((1.0 - theta) * r - 1.0, alpha * r), 0.0, float(t[0]))
-        if math.isinf(w):
+        head = LogWeight((1.0 - theta) * r - 1.0, alpha * r)
+        total += weight_integral(head, 0.0, float(t[0]), shift - r * math.log(slope0))
+        if math.isinf(total):
             raise Divergent("interpolation integral diverges at 0")
-        total += slope0**r * w
-    # K = 0 at one end only: K is linear in t on the segment
-    for j in np.flatnonzero(up[:-1] != up[1:]):
-        lo, hi = float(t[j]), float(t[j + 1])
-        k0, k1 = float(k[j]), float(k[j + 1])
-
-        def g(s):
-            return (k0 + (k1 - k0) * (s - lo) / (hi - lo)) ** r
-
-        total += log_quad(g, LogWeight(-theta * r - 1.0, alpha * r), lo, hi, rel_tol)
-    scale = k[i] ** r * t[i] ** (-m * r)
-    segments = power_log_integrals((m - theta) * r - 1.0, alpha * r, t[i], t[i + 1])
-    total += float(np.dot(scale, segments))
+    # K = 0 at one end only: K is linear in t from its root there
+    j = np.flatnonzero(up[:-1] != up[1:])
+    near, far = np.where(up[j], t[j + 1], t[j]), np.where(up[j], t[j], t[j + 1])
+    rise = np.abs(k[j + 1] - k[j]) / (t[j + 1] - t[j])
+    total += float(np.sum(linear_power_integrals(w, r, near, far, 0.0, rise, shift)))
+    # K = K(t_i)(t/t_i)^m on the rest: a weight t^{(m - theta)r - 1}(1-Log t)^{alpha r}
+    lead = r * (np.log(k[i]) - m * np.log(t[i]))
+    total += float(np.sum(power_log_integrals((m - theta) * r - 1.0, alpha * r, t[i], t[i + 1], shift - lead)))
     if not math.isfinite(total):
         raise Divergent("interpolation integral diverges")
-    return total ** (1.0 / r)
+    return math.exp((math.log(total) + shift) / r)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +289,7 @@ def identify_target(
     couple = theorem_couple(theorem_id, p, q, alpha)
     if curve is None:
         curve = k_curve(f, couple, UGrid(res.u_max, res.k_nodes), "oracle", res)
-    lhs = interp_norm(curve, _interp_params(theorem_id, p, q, theta, r, alpha), res.rel_tol)
+    lhs = interp_norm(curve, _interp_params(theorem_id, p, q, theta, r, alpha))
     space = target_space(theorem_id, p, q, theta, r, alpha)
     if isinstance(space, ZSpace):
         norm = z_norm if theorem_id == "T6.2" else z_norm_alt
@@ -336,8 +338,8 @@ def z_norm(
         return total ** (1.0 / r)
     w = LogWeight(-1.0, bt * r)
     if theta < ip:
-        return tail_log_integral(f, p, r / p, w, res.rel_tol) ** (1.0 / r)
-    return prefix_log_integral(f, p, r / p, w, 1.0, res.rel_tol) ** (1.0 / r)
+        return tail_log_integral(f, p, r / p, w) ** (1.0 / r)
+    return prefix_log_integral(f, p, r / p, w, 1.0) ** (1.0 / r)
 
 
 def z_norm_alt(

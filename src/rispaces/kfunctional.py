@@ -176,7 +176,7 @@ def oracle_lines(
         A = norms_over_cuts(f, x0, cuts, "excess", res)
         return A, norms_over_cuts(f, x1, cuts, "capped", res)
 
-    return f.memo(("lines", couple, res.sup_count, res.u_max, res.rel_tol), make)
+    return f.memo(("lines", couple, res.sup_count, res.u_max), make)
 
 
 def k_oracle(
@@ -235,7 +235,7 @@ def _k_explicit_many(
         ip = 1.0 / p
         if np.any(ts >= math.e):
             raise OutOfRange("second term of this form needs 1 - Log t > 0")
-        k1 = prefix_log_integral(f, p, ip, LogWeight(-1.0, -ip), phi, res.rel_tol)
+        k1 = prefix_log_integral(f, p, ip, LogWeight(-1.0, -ip), phi)
         k2 = norms_over_cuts(f, Lebesgue(p), phi, "head", res)
         k3 = norms_over_cuts(f, Grand(q, 1.0), phi, "tail", res)
         # the middle term carries the outer argument t, not the split point

@@ -5,18 +5,21 @@ Substituting u = 1 - Log t turns such weights into e^{(1-u)(a+1)} u^b, smooth
 and polynomially-varying on a uniform grid, so all integrals and suprema are
 done in the u variable.
 
-Integrals of a weight alone (weight_integral) take no adaptive step: the
-elementary antiderivative where b = 0 or a = -1, the incomplete gamma function
-for an open lower end (one Gauss-Legendre pass, then a continued fraction),
-and otherwise one 15-point Gauss-Legendre pass over panels narrow enough for
-the rule to be exact to rounding.  Integrals of a general g times a weight
-(log_quad) refine 15-point Gauss-Legendre panels adaptively.
+Integrals take no tolerance: each is a closed form or one κ pass, 15-point
+Gauss-Legendre panels in u at most 1/(2κ) wide, κ = |a + 1| + σ + (1 + |b|)/u,
+where σ bounds the log-derivative of the factor g that multiplies the weight
+(s·t|L'|/L for g = L^s); the rule is exact to rounding on such panels.  A
+weight alone (weight_integral) has elementary forms where b = 0 or a = -1 and
+the incomplete gamma function for an open lower end.  A power of a linear L
+(linear_power_integrals) takes a Gauss-Jacobi rule next to a root of L; any
+other g (log_quad) a march of two-unit κ passes toward t = 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence, Tuple
 
 import numpy as np
@@ -41,7 +44,7 @@ __all__ = [
     "log_weight_integral",
     "log_quad",
     "log_quad_multi",
-    "adaptive_quad",
+    "linear_power_integrals",
     "sup_on_grid",
     "sup_on_interval",
     "golden_refine",
@@ -54,8 +57,8 @@ __all__ = [
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_MAX_PANELS = 200_000
 _TAIL_CHUNKS = 4000
+_TAIL_EPS = 1e-16  # a marched chunk below this share of the sum is negligible
 _SCAN_BLOCK = 1 << 16
 
 
@@ -123,57 +126,8 @@ class UGrid:
 
 
 # ---------------------------------------------------------------------------
-# adaptive Gauss-Legendre machinery in the u variable
+# κ passes in the u variable
 # ---------------------------------------------------------------------------
-
-
-def _gl(fu: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """15-point Gauss-Legendre on each panel [a_i, b_i]: an (n, m) array for fu
-    mapping flat nodes to (len(u), m) values, or (n, 1) for len(u) values."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    u = mid[:, None] + half[:, None] * _GL_X
-    vals = np.asarray(fu(u.ravel()), dtype=float).reshape(a.size, _GL_X.size, -1)
-    return half[:, None] * (_GL_W @ vals)
-
-
-def adaptive_quad(
-    fu: Callable[[np.ndarray], np.ndarray],
-    edges: np.ndarray,
-    rel_tol: float,
-    max_depth: int = 40,
-) -> np.ndarray:
-    """Σ over the panels between consecutive (increasing) edges of ∫ fu, one
-    entry per output column, with per-panel whole-vs-halves refinement until
-    every column of a panel meets the tolerance.  A non-finite integrand
-    raises Divergent; errors name the interval, rel_tol and the depth."""
-    edges = np.asarray(edges, dtype=float)
-    where = f"on [{float(edges[0])!r}, {float(edges[-1])!r}] with rel_tol {rel_tol:g}"
-    a, b = edges[:-1], edges[1:]
-    coarse = _gl(fu, a, b)
-    span = float(edges[-1] - edges[0])
-    total = np.abs(coarse).sum(axis=0) + 1e-300
-    acc = 0.0
-    for depth in range(max_depth):
-        # total sums |coarse| and every |fine| not yet accepted, so it catches a
-        # non-finite integrand value
-        if not np.isfinite(total).all():
-            raise Divergent(f"integrand is not finite {where} at depth {depth}")
-        m = 0.5 * (a + b)
-        fine = _gl(fu, a, m) + _gl(fu, m, b)
-        err = np.abs(fine - coarse)
-        budget = rel_tol * np.maximum(np.abs(fine), total * ((b - a) / span)[:, None])
-        ok = (err <= budget).all(axis=1)
-        if ok.all():
-            return acc + fine.sum(axis=0)
-        acc = acc + fine[ok].sum(axis=0)
-        a, b, m, fine = a[~ok], b[~ok], m[~ok], fine[~ok]
-        total = np.maximum(total, np.abs(acc) + np.abs(fine).sum(axis=0))
-        a, b = np.concatenate([a, m]), np.concatenate([m, b])
-        if a.size > _MAX_PANELS:
-            raise NoConvergence(f"over {_MAX_PANELS} adaptive panels {where} at depth {depth + 1}")
-        coarse = _gl(fu, a, b)
-    raise NoConvergence(f"adaptive depth {max_depth} exhausted {where}")
 
 
 def _split(lo: np.ndarray, hi: np.ndarray, width) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -188,125 +142,238 @@ def _split(lo: np.ndarray, hi: np.ndarray, width) -> Tuple[np.ndarray, np.ndarra
     return a, b, ids
 
 
-def _u_integral(fu, u_top: float, u_bottom: float, u_breaks: np.ndarray, rel_tol: float) -> np.ndarray:
-    """∫ fu du over [u_top, u_bottom], split at u_breaks into panels at most one
-    unit wide.
+def _kappa_panels(c: np.ndarray, b: float, lo: np.ndarray, span: np.ndarray, sigma=0.0):
+    """The panels of a κ pass over the offsets [0, span_i] from lo_i >= 1 in
+    u: nodes as offsets from lo_i, (panels, 15); half widths; and the interval
+    of each panel, nondecreasing, each interval with at least one panel.
 
-    u_bottom = inf (t = 0) integrates up to the last break, then marches
-    two-unit chunks upward until two in a row are negligible against the sum.
-    The march raises Divergent when the sum overflows or the chunks still grow
-    at its end, and NoConvergence when they stop growing without vanishing;
-    both name the u-interval, rel_tol and the chunks marched.
+    Each interval is cut at lo_i·2^k, and each piece evenly into panels at
+    most 1/(2κ) wide, κ = |c_i| + σ_i + (1 + |b|)/v at the piece's start v,
+    where e^{-c_i u} is the weight's rate and σ_i bounds the log-derivative
+    in u of the rest of the integrand.  κ bounds how fast the integrand's log
+    moves, and the 1/v keeps each panel within half its start from the branch
+    point v = 0, so the 15-point Gauss-Legendre rule is exact to rounding on
+    every panel, however wide the interval.
     """
-    edges = np.unique(np.concatenate([u_breaks, [u_top, u_bottom]]))
-    edges = edges[np.isfinite(edges)]
-    acc = 0.0
-    if edges.size > 1:
-        a, b, _ = _split(edges[:-1], edges[1:], 1.0)
-        acc = adaptive_quad(fu, np.append(a, b[-1]), rel_tol)
-    if math.isfinite(u_bottom):
-        return acc
-    u0 = float(edges[-1])
-    small = 0
-    mag = np.inf
+    n = np.maximum(1, np.ceil(np.log1p(span / lo) / math.log(2.0))).astype(int)
+    ids = np.repeat(np.arange(lo.size), n)
+    k = np.arange(ids.size) - np.repeat(np.cumsum(n) - n, n)
+    start = np.minimum(lo[ids] * (2.0**k - 1.0), span[ids])
+    end = np.minimum(lo[ids] * (2.0 ** (k + 1) - 1.0), span[ids])
+    kappa = np.abs(c[ids]) + np.broadcast_to(sigma, lo.shape)[ids] + (1.0 + abs(b)) / (lo[ids] + start)
+    pa, pb, j = _split(start, end, 0.5 / kappa)
+    half = 0.5 * (pb - pa)
+    return (0.5 * (pa + pb))[:, None] + half[:, None] * _GL_X, half, ids[j]
 
-    def where(chunks):
-        return (
-            f"on u in [{u_top!r}, inf) with rel_tol {rel_tol:g}: "
-            f"{chunks} two-unit chunks marched from u = {float(edges[-1])!r}"
+
+def _kappa_pass(fu, c: np.ndarray, b: float, lo: np.ndarray, span: np.ndarray, sigma=0.0):
+    """∫ fu(x, i) dx over x in [0, span_i] by one pass over _kappa_panels, with
+    fu(x, i) the u-integrand at the nodes lo_i + x of each panel's interval
+    i: a (panels, 15) array, or (panels, 15, m) for m columns."""
+    x, half, ids = _kappa_panels(c, b, lo, span, sigma)
+    per = np.tensordot(fu(x, ids), _GL_W, axes=(1, 0))
+    per *= half.reshape((-1,) + (1,) * (per.ndim - 1))
+    return np.add.reduceat(per, np.searchsorted(ids, np.arange(lo.size)), axis=0)
+
+
+@lru_cache(maxsize=None)
+def _jacobi_rule(s: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The 15-point Gauss rule for ∫_0^1 x^s φ(x) dx, s > -1, by Golub-Welsch:
+    nodes are the eigenvalues of the Jacobi matrix of P_n^(0,s)(2x - 1), and
+    weights 1/(s + 1) over Σ_n p_n(x)^2 of the orthonormal polynomials at the
+    node (Christoffel numbers keep small weights' digits better than
+    eigenvectors)."""
+    k = np.arange(1.0, 15.0)
+    m = 2.0 * k + s
+    diag = 0.5 + 0.5 * np.concatenate([[s / (s + 2.0)], s * s / (m * (m + 2.0))])
+    off = k * (k + s) / (m * np.sqrt(m * m - 1.0))
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    p_prev, p, total = np.zeros(15), np.ones(15), np.ones(15)
+    for n in range(14):
+        p_prev, p = p, ((x - diag[n]) * p - (off[n - 1] if n else 0.0) * p_prev) / off[n]
+        total += p * p
+    return x, 1.0 / ((s + 1.0) * total)
+
+
+def linear_power_integrals(w: LogWeight, s: float, near, far, at_near, slope, shift=0.0):
+    """e^{-shift} ∫ w(t) L(t)^s dt from near to far (either order, in (0, 1])
+    for many stretches on which L(t) = at_near + slope·|t - near| >= 0.
+
+    Where L vanishes at near, the 15-point Gauss-Jacobi rule with weight x^s
+    takes the stretch out to where t has moved by a factor e^h,
+    h = min(Log 2, 1/(2κ)), κ = |a+1| + (1+|b|)/u.  The rest is cut where its
+    distance from L's root doubles, and each piece is one κ pass with
+    σ = s·t·slope/L at the piece's ends.  Consecutive pieces with the same
+    ends, near and shift (the cuts over one panel) share one set of nodes.
+    Exponents meet the shift before one exp, so nothing overflows that the
+    shifted value does not.
+    """
+    near, far, at_near, slope, shift = (
+        np.array(v, dtype=float).reshape(-1) for v in np.broadcast_arrays(near, far, at_near, slope, shift)
+    )
+    out = np.zeros(near.size)
+    c, b = w.a + 1.0, w.b
+    side = np.sign(far - near)  # away from the root
+    r = np.flatnonzero((at_near == 0.0) & (slope > 0.0) & (side != 0.0))
+    if r.size:
+        h = np.minimum(math.log(2.0), 0.5 / (abs(c) + (1.0 + abs(b)) / (1.0 - np.log(near[r]))))
+        gap = np.minimum(np.abs(far[r] - near[r]), near[r] * np.abs(np.expm1(side[r] * h)))
+        x, wx = _jacobi_rule(float(s))
+        lt = np.log(near[r])[:, None] + np.log1p((side[r] * gap / near[r])[:, None] * x)
+        lead = s * np.log(slope[r]) + (s + 1.0) * np.log(gap) - shift[r]
+        out[r] = np.exp(lead[:, None] + w.a * lt + b * np.log1p(-lt)) @ wx
+        near[r] = np.where(gap == np.abs(far[r] - near[r]), far[r], near[r] + side[r] * gap)
+        at_near[r] = slope[r] * gap
+    span = np.abs(far - near)
+    live = np.flatnonzero((span > 0.0) & (at_near > 0.0))
+    if live.size == 0:
+        return out
+    if live.size < near.size:
+        near, far, span, side, at_near, slope, shift = (
+            v[live] for v in (near, far, span, side, at_near, slope, shift)
         )
+    # a root farther from near than far leaves one piece; one at d0 < span
+    # cuts the stretch at the offsets d0·(2^k - 1), the last piece ending at far
+    d0 = np.divide(at_near, slope, out=span.copy(), where=slope > 0.0)
+    close = d0 < span
+    n = np.ones(live.size, dtype=int)
+    d0[close] = np.maximum(d0[close], np.finfo(float).smallest_subnormal)
+    n[close] = np.ceil(np.logaddexp(0.0, np.log(span[close]) - np.log(d0[close])) / math.log(2.0))
+    ids = np.repeat(np.arange(live.size), n)
+    nr, ta, tb, a0, sl, sh = near, near, far, at_near, slope, shift
+    la, lb = at_near, at_near + slope * span
+    if ids.size > live.size:
+        k = np.arange(ids.size) - np.repeat(np.cumsum(n) - n, n)
+        nr, a0, sl, sh, sp = near[ids], at_near[ids], slope[ids], shift[ids], span[ids]
+        off_a = np.minimum(np.ldexp(d0[ids], k) - d0[ids], sp)
+        off_b = np.minimum(np.ldexp(d0[ids], k + 1) - d0[ids], sp)
+        ta = nr + side[ids] * off_a
+        tb = np.where(off_b >= sp, far[ids], nr + side[ids] * off_b)
+        la, lb = a0 + sl * off_a, a0 + sl * off_b
+    sig = s * sl * np.maximum(ta / la, tb / lb)
+    new = np.concatenate([[True], (ta[1:] != ta[:-1]) | (tb[1:] != tb[:-1]) | (nr[1:] != nr[:-1])])
+    new[1:] |= sh[1:] != sh[:-1]
+    run = np.cumsum(new) - 1  # runs of pieces that share their nodes
+    heads = np.flatnonzero(new)
+    hi_t, lo_t = np.maximum(ta[heads], tb[heads]), np.minimum(ta[heads], tb[heads])
+    near_r, lo_u = nr[heads], 1.0 - np.log(hi_t)
+    x, half, p_run = _kappa_panels(
+        np.full(heads.size, c), b, lo_u, _log1p_ratio(hi_t - lo_t, lo_t), np.maximum.reduceat(sig, heads)
+    )
+    v = lo_u[p_run][:, None] + x
+    # |t - near| at the nodes from y = u(near) - v, or from t where t > e·near
+    g0 = np.sign(hi_t - near_r) * _log1p_ratio(np.abs(hi_t - near_r), np.minimum(hi_t, near_r))
+    y = g0[p_run][:, None] - x
+    nv = np.broadcast_to(near_r[p_run][:, None], y.shape)
+    dist = nv * np.abs(np.expm1(np.minimum(y, 1.0)))
+    dist[y > 1.0] = t_of_u(v[y > 1.0]) - nv[y > 1.0]
+    mass = half[:, None] * _GL_W * np.exp((1.0 - v) * c + b * np.log(v) - sh[heads][p_run][:, None])
+    owner, rows = slice(None), run  # each piece takes the panels of its run
+    if p_run.size > heads.size:
+        first = np.searchsorted(p_run, np.arange(heads.size))
+        count = np.diff(np.append(first, p_run.size))[run]
+        owner = np.repeat(np.arange(ids.size), count)
+        rows = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count) + first[run][owner]
+    big_l = np.take(dist, rows, axis=0)
+    big_l *= sl[owner][:, None]
+    big_l += a0[owner][:, None]
+    big_l **= s
+    vals = np.einsum("ij,ij->i", big_l, np.take(mass, rows, axis=0))
+    out[live] += np.bincount(ids[owner], vals, live.size)
+    return out
 
-    for n in range(1, _TAIL_CHUNKS + 1):
-        chunk = adaptive_quad(fu, np.array([u0, u0 + 2.0]), rel_tol)
-        acc = acc + chunk
-        prev, mag = mag, np.abs(chunk)
-        # an overflowed sum also passes this test, hence the check on return
-        if (mag <= rel_tol * 1e-2 * (np.abs(acc) + 1e-300)).all():
-            small += 1
-            if small >= 2:
-                if not np.isfinite(acc).all():
-                    raise Divergent(f"integrand grows without bound toward 0 {where(n)}")
-                return acc
-        else:
-            small = 0
-        u0 += 2.0
-    if (mag > prev).any():
-        raise Divergent(f"integrand grows without bound toward 0 {where(_TAIL_CHUNKS)}")
-    raise NoConvergence(f"u-tail did not converge toward 0 {where(_TAIL_CHUNKS)}")
 
-
-def log_quad_multi(
-    g,
-    w: LogWeight,
-    lo: float,
-    hi: float,
-    rel_tol: float = 1e-10,
-    breaks: Sequence[float] = (),
-) -> np.ndarray:
+def log_quad_multi(g, w: LogWeight, lo: float, hi: float, breaks: Sequence[float] = (), sigma=None):
     """∫_lo^hi g(t) w(t) dt per output column of a vectorized g mapping t to
-    (len(t), m) values; adaptive in u, split at breaks.
+    (len(t), m) values: one κ pass over the panels between lo, hi and the
+    breaks.  sigma(t), where given, bounds |t g'/g| (per point, or per point
+    and column) at panel ends, the larger end bounding it on the panel;
+    without it g must vary slowly against w.
 
-    With lo = 0 the u-tail is marched chunk by chunk, which suits integrands
-    that decay exponentially in u (weights with a+1 > 0, or g vanishing near
-    0); slowly decaying tails must be handled by callers through closed forms
-    such as ``tail_block_integral``.
+    With lo = 0 the u-tail is marched in two-unit chunks, one κ pass each,
+    until two in a row fall below _TAIL_EPS of the sum, which suits integrands
+    that decay exponentially in u; slowly decaying tails need closed forms
+    such as ``tail_block_integral``.  A non-finite integrand, or a march whose
+    sum overflows or whose chunks still grow at its end, raises Divergent; one
+    whose chunks stop growing without vanishing, NoConvergence.
     """
     if not (0.0 <= lo <= hi <= 1.0):
         raise BadInterval(f"bad interval [{lo}, {hi}]")
     if lo == hi:
         return np.zeros(np.shape(g(np.array([hi])))[-1])
 
-    def fu(u):
-        return np.asarray(g(t_of_u(u)), dtype=float) * w.u_form(u)[:, None]
+    def pass_(us):  # the κ pass over the u-intervals between consecutive us
+        bound = np.zeros(us.size)
+        if sigma is not None:
+            bound = np.max(np.reshape(sigma(t_of_u(us)), (us.size, -1)), axis=1)
+
+        def fu(x, i):
+            v = us[i][:, None] + x
+            vals = np.asarray(g(t_of_u(v).ravel()), dtype=float).reshape(v.shape + (-1,))
+            return vals * w.u_form(v)[..., None]
+
+        c = np.full(us.size - 1, w.a + 1.0)
+        out = _kappa_pass(fu, c, w.b, us[:-1], np.diff(us), np.maximum(bound[:-1], bound[1:])).sum(axis=0)
+        if not np.all(np.isfinite(out)):
+            raise Divergent(f"integrand is not finite on u in [{float(us[0])!r}, {float(us[-1])!r}]")
+        return out
 
     brk = np.asarray(breaks, dtype=float)
     brk = brk[(brk > lo) & (brk < hi)]
-    u_bottom = float(u_of_t(lo)) if lo > 0.0 else math.inf
-    return _u_integral(fu, float(u_of_t(hi)), u_bottom, u_of_t(brk), rel_tol)
+    us = np.unique(u_of_t(np.concatenate([[hi, lo] if lo > 0.0 else [hi], brk])))
+    acc = pass_(us) if us.size > 1 else 0.0
+    if lo > 0.0:
+        return acc
+    u0, small, mag = float(us[-1]), 0, np.inf
+    for n in range(1, _TAIL_CHUNKS + 1):
+        chunk = pass_(np.array([u0, u0 + 2.0]))
+        acc = acc + chunk
+        prev, mag = mag, np.abs(chunk)
+        # an overflowed sum also passes this test, hence the check on return
+        small = small + 1 if (mag <= _TAIL_EPS * np.abs(acc)).all() else 0
+        if small == 2 or n == _TAIL_CHUNKS:
+            break
+        u0 += 2.0
+    where = f"on u in [{float(us[0])!r}, inf): {n} two-unit chunks marched from u = {float(us[-1])!r}"
+    if small == 2 and np.isfinite(acc).all():
+        return acc
+    if small == 2 or (mag > prev).any():
+        raise Divergent(f"integrand grows without bound toward 0 {where}")
+    raise NoConvergence(f"u-tail did not converge toward 0 {where}")
 
 
-def log_quad(
-    g: Callable[[np.ndarray], np.ndarray],
-    w: LogWeight,
-    lo: float,
-    hi: float,
-    rel_tol: float = 1e-10,
-    breaks: Sequence[float] = (),
-) -> float:
+def log_quad(g, w: LogWeight, lo: float, hi: float, breaks: Sequence[float] = (), sigma=None) -> float:
     """∫_lo^hi g(t) w(t) dt for vectorized g: the one-column log_quad_multi."""
 
     def column(t):
         return np.reshape(np.asarray(g(t), dtype=float), (-1, 1))
 
-    return float(log_quad_multi(column, w, lo, hi, rel_tol, breaks)[0])
+    return float(log_quad_multi(column, w, lo, hi, breaks, sigma)[0])
 
 
-def weight_integral(w: LogWeight, lo: float, hi: float) -> float:
-    """∫_lo^hi t^a (1 - Log t)^b dt, 0 <= lo <= hi <= 1, with no adaptive step.
-
-    Three cases: the elementary antiderivative for b = 0 and for a = -1; for
-    lo = 0 and a > -1 the incomplete-gamma head (_head_integral); for lo > 0
-    one κ-panel Gauss-Legendre pass (_weight_integrals).  Each is exact to
-    rounding, so it takes no tolerance.  Returns inf when the integral
-    diverges at 0.
-    """
+def weight_integral(w: LogWeight, lo: float, hi: float, shift: float = 0.0) -> float:
+    """e^{-shift} ∫_lo^hi t^a (1 - Log t)^b dt, 0 <= lo <= hi <= 1, exact to
+    rounding: for lo = 0 the incomplete-gamma head (_head_integral), else
+    power_log_integrals.  Returns inf when the integral diverges at 0.  The
+    shift joins each exponent before its exp, so nothing overflows that the
+    shifted value does not."""
     if not (0.0 <= lo <= hi <= 1.0):
         raise BadInterval(f"bad interval [{lo}, {hi}]")
     if hi == lo:
         return 0.0
     if lo > 0.0:
-        return float(_weight_integrals(w, np.array([lo]), np.array([hi]))[0])
-    return _head_integral(w, hi)
+        return float(power_log_integrals(w.a, w.b, np.array([lo]), np.array([hi]), shift)[0])
+    return _head_integral(w, hi, shift)
 
 
-def _head_integral(w: LogWeight, x: float) -> float:
-    """∫_0^x w for 0 < x <= 1; inf when it diverges at 0.
+def _head_integral(w: LogWeight, x: float, shift: float) -> float:
+    """e^{-shift} ∫_0^x w for 0 < x <= 1; inf when it diverges at 0.
 
     With c = a + 1 > 0 and s = b + 1 this is e^c c^{-s} Γ(s, c·u), u = 1 - Log x
-    (DLMF 8.2.2): the u-integral of e^{(1-v)c} v^b over [u, U] by one κ-panel
-    pass, with U >= u the first point where c·U >= max(s, 0) + 2, plus the
-    rest e^{c(1-U)} U^s·_gamma_cf(s, cU), whose exponent is summed before one
-    exp, so it overflows only where the value does.  Any real s works, 0 and
+    (DLMF 8.2.2): the u-integral of e^{(1-v)c} v^b over [u, U] by one κ pass,
+    with U >= u the first point where c·U >= max(s, 0) + 2, plus the rest
+    e^{c(1-U)} U^s·_gamma_cf(s, cU), whose exponent is summed before one exp,
+    so it overflows only where the value does.  Any real s works, 0 and
     negative integers included.
     """
     c, s = w.a + 1.0, w.b + 1.0
@@ -314,18 +381,20 @@ def _head_integral(w: LogWeight, x: float) -> float:
     if c < 0.0 or (c == 0.0 and s >= 0.0):
         return math.inf
     if c == 0.0:
-        return -(u**s) / s
+        return -math.exp(s * math.log(u) - shift) / s
     if w.b == 0.0:
-        return x**c / c
+        return math.exp(c * math.log(x) - shift) / c
     top = max(u, (max(s, 0.0) + 2.0) / c)
     body = 0.0
     if top > u:
 
-        def fu(v, i):
-            return w.u_form(v)
+        def fu(y, i):
+            v = u + y
+            return np.exp((1.0 - v) * c + w.b * np.log(v) - shift)
 
         body = float(_kappa_pass(fu, np.array([c]), w.b, np.array([u]), np.array([top - u]))[0])
-    return body + float(np.exp(c * (1.0 - top) + s * math.log(top))) * _gamma_cf(s, c * top)
+    rest = math.exp(c * (1.0 - top) + s * math.log(top) - shift)
+    return body + rest * _gamma_cf(s, c * top)
 
 
 def _gamma_cf(s: float, z: float) -> float:
@@ -358,69 +427,55 @@ def _weight_integrals(w: LogWeight, los: np.ndarray, his: np.ndarray) -> np.ndar
     return out
 
 
-def power_log_integrals(a, b: float, los: np.ndarray, his: np.ndarray) -> np.ndarray:
-    """∫_lo^hi t^{a_i} (1 - Log t)^b dt for intervals 0 < lo_i < hi_i <= 1, with
-    one exponent a_i per interval, or one a for all.
+def power_log_integrals(a, b: float, los: np.ndarray, his: np.ndarray, shift=0.0) -> np.ndarray:
+    """e^{-shift_i} ∫_lo^hi t^{a_i} (1 - Log t)^b dt for intervals
+    0 < lo_i < hi_i <= 1, with one a_i and shift_i per interval, or one for all.
 
     Elementary where b = 0 or a_i = -1: (y^e - x^e)/e = z^e (1 - e^{-|e| l})/|e|
     with l = Log(y/x) and z the end where the power is larger, written with
-    log1p and expm1 so that narrow intervals lose nothing to cancellation and
-    nothing overflows that the value does not.  Otherwise one κ-panel pass.
+    log1p and expm1 so that narrow intervals lose nothing to cancellation.
+    Otherwise one κ pass.  The shift joins each exponent before its exp.
     """
     c = np.broadcast_to(np.asarray(a, dtype=float) + 1.0, los.shape)
-    with np.errstate(over="ignore"):
-        d = np.log1p((his - los) / los)  # u(lo) - u(hi), with no cancellation
-    big = np.isinf(d)  # lo so small that the ratio overflows
-    d[big] = np.log(his[big]) - np.log(los[big])
+    shift = np.broadcast_to(np.asarray(shift, dtype=float), los.shape)
+    d = _log1p_ratio(his - los, los)  # u(lo) - u(hi)
     flat = c == 0.0
     if b == 0.0:
-        return np.where(flat, d, _power_difference(los, his, np.where(flat, 1.0, c), d))
+        rise = _power_difference(los, his, np.where(flat, 1.0, c), d, shift)
+        return np.where(flat, d * np.exp(-shift), rise)
     uh = 1.0 - np.log(his)
     out = np.empty(los.size)
     if flat.any():
-        e, uf = b + 1.0, uh[flat]
+        e, uf, sf = b + 1.0, uh[flat], shift[flat]
         r = np.log1p(d[flat] / uf)  # Log(u(lo)/u(hi))
-        out[flat] = r if e == 0.0 else _power_difference(uf, uf + d[flat], e, r)
+        out[flat] = r * np.exp(-sf) if e == 0.0 else _power_difference(uf, uf + d[flat], e, r, sf)
     rest = np.flatnonzero(~flat)
     if rest.size:
-        cr = c[rest]
+        cr, ur, sr = c[rest], uh[rest], shift[rest]
 
-        def fu(v, i):
-            return np.exp((1.0 - v) * cr[i][:, None] + b * np.log(v))
+        def fu(x, i):
+            v = ur[i][:, None] + x
+            return np.exp((1.0 - v) * cr[i][:, None] + b * np.log(v) - sr[i][:, None])
 
-        out[rest] = _kappa_pass(fu, c[rest], b, uh[rest], d[rest])
+        out[rest] = _kappa_pass(fu, cr, b, ur, d[rest])
     return out
 
 
-def _power_difference(x, y, e, l):
-    """(y^e - x^e)/e for 0 < x < y, e != 0 and l = Log(y/x), as z^e(1 - e^{-|e| l})/|e|."""
+def _log1p_ratio(d: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Log(1 + d/x) for x > 0 and x + d > 0 with no cancellation, or
+    Log(x + d) - Log(x) where x is so small that d/x overflows."""
+    with np.errstate(over="ignore"):
+        out = np.log1p(d / x)
+    big = np.isinf(out)
+    out[big] = np.log(x[big] + d[big]) - np.log(x[big])
+    return out
+
+
+def _power_difference(x, y, e, l, shift):
+    """e^{-shift}(y^e - x^e)/e for 0 < x < y, e != 0 and l = Log(y/x), as
+    z^e(1 - e^{-|e| l})/|e|."""
     z = np.where(e > 0.0, y, x)
-    return z**e * -np.expm1(-np.abs(e) * l) / np.abs(e)
-
-
-def _kappa_pass(fu, c: np.ndarray, b: float, lo: np.ndarray, span: np.ndarray) -> np.ndarray:
-    """∫ fu(v, i) dv over [lo_i, lo_i + span_i] (1 <= lo_i) by one 15-point
-    Gauss-Legendre pass, with fu(v, i) the u-integrand e^{(1-v)c_i} v^b of
-    each panel's interval i at its (panels, 15) nodes v.
-
-    Each interval is cut at lo_i·2^k, and each piece evenly into panels at
-    most 1/(2κ) wide, with κ = |c_i| + (1 + |b|)/v at the piece's start v.
-    κ bounds how fast log fu varies, and the 1/v keeps every panel within
-    half its start from the branch point at v = 0, so on such panels the rule
-    is exact to rounding, however wide the interval.  Panels are laid out as
-    offsets from lo_i, so a narrow interval keeps every digit of its span.
-    """
-    n = np.maximum(1, np.ceil(np.log1p(span / lo) / math.log(2.0))).astype(int)
-    ids = np.repeat(np.arange(lo.size), n)
-    k = np.arange(ids.size) - np.repeat(np.cumsum(n) - n, n)
-    start = np.minimum(lo[ids] * (2.0**k - 1.0), span[ids])
-    end = np.minimum(lo[ids] * (2.0 ** (k + 1) - 1.0), span[ids])
-    kappa = np.abs(c[ids]) + (1.0 + abs(b)) / (lo[ids] + start)
-    pa, pb, j = _split(start, end, 0.5 / kappa)
-    ids = ids[j]
-    half = 0.5 * (pb - pa)
-    v = (lo[ids] + 0.5 * (pa + pb))[:, None] + half[:, None] * _GL_X
-    return np.bincount(ids, half * (fu(v, ids) @ _GL_W), lo.size)
+    return np.exp(e * np.log(z) - shift) * -np.expm1(-np.abs(e) * l) / np.abs(e)
 
 
 def weight_prefix_many(w: LogWeight, ts: np.ndarray) -> np.ndarray:
@@ -435,23 +490,14 @@ def weight_prefix_many(w: LogWeight, ts: np.ndarray) -> np.ndarray:
     return out
 
 
-def log_weight_integral(
-    f: StepFunction,
-    p: float,
-    w: LogWeight,
-    a: float,
-    b: float,
-    rel_tol: float = 1e-10,
-) -> float:
+def log_weight_integral(f: StepFunction, p: float, w: LogWeight, a: float, b: float) -> float:
     """∫_a^b f^p(s) w(s) ds with f a step function: exact values, panel weights.
 
     Weight factors over each overlapped panel are integrated as weight_integral
-    does, exactly to rounding; rel_tol is checked but governs nothing.
+    does, exactly to rounding.
     """
     if not (0.0 <= a < b <= 1.0):
         raise BadInterval(f"bad interval [{a}, {b}]")
-    if not (0.0 < rel_tol <= 1e-4):
-        raise BadInterval("rel_tol must lie in (0, 1e-4]")
     lo = np.maximum(f.breaks[:-1], a)
     hi = np.minimum(f.breaks[1:], b)
     mask = (hi > lo) & (f.values > 0.0)
@@ -463,27 +509,22 @@ def log_weight_integral(
     return head + float(np.dot(vp, _weight_integrals(w, los, his)))
 
 
-def tail_block_integral(
-    w: LogWeight, total: float, slope: float, s: float, cut: float, rel_tol: float = 1e-12
-) -> float:
-    """∫_0^cut w(t) (total - slope·t)^s dt for the region below the smallest
-    breakpoint, where a tail power integral is exactly total - slope·t.
+def tail_block_integral(w: LogWeight, at_cut: float, slope: float, s: float, cut: float) -> float:
+    """∫_0^cut w(t) (at_cut + slope·(cut - t))^s dt for the region below the
+    smallest breakpoint, where a tail power integral is exactly linear in t.
 
-    Marches down until slope·t <= 1e-8·total, then closes with the two leading
-    terms of (total - slope·t)^s; converges even when the weight alone decays
+    One linear_power_integrals stretch from the cut down to where slope·t is
+    1e-8 of the total = at_cut + slope·cut, then the two leading terms of
+    (total - slope·t)^s close it; converges even when the weight alone decays
     only polynomially in u (for a = -1 that needs b < -1).
     """
+    total = at_cut + slope * cut
     if total <= 0.0 or cut <= 0.0:
         return 0.0
     t_freeze = cut if slope <= 0.0 else min(cut, 1e-8 * total / slope)
-
     acc = 0.0
     if t_freeze < cut:
-
-        def g(t):
-            return (total - slope * t) ** s
-
-        acc += log_quad(g, w, t_freeze, cut, rel_tol)
+        acc = float(linear_power_integrals(w, s, cut, t_freeze, at_cut, slope)[0])
     head = weight_integral(w, 0.0, t_freeze)
     if not math.isfinite(head):
         return math.inf

@@ -19,11 +19,11 @@ from .errors import BadExponent, ConditionC2Failed
 from .logcalc import (
     LogWeight,
     UGrid,
-    adaptive_quad,
     golden_refine,
+    linear_power_integrals,
     log_quad,
-    log_quad_multi,
     log_weight_integral,
+    power_log_integrals,
     sup_on_grid,
     sup_on_interval,
     tail_block_integral,
@@ -201,7 +201,7 @@ def lorentz_zygmund_norm(
         val, _ = sup_on_grid(g, UGrid(res.u_max, res.sup_count), extras)
         return val
     w = LogWeight(q / p - 1.0, alpha * q)
-    return log_weight_integral(f, q, w, 0.0, 1.0, res.rel_tol) ** (1.0 / q)
+    return log_weight_integral(f, q, w, 0.0, 1.0) ** (1.0 / q)
 
 
 def grand_norm(
@@ -261,7 +261,18 @@ def ggamma_norm(f: StepRearrangement, spec: GammaDouble, res: Resolution = DEFAU
     def gm(t):
         return w2_prefix_at(f, spec, t) ** (m / p)
 
-    return log_quad(gm, spec.w1, 0.0, 1.0, res.rel_tol, breaks=f.breaks[1:-1]) ** (1.0 / m)
+    return log_quad(gm, spec.w1, 0.0, 1.0, f.breaks[1:-1], _w2_sigma(spec, m / p)) ** (1.0 / m)
+
+
+def _w2_sigma(spec: GammaDouble, s: float):
+    """σ for L^s, L = ∫_0^t g^p w2 with g nonincreasing: on a panel
+    L = A + v^p W2(t), A >= v^p W2 at its start, so t L'/L <= t w2/W2."""
+
+    def sigma(t):
+        w2t = weight_prefix_many(spec.w2, t)
+        return s * np.divide(t * spec.w2(t), w2t, out=np.zeros_like(w2t), where=w2t > 0.0)
+
+    return sigma
 
 
 def space_norm(f: StepRearrangement, spec: SpaceSpec, res: Resolution = DEFAULT) -> float:
@@ -299,16 +310,22 @@ def _cut_panel_powers(f: StepRearrangement, p: float, cuts: np.ndarray, kind: st
     """(VP, PREF): panel values^p and cumulative prefix integrals, per cut.
 
     A tail cut keeps f's values on the panels that reach past c; its PREF at
-    x_i is ∫_c^{x_i} f^p, negative before c, taken from the nearer break
-    around c, so it keeps its digits however close c lies to either."""
+    x_i is ∫_c^{x_i} f^p, summed from c on, so it keeps its digits however
+    small it is next to the mass before c, and however close c lies to a
+    break.  At the start x_k of c's own panel it is -∫_{x_k}^c f^p, and 0
+    before."""
     if kind == "tail":
-        x, (pf, vpf, _) = f.breaks, f.prefix_power(p)
+        x, (_, vpf, _) = f.breaks, f.prefix_power(p)
         k = np.searchsorted(x, cuts, side="right") - 1  # x_k <= c < x_{k+1}, or k = n at 1
-        vp = np.where(np.arange(f.n)[:, None] >= k, vpf[:, None], 0.0)
-        k = np.minimum(k, f.n - 1)
-        i = np.arange(f.n + 1)[:, None]
-        after = (pf[:, None] - pf[k + 1]) + vpf[k] * (x[k + 1] - cuts)
-        return vp, np.where(i > k, after, (pf[:, None] - pf[k]) - vpf[k] * (cuts - x[k]))
+        i = np.arange(f.n)[:, None]
+        vp = np.where(i >= k, vpf[:, None], 0.0)
+        k, col = np.minimum(k, f.n - 1), np.arange(cuts.size)
+        mass = np.where(i > k, vp * f.widths[:, None], 0.0)
+        mass[k, col] = vpf[k] * (x[k + 1] - cuts)
+        pref = np.zeros((f.n + 1, cuts.size))
+        np.cumsum(mass, axis=0, out=pref[1:])
+        pref[k, col] = -vpf[k] * (cuts - x[k])
+        return vp, pref
     v = f.values[:, None]
     c = cuts[None, :]
     vp = np.maximum(v - c, 0.0) if kind == "excess" else np.minimum(v, c)
@@ -336,21 +353,6 @@ def _cut_reach(f: StepRearrangement, cuts: np.ndarray, kind: str):
     return linear, np.where(cuts > 0.0, positive, 0)
 
 
-def _root_integrals(w: LogWeight, rho, vp, s: float, ends, rel_tol: float) -> np.ndarray:
-    """∫ w(t) (vp |t - rho|)^s dt between each rho > 0 and its end, which lies
-    in [rho/2, 2 rho]: a root of a power integral, smooth in y = |t - rho|^s,
-    each stretch mapped onto [0, 1] for one adaptive pass.  Log t stays in
-    log space, so a subnormal rho keeps its digits."""
-    span, side, log_rho = np.abs(ends - rho) ** s, np.sign(ends - rho), np.log(rho)
-
-    def fz(z):
-        lq = np.log(z[:, None] * span) / s  # Log |t - rho|
-        lt = log_rho + np.log1p(side * np.exp(lq - log_rho))
-        return span * vp**s / s * np.exp(lq + w.a * lt) * (1.0 - lt) ** w.b
-
-    return adaptive_quad(fz, np.linspace(0.0, 1.0, 9), rel_tol)
-
-
 def _prefix_log_integrals(
     f: StepRearrangement,
     p: float,
@@ -359,135 +361,86 @@ def _prefix_log_integrals(
     cuts: np.ndarray,
     kind: str,
     hs: np.ndarray,
-    rel_tol: float,
 ) -> np.ndarray:
     """∫_0^h w(t) P_c(t)^s dt for each h of the increasing array hs and each
     cut: a (len(hs), len(cuts)) array, with P_c the exact prefix integral of
     the p-th power of the cut's truncation (kind as in norms_over_cuts).
 
-    The pieces run between edges: the hs, every block-th panel break from
-    x_1 on, and the starts r of the rooted cuts below.  Below the last edge
-    under x_H, P_c^s w is VP[0]^s·t^s w(t), a pure weight that one
-    weight_prefix_many sweep gives for every cut; past the first edge over
-    x_Z the constant P_c^s integrates in closed form.  Each piece in between
-    is one log_quad_multi call over just the cuts that need it.  Once a piece
-    starts past x_H, a capped cut's P_c there is its prefix at the piece's
-    first break plus the one column ∫ f^p from that break: a broadcast, not a
-    gather; a tail cut's P_c is that broadcast everywhere.
-
-    A cut whose P_c is zero up to rho > 0 (a tail cut, or a step function
-    with a zero head) has no linear head: its root stretch from rho to the
-    end of rho's panel, or to 2 rho if nearer, goes to _root_integrals, and
-    its pieces start where that stretch ends, at r, an edge.
+    The breaks and the hs cut (0, max hs] into stretches on which every P_c
+    is linear.  Below x_H, P_c^s w is VP[0]^s·t^s w(t), a pure weight that
+    one weight_prefix_many sweep gives for every cut; past x_Z the constant
+    P_c^s integrates in closed form.  Each (stretch, cut) in between is one
+    linear_power_integrals stretch from its lower end, where P_c is smallest,
+    in blocks of about _CELLS / 64, listed stretch by stretch so that the cuts
+    over one stretch share its nodes.  A cut whose P_c is zero up to rho > 0
+    (a tail cut, or a step function with a zero head) has no linear head: its
+    stretches start at rho, the root of P_c.
     """
-    x, n = f.breaks, f.n
+    x = f.breaks
     vp, pref = _cut_panel_powers(f, p, cuts, kind)
     linear, flat = _cut_reach(f, cuts, kind)
     kr = np.argmax(vp > 0.0, axis=0)  # each cut's first positive panel
-    vr = vp[kr, np.arange(cuts.size)]  # and its p-th power there
     rho = np.maximum(x[kr], cuts if kind == "tail" else 0.0)
     rooted = (rho > 0.0) & (flat > 0)
-    start = np.where(rooted, np.minimum(x[kr + 1], 2.0 * rho), x[linear])
-    # in this order the cuts a piece needs come first: Z falls along it for
-    # the excess (whose H is 1), H rises for the capped (whose Z is shared,
-    # but for c = 0, which is zero and comes last), and the tail cuts, whose
-    # Z is shared but for the zero ones, start one after another
-    key = {"excess": cuts, "capped": -cuts}.get(kind, np.where(flat > 0, start, np.inf))
-    order = np.argsort(key, kind="stable")
-    vp, pref, linear, flat = vp[:, order], pref[:, order], linear[order], flat[order]
-    vr, rho, rooted, start = vr[order], rho[order], rooted[order], start[order]
-    bottom = min(f.min_positive_break(), float(np.min(start[rooted], initial=1.0)))
-    block = max(1, _CELLS // (15 * cuts.size))  # 15 quadrature nodes per panel
-    edges = np.unique(np.concatenate([x[1::block], [1.0], hs, start[rooted]]))
-    edges = edges[(edges >= bottom) & (edges <= max(float(hs[-1]), bottom))]
-    first = np.searchsorted(edges, start, side="right") - 1
-    last = np.maximum(np.searchsorted(edges, x[flat], side="left"), first)
-    last = np.minimum(last, edges.size - 1)
-
-    heads = np.minimum(hs[:, None], edges[first][None, :])
-    head = np.zeros(heads.shape)
+    start = np.where(rooted, rho, x[linear])
+    ends = np.unique(np.concatenate([x[x < hs[-1]], hs]))
+    q0 = np.searchsorted(ends, start, side="right") - 1  # stretch holding each start
+    q1 = np.minimum(np.searchsorted(ends, x[flat], side="left"), ends.size - 1)
+    live = np.flatnonzero(q1 > q0)
+    busy = np.zeros(ends.size, dtype=int)  # how many cuts need each stretch
+    np.add.at(busy, q0[live], 1)
+    np.add.at(busy, q1[live], -1)
+    chunk = (np.cumsum(np.cumsum(busy)) - 1) // (_CELLS // 64)
+    bounds = np.concatenate([[0], np.flatnonzero(np.diff(chunk)) + 1, [ends.size - 1]])
+    sums = np.zeros(hs.size * cuts.size)
+    for qa, qb in zip(bounds[:-1], bounds[1:]):
+        sel = live[(q0[live] < qb) & (q1[live] > qa)]
+        first = np.maximum(q0[sel], qa)
+        count = np.minimum(q1[sel], qb) - first
+        col = np.repeat(sel, count)
+        q = np.repeat(first - np.cumsum(count) + count, count) + np.arange(col.size)
+        by_stretch = np.argsort(q, kind="stable")
+        q, col = q[by_stretch], col[by_stretch]
+        j = np.searchsorted(x, ends[q], side="right") - 1  # panel of each stretch
+        lo = np.maximum(ends[q], start[col])
+        slope = vp[j, col]
+        at_lo = np.where(rooted[col] & (lo == start[col]), 0.0, pref[j, col] + slope * (lo - x[j]))
+        vals = linear_power_integrals(w, s, lo, ends[q + 1], at_lo, slope)
+        below = np.searchsorted(hs, ends[q + 1])  # the first h at or past the stretch
+        sums += np.bincount(below * cuts.size + col, vals, sums.size)
+    out = np.cumsum(sums.reshape(hs.size, cuts.size), axis=0)
+    xz = np.broadcast_to(x[flat], out.shape)
+    past = (hs[:, None] > xz) & (xz > 0.0)
+    top = np.broadcast_to(pref[-1] ** s, out.shape)[past]
+    out[past] += top * power_log_integrals(w.a, w.b, xz[past], np.broadcast_to(hs[:, None], out.shape)[past])
+    heads = np.minimum(hs[:, None], x[linear][None, :])
     linear_head = (heads > 0.0) & ~rooted
-    head[linear_head] = weight_prefix_many(LogWeight(w.a + s, w.b), heads[linear_head])
-    head *= vp[0] ** s
-    ends = np.clip(hs[:, None], rho, start)
-    root = rooted & (ends > rho)
-    rho_h, vr_h = (np.broadcast_to(a, ends.shape)[root] for a in (rho, vr))
-    head[root] = _root_integrals(w, rho_h, vr_h, s, ends[root], rel_tol)
-
-    closed = [weight_integral(w, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-    piece = np.arange(edges.size - 1)[:, None]
-    parts = np.where(piece >= last, pref[-1] ** s * np.reshape(closed, (-1, 1)), 0.0)
-    _, vpf, _ = f.prefix_power(p)
-    for k in range(edges.size - 1):
-        m = int(np.count_nonzero((first <= k) & (k < last)))
-        if m == 0:
-            continue
-        lo, hi = edges[k], edges[k + 1]
-        i0 = int(np.searchsorted(x, lo, side="right")) - 1
-        mb = {"excess": 0, "capped": int(np.count_nonzero(linear[:m] <= i0)), "tail": m}[kind]
-        i1 = min(int(np.searchsorted(x, hi, side="left")), n)
-        local = np.concatenate([[0.0], np.cumsum(vpf[i0:i1] * f.widths[i0:i1])])
-
-        def g(t, m=m, mb=mb, i0=i0, i1=i1, local=local):
-            # panel (x_j, x_{j+1}] of each point, kept inside the piece's panels
-            j = np.clip(np.searchsorted(x, t, side="left") - 1, i0, i1 - 1)
-            dt = t - x[j]
-            out = np.empty((t.size, m))
-            if mb:
-                np.add(pref[i0, :mb], (local[j - i0] + vpf[j] * dt)[:, None], out=out[:, :mb])
-            if m > mb:
-                np.multiply(vp[j, mb:m], dt[:, None], out=out[:, mb:])
-                out[:, mb:] += pref[j, mb:m]
-            out **= s
-            return out
-
-        parts[k, :m] = log_quad_multi(g, w, lo, hi, rel_tol, x[1:-1])
-    done = np.cumsum(np.vstack([np.zeros(cuts.size), parts]), axis=0)
-    below = np.maximum(np.searchsorted(edges, hs, side="right") - 1, 0)
-    out = np.empty(heads.shape)
-    out[:, order] = head + done[below]
+    lead = np.broadcast_to(vp[0] ** s, out.shape)[linear_head]
+    out[linear_head] += lead * weight_prefix_many(LogWeight(w.a + s, w.b), heads[linear_head])
     return out
 
 
-def prefix_log_integral(
-    f: StepFunction, p: float, s: float, w: LogWeight, h, rel_tol: float
-) -> Union[float, np.ndarray]:
+def prefix_log_integral(f: StepFunction, p: float, s: float, w: LogWeight, h) -> Union[float, np.ndarray]:
     """∫_0^h w(t) (∫_0^t f^p)^s dt at a scalar h (a float) or at each h of an
     increasing array: the one-cut (c = 0) _prefix_log_integrals."""
     hs = np.asarray(h, dtype=float)
-    out = _prefix_log_integrals(
-        f, p, s, w, np.zeros(1), "excess", np.atleast_1d(hs), rel_tol
-    )[:, 0]
+    out = _prefix_log_integrals(f, p, s, w, np.zeros(1), "excess", np.atleast_1d(hs))[:, 0]
     return float(out[0]) if hs.ndim == 0 else out
 
 
-def tail_log_integral(f: StepFunction, p: float, s: float, w: LogWeight, rel_tol: float) -> float:
-    """∫_0^1 w(t) (∫_t^1 f^p)^s dt.
-
-    Below the first break the tail is exactly total - v1^p·t, which
-    ``tail_block_integral`` closes even where the weight alone decays only
-    polynomially in u; the rest is one log_quad.  On the last positive panel,
-    ending at x_m, the tail is exactly v_m^p (x_m - t), so for s < 1 the
-    integrand vanishes like the root (x_m - t)^s; from where t is half of x_m
-    (or from the panel's start) that stretch is integrated after the
-    substitution y = (x_m - t)^s, which makes it smooth (_root_integrals).
-    """
-    total = float(prefix_power_at(f, p, 1.0))
-    x1 = f.min_positive_break()
-
-    def g(t):
-        return tail_power_at(f, p, np.asarray(t, dtype=float)) ** s
-
+def tail_log_integral(f: StepFunction, p: float, s: float, w: LogWeight) -> float:
+    """∫_0^1 w(t) (∫_t^1 f^p)^s dt: the tail T is linear on each panel and
+    smallest at its upper end, where each panel's linear_power_integrals
+    stretch starts (T vanishes at the end of the support); below the first
+    break ``tail_block_integral`` closes it even where the weight alone
+    decays only polynomially in u."""
+    _, vp, suf = f.prefix_power(p)
     m = int(np.max(np.flatnonzero(f.values > 0.0), initial=-1)) + 1  # x_m ends the support
-    rooted = s < 1.0 and m > 0
-    x_m = float(f.breaks[m])
-    t_root = max(float(f.breaks[m - 1]), 0.5 * x_m) if rooted else 1.0
-    out = tail_block_integral(w, total, float(f.values[0]) ** p, s, min(x1, t_root), rel_tol)
-    if t_root > x1:
-        out += log_quad(g, w, x1, t_root, rel_tol, f.breaks[1:-1])
-    if rooted:
-        out += float(_root_integrals(w, x_m, float(f.values[m - 1]) ** p, s, t_root, rel_tol)[0])
-    return out
+    if m == 0:
+        return 0.0
+    x = f.breaks
+    out = tail_block_integral(w, float(suf[1]), float(vp[0]), s, float(x[1]))
+    return out + float(np.sum(linear_power_integrals(w, s, x[2 : m + 1], x[1:m], suf[2 : m + 1], vp[1:m])))
 
 
 def _grand_over_cuts(
@@ -617,7 +570,7 @@ def norms_over_cuts(
     if isinstance(spec, Small) and kind != "head":
         p, alpha = spec.p, spec.alpha
         w = LogWeight(-1.0, alpha - alpha / p - 1.0)
-        return _prefix_log_integrals(f, p, 1.0 / p, w, cuts, kind, np.ones(1), res.rel_tol)[0]
+        return _prefix_log_integrals(f, p, 1.0 / p, w, cuts, kind, np.ones(1))[0]
     # no batched path: fall back to one norm per cut
     make = {"excess": excess_part, "capped": capped_part, "head": head_restriction}[kind]
     return np.array([space_norm(make(f, float(c)), spec, res) for c in cuts])
@@ -683,7 +636,7 @@ def ggamma_lower_bound_check(
         def gm(t):
             return w2_pref(t) ** (m / p)
 
-        denom = log_quad(gm, spec.w1, 0.0, measE, res.rel_tol) ** (1.0 / m)
+        denom = log_quad(gm, spec.w1, 0.0, measE, (), _w2_sigma(spec, m / p)) ** (1.0 / m)
     lhs = rho * w2_mass ** (1.0 / p) / denom if denom > 0 else math.inf
     rhs_sq = w2_prefix_at(f, spec, np.array([measE]))[0]
     return lhs, float(rhs_sq ** (1.0 / p))

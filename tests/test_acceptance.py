@@ -229,7 +229,7 @@ def test_ac9_discretization():
             for _ in range(20):
                 m = random_steps(rng, nonincreasing=False)
                 h = StepFunction(np.asarray(m.breaks), np.asarray(m.values))
-                rep = discretization_check(h, lam, q, ACC.rel_tol)
+                rep = discretization_check(h, lam, q)
                 for row in rep.members:
                     if row["id"].startswith("blocks"):
                         worst = max(worst, row["ratio"], 1.0 / row["ratio"])
@@ -318,7 +318,7 @@ def test_ac12_hardy_and_smoothing():
         for refined in (False, True):
             res = ACC.doubled() if refined else ACC
             for _, f in FAMILY2.realize(res):
-                rep = sup_smoothing_check(f, exps, which, res.rel_tol)
+                rep = sup_smoothing_check(f, exps, which)
                 if not rep.members:
                     continue
                 ok = ok and rep.passed  # includes i_sup >= i_dir within 1e-9

@@ -75,8 +75,8 @@ def test_log_quad_is_one_column_of_log_quad_multi(members):
             return g(t)[:, None]
 
         for lo, hi in ((x1, 1.0), (1e-9, 0.3)):
-            one = log_quad(g, w, lo, hi, DEFAULT.rel_tol, f.breaks[1:-1])
-            multi = log_quad_multi(g_multi, w, lo, hi, DEFAULT.rel_tol, f.breaks[1:-1])
+            one = log_quad(g, w, lo, hi, f.breaks[1:-1])
+            multi = log_quad_multi(g_multi, w, lo, hi, f.breaks[1:-1])
             assert multi.shape == (1,)
             assert _close(float(multi[0]), one), (name, lo, hi, multi, one)
 

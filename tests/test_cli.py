@@ -87,6 +87,19 @@ def test_reversed_exponents_are_a_hypothesis_violation(capsys):
     assert capsys.readouterr().err == "error: need 1 < p < q < inf\n"
 
 
+@pytest.mark.parametrize(
+    "flag,value,floor",
+    [("--panels", "1", "1"), ("--u-max", "0.5", "1"), ("--sup-count", "0", "1"), ("--k-nodes", "1", "1")],
+)
+def test_out_of_range_resolution_is_an_input_error(capsys, flag, value, floor):
+    """A grid the package cannot build is an input error (exit 2) that names
+    its flag, not a numerical failure."""
+    args = ["experiment", "T1.2", "p=2", "q=4", "theta=0.5", "r=2", "alpha=1", flag, value]
+    code, stdout = run_cli(*args)
+    assert code == 2 and stdout == ""
+    assert capsys.readouterr().err == f"error: {flag} must exceed {floor}, got {value}\n"
+
+
 def test_kfunc_csv(tmp_path):
     out = tmp_path / "k.csv"
     code, _ = run_cli(

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 import scipy.integrate as si
 
+from rispaces.config import DEFAULT
+from rispaces.equivharness import standard_family
 from rispaces.errors import BadExponent, HypothesisViolation
 from rispaces.interpolation import (
     InterpParams,
@@ -15,6 +17,7 @@ from rispaces.interpolation import (
     doubling_time,
     identify_target,
     interp_norm,
+    theorem_couple,
     z_norm,
     z_norm_alt,
 )
@@ -94,6 +97,38 @@ def test_interp_norm_segments_against_mpmath(alpha):
         ref = float(ref ** (1 / mpmath.mpf(r)))
     got = interp_norm(KCurve(ts, ks), InterpParams(theta, r, alpha))
     assert got == pytest.approx(ref, rel=1e-10)
+
+
+def _piecewise_power_norm_mp(curve: KCurve, theta: float, r: float) -> float:
+    """(∫_0^1 [t^{-theta} K(t)]^r dt/t)^{1/r} in mpmath, K the curve's
+    piecewise power (K(t_1) t/t_1 below the first node): closed forms per
+    segment, in mpmath's unbounded exponent range."""
+    t = [mpmath.mpf(float(v)) for v in curve.t_nodes]
+    k = [mpmath.mpf(float(v)) for v in curve.k_values]
+    total = (k[0] / t[0]) ** r * t[0] ** ((1 - theta) * r) / ((1 - theta) * r)
+    for i in range(len(t) - 1):
+        m = mpmath.log(k[i + 1] / k[i]) / mpmath.log(t[i + 1] / t[i])
+        e = (m - theta) * r
+        seg = (t[i + 1] ** e - t[i] ** e) / e if e != 0 else mpmath.log(t[i + 1] / t[i])
+        total += (k[i] * t[i] ** -m) ** r * seg
+    return float(total ** (1 / mpmath.mpf(r)))
+
+
+@pytest.mark.parametrize("r", [24.0, 64.0])
+def test_interp_norm_large_r_against_mpmath(r):
+    """K(t_i)^r t_i^{-m r} overflows once m·r passes about 20 on a grid down
+    to t_1 = 1.7e-15, so each piece is scaled inside its exponent and the sum
+    is taken in logs; T1.2's oracle curves at theta = 0.5."""
+    realized = dict(standard_family().realize(DEFAULT))
+    couple = theorem_couple("T1.2", 2.0, 4.0, 1.0)
+    grid = UGrid(DEFAULT.u_max, DEFAULT.k_nodes)
+    for name in ("const", "rand_00"):
+        curve = k_curve(realized[name], couple, grid, "oracle", DEFAULT)
+        got = interp_norm(curve, InterpParams(0.5, r, 0.0))
+        with mpmath.workdps(30):
+            want = _piecewise_power_norm_mp(curve, 0.5, r)
+        assert math.isfinite(got)
+        assert got == pytest.approx(want, rel=1e-12), name
 
 
 def test_interp_norm_zero_curve():

@@ -2,9 +2,11 @@
 and import nothing they do not use."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import rispaces
+from rispaces.config import Resolution
 
 PACKAGE = Path(rispaces.__file__).parent
 
@@ -103,3 +105,31 @@ def test_explicit_forms_reach_integrals_only_through_norms():
         "prefix_power_at",
         "tail_power_at",
     }
+
+
+def test_no_quadrature_tolerance():
+    """Every integral is a closed form or a κ pass, whose panels come from the
+    integrand's data: no function takes a rel_tol, no dataclass carries one,
+    and logcalc defines no adaptive rule."""
+    problems = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+                names += [x.arg for x in (a.vararg, a.kwarg) if x is not None]
+                if "rel_tol" in names:
+                    problems.append(f"{path.name}:{node.lineno} takes rel_tol")
+            elif isinstance(node, ast.ClassDef):
+                problems += [
+                    f"{path.name}:{item.lineno} {node.name} has a field rel_tol"
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign) and getattr(item.target, "id", None) == "rel_tol"
+                ]
+    logcalc = ast.parse((PACKAGE / "logcalc.py").read_text(encoding="utf-8"))
+    defined = {n.name for n in logcalc.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    if "adaptive_quad" in defined:
+        problems.append("logcalc.py defines adaptive_quad")
+    assert not problems, "\n".join(problems)
+    assert [f.name for f in fields(Resolution)] == ["u_max", "panels", "sup_count", "k_nodes"]

@@ -464,7 +464,7 @@ def test_tail_log_integral_root_at_support_end(p, s, d):
         for name in ("const", "char_0.125", "plog_g0_d-1", "rand_00", "one panel", "one of two"):
             f = realized[name]
             want = float(_tail_log_integral_mp(f, p, s, d))
-            got = tail_log_integral(f, p, s, LogWeight(-1.0, d), 1e-10)
+            got = tail_log_integral(f, p, s, LogWeight(-1.0, d))
             assert got == pytest.approx(want, rel=1e-10, abs=0.0), name
 
 
@@ -475,7 +475,7 @@ def test_tail_log_integral_keeps_small_tails():
     f = dict(standard_family(q=2.0).realize(Resolution()))["plog_g0.25_d-1"]
     with mpmath.workdps(20):
         want = float(_tail_log_integral_mp(f, 4.0, 0.25, -1.5))
-    got = tail_log_integral(f, 4.0, 0.25, LogWeight(-1.0, -1.5), 1e-10)
+    got = tail_log_integral(f, 4.0, 0.25, LogWeight(-1.0, -1.5))
     assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
@@ -527,9 +527,9 @@ def test_prefix_and_tail_log_integrals_take_any_weight(a, b, s):
     with mpmath.workdps(20):
         for f in fs:
             want = float(_log_integral_mp(f, 2.0, s, w, tail=False))
-            assert prefix_log_integral(f, 2.0, s, w, 1.0, 1e-10) == pytest.approx(want, rel=1e-10)
+            assert prefix_log_integral(f, 2.0, s, w, 1.0) == pytest.approx(want, rel=1e-10)
             want = float(_log_integral_mp(f, 2.0, s, w, tail=True))
-            assert tail_log_integral(f, 2.0, s, w, 1e-10) == pytest.approx(want, rel=1e-10)
+            assert tail_log_integral(f, 2.0, s, w) == pytest.approx(want, rel=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -557,7 +557,7 @@ def test_log_integrals_of_a_step_function_that_is_not_monotone(values, tail, s, 
     with mpmath.workdps(20):
         want = float(_log_integral_mp(h, 1.0, s, w, tail))
     if tail:
-        got = tail_log_integral(h, 1.0, s, w, 1e-10)
+        got = tail_log_integral(h, 1.0, s, w)
     else:
-        got = prefix_log_integral(h, 1.0, s, w, 1.0, 1e-10)
+        got = prefix_log_integral(h, 1.0, s, w, 1.0)
     assert got == pytest.approx(want, rel=1e-10)
