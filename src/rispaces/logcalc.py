@@ -60,6 +60,7 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _TAIL_CHUNKS = 4000
 _TAIL_EPS = 1e-16  # a marched chunk below this share of the sum is negligible
 _SCAN_BLOCK = 1 << 16
+_SCAN_RUN = 32  # points per run of a pruned scan
 
 
 def u_of_t(t):
@@ -595,61 +596,92 @@ def sup_on_interval(
     count: int,
     extra_points: Iterable[float] = (),
     u_cap: float = 41.0,
+    bound: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(sup, argmax) arrays of g over windows (lo_k, hi_k] by log-grid scan plus
     golden refinement; g(t, k) evaluates window k's objective at points t.
 
-    Window k scans n_k log-spaced nodes (n_k scales with its u-length, between
-    8 and count) and the extra points inside it; a window open at 0 reaches
-    down to u = max(u_cap, u(hi_k) + 8).  Grids are scanned in blocks of about
-    _SCAN_BLOCK points, then every window is refined in one golden pass.
-    """
+    Window k scans the n_k nodes of np.linspace(u_hi, u_lo, n_k) in t (n_k
+    scales with its u-length, between 8 and count) and the extra points inside
+    it; a window open at 0 reaches down to u_lo = max(u_cap, u(hi_k) + 8).  Both
+    point sequences are cut into runs of _SCAN_RUN points.  Given bound(a, b, k),
+    an upper bound of g(·, k) on [a, b], a run is skipped when its bound lies
+    below g at the largest point of another run of its window: the result is
+    the full scan's bit for bit.  The maximum (at the smallest t attaining it)
+    is refined in one golden pass between its neighbours in the window."""
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     u_hi = u_of_t(hi)
     u_lo = np.maximum(u_cap, u_hi + 8.0)
     u_lo[lo > 0.0] = u_of_t(lo[lo > 0.0])
     n = np.maximum(8, np.minimum(count, (count * (u_lo - u_hi) / 34.0).astype(int) + 8))
+    step = (u_lo - u_hi) / (n - 1)
     xs = np.sort(np.asarray(list(extra_points), dtype=float))
-    x_from = np.searchsorted(xs, lo, side="right")
     x_to = np.searchsorted(xs, hi, side="right")
-    best = np.empty(lo.size)
-    best_t = np.empty(lo.size)
-    t_left = np.empty(lo.size)
-    t_right = np.empty(lo.size)
-    k0 = 0
-    while k0 < lo.size:
-        grids = []
-        size = 0
-        for k in range(k0, lo.size):
-            nodes = t_of_u(np.linspace(u_hi[k], u_lo[k], n[k]))
-            grid = np.unique(np.concatenate([nodes, xs[x_from[k]:x_to[k]]]))
-            grids.append(grid)
-            size += grid.size
-            if size >= _SCAN_BLOCK:
-                break
-        sizes = np.array([grid.size for grid in grids])
-        starts = np.cumsum(sizes) - sizes
-        ts = np.concatenate(grids)
-        ks = np.arange(k0, k0 + sizes.size)
-        vals = np.asarray(g(ts, np.repeat(ks, sizes)), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise NonFiniteValue("objective returned a non-finite value")
-        top = np.maximum.reduceat(vals, starts)
-        hits = np.flatnonzero(vals == np.repeat(top, sizes))
-        i = hits[np.searchsorted(hits, starts)]
-        best[ks], best_t[ks] = top, ts[i]
-        t_left[ks] = ts[np.maximum(i - 1, starts)]
-        t_right[ks] = ts[np.minimum(i + 1, starts + sizes - 1)]
-        k0 += sizes.size
+    counts = np.stack([n, x_to - np.searchsorted(xs, lo, side="right")], axis=1)
+    xp = np.append(xs, 0.0)  # so that the index x_to - 1 - i of a node or of i = -1 is in range
 
-    def h(t, k):
-        v = np.asarray(g(t, k), dtype=float)
-        if not np.all(np.isfinite(v)):
-            raise NonFiniteValue("objective returned a non-finite value")
-        return v
+    def point(k, s, i):  # point i, decreasing in i, of windows k: node (s = 0) or extra point
+        u = np.where(i == n[k] - 1, u_lo[k], i * step[k] + u_hi[k])  # as np.linspace has it
+        return np.where(s == 0, t_of_u(u), xp[np.maximum(x_to[k] - 1 - i, 0)])
 
-    return golden_refine(h, t_left, t_right, best, best_t)
+    k, s, start, stop = _runs(counts)
+    if bound is not None:
+        a, b = point(k, s, stop - 1), point(k, s, start)
+        ends = _values(g, b, k)
+        best_end = np.maximum.reduceat(ends, np.flatnonzero(np.diff(k, prepend=-1)))
+        live = ~(bound(a, b, k) * (1.0 + 1e-12) < best_end[k]) | (ends == best_end[k])
+        k, s, start, stop = k[live], s[live], start[live], stop[live]
+    size = stop - start
+    i = np.arange(size.sum()) + np.repeat(start - np.cumsum(size) + size, size)
+    k, s = np.repeat(k, size), np.repeat(s, size)
+    ts = point(k, s, i)
+    vals = _values(g, ts, k)
+    first = np.flatnonzero(np.diff(k, prepend=-1))
+    best = np.maximum.reduceat(vals, first)
+    best_t = np.minimum.reduceat(np.where(vals == best[k], ts, np.inf), first)
+
+    # its neighbours: in each sequence, the points just below and just above
+    w = np.arange(lo.size)
+    t_left, t_right = np.full(lo.size, -np.inf), np.full(lo.size, np.inf)
+    for q in (0, 1):
+        seq = np.full(lo.size, q)
+        above = _index_search(lambda j, v: point(v, seq[v], j) > best_t[v], counts[:, q])
+        upto = _index_search(lambda j, v: point(v, seq[v], j) >= best_t[v], counts[:, q])
+        t_left = np.maximum(t_left, np.where(upto < counts[:, q], point(w, seq, upto), -np.inf))
+        t_right = np.minimum(t_right, np.where(above > 0, point(w, seq, above - 1), np.inf))
+    t_left, t_right = (np.where(np.isinf(t), best_t, t) for t in (t_left, t_right))
+    return golden_refine(lambda t, k: _values(g, t, k), t_left, t_right, best, best_t)
+
+
+def _runs(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Indices 0 .. counts[k, s] - 1 of window k's point sequence s cut into runs
+    of at most _SCAN_RUN: (k, s, start, stop) of each run, grouped by window."""
+    m = -(-counts.ravel() // _SCAN_RUN)
+    ks = np.repeat(np.arange(m.size), m)
+    start = _SCAN_RUN * (np.arange(ks.size) - np.repeat(np.cumsum(m) - m, m))
+    stop = np.minimum(start + _SCAN_RUN, counts.ravel()[ks])
+    return ks // counts.shape[1], ks % counts.shape[1], start, stop
+
+
+def _index_search(pred, n: np.ndarray) -> np.ndarray:
+    """For each k, how many j in [0, n_k) satisfy pred(j, k), a predicate that
+    holds up to some j and fails beyond; pred takes arrays of j and of k."""
+    a, b = np.zeros_like(n), n.copy()
+    while (act := np.flatnonzero(a < b)).size:
+        m = (a[act] + b[act]) // 2
+        yes = pred(m, act)
+        a[act[yes]], b[act[~yes]] = m[yes] + 1, m[~yes]
+    return a
+
+
+def _values(g, ts: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """g(ts, ks) in chunks of _SCAN_BLOCK points, all finite."""
+    chunks = [g(ts[i:i + _SCAN_BLOCK], ks[i:i + _SCAN_BLOCK]) for i in range(0, ts.size, _SCAN_BLOCK)]
+    vals = np.concatenate([np.zeros(0)] + [np.asarray(v, dtype=float) for v in chunks])
+    if not np.all(np.isfinite(vals)):
+        raise NonFiniteValue("objective returned a non-finite value")
+    return vals
 
 
 def sup_on_grid(

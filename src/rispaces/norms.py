@@ -514,25 +514,31 @@ def _grand_over_windows(
     at each cut c: the sup over the window of (1-Log s)^{-alpha/p} times the p-th
     root of the truncation's tail from s, P(c) - P(s) for a head and the suffix
     sum ∫_s^1 f^p for a tail.  Each window is scanned down to u_max + 6 by
-    sup_on_interval."""
+    sup_on_interval; the first factor increases in s and the tail decreases, so
+    on [a, b] the objective is at most the first factor at b times the tail at a."""
     e, ip = -alpha / p, 1.0 / p
     if kind == "tail":
         k, lo, hi = np.arange(cuts.size), cuts, np.ones(cuts.size)
 
-        def g(s, j):
-            return (1.0 - np.log(s)) ** e * tail_power_at(f, p, s) ** ip
+        def mass(s, j):
+            return tail_power_at(f, p, s)
 
     else:
         k = np.flatnonzero(cuts >= 1e-300)
         lo, hi = np.zeros(k.size), cuts[k]
         top = prefix_power_at(f, p, hi)
 
-        def g(s, j):
-            return (1.0 - np.log(s)) ** e * np.maximum(top[j] - prefix_power_at(f, p, s), 0.0) ** ip
+        def mass(s, j):
+            return np.maximum(top[j] - prefix_power_at(f, p, s), 0.0)
+
+    def bound(a, b, j):
+        return (1.0 - np.log(b)) ** e * mass(a, j) ** ip
 
     out = np.zeros(cuts.size)
     if k.size:
-        out[k], _ = sup_on_interval(g, lo, hi, res.sup_count, f.breaks[1:], u_cap=res.u_max + 6.0)
+        out[k], _ = sup_on_interval(
+            lambda s, j: bound(s, s, j), lo, hi, res.sup_count, f.breaks[1:], res.u_max + 6.0, bound
+        )
     return out
 
 

@@ -11,7 +11,9 @@ import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rispaces import logcalc
+from conftest import FAST
+from rispaces import logcalc, norms
+from rispaces.config import Resolution
 from rispaces.errors import (
     BadExponent,
     BadInterval,
@@ -34,6 +36,9 @@ from rispaces.logcalc import (
     weight_integral,
     weight_prefix_many,
 )
+from rispaces.equivharness import standard_family
+from rispaces.kfunctional import GrandGrand, GrandLq, GrandSmallSameP, SmallSmall, k_curve, k_explicit
+from rispaces.norms import Grand, norms_over_cuts
 from rispaces.rearrangement import PowerLog, StepFunction, discretize_model
 
 
@@ -172,14 +177,36 @@ def test_finite_weight_integral_against_mpmath_quad():
             ), (a, b, lo, hi)
 
 
+def _golub_welsch_jacobi(n, b, dps=40):
+    """The n-point Gauss rule for the weight (1 + y)^b on [-1, 1] at dps
+    digits: nodes are the eigenvalues of the monic Jacobi recurrence's matrix,
+    weights μ_0 times the squared first components of its eigenvectors."""
+    with mpmath.workdps(dps):
+        b = mpmath.mpf(b)
+        J = mpmath.zeros(n, n)
+        for k in range(n):
+            m = 2 * k + b
+            J[k, k] = b / (b + 2) if k == 0 else b * b / (m * (m + 2))
+            if k:
+                off = 4 * k * k * (k + b) ** 2 / (m * m * (m + 1) * (m - 1))
+                J[k, k - 1] = J[k - 1, k] = mpmath.sqrt(off)
+        E, Q = mpmath.eigsy(J)
+        mu0 = 2 ** (b + 1) / (b + 1)
+        rule = sorted((E[i], mu0 * Q[0, i] ** 2) for i in range(n))
+        return np.array([float(y) for y, _ in rule]), np.array([float(w) for _, w in rule])
+
+
 @pytest.mark.parametrize("s", [1 / 3, 0.5, 1.5, 2.5])
 def test_gauss_jacobi_root_rule_against_scipy(s):
-    """The rule for ∫_0^1 x^s φ(x) dx is scipy's Gauss-Jacobi rule for
-    (1 + y)^s on [-1, 1], mapped by x = (1 + y)/2."""
-    y, mu = sp.roots_jacobi(15, 0.0, s)
+    """The rule for ∫_0^1 x^s φ(x) dx is the Gauss-Jacobi rule for (1 + y)^s
+    on [-1, 1], mapped by x = (1 + y)/2, here computed to 40 digits with
+    mpmath (a double-precision oracle such as scipy's roots_jacobi is itself
+    off by up to 6.5e-14)."""
+    y, mu = _golub_welsch_jacobi(15, s)
     x, w = logcalc._jacobi_rule(s)
     assert x == pytest.approx((1.0 + y) / 2.0, rel=1e-13, abs=0.0)
     assert w == pytest.approx(mu / 2.0 ** (s + 1.0), rel=1e-13, abs=0.0)
+    assert mu == pytest.approx(sp.roots_jacobi(15, 0.0, s)[1], rel=1e-12, abs=0.0)
 
 
 def test_weight_integral_takes_no_adaptive_step(monkeypatch):
@@ -239,6 +266,188 @@ def test_sup_log_ratio_against_scipy():
 def test_sup_rejects_non_finite():
     with pytest.raises(NonFiniteValue):
         sup_on_grid(lambda t: np.full_like(np.asarray(t), np.nan), UGrid(35.0, 16))
+
+
+def _full_scan(g, lo, hi, count, extra_points=(), u_cap=41.0):
+    """The window scan without pruning, as it was before runs: each window's
+    nodes np.linspace(u_hi, u_lo, n_k) and extra points in (lo_k, hi_k], merged
+    by np.unique and scanned in blocks of about 2^16 points, then golden
+    refinement between the best point's neighbours."""
+    lo, hi = np.atleast_1d(lo).astype(float), np.atleast_1d(hi).astype(float)
+    u_hi = u_of_t(hi)
+    u_lo = np.where(lo > 0.0, u_of_t(np.where(lo > 0.0, lo, 1.0)), np.maximum(u_cap, u_hi + 8.0))
+    n = np.maximum(8, np.minimum(count, (count * (u_lo - u_hi) / 34.0).astype(int) + 8))
+    xs = np.sort(np.asarray(list(extra_points), dtype=float))
+    x_from, x_to = np.searchsorted(xs, lo, side="right"), np.searchsorted(xs, hi, side="right")
+    best, best_t, t_left, t_right = (np.empty(lo.size) for _ in range(4))
+    k0 = 0
+    while k0 < lo.size:
+        grids, size = [], 0
+        for k in range(k0, lo.size):
+            nodes = t_of_u(np.linspace(u_hi[k], u_lo[k], n[k]))
+            grids.append(np.unique(np.concatenate([nodes, xs[x_from[k]:x_to[k]]])))
+            size += grids[-1].size
+            if size >= 1 << 16:
+                break
+        sizes = np.array([grid.size for grid in grids])
+        starts = np.cumsum(sizes) - sizes
+        ts, ks = np.concatenate(grids), np.arange(k0, k0 + sizes.size)
+        vals = np.asarray(g(ts, np.repeat(ks, sizes)), dtype=float)
+        top = np.maximum.reduceat(vals, starts)
+        hits = np.flatnonzero(vals == np.repeat(top, sizes))
+        i = hits[np.searchsorted(hits, starts)]
+        best[ks], best_t[ks] = top, ts[i]
+        t_left[ks] = ts[np.maximum(i - 1, starts)]
+        t_right[ks] = ts[np.minimum(i + 1, starts + sizes - 1)]
+        k0 += sizes.size
+    return golden_refine(g, t_left, t_right, best, best_t)
+
+
+def _same_bits(got, want):
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+def _bump(centre, width):
+    """A bump in u about centre[k], with its exact maximum on [a, b] as bound."""
+
+    def g(t, k):
+        return np.exp(-(((u_of_t(t) - u_of_t(centre[k])) / width) ** 2))
+
+    def bound(a, b, k):
+        return g(np.clip(centre[k], a, b), k)
+
+    return g, bound
+
+
+def _nan_bound(bound):
+    """bound on every other run and NaN on the rest: a NaN never prunes."""
+
+    def nb(a, b, k):
+        out = bound(a, b, k)
+        out[::2] = np.nan
+        return out
+
+    return nb
+
+
+def test_pruned_scan_equals_the_full_scan_on_edge_windows():
+    node = float(t_of_u(np.linspace(u_of_t(0.5), u_of_t(0.01), 56))[5])  # a node of window 4
+    extras = np.array([0.003, 0.02, 0.0371, 0.2, 0.2, 0.3, node, 0.7, 0.9])
+    lo = np.array([0.0, 0.0, 0.3, 0.05, 0.01, 0.2, 0.3, 0.4, 0.0])
+    hi = np.array([1.0, 0.1, 0.3, 0.06, 0.5, 0.2, 0.9, 0.41, 1e-12])
+    # peaks: inside, on an extra point, at lo = hi, in a window without extra
+    # points, on the node that is also an extra point, past either end
+    centre = np.array([0.4, 0.0371, 0.3, 0.055, node, 0.2, 0.7, 0.9, 1e-20])
+    g, bound = _bump(centre, 0.05)
+    want = _full_scan(g, lo, hi, 512, extras)
+    assert want[1][[1, 4, 6]].tolist() == [0.0371, node, 0.7]
+    for b in (None, bound, _nan_bound(bound)):
+        _same_bits(logcalc.sup_on_interval(g, lo, hi, 512, extras, bound=b), want)
+    _same_bits(logcalc.sup_on_interval(g, lo, hi, 512, bound=bound), _full_scan(g, lo, hi, 512))
+
+
+def test_pruned_scan_breaks_ties_toward_the_smallest_point():
+    # a flat objective's argmax is each window's smallest point: the last node
+    # u_lo, which (n - 1)·step + u_hi misses by an ulp in the window (0.01, 0.9]
+    lo, hi = np.array([0.0, 0.2, 0.5, 0.01]), np.array([1.0, 0.9, 0.5, 0.9])
+
+    def flat(t, k):
+        return np.zeros(np.shape(t))
+
+    want = _full_scan(flat, lo, hi, 256, [0.1, 0.3])
+    for b in (None, lambda a, b, k: np.zeros(a.shape)):
+        _same_bits(logcalc.sup_on_interval(flat, lo, hi, 256, [0.1, 0.3], bound=b), want)
+    assert want[1][1] < 0.2 * (1.0 + 1e-12)
+    # two plateaus at the bound: nodes 0-3, which hold the first run's largest
+    # point, and nodes 40-42, inside the second run; the second wins the tie
+    nodes = t_of_u(np.linspace(1.0, 41.0, 256))
+
+    def plateaus(t, k):
+        return ((t >= nodes[3]) | ((t >= nodes[42]) & (t <= nodes[40]))).astype(float)
+
+    want = _full_scan(plateaus, [0.0], [1.0], 256)
+    assert want[1][0] == nodes[42]
+    for b in (None, lambda a, b, k: np.ones(a.shape)):
+        _same_bits(logcalc.sup_on_interval(plateaus, [0.0], [1.0], 256, bound=b), want)
+
+
+def test_nan_at_a_run_end_raises_with_a_bound():
+    top = float(t_of_u(u_of_t(0.5)))  # the largest point of the window's first run
+
+    def g(t, k):
+        return np.where(t >= top, np.nan, 1.0)
+
+    with pytest.raises(NonFiniteValue):
+        logcalc.sup_on_interval(g, [0.1], [0.5], 256, bound=lambda a, b, k: np.zeros(a.shape))
+
+
+def test_pruned_scan_equals_the_full_scan_on_explicit_k_windows(monkeypatch):
+    """Every Grand window of the explicit K-curves of the benchmark's members
+    (LpLq scans none)."""
+    seen = []
+
+    def check(g, lo, hi, count, extras, u_cap, bound):
+        got = logcalc.sup_on_interval(g, lo, hi, count, extras, u_cap, bound)
+        _same_bits(got, _full_scan(g, lo, hi, count, extras, u_cap))
+        seen.append(np.size(lo))
+        return got
+
+    monkeypatch.setattr(norms, "sup_on_interval", check)  # every Grand head and tail window
+    subset = ("const", "char_0.125", "plog_g0_d-1", "rand_00")
+    for res in (Resolution(), Resolution().doubled()):
+        for couple, q in (
+            (GrandLq(2, 4, 1.0), 4.0),
+            (GrandGrand(2, 4, 1.0), 4.0),
+            (SmallSmall(2, 4), 4.0),
+            (GrandSmallSameP(2), 2.0),
+        ):
+            for name, f in standard_family(q).realize(res):
+                if name in subset:
+                    k_curve(f, couple, UGrid(res.u_max, res.k_nodes), "explicit", res)
+    assert len(seen) == 40 and sum(seen) > 10000
+
+
+def test_pruned_scan_on_edge_cuts(monkeypatch):
+    """Grand heads and tails at a subnormal cut, the first break, a cut on a
+    later break and c = 1 (an empty tail window lo = hi)."""
+    f = discretize_model(PowerLog(0.0, -1.0), FAST.u_max, FAST.panels)
+
+    def check(g, lo, hi, count, extras, u_cap, bound):
+        want = _full_scan(g, lo, hi, count, extras, u_cap)
+        for b in (None, bound):
+            _same_bits(logcalc.sup_on_interval(g, lo, hi, count, extras, u_cap, b), want)
+        return want
+
+    monkeypatch.setattr(norms, "sup_on_interval", check)  # every Grand head and tail window
+    cuts = np.array([1e-310, f.breaks[1], f.breaks[50], 1.0])
+    for kind in ("head", "tail"):
+        out = norms_over_cuts(f, Grand(4.0, 1.0), cuts, kind, FAST)
+        assert np.all(np.isfinite(out))
+    assert out[-1] == 0.0
+
+
+def test_pruned_scan_evaluates_a_small_share_of_the_grid(monkeypatch):
+    """GrandGrand(2, 4, 1) windows of plog_g0_d-1: the bounded scan evaluates
+    at most 15% of the points the unbounded one does."""
+    points = {"bounded": 0, "full": 0}
+
+    def check(g, lo, hi, count, extras, u_cap, bound):
+        for key, b in (("full", None), ("bounded", bound)):
+
+            def counted(t, k, key=key):
+                points[key] += np.size(t)
+                return g(t, k)
+
+            got = logcalc.sup_on_interval(counted, lo, hi, count, extras, u_cap, b)
+        return got
+
+    monkeypatch.setattr(norms, "sup_on_interval", check)  # every Grand head and tail window
+    res = Resolution()
+    f = dict(standard_family(4.0).realize(res))["plog_g0_d-1"]
+    k_explicit(f, GrandGrand(2, 4, 1.0), UGrid(res.u_max, res.k_nodes).t_nodes(), res)
+    assert points["full"] > 1e6
+    assert points["bounded"] <= 0.15 * points["full"]
 
 
 def test_invert_pure_power_exact():
