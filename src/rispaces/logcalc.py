@@ -5,12 +5,14 @@ Substituting u = 1 - Log t turns such weights into e^{(1-u)(a+1)} u^b, smooth
 and polynomially-varying on a uniform grid, so all integrals and suprema are
 done in the u variable.
 
-Integrals take no tolerance: each is a closed form or one κ pass, 15-point
-Gauss-Legendre panels in u at most 1/(2κ) wide, κ = |a + 1| + σ + (1 + |b|)/u,
-where σ bounds the log-derivative of the factor g that multiplies the weight
-(s·t|L'|/L for g = L^s); the rule is exact to rounding on such panels.  A
-weight alone (weight_integral) has elementary forms where b = 0 or a = -1 and
-the incomplete gamma function for an open lower end.  A power of a linear L
+Integrals take no tolerance: each is a closed form or one κ pass, Gauss-Legendre
+panels in u at most 1/(2κ) wide, κ = |a + 1| + σ + (1 + |b|)/u, where σ bounds
+the log-derivative of the factor g that multiplies the weight (s·t|L'|/L for
+g = L^s).  A pass takes 5 points per panel if κ·w <= 1/16 on all its panels of
+width w, 8 if κ·w <= 1/6, and 15 otherwise; each rung is exact to rounding on
+such panels.  A weight alone (weight_integral) has elementary forms where
+b = 0 or a = -1 and the incomplete gamma function for an open lower end.  A
+power of a linear L
 (linear_power_integrals) takes a Gauss-Jacobi rule next to a root of L; any
 other g (log_quad) a march of two-unit κ passes toward t = 0.
 """
@@ -55,7 +57,11 @@ __all__ = [
     "weight_prefix_many",
 ]
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
+# (points, largest κ·w): the rungs of a κ pass, each exact to rounding up to its
+# limit, where the Bernstein ellipse of a panel has ρ >= ~4/(κw) (Trefethen,
+# ATAP, Thm 19.3)
+_RUNGS = ((5, 1.0 / 16.0), (8, 1.0 / 6.0), (15, 0.5))
+_GL = {n: np.polynomial.legendre.leggauss(n) for n, _ in _RUNGS}
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _TAIL_CHUNKS = 4000
 _TAIL_EPS = 1e-16  # a marched chunk below this share of the sum is negligible
@@ -143,18 +149,21 @@ def _split(lo: np.ndarray, hi: np.ndarray, width) -> Tuple[np.ndarray, np.ndarra
     return a, b, ids
 
 
-def _kappa_panels(c: np.ndarray, b: float, lo: np.ndarray, span: np.ndarray, sigma=0.0):
+def _kappa_panels(c: np.ndarray, b: float, lo: np.ndarray, span: np.ndarray, sigma=0.0, reach=0.0):
     """The panels of a κ pass over the offsets [0, span_i] from lo_i >= 1 in
-    u: nodes as offsets from lo_i, (panels, 15); half widths; and the interval
-    of each panel, nondecreasing, each interval with at least one panel.
+    u: nodes as offsets from lo_i, (panels, points); half widths; and the
+    interval of each panel, nondecreasing, each interval with at least one
+    panel.
 
     Each interval is cut at lo_i·2^k, and each piece evenly into panels at
     most 1/(2κ) wide, κ = |c_i| + σ_i + (1 + |b|)/v at the piece's start v,
     where e^{-c_i u} is the weight's rate and σ_i bounds the log-derivative
     in u of the rest of the integrand.  κ bounds how fast the integrand's log
     moves, and the 1/v keeps each panel within half its start from the branch
-    point v = 0, so the 15-point Gauss-Legendre rule is exact to rounding on
-    every panel, however wide the interval.
+    point v = 0.  The pass takes the fewest points of _RUNGS whose limit
+    bounds κ·w on every panel, and reach, a κ·w that some integrand needs
+    beyond what its κ shows; so its Gauss-Legendre rule is exact to rounding
+    on every panel, however wide the interval.
     """
     n = np.maximum(1, np.ceil(np.log1p(span / lo) / math.log(2.0))).astype(int)
     ids = np.repeat(np.arange(lo.size), n)
@@ -164,15 +173,17 @@ def _kappa_panels(c: np.ndarray, b: float, lo: np.ndarray, span: np.ndarray, sig
     kappa = np.abs(c[ids]) + np.broadcast_to(sigma, lo.shape)[ids] + (1.0 + abs(b)) / (lo[ids] + start)
     pa, pb, j = _split(start, end, 0.5 / kappa)
     half = 0.5 * (pb - pa)
-    return (0.5 * (pa + pb))[:, None] + half[:, None] * _GL_X, half, ids[j]
+    widest = max(reach, float(np.max(2.0 * half * kappa[j], initial=0.0)))
+    gx = _GL[next((n for n, limit in _RUNGS if widest <= limit), 15)][0]
+    return (0.5 * (pa + pb))[:, None] + half[:, None] * gx, half, ids[j]
 
 
 def _kappa_pass(fu, c: np.ndarray, b: float, lo: np.ndarray, span: np.ndarray, sigma=0.0):
     """∫ fu(x, i) dx over x in [0, span_i] by one pass over _kappa_panels, with
     fu(x, i) the u-integrand at the nodes lo_i + x of each panel's interval
-    i: a (panels, 15) array, or (panels, 15, m) for m columns."""
+    i: a (panels, points) array, or (panels, points, m) for m columns."""
     x, half, ids = _kappa_panels(c, b, lo, span, sigma)
-    per = np.tensordot(fu(x, ids), _GL_W, axes=(1, 0))
+    per = np.tensordot(fu(x, ids), _GL[x.shape[1]][1], axes=(1, 0))
     per *= half.reshape((-1,) + (1,) * (per.ndim - 1))
     return np.add.reduceat(per, np.searchsorted(ids, np.arange(lo.size)), axis=0)
 
@@ -203,9 +214,11 @@ def linear_power_integrals(w: LogWeight, s: float, near, far, at_near, slope, sh
     Where L vanishes at near, the 15-point Gauss-Jacobi rule with weight x^s
     takes the stretch out to where t has moved by a factor e^h,
     h = min(Log 2, 1/(2κ)), κ = |a+1| + (1+|b|)/u.  The rest is cut where its
-    distance from L's root doubles, and each piece is one κ pass with
-    σ = s·t·slope/L at the piece's ends.  Consecutive pieces with the same
-    ends, near and shift (the cuts over one panel) share one set of nodes.
+    distance from L's root doubles, and each piece is one κ pass with σ = 0
+    and the 15-point rule; a stretch whose root lies farther away than its
+    length is one piece with σ = s·t·slope/L at its ends.  Consecutive
+    pieces with the same ends, near and shift (the cuts over one panel) share
+    one set of nodes.
     Exponents meet the shift before one exp, so nothing overflows that the
     shifted value does not.
     """
@@ -251,7 +264,10 @@ def linear_power_integrals(w: LogWeight, s: float, near, far, at_near, slope, sh
         ta = nr + side[ids] * off_a
         tb = np.where(off_b >= sp, far[ids], nr + side[ids] * off_b)
         la, lb = a0 + sl * off_a, a0 + sl * off_b
-    sig = s * sl * np.maximum(ta / la, tb / lb)
+    # a piece next to a root has σ = 0 but takes the full rule: L at most
+    # doubles on it, and its root lies a piece's width away, which κ·w misses
+    rooted = close[ids]
+    sig = np.where(rooted, 0.0, s * sl * np.maximum(ta / la, tb / lb))
     new = np.concatenate([[True], (ta[1:] != ta[:-1]) | (tb[1:] != tb[:-1]) | (nr[1:] != nr[:-1])])
     new[1:] |= sh[1:] != sh[:-1]
     run = np.cumsum(new) - 1  # runs of pieces that share their nodes
@@ -259,7 +275,8 @@ def linear_power_integrals(w: LogWeight, s: float, near, far, at_near, slope, sh
     hi_t, lo_t = np.maximum(ta[heads], tb[heads]), np.minimum(ta[heads], tb[heads])
     near_r, lo_u = nr[heads], 1.0 - np.log(hi_t)
     x, half, p_run = _kappa_panels(
-        np.full(heads.size, c), b, lo_u, _log1p_ratio(hi_t - lo_t, lo_t), np.maximum.reduceat(sig, heads)
+        np.full(heads.size, c), b, lo_u, _log1p_ratio(hi_t - lo_t, lo_t), np.maximum.reduceat(sig, heads),
+        0.5 if rooted.any() else 0.0,
     )
     v = lo_u[p_run][:, None] + x
     # |t - near| at the nodes from y = u(near) - v, or from t where t > e·near
@@ -268,7 +285,7 @@ def linear_power_integrals(w: LogWeight, s: float, near, far, at_near, slope, sh
     nv = np.broadcast_to(near_r[p_run][:, None], y.shape)
     dist = nv * np.abs(np.expm1(np.minimum(y, 1.0)))
     dist[y > 1.0] = t_of_u(v[y > 1.0]) - nv[y > 1.0]
-    mass = half[:, None] * _GL_W * np.exp((1.0 - v) * c + b * np.log(v) - sh[heads][p_run][:, None])
+    mass = half[:, None] * _GL[x.shape[1]][1] * np.exp((1.0 - v) * c + b * np.log(v) - sh[heads][p_run][:, None])
     owner, rows = slice(None), run  # each piece takes the panels of its run
     if p_run.size > heads.size:
         first = np.searchsorted(p_run, np.arange(heads.size))

@@ -201,7 +201,8 @@ def lorentz_zygmund_norm(
         val, _ = sup_on_grid(g, UGrid(res.u_max, res.sup_count), extras)
         return val
     w = LogWeight(q / p - 1.0, alpha * q)
-    return log_weight_integral(f, q, w, 0.0, 1.0) ** (1.0 / q)
+    top = float(np.max(f.values)) or 1.0  # f*(0+), factored out so that no power overflows
+    return top * log_weight_integral(StepFunction(f.breaks, f.values / top), q, w, 0.0, 1.0) ** (1.0 / q)
 
 
 def grand_norm(
@@ -304,6 +305,7 @@ def space_norm(f: StepRearrangement, spec: SpaceSpec, res: Resolution = DEFAULT)
 # ---------------------------------------------------------------------------
 
 _CELLS = 1 << 20
+_RUN = 64  # rows per run of the pruned Grand cut scan
 
 
 def _cut_panel_powers(f: StepRearrangement, p: float, cuts: np.ndarray, kind: str):
@@ -450,8 +452,14 @@ def _grand_over_cuts(
     g_c: a scan of the sup grid and the breaks, then one golden_refine pass.
 
     The excess objective is 0 from x_Z on and the capped one is f's own from
-    x_H on, so a cut is scanned only in the row blocks that start below that
-    break; past them the capped cut takes f's objective's suffix maximum.
+    x_H on, so a cut is scanned only in the blocks of _CELLS // len(cuts) rows
+    that start below that break; past them the capped cut takes f's
+    objective's suffix maximum.  The blocks are cut into runs of _RUN rows,
+    and each cut is evaluated at every run's last row.  The first factor
+    increases in t and the tail decreases, so a run is scanned only for the
+    cuts whose bound there, the first factor at its last row times the tail
+    at its first, is not below the cut's best run end: the result is the
+    dense scan's bit for bit.
     """
     e, ip = -alpha / p, 1.0 / p
     x, n = f.breaks, f.n
@@ -459,42 +467,40 @@ def _grand_over_cuts(
     linear, flat = _cut_reach(f, cuts, kind)
     ts = np.unique(np.concatenate([UGrid(res.u_max, res.sup_count).t_nodes(), x[1:]]))
     lw = (1.0 - np.log(ts)) ** e
+    j = np.clip(np.searchsorted(x, ts, side="left"), 1, n) - 1
+    dt = ts - x[j]
     rows = max(1, _CELLS // cuts.size)
-    # ascending cuts: the row counts fall, so a block's cuts come first
-    order = np.argsort(cuts, kind="stable")
-    vs, ps = vp[:, order], pref[:, order]
-    stop = np.searchsorted(ts, x[flat if kind == "excess" else linear][order], side="left")
+    stop = np.searchsorted(ts, x[flat if kind == "excess" else linear], side="left")
     stop = np.minimum(-(-stop // rows) * rows, ts.size)
+    first = np.unique(np.concatenate([np.arange(0, ts.size, rows), np.arange(0, ts.size, _RUN)]))
+    last = np.append(first[1:], ts.size) - 1
+    inside = first[:, None] < stop  # (run, cut): the run lies in the cut's blocks
+    every = np.arange(cuts.size)
+    ends = _cut_tails(vp, pref, j[last], dt[last], every, ip)
+    ends *= lw[last, None]
+    ends[~inside] = 0.0
+    bound = _cut_tails(vp, pref, j[first], dt[first], every, ip)
+    bound *= lw[last, None]
+    live = ~(bound * (1.0 + 1e-12) < ends.max(axis=0)) & inside
     best = np.zeros(cuts.size)
     at = np.zeros(cuts.size, dtype=int)
-    for r0 in range(0, ts.size, rows):
-        m = int(np.count_nonzero(stop > r0))
-        if m == 0:
-            break
-        t = ts[r0 : r0 + rows]
-        j = np.clip(np.searchsorted(x, t, side="left"), 1, n) - 1
-        obj = vs[j, :m]
-        obj *= (t - x[j])[:, None]
-        obj += ps[j, :m]
-        np.subtract(ps[-1, :m], obj, out=obj)
-        np.maximum(obj, 0.0, out=obj)
-        obj **= ip
-        obj *= lw[r0 : r0 + rows, None]
+    for r in np.flatnonzero(live.any(axis=1)):
+        c = np.flatnonzero(live[r])
+        seg = np.arange(first[r], last[r] + 1)
+        obj = _cut_tails(vp, pref, j[seg], dt[seg], c, ip)
+        obj *= lw[seg, None]
         i = np.argmax(obj, axis=0)
-        top = obj[i, np.arange(m)]
-        up = np.flatnonzero(top > best[:m])
-        best[up], at[up] = top[up], r0 + i[up]
+        top = obj[i, np.arange(c.size)]
+        up = top > best[c]  # ascending runs: the smallest t attaining the max
+        best[c[up]], at[c[up]] = top[up], seg[i[up]]
     if kind == "capped":
         pf, vpf, _ = f.prefix_power(p)
-        j = np.clip(np.searchsorted(x, ts, side="left"), 1, n) - 1
-        own = lw * np.maximum(pf[-1] - (pf[j] + vpf[j] * (ts - x[j])), 0.0) ** ip
+        own = lw * np.maximum(pf[-1] - (pf[j] + vpf[j] * dt), 0.0) ** ip
         records = np.flatnonzero(own == np.maximum.accumulate(own[::-1])[::-1])
         rest = np.flatnonzero(stop < ts.size)
         k = records[np.searchsorted(records, stop[rest])]
         win = own[k] > best[rest]
         best[rest[win]], at[rest[win]] = own[k[win]], k[win]
-    back = np.argsort(order)
-    i, best = at[back], best[back]
 
     def h(t, c):
         k = np.clip(np.searchsorted(x, t, side="left"), 1, n)
@@ -502,9 +508,21 @@ def _grand_over_cuts(
         return (1.0 - np.log(t)) ** e * np.maximum(tail, 0.0) ** ip
 
     out, _ = golden_refine(
-        h, ts[np.maximum(i - 1, 0)], ts[np.minimum(i + 1, ts.size - 1)], best, ts[i]
+        h, ts[np.maximum(at - 1, 0)], ts[np.minimum(at + 1, ts.size - 1)], best, ts[at]
     )
     return out
+
+
+def _cut_tails(vp: np.ndarray, pref: np.ndarray, j: np.ndarray, dt: np.ndarray, c: np.ndarray, ip: float):
+    """max(∫_t^1 g_c^p, 0)^{1/p} at the points t = x_j + dt (rows) for the cuts
+    c (columns), from the (VP, PREF) of _cut_panel_powers."""
+    obj = vp[j[:, None], c]
+    obj *= dt[:, None]
+    obj += pref[j[:, None], c]
+    np.subtract(pref[-1, c], obj, out=obj)
+    np.maximum(obj, 0.0, out=obj)
+    obj **= ip
+    return obj
 
 
 def _grand_over_windows(
@@ -566,11 +584,18 @@ def norms_over_cuts(
     if kind == "tail" and not isinstance(spec, Small):
         raise TypeError(f"tail cuts are not evaluated for {spec!r}")
     if isinstance(spec, Lebesgue) and kind != "head":
+        v = f.values
         if math.isinf(spec.p):
-            v = f.values[0]
-            return np.maximum(v - cuts, 0.0) if kind == "excess" else np.minimum(v, cuts)
-        vp, pref = _cut_panel_powers(f, spec.p, cuts, kind)
-        return pref[-1, :] ** (1.0 / spec.p)
+            return np.maximum(v[0] - cuts, 0.0) if kind == "excess" else np.minimum(v[0], cuts)
+        # each truncation over its own g*(0+), so that no power overflows; each
+        # cut's row sums pairwise, as the batch of one of a scalar norm does
+        part = np.maximum(v - cuts[:, None], 0.0) if kind == "excess" else np.minimum(v, cuts[:, None])
+        top = part.max(axis=1)
+        top[top == 0.0] = 1.0
+        part /= top[:, None]
+        part **= spec.p
+        part *= f.widths
+        return top * part.sum(axis=1) ** (1.0 / spec.p)
     if isinstance(spec, Grand):
         return _grand_over_cuts(f, spec.p, spec.alpha, cuts, kind, res)
     if isinstance(spec, Small) and kind != "head":

@@ -21,12 +21,12 @@ S_VALUES = [1 / 3, 0.5, 1.5, 2.5]
 
 
 def _node_bound(stretches: int, integrals: int) -> int:
-    """κ passes give a panel far from a root of the power one 15-node panel,
-    and one that ends near a root about 2s + 1 panels per halving of its
-    distance to the root, some 40 halvings here: two panels per stretch and
-    600 more per integral bound both, far below the 10^5 panels that an
-    unresolved root would cost."""
-    return 15 * (2 * stretches + 600 * integrals)
+    """κ passes give a panel far from a root of the power one panel of at
+    most 15 nodes, and one that ends near a root one 15-node panel per
+    halving of its distance to the root, at most about 25 per integral here:
+    two panels per stretch and 30 more per integral bound both, far below
+    the 10^5 panels that an unresolved root would cost."""
+    return 15 * (2 * stretches + 30 * integrals)
 
 
 def _mp_linear(w, s, lo, hi, at_lo, at_hi):

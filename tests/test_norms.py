@@ -28,6 +28,7 @@ from rispaces.norms import (
     grand_norm,
     lebesgue_norm,
     lorentz_zygmund_norm,
+    norms_over_cuts,
     prefix_log_integral,
     small_norm,
     space_norm,
@@ -227,6 +228,47 @@ def test_homogeneity_all_norms(spec, power_quarter):
     base = space_norm(power_quarter, spec, FAST)
     scaled = space_norm(scale(power_quarter, lam), spec, FAST)
     assert scaled == pytest.approx(lam * base, rel=1e-12)
+
+
+@st.composite
+def _step_rearrangements(draw):
+    """Up to eight panels with distinct values in [0.1, 100], a tenth apart,
+    so that no truncation at one of them cancels more than three digits."""
+    values = draw(st.lists(st.integers(1, 1000), min_size=1, max_size=8, unique=True))
+    widths = draw(st.lists(st.integers(1, 100), min_size=len(values), max_size=len(values)))
+    breaks = np.concatenate([[0.0], np.cumsum(widths) / sum(widths)])
+    return StepRearrangement(breaks, np.sort(values)[::-1] / 10.0)
+
+
+@given(_step_rearrangements(), st.floats(-300.0, 300.0), st.sampled_from([1.0, 2.0, 1000.0]))
+@settings(max_examples=60, deadline=None)
+def test_lebesgue_and_lz_norms_scale_at_any_size(f, e, p):
+    """‖λf‖ = λ‖f‖ for λ in [1e-300, 1e300]: no power overflows or
+    underflows, for the norm, its truncations at cuts scaled by λ, and
+    LZ(2, 64, 1)."""
+    lam = 10.0**e
+    g = StepRearrangement(f.breaks, lam * f.values)
+    assert lebesgue_norm(g, p) == pytest.approx(lam * lebesgue_norm(f, p), rel=1e-12)
+    cuts = np.unique(np.concatenate([[0.0], f.values]))
+    for kind in ("excess", "capped"):
+        want = lam * norms_over_cuts(f, Lebesgue(p), cuts, kind)
+        assert norms_over_cuts(g, Lebesgue(p), lam * cuts, kind) == pytest.approx(want, rel=1e-12)
+    want = lam * lorentz_zygmund_norm(f, 2.0, 64.0, 1.0)
+    assert lorentz_zygmund_norm(g, 2.0, 64.0, 1.0) == pytest.approx(want, rel=1e-12)
+
+
+def test_lorentz_zygmund_q64_of_a_large_step():
+    """LZ(2, 64, 1) of a step with top value 1e6, whose 64th power
+    overflows, against mpmath panel by panel."""
+    x, v = [0.0, 0.2, 0.6, 1.0], [1e6, 3e5, 2e4]
+    f = StepRearrangement(np.array(x), np.array(v))
+    with mpmath.workdps(30):
+        total = sum(
+            mpmath.mpf(c) ** 64 * mpmath.quad(lambda t: t**31 * (1 - mpmath.log(t)) ** 64, [a, b])
+            for c, a, b in zip(v, x[:-1], x[1:])
+        )
+        want = float(total ** (mpmath.mpf(1) / 64))
+    assert lorentz_zygmund_norm(f, 2.0, 64.0, 1.0) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("spec", SPACES, ids=lambda s: s.__class__.__name__)

@@ -1,0 +1,167 @@
+"""The oracle lines do only the work that can change a result.
+
+The Grand cut scan skips runs of rows that a monotone bound rules out, and
+must equal the dense scan bit for bit; each κ pass takes the fewest
+Gauss-Legendre points that its panels' κ·w allows, and each rung must be
+exact to rounding at its limit.  Counts of scanned cells and of quadrature
+nodes guard the savings."""
+
+import mpmath
+import numpy as np
+import pytest
+
+from rispaces import logcalc, norms
+from rispaces.config import DEFAULT
+from rispaces.equivharness import standard_family
+from rispaces.kfunctional import GrandSmallSameP, SmallSmall, oracle_lines
+from rispaces.logcalc import UGrid, golden_refine
+from rispaces.norms import Grand
+from rispaces.rearrangement import StepRearrangement
+
+SUBSET = ("const", "char_0.125", "plog_g0_d-1", "rand_00")
+GRANDS = [Grand(2.0, 1.0), Grand(4.0, 1.0), Grand(2.0, 0.5)]
+
+
+def _dense_grand_over_cuts(f, p, alpha, cuts, kind, res):
+    """The Grand cut scan before pruning: every row of every cut's blocks."""
+    e, ip = -alpha / p, 1.0 / p
+    x, n = f.breaks, f.n
+    vp, pref = norms._cut_panel_powers(f, p, cuts, kind)
+    linear, flat = norms._cut_reach(f, cuts, kind)
+    ts = np.unique(np.concatenate([UGrid(res.u_max, res.sup_count).t_nodes(), x[1:]]))
+    lw = (1.0 - np.log(ts)) ** e
+    rows = max(1, norms._CELLS // cuts.size)
+    order = np.argsort(cuts, kind="stable")
+    vs, ps = vp[:, order], pref[:, order]
+    stop = np.searchsorted(ts, x[flat if kind == "excess" else linear][order], side="left")
+    stop = np.minimum(-(-stop // rows) * rows, ts.size)
+    best = np.zeros(cuts.size)
+    at = np.zeros(cuts.size, dtype=int)
+    for r0 in range(0, ts.size, rows):
+        m = int(np.count_nonzero(stop > r0))
+        if m == 0:
+            break
+        t = ts[r0 : r0 + rows]
+        j = np.clip(np.searchsorted(x, t, side="left"), 1, n) - 1
+        obj = vs[j, :m]
+        obj *= (t - x[j])[:, None]
+        obj += ps[j, :m]
+        np.subtract(ps[-1, :m], obj, out=obj)
+        np.maximum(obj, 0.0, out=obj)
+        obj **= ip
+        obj *= lw[r0 : r0 + rows, None]
+        i = np.argmax(obj, axis=0)
+        top = obj[i, np.arange(m)]
+        up = np.flatnonzero(top > best[:m])
+        best[up], at[up] = top[up], r0 + i[up]
+    if kind == "capped":
+        pf, vpf, _ = f.prefix_power(p)
+        j = np.clip(np.searchsorted(x, ts, side="left"), 1, n) - 1
+        own = lw * np.maximum(pf[-1] - (pf[j] + vpf[j] * (ts - x[j])), 0.0) ** ip
+        records = np.flatnonzero(own == np.maximum.accumulate(own[::-1])[::-1])
+        rest = np.flatnonzero(stop < ts.size)
+        k = records[np.searchsorted(records, stop[rest])]
+        win = own[k] > best[rest]
+        best[rest[win]], at[rest[win]] = own[k[win]], k[win]
+    back = np.argsort(order)
+    i, best = at[back], best[back]
+
+    def h(t, c):
+        k = np.clip(np.searchsorted(x, t, side="left"), 1, n)
+        tail = pref[-1, c] - (pref[k - 1, c] + vp[k - 1, c] * (t - x[k - 1]))
+        return (1.0 - np.log(t)) ** e * np.maximum(tail, 0.0) ** ip
+
+    out, _ = golden_refine(h, ts[np.maximum(i - 1, 0)], ts[np.minimum(i + 1, ts.size - 1)], best, ts[i])
+    return out
+
+
+def _cases():
+    """(label, f, res): every member of both standard families at the default
+    resolution, and the benchmark's four members at the doubled one."""
+    for q in (2.0, 4.0):
+        for name, f in standard_family(q=q).realize(DEFAULT):
+            yield f"q={q:g} {name}", f, DEFAULT
+    for name, f in standard_family().realize(DEFAULT.doubled()):
+        if name in SUBSET:
+            yield f"doubled {name}", f, DEFAULT.doubled()
+
+
+@pytest.mark.parametrize("kind", ["excess", "capped"])
+def test_pruned_grand_scan_is_the_dense_scan(kind):
+    for label, f, res in _cases():
+        cuts = np.unique(np.concatenate([[0.0], f.values]))
+        for spec in GRANDS:
+            want = _dense_grand_over_cuts(f, spec.p, spec.alpha, cuts, kind, res)
+            got = norms._grand_over_cuts(f, spec.p, spec.alpha, cuts, kind, res)
+            assert np.array_equal(got, want), (label, spec, kind)
+
+
+@pytest.mark.parametrize("kind", ["excess", "capped"])
+def test_grand_scan_evaluates_few_cells(monkeypatch, kind):
+    """At most 15% of the (row, cut) cells of plog_g0_d-1's scan, run ends
+    and bounds included."""
+    cells = [0]
+    cut_tails = norms._cut_tails
+
+    def counted(*args):
+        out = cut_tails(*args)
+        cells[0] += out.size
+        return out
+
+    monkeypatch.setattr(norms, "_cut_tails", counted)
+    f = dict(standard_family(q=4.0).realize(DEFAULT))["plog_g0_d-1"]
+    cuts = np.unique(np.concatenate([[0.0], f.values]))
+    norms._grand_over_cuts(f, 2.0, 1.0, cuts, kind, DEFAULT)
+    rows = np.unique(np.concatenate([UGrid(DEFAULT.u_max, DEFAULT.sup_count).t_nodes(), f.breaks[1:]])).size
+    assert 0 < cells[0] <= 0.15 * rows * cuts.size
+
+
+@pytest.mark.parametrize("s", [1 / 4, 1 / 3, 1 / 2, 3 / 2, 5 / 2])
+@pytest.mark.parametrize("points,limit", logcalc._RUNGS)
+def test_each_rung_is_exact_at_its_limit(points, limit, s):
+    """One panel of κ·w just below the rung's limit: ∫ e^{(1-u)c} u^b L^s du
+    with L(t) = t - t_r and σ = s·t/L at the panel's end nearest the root,
+    so the root lies as close as σ allows; and with no L (σ = 0), where the
+    branch point u = 0 of u^b sets κ."""
+    c, lo = 0.5, 2.0
+    for b in (-1.5, -0.5, 0.75, 2.0):
+        for sigma in (0.0, 40.0):
+            kappa = c + sigma + (1.0 + abs(b)) / lo
+            span = limit / kappa * (1.0 - 1e-12)
+            rho = s / sigma if sigma else 0.0  # (t_min - t_r)/t_min
+
+            def fu(x, i, b=b, sigma=sigma, span=span, rho=rho):
+                v = lo + x  # L/t_min is expm1(span - x) + rho at the offset x
+                out = np.exp((1.0 - v) * c + b * np.log(v))
+                return out * (np.expm1(span - x) + rho) ** s if sigma else out
+
+            args = (np.array([c]), b, np.array([lo]), np.array([span]), sigma)
+            assert logcalc._kappa_panels(*args)[0].shape == (1, points)
+            got = logcalc._kappa_pass(fu, *args)[0]
+            with mpmath.workdps(30):
+                mc, mb, ml, ms, mr, mw = (mpmath.mpf(v) for v in (c, b, lo, s, rho, span))
+
+                def g(y):
+                    out = mpmath.e ** ((1 - ml - y) * mc) * (ml + y) ** mb
+                    return out * (mpmath.expm1(mw - y) + mr) ** ms if sigma else out
+
+                want = float(mpmath.quad(g, mpmath.linspace(0, mw, 5)))
+            assert got == pytest.approx(want, rel=1e-14), (b, sigma)
+
+
+@pytest.mark.parametrize("couple,before", [(SmallSmall(2.0, 4.0), 26955), (GrandSmallSameP(2.0), 17970)])
+def test_oracle_lines_lay_half_the_nodes(monkeypatch, couple, before):
+    """plog_g0_d-1's oracle lines lay at most half the Gauss-Legendre nodes
+    of one 15-point rule for every panel (before, counted that way)."""
+    count = [0]
+    kappa_panels = logcalc._kappa_panels
+
+    def counted(*args, **kwargs):
+        x, half, ids = kappa_panels(*args, **kwargs)
+        count[0] += x.size
+        return x, half, ids
+
+    monkeypatch.setattr(logcalc, "_kappa_panels", counted)
+    g = dict(standard_family(q=4.0).realize(DEFAULT))["plog_g0_d-1"]
+    oracle_lines(StepRearrangement(g.breaks, g.values), couple, DEFAULT)  # a fresh memo
+    assert 0 < count[0] <= 0.5 * before
