@@ -185,12 +185,16 @@ def k_oracle(
     """min over truncation cuts of norm0((f-c)_+) + t·norm1(min(f, c))."""
     if not t > 0.0:
         raise BadExponent("K argument must be positive")
+    return float(_oracle_envelope(f, couple, np.array([t]), res)[0])
+
+
+def _oracle_envelope(f: StepRearrangement, couple: CoupleSpec, ts: np.ndarray, res: Resolution) -> np.ndarray:
+    """min over the cuts with finite lines of A_c + t·B_c, at each t of ts."""
     A, B = oracle_lines(f, couple, res)
-    vals = A + t * B
-    finite = np.isfinite(vals)
+    finite = np.isfinite(A) & np.isfinite(B)
     if not np.any(finite):
         raise InfiniteNorm("no trial decomposition has finite component norms")
-    return float(np.min(vals[finite]))
+    return np.min(A[finite][None, :] + ts[:, None] * B[finite][None, :], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +302,7 @@ def k_curve(
     """Sample K(f, t) at the grid's t-nodes by the chosen method."""
     ts = grid.t_nodes()
     if method == "oracle":
-        A, B = oracle_lines(f, couple, res)
-        finite = np.isfinite(A) & np.isfinite(B)
-        if not np.any(finite):
-            raise InfiniteNorm("no trial decomposition has finite component norms")
-        vals = np.min(A[finite][None, :] + ts[:, None] * B[finite][None, :], axis=1)
+        vals = _oracle_envelope(f, couple, ts, res)
     elif method == "explicit":
         vals = k_explicit(f, couple, ts, res)
     else:

@@ -131,6 +131,11 @@ class UGrid:
     def doubled(self) -> "UGrid":
         return UGrid(self.u_max, 2 * self.count)
 
+    def with_points(self, points: Iterable[float]) -> np.ndarray:
+        """The nodes and the points in (0, 1], merged in increasing t order."""
+        pts = np.asarray(list(points), dtype=float)
+        return np.unique(np.concatenate([self.t_nodes(), pts[(pts > 0.0) & (pts <= 1.0)]]))
+
 
 # ---------------------------------------------------------------------------
 # κ passes in the u variable
@@ -613,7 +618,7 @@ def sup_on_interval(
     count: int,
     extra_points: Iterable[float] = (),
     u_cap: float = 41.0,
-    bound: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None,
+    bound: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(sup, argmax) arrays of g over windows (lo_k, hi_k] by log-grid scan plus
     golden refinement; g(t, k) evaluates window k's objective at points t.
@@ -621,10 +626,10 @@ def sup_on_interval(
     Window k scans the n_k nodes of np.linspace(u_hi, u_lo, n_k) in t (n_k
     scales with its u-length, between 8 and count) and the extra points inside
     it; a window open at 0 reaches down to u_lo = max(u_cap, u(hi_k) + 8).  Both
-    point sequences are cut into runs of _SCAN_RUN points.  Given bound(a, b, k),
-    an upper bound of g(·, k) on [a, b], a run is skipped when its bound lies
-    below g at the largest point of another run of its window: the result is
-    the full scan's bit for bit.  The maximum (at the smallest t attaining it)
+    point sequences are cut into runs of _SCAN_RUN points.  A run is skipped
+    when bound(a, b, k), a required upper bound of g(·, k) on [a, b], lies below
+    g at the largest point of another run of its window: the result is the
+    full scan's bit for bit.  The maximum (at the smallest t attaining it)
     is refined in one golden pass between its neighbours in the window."""
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -643,12 +648,11 @@ def sup_on_interval(
         return np.where(s == 0, t_of_u(u), xp[np.maximum(x_to[k] - 1 - i, 0)])
 
     k, s, start, stop = _runs(counts)
-    if bound is not None:
-        a, b = point(k, s, stop - 1), point(k, s, start)
-        ends = _values(g, b, k)
-        best_end = np.maximum.reduceat(ends, np.flatnonzero(np.diff(k, prepend=-1)))
-        live = ~(bound(a, b, k) * (1.0 + 1e-12) < best_end[k]) | (ends == best_end[k])
-        k, s, start, stop = k[live], s[live], start[live], stop[live]
+    a, b = point(k, s, stop - 1), point(k, s, start)
+    ends = _values(g, b, k)
+    best_end = np.maximum.reduceat(ends, np.flatnonzero(np.diff(k, prepend=-1)))
+    live = ~(bound(a, b, k) * (1.0 + 1e-12) < best_end[k]) | (ends == best_end[k])
+    k, s, start, stop = k[live], s[live], start[live], stop[live]
     size = stop - start
     i = np.arange(size.sum()) + np.repeat(start - np.cumsum(size) + size, size)
     k, s = np.repeat(k, size), np.repeat(s, size)
@@ -704,16 +708,17 @@ def _values(g, ts: np.ndarray, ks: np.ndarray) -> np.ndarray:
 def sup_on_grid(
     g: Callable, grid: UGrid, extra_points: Iterable[float] = ()
 ) -> Tuple[float, float]:
-    """(sup estimate, argmax t) of a vectorized g over (0, 1]: all grid nodes
-    and supplied breakpoints, then golden-section refinement around the best
-    node."""
+    """(sup estimate, argmax t) of a vectorized g over (0, 1]: a scan of
+    grid.with_points(extra_points), then golden-section refinement between the
+    best point (the smallest t attaining the maximum) and its neighbours."""
 
     def gk(t, k):
-        return g(t)
+        return _values(lambda s, j: g(s), t, k)
 
-    val, arg = sup_on_interval(
-        gk, np.zeros(1), np.ones(1), grid.count, extra_points, u_cap=grid.u_max
-    )
+    ts = grid.with_points(extra_points)
+    vals = gk(ts, ts)
+    i = int(np.argmax(vals))
+    val, arg = golden_refine(gk, ts[[max(i - 1, 0)]], ts[[min(i + 1, ts.size - 1)]], vals[[i]], ts[[i]])
     return float(val[0]), float(arg[0])
 
 

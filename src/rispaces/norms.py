@@ -22,7 +22,6 @@ from .logcalc import (
     golden_refine,
     linear_power_integrals,
     log_quad,
-    log_weight_integral,
     power_log_integrals,
     sup_on_grid,
     sup_on_interval,
@@ -34,7 +33,6 @@ from .rearrangement import (
     StepFunction,
     StepRearrangement,
     capped_part,
-    evaluate_many,
     excess_part,
     head_restriction,
     prefix_power_at,
@@ -188,21 +186,24 @@ def lorentz_zygmund_norm(
     descriptor keeps p strictly above 1.
     """
     _check(1.0 <= p < math.inf and q >= 1.0 and math.isfinite(alpha), "bad exponents")
+    top = float(np.max(f.values))  # f*(0+), factored out so that no power overflows
+    if top == 0.0:
+        return 0.0
+    n = int(np.count_nonzero(f.values))  # f is nonincreasing: its support is (0, x_n]
+    hi = f.breaks[1 : n + 1]
     if math.isinf(q):
-        w = LogWeight(1.0 / p, alpha)
-
-        def g(t):
-            return w(t) * evaluate_many(f, np.asarray(t, dtype=float))
-
-        # the weight peaks at u = alpha * p; probe it alongside the panel ends
-        extras = list(f.breaks[1:])
-        if alpha > 0.0 and alpha * p > 1.0:
-            extras.append(float(np.exp(1.0 - alpha * p)))
-        val, _ = sup_on_grid(g, UGrid(res.u_max, res.sup_count), extras)
-        return val
+        # w = t^{1/p}(1 - Log t)^alpha increases up to t* = e^{1 - alpha p} (1 where
+        # alpha p <= 1) and then decreases: a panel's sup of v·w is at its point nearest t*
+        peak = math.exp(1.0 - alpha * p) if alpha * p > 1.0 else 1.0
+        return float(np.max(f.values[:n] * LogWeight(1.0 / p, alpha)(np.clip(peak, f.breaks[:n], hi))))
+    # each panel term (v/top)^q ∫ w in one exp, shifted by the largest Log (v/top)^q t w(t)
+    # at a panel's right end (shift[0], as v_0 = top), so that none under- or overflows
     w = LogWeight(q / p - 1.0, alpha * q)
-    top = float(np.max(f.values)) or 1.0  # f*(0+), factored out so that no power overflows
-    return top * log_weight_integral(StepFunction(f.breaks, f.values / top), q, w, 0.0, 1.0) ** (1.0 / q)
+    lv = q * (np.log(f.values[:n]) - math.log(top))
+    shift = np.max(lv + (w.a + 1.0) * np.log(hi) + w.b * np.log1p(-np.log(hi))) - lv
+    rest = power_log_integrals(w.a, w.b, f.breaks[1:n], hi[1:], shift[1:])
+    total = weight_integral(w, 0.0, hi[0], shift[0]) + float(np.sum(rest))
+    return top * math.exp(shift[0] / q) * total ** (1.0 / q)
 
 
 def grand_norm(
@@ -372,11 +373,11 @@ def _prefix_log_integrals(
     is linear.  Below x_H, P_c^s w is VP[0]^s·t^s w(t), a pure weight that
     one weight_prefix_many sweep gives for every cut; past x_Z the constant
     P_c^s integrates in closed form.  Each (stretch, cut) in between is one
-    linear_power_integrals stretch from its lower end, where P_c is smallest,
-    in blocks of about _CELLS / 64, listed stretch by stretch so that the cuts
-    over one stretch share its nodes.  A cut whose P_c is zero up to rho > 0
-    (a tail cut, or a step function with a zero head) has no linear head: its
-    stretches start at rho, the root of P_c.
+    linear_power_integrals stretch from its lower end, where P_c is smallest;
+    the pairs are read off one (stretch, cut) mask row by row, in blocks of
+    about _CELLS / 64, so that the cuts over one stretch share its nodes.  A
+    cut whose P_c is zero up to rho > 0 (a tail cut, or a step function with
+    a zero head) has no linear head: its stretches start at rho, the root of P_c.
     """
     x = f.breaks
     vp, pref = _cut_panel_powers(f, p, cuts, kind)
@@ -389,27 +390,23 @@ def _prefix_log_integrals(
     q0 = np.searchsorted(ends, start, side="right") - 1  # stretch holding each start
     q1 = np.minimum(np.searchsorted(ends, x[flat], side="left"), ends.size - 1)
     live = np.flatnonzero(q1 > q0)
-    busy = np.zeros(ends.size, dtype=int)  # how many cuts need each stretch
-    np.add.at(busy, q0[live], 1)
-    np.add.at(busy, q1[live], -1)
-    chunk = (np.cumsum(np.cumsum(busy)) - 1) // (_CELLS // 64)
+    stretch = np.arange(ends.size - 1)[:, None]
+    need = (q0[live] <= stretch) & (stretch < q1[live])  # (stretch, live cut)
+    chunk = (np.cumsum(need.sum(axis=1)) - 1) // (_CELLS // 64)
     bounds = np.concatenate([[0], np.flatnonzero(np.diff(chunk)) + 1, [ends.size - 1]])
+    panel = np.searchsorted(x, ends[:-1], side="right") - 1
+    below = np.searchsorted(hs, ends[1:])  # the first h at or past each stretch
     sums = np.zeros(hs.size * cuts.size)
     for qa, qb in zip(bounds[:-1], bounds[1:]):
-        sel = live[(q0[live] < qb) & (q1[live] > qa)]
-        first = np.maximum(q0[sel], qa)
-        count = np.minimum(q1[sel], qb) - first
-        col = np.repeat(sel, count)
-        q = np.repeat(first - np.cumsum(count) + count, count) + np.arange(col.size)
-        by_stretch = np.argsort(q, kind="stable")
-        q, col = q[by_stretch], col[by_stretch]
-        j = np.searchsorted(x, ends[q], side="right") - 1  # panel of each stretch
+        q, col = np.nonzero(need[qa:qb])  # stretch by stretch, cuts ascending
+        q += qa
+        col = live[col]
+        j = panel[q]
         lo = np.maximum(ends[q], start[col])
         slope = vp[j, col]
         at_lo = np.where(rooted[col] & (lo == start[col]), 0.0, pref[j, col] + slope * (lo - x[j]))
         vals = linear_power_integrals(w, s, lo, ends[q + 1], at_lo, slope)
-        below = np.searchsorted(hs, ends[q + 1])  # the first h at or past the stretch
-        sums += np.bincount(below * cuts.size + col, vals, sums.size)
+        sums += np.bincount(below[q] * cuts.size + col, vals, sums.size)
     out = np.cumsum(sums.reshape(hs.size, cuts.size), axis=0)
     xz = np.broadcast_to(x[flat], out.shape)
     past = (hs[:, None] > xz) & (xz > 0.0)
@@ -465,7 +462,7 @@ def _grand_over_cuts(
     x, n = f.breaks, f.n
     vp, pref = _cut_panel_powers(f, p, cuts, kind)
     linear, flat = _cut_reach(f, cuts, kind)
-    ts = np.unique(np.concatenate([UGrid(res.u_max, res.sup_count).t_nodes(), x[1:]]))
+    ts = UGrid(res.u_max, res.sup_count).with_points(x[1:])
     lw = (1.0 - np.log(ts)) ** e
     j = np.clip(np.searchsorted(x, ts, side="left"), 1, n) - 1
     dt = ts - x[j]
@@ -652,20 +649,15 @@ def ggamma_lower_bound_check(
     p, m = spec.p, spec.m
     rho = ggamma_norm(f, spec, res)
     w2_mass = weight_integral(spec.w2, 0.0, measE)
-    unit = StepRearrangement(np.array([0.0, 1.0]), np.array([1.0]))
-
-    def w2_pref(t):
-        return w2_prefix_at(unit, spec, np.atleast_1d(np.asarray(t, dtype=float)))
-
     if math.isinf(m):
         def obj(t):  # the sup over (0, measE], as the integral below runs over it
             t = np.asarray(t)
-            return np.where(t <= measE, spec.w1(t) * w2_pref(t) ** (1.0 / p), 0.0)
+            return np.where(t <= measE, spec.w1(t) * weight_prefix_many(spec.w2, t) ** (1.0 / p), 0.0)
 
         denom, _ = sup_on_grid(obj, UGrid(res.u_max, res.sup_count), [measE])
     else:
         def gm(t):
-            return w2_pref(t) ** (m / p)
+            return weight_prefix_many(spec.w2, t) ** (m / p)
 
         denom = log_quad(gm, spec.w1, 0.0, measE, (), _w2_sigma(spec, m / p)) ** (1.0 / m)
     lhs = rho * w2_mass ** (1.0 / p) / denom if denom > 0 else math.inf

@@ -167,6 +167,17 @@ def test_hardy_sup_form_follows_the_resolution(monkeypatch):
     assert counts == [(30.0, 96)] * 2 + [(30.0, 192)] * 2
 
 
+def test_t12_at_r64_keeps_a_member_far_below_its_top():
+    """T1.2 at r = 64 (p = 2, q = 4, theta = 0.5, alpha = 1): the target of
+    plog_g0.375_d0, LZ(8/3, 64, -0.375), is about 1 with f*(0+) = 3.5e5, so
+    the member is judged, not skipped as degenerate."""
+    fam = FunctionFamily("one", (("plog_g0.375_d0", PowerLog(0.375, 0.0)),))
+    rep = run_identity_experiment("T1.2", dict(p=2, q=4, theta=0.5, r=64, alpha=1.0), fam)
+    assert not rep.skipped
+    assert [m["id"] for m in rep.members] == ["plog_g0.375_d0"]
+    assert rep.members[0]["rhs"] == pytest.approx(0.955324018031196, rel=1e-12)
+
+
 def test_identity_experiment_checks_hypotheses_first():
     """p > q is a hypothesis violation, not a failure to build the couple."""
     with pytest.raises(HypothesisViolation, match="need 1 < p < q < inf"):

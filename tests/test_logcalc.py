@@ -263,6 +263,27 @@ def test_sup_log_ratio_against_scipy():
     assert arg == pytest.approx(opt.x, abs=1e-3)
 
 
+def test_sup_on_grid_scans_the_grid_it_is_given():
+    """The scan is the grid's own nodes (all 96 at u_max = 30, not a window
+    rule's count) merged with the points in (0, 1]; the refinement then
+    evaluates g only between the best point's neighbours."""
+    grid = UGrid(30.0, 96)
+    pts = [0.0, -0.5, 0.37, 1.0, 1.5, 1e-20, float(grid.t_nodes()[40])]
+    calls = []
+
+    def g(t):
+        calls.append(np.array(t, dtype=float))
+        return np.sqrt(np.asarray(t)) * (1.0 - np.asarray(t))
+
+    val, arg = sup_on_grid(g, grid, pts)
+    scan = grid.with_points(pts)
+    assert scan.size == 96 + 2 and scan[0] == 1e-20 and scan[-1] == 1.0
+    assert calls[0].tobytes() == scan.tobytes()
+    i = int(np.argmax(np.sqrt(scan) * (1.0 - scan)))
+    assert all(np.all((c >= scan[i - 1]) & (c <= scan[i + 1])) for c in calls[1:])
+    assert val == pytest.approx(2.0 / 3.0**1.5, rel=1e-14) and arg == pytest.approx(1.0 / 3.0, rel=1e-6)
+
+
 def test_sup_rejects_non_finite():
     with pytest.raises(NonFiniteValue):
         sup_on_grid(lambda t: np.full_like(np.asarray(t), np.nan), UGrid(35.0, 16))
@@ -320,6 +341,11 @@ def _bump(centre, width):
     return g, bound
 
 
+def _unbounded(a, b, k):
+    """A bound that prunes no run: the scan it gives is the full scan."""
+    return np.full(np.shape(a), np.inf)
+
+
 def _nan_bound(bound):
     """bound on every other run and NaN on the rest: a NaN never prunes."""
 
@@ -342,7 +368,7 @@ def test_pruned_scan_equals_the_full_scan_on_edge_windows():
     g, bound = _bump(centre, 0.05)
     want = _full_scan(g, lo, hi, 512, extras)
     assert want[1][[1, 4, 6]].tolist() == [0.0371, node, 0.7]
-    for b in (None, bound, _nan_bound(bound)):
+    for b in (_unbounded, bound, _nan_bound(bound)):
         _same_bits(logcalc.sup_on_interval(g, lo, hi, 512, extras, bound=b), want)
     _same_bits(logcalc.sup_on_interval(g, lo, hi, 512, bound=bound), _full_scan(g, lo, hi, 512))
 
@@ -356,7 +382,7 @@ def test_pruned_scan_breaks_ties_toward_the_smallest_point():
         return np.zeros(np.shape(t))
 
     want = _full_scan(flat, lo, hi, 256, [0.1, 0.3])
-    for b in (None, lambda a, b, k: np.zeros(a.shape)):
+    for b in (_unbounded, lambda a, b, k: np.zeros(a.shape)):
         _same_bits(logcalc.sup_on_interval(flat, lo, hi, 256, [0.1, 0.3], bound=b), want)
     assert want[1][1] < 0.2 * (1.0 + 1e-12)
     # two plateaus at the bound: nodes 0-3, which hold the first run's largest
@@ -368,7 +394,7 @@ def test_pruned_scan_breaks_ties_toward_the_smallest_point():
 
     want = _full_scan(plateaus, [0.0], [1.0], 256)
     assert want[1][0] == nodes[42]
-    for b in (None, lambda a, b, k: np.ones(a.shape)):
+    for b in (_unbounded, lambda a, b, k: np.ones(a.shape)):
         _same_bits(logcalc.sup_on_interval(plateaus, [0.0], [1.0], 256, bound=b), want)
 
 
@@ -415,7 +441,7 @@ def test_pruned_scan_on_edge_cuts(monkeypatch):
 
     def check(g, lo, hi, count, extras, u_cap, bound):
         want = _full_scan(g, lo, hi, count, extras, u_cap)
-        for b in (None, bound):
+        for b in (_unbounded, bound):
             _same_bits(logcalc.sup_on_interval(g, lo, hi, count, extras, u_cap, b), want)
         return want
 
@@ -433,7 +459,7 @@ def test_pruned_scan_evaluates_a_small_share_of_the_grid(monkeypatch):
     points = {"bounded": 0, "full": 0}
 
     def check(g, lo, hi, count, extras, u_cap, bound):
-        for key, b in (("full", None), ("bounded", bound)):
+        for key, b in (("full", _unbounded), ("bounded", bound)):
 
             def counted(t, k, key=key):
                 points[key] += np.size(t)

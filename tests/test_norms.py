@@ -40,6 +40,7 @@ from rispaces.rearrangement import (
     StepFunction,
     StepRearrangement,
     discretize_model,
+    evaluate_many,
     rearrange_from_samples,
 )
 
@@ -269,6 +270,31 @@ def test_lorentz_zygmund_q64_of_a_large_step():
         )
         want = float(total ** (mpmath.mpf(1) / 64))
     assert lorentz_zygmund_norm(f, 2.0, 64.0, 1.0) == pytest.approx(want, rel=1e-12)
+
+
+def test_lorentz_zygmund_q64_far_below_the_top():
+    """LZ(8/3, 64, -3/8) of plog_g0.375_d0: f*(0+) = 3.5e5, and each panel's
+    (v/f*(0+))^64 or its weight integral of t^23 (1 - Log t)^{-24} lies below
+    1e-308, but the norm is about 1.  The value is the panel sum in mpmath at
+    30 digits."""
+    f = dict(standard_family().realize(Resolution()))["plog_g0.375_d0"]
+    assert lorentz_zygmund_norm(f, 8.0 / 3.0, 64.0, -0.375) == pytest.approx(0.955324018031196, rel=1e-12)
+
+
+@pytest.mark.parametrize("p, alpha", [(2.0, 2.0), (2.0, 5.0), (2.0, 20.0), (3.0, 0.25), (1.5, -1.0)])
+def test_lorentz_zygmund_sup_form_against_a_dense_evaluation(p, alpha):
+    """q = inf: t^{1/p}(1 - Log t)^alpha peaks at t* = e^{1 - alpha p} inside
+    the panel (0.01, 0.3] for alpha = 2, inside the first panel for alpha = 5,
+    and there at u = 40, below the default grid depth, for alpha = 20; it
+    increases on (0, 1] for the other two.  The dense points include t* and
+    the breaks."""
+    x = np.array([0.0, 1e-3, 1e-2, 0.3, 0.7, 1.0])
+    f = StepRearrangement(x, np.array([5.0, 3.0, 2.0, 1.0, 0.0]))
+    ts = np.concatenate([np.exp(1.0 - np.linspace(1.0, 60.0, 200001)), x[1:], [math.exp(1.0 - alpha * p)]])
+    dense = ts ** (1.0 / p) * (1.0 - np.log(ts)) ** alpha * evaluate_many(f, ts)
+    got = lorentz_zygmund_norm(f, p, math.inf, alpha)
+    assert got == pytest.approx(float(np.max(dense)), rel=1e-15)
+    assert got >= np.max(dense)
 
 
 @pytest.mark.parametrize("spec", SPACES, ids=lambda s: s.__class__.__name__)
