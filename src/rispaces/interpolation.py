@@ -293,7 +293,7 @@ def identify_target(
     space = target_space(theorem_id, p, q, theta, r, alpha)
     if isinstance(space, ZSpace):
         norm = z_norm if theorem_id == "T6.2" else z_norm_alt
-        return lhs, norm(f, space.p, space.theta, space.r, res)
+        return lhs, norm(f, space.p, space.theta, space.r)
     return lhs, space_norm(f, space, res)
 
 
@@ -319,9 +319,7 @@ def doubling_blocks(f: StepFunction, p: float) -> np.ndarray:
     return pref[:-1] - pref[1:]
 
 
-def z_norm(
-    f: StepRearrangement, p: float, theta: float, r: float, res: Resolution = DEFAULT
-) -> float:
+def z_norm(f: StepRearrangement, p: float, theta: float, r: float) -> float:
     """Equivalent norm of the same-exponent couple's (theta, r) space.
 
     Three regimes split on theta vs 1/p: a tail form, a prefix form, and the
@@ -342,13 +340,11 @@ def z_norm(
     return prefix_log_integral(f, p, r / p, w, 1.0) ** (1.0 / r)
 
 
-def z_norm_alt(
-    f: StepRearrangement, p: float, theta: float, r: float, res: Resolution = DEFAULT
-) -> float:
+def z_norm_alt(f: StepRearrangement, p: float, theta: float, r: float) -> float:
     """The discretization-derived twin of z_norm, T1.3's target norm: the inner
     prefix integrals of f^p against (1 - Log t)^{-1} under an outer
     (1 - Log t)^{theta r - 1} dt/t."""
     if not (1.0 < p < math.inf and 0.0 < theta < 1.0 and 1.0 <= r < math.inf):
         raise BadExponent("need 1 < p < inf, 0 < theta < 1, 1 <= r < inf")
     space = GammaDouble(p, r, LogWeight(-1.0, theta * r - 1.0), LogWeight(0.0, -1.0))
-    return ggamma_norm(f, space, res)
+    return ggamma_norm(f, space)

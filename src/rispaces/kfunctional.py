@@ -150,10 +150,10 @@ def couple_psi(c: CoupleSpec) -> LogWeight:
     return LogWeight(w0.a - w1.a, w0.b - w1.b + extra)
 
 
-def split_point(c: CoupleSpec, t, tol: float = 1e-12):
+def split_point(c: CoupleSpec, t):
     """phi(t): inverse of the couple's ratio map at t, elementwise over an array
     of t; a scalar t gives a float."""
-    return MonotoneMap(couple_psi(c)).inverse(t, tol)
+    return MonotoneMap(couple_psi(c)).inverse(t)
 
 
 # ---------------------------------------------------------------------------

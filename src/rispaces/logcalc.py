@@ -67,6 +67,7 @@ _TAIL_CHUNKS = 4000
 _TAIL_EPS = 1e-16  # a marched chunk below this share of the sum is negligible
 _SCAN_BLOCK = 1 << 16
 _SCAN_RUN = 32  # points per run of a pruned scan
+_INVERT_TOL = 1e-12  # relative residual of every monotone-map inversion
 
 
 def u_of_t(t):
@@ -745,20 +746,17 @@ class MonotoneMap:
         object.__setattr__(self, "t0", t0)
         object.__setattr__(self, "top", float(self.forward(t0)))
 
-    def value(self, t):
-        return self.forward(t)
-
-    def inverse(self, y, tol: float = 1e-10):
-        """t in the monotone domain with |forward(t) - y| <= tol·max(|y|, tiny),
+    def inverse(self, y):
+        """t in the monotone domain with |forward(t) - y| <= 1e-12·max(|y|, tiny),
         elementwise over an array of targets; a scalar target gives a float.
 
-        A target at or above top (within the accepted slack) maps to t0 exactly;
+        A target at or above top (within that residual) maps to t0 exactly;
         each other target expands its own bracket in u and bisects it until its
         own residual meets the tolerance."""
         a, b = self.forward.a, self.forward.b
         ys = np.asarray(y, dtype=float)
         flat = ys.reshape(-1)
-        bad = ~((flat > 0.0) & (flat <= self.top * (1.0 + 1e-12)))
+        bad = ~((flat > 0.0) & (flat <= self.top * (1.0 + _INVERT_TOL)))
         if bad.any():
             y_bad = float(flat[np.argmax(bad)])
             raise OutOfRange(f"target {y_bad} outside map range (0, {self.top}]")
@@ -769,11 +767,11 @@ class MonotoneMap:
         elif a == 0.0:
             out[inner] = np.exp(1.0 - flat[inner] ** (1.0 / b))
         else:
-            out[inner] = self._bisect(flat[inner], tol)
+            out[inner] = self._bisect(flat[inner])
         return float(out[0]) if ys.ndim == 0 else out.reshape(ys.shape)
 
-    def _bisect(self, ys: np.ndarray, tol: float) -> np.ndarray:
-        goal = tol * np.maximum(np.abs(ys), 1e-300)
+    def _bisect(self, ys: np.ndarray) -> np.ndarray:
+        goal = _INVERT_TOL * np.maximum(np.abs(ys), 1e-300)
         u_lo = np.full(ys.size, float(u_of_t(self.t0)))
         u_hi = u_lo + 1.0
         grow = np.arange(ys.size)
@@ -802,21 +800,15 @@ class MonotoneMap:
             u_hi = np.where(above, u_hi, um)
         raise NoConvergence("bisection failed to reach the requested residual")
 
-    def normalized_inverse(self, y: float, tol: float = 1e-10) -> float:
-        """Inverse of the [0,1]-normalized restriction t -> forward(t·t0)/forward(t0)."""
-        return self.inverse(y * self.top, tol) / self.t0
 
-
-def invert_monotone(psi, y, tol: float = 1e-10):
+def invert_monotone(psi, y):
     """Invert a monotone map given as a MonotoneMap or as the LogWeight it
     restricts, at a scalar target or elementwise over an array of targets."""
-    if not (0.0 < tol <= 1e-6):
-        raise BadInterval("tol must lie in (0, 1e-6]")
     if isinstance(psi, LogWeight):
         psi = MonotoneMap(psi)
     if not isinstance(psi, MonotoneMap):
         raise TypeError(f"expected a LogWeight or MonotoneMap, got {psi!r}")
-    return psi.inverse(y, tol)
+    return psi.inverse(y)
 
 
 # ---------------------------------------------------------------------------

@@ -173,13 +173,7 @@ def lebesgue_norm(f: StepRearrangement, p: float) -> float:
     return float(norms_over_cuts(f, Lebesgue(p), np.zeros(1), "excess")[0])
 
 
-def lorentz_zygmund_norm(
-    f: StepRearrangement,
-    p: float,
-    q: float,
-    alpha: float,
-    res: Resolution = DEFAULT,
-) -> float:
+def lorentz_zygmund_norm(f: StepRearrangement, p: float, q: float, alpha: float) -> float:
     """(∫_0^1 [t^{1/p-1/q}(1-Log t)^alpha f(t)]^q dt)^{1/q}; sup form for q = inf.
 
     Accepts p = 1 (the degenerate log-weighted L^1 case) even though the space
@@ -213,15 +207,13 @@ def grand_norm(
     return float(norms_over_cuts(f, Grand(p, alpha), np.zeros(1), "excess", res)[0])
 
 
-def small_norm(
-    f: StepRearrangement, p: float, alpha: float, res: Resolution = DEFAULT
-) -> float:
+def small_norm(f: StepRearrangement, p: float, alpha: float) -> float:
     """∫_0^1 (1-Log t)^{-alpha/p + alpha - 1} (∫_0^t f^p)^{1/p} dt/t.
 
     The exponent p is the space's own exponent; pairing it with a grand space
     of exponent r requires passing p = r' explicitly.
     """
-    return float(norms_over_cuts(f, Small(p, alpha), np.zeros(1), "excess", res)[0])
+    return float(norms_over_cuts(f, Small(p, alpha), np.zeros(1), "excess")[0])
 
 
 def w2_prefix_at(f: StepRearrangement, spec: GammaDouble, ts: np.ndarray) -> np.ndarray:
@@ -281,11 +273,11 @@ def space_norm(f: StepRearrangement, spec: SpaceSpec, res: Resolution = DEFAULT)
     if isinstance(spec, Lebesgue):
         return lebesgue_norm(f, spec.p)
     if isinstance(spec, LorentzZygmund):
-        return lorentz_zygmund_norm(f, spec.p, spec.q, spec.alpha, res)
+        return lorentz_zygmund_norm(f, spec.p, spec.q, spec.alpha)
     if isinstance(spec, Grand):
         return grand_norm(f, spec.p, spec.alpha, res)
     if isinstance(spec, Small):
-        return small_norm(f, spec.p, spec.alpha, res)
+        return small_norm(f, spec.p, spec.alpha)
     if isinstance(spec, GammaDouble):
         return ggamma_norm(f, spec, res)
     raise TypeError(f"unknown space spec {spec!r}")

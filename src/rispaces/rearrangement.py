@@ -100,9 +100,6 @@ class StepFunction:
 
         return self.memo(("prefix", p), make)
 
-    def min_positive_break(self) -> float:
-        return float(self.breaks[1])
-
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False

@@ -5,19 +5,26 @@ two must agree to rounding on the benchmark's four standard members at the
 default resolution.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from rispaces.config import DEFAULT
 from rispaces.equivharness import standard_family
-from rispaces.logcalc import LogWeight, log_quad, log_quad_multi
+from rispaces.kfunctional import General, LpLq, k_explicit, k_oracle
+from rispaces.logcalc import LogWeight, log_quad, log_quad_multi, weight_integral
 from rispaces.norms import (
+    GammaDouble,
     Grand,
     Lebesgue,
+    LorentzZygmund,
     Small,
+    ggamma_norm,
     grand_norm,
     lebesgue_norm,
     norms_over_cuts,
+    prefix_log_integral,
     small_norm,
     space_norm,
 )
@@ -42,8 +49,8 @@ SCALAR = [
     (Lebesgue(4.0), lambda f: lebesgue_norm(f, 4.0)),
     (Grand(2.0, 1.0), lambda f: grand_norm(f, 2.0, 1.0, DEFAULT)),
     (Grand(4.0, 0.5), lambda f: grand_norm(f, 4.0, 0.5, DEFAULT)),
-    (Small(2.0, 1.0), lambda f: small_norm(f, 2.0, 1.0, DEFAULT)),
-    (Small(4.0 / 3.0, 2.0), lambda f: small_norm(f, 4.0 / 3.0, 2.0, DEFAULT)),
+    (Small(2.0, 1.0), lambda f: small_norm(f, 2.0, 1.0)),
+    (Small(4.0 / 3.0, 2.0), lambda f: small_norm(f, 4.0 / 3.0, 2.0)),
 ]
 
 
@@ -66,7 +73,7 @@ def test_scalar_norm_is_one_cut_of_the_batch(members, spec, scalar, kind):
 def test_log_quad_is_one_column_of_log_quad_multi(members):
     w = LogWeight(-1.0, -0.5)
     for name, f in members:
-        x1 = f.min_positive_break()
+        x1 = float(f.breaks[1])
 
         def g(t):
             return prefix_power_at(f, 2.0, np.asarray(t, dtype=float)) ** 0.5
@@ -118,3 +125,53 @@ def test_lebesgue_position_cuts_are_step_power_integrals(members, p):
         tail = norms_over_cuts(f, Lebesgue(p), cuts, "tail", DEFAULT)
         assert np.array_equal(head, prefix_power_at(f, p, cuts) ** (1.0 / p)), name
         assert np.array_equal(tail, tail_power_at(f, p, cuts) ** (1.0 / p)), name
+
+
+# Truncations no batched branch covers are one space_norm per cut.
+
+
+def test_lz_couple_written_as_general_is_the_lebesgue_couple(members):
+    """LorentzZygmund(2, 2, 0) is L^2, so General(LZ(2, 2, 0), L^4) has the K
+    of LpLq(2, 4): its excess lines and explicit heads go one cut at a time
+    and its split point through the Lorentz-Zygmund fundamental weight."""
+    general, lplq = General(LorentzZygmund(2.0, 2.0, 0.0), Lebesgue(4.0)), LpLq(2.0, 4.0)
+    ts = np.geomspace(1e-6, 1.0, 12)
+    for name, f in members:
+        got, want = k_explicit(f, general, ts, DEFAULT), k_explicit(f, lplq, ts, DEFAULT)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0), name
+        for t in ts.tolist():
+            assert k_oracle(f, general, t, DEFAULT) == pytest.approx(k_oracle(f, lplq, t, DEFAULT), rel=1e-12)
+
+
+@pytest.mark.parametrize("p,alpha", [(2.0, 1.0), (4.0 / 3.0, 2.0)])
+def test_small_heads_are_a_prefix_integral_and_a_weight_tail(members, p, alpha):
+    """The prefix of f·χ_(0,c] is P(min(t, c)), so its Small norm is
+    ∫_0^c w P^{1/p} + P(c)^{1/p} ∫_c^1 w."""
+    w = LogWeight(-1.0, alpha - alpha / p - 1.0)
+    for name, f in members:
+        cuts = np.array([0.5 * f.breaks[1], f.breaks[2], 0.2, 0.99])
+        got = norms_over_cuts(f, Small(p, alpha), cuts, "head", DEFAULT)
+        for c, head in zip(cuts.tolist(), got):
+            tail = prefix_power_at(f, p, np.array([c]))[0] ** (1.0 / p) * weight_integral(w, c, 1.0)
+            want = prefix_log_integral(f, p, 1.0 / p, w, c) + tail
+            assert abs(head - want) <= 1e-12 * want, (name, c, head, want)
+
+
+GAMMA_DOUBLE = [
+    GammaDouble(2.0, 2.0, LogWeight(-1.0, 0.0), LogWeight(0.0, -1.0)),
+    GammaDouble(2.0, math.inf, LogWeight(0.25, 0.0), LogWeight(0.0, -1.0)),
+]
+
+
+@pytest.mark.parametrize("spec", GAMMA_DOUBLE, ids=["m=2", "m=inf"])
+def test_gamma_double_truncations_that_keep_f_are_its_norm(members, spec):
+    for name, f in members:
+        norm = ggamma_norm(f, spec, DEFAULT)
+        assert _close(float(norms_over_cuts(f, spec, np.zeros(1), "excess", DEFAULT)[0]), norm), name
+        assert _close(float(norms_over_cuts(f, spec, np.ones(1), "head", DEFAULT)[0]), norm), name
+
+
+def test_sup_norm_heads_are_the_top_value(members):
+    for name, f in members:
+        cuts = np.array([0.5 * f.breaks[1], f.breaks[2], 0.2, 0.99, 1.0])
+        assert np.all(norms_over_cuts(f, Lebesgue(math.inf), cuts, "head", DEFAULT) == f.values[0]), name

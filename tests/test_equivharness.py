@@ -91,6 +91,24 @@ def test_identity_experiment_passes():
     assert {"id", "lhs", "rhs", "ratio"} <= set(payload["members"][0])
 
 
+IDENTITY_CASES = [("T3.1", dict(p=2, q=4, alpha=1.0))] + [
+    ("T3.4", dict(p=2, q=4, theta=0.5, r=2, alpha=a)) for a in (1.0, 0.5, 2.0)
+]
+
+
+@pytest.mark.parametrize(
+    "tid,params", IDENTITY_CASES, ids=[f"{t}-alpha{p['alpha']:g}" for t, p in IDENTITY_CASES]
+)
+def test_lebesgue_and_small_couple_identities_pass(tid, params):
+    """T3.1 (the L^p-L^q couple against a Grand target) and T3.4 (two Small
+    spaces: the SmallSmall couple at alpha = 1, a General couple otherwise,
+    against a Lorentz-Zygmund target) hold their bracket and drift gate."""
+    rep = run_identity_experiment(tid, params, standard_family(q=4.0), FAST)
+    assert rep.passed, rep.to_json()
+    assert rep.max_ratio < 64.0 and rep.min_ratio > 1 / 64.0
+    assert rep.drift < 0.05
+
+
 def test_identity_experiment_skips_zero_member():
     fam = FunctionFamily(
         "zero", (("zero", ExplicitSteps((0.0, 1.0), (0.0,))), ("const", PowerLog(0, 0)))
@@ -327,7 +345,7 @@ def test_associate_bound_respects_duality(power_quarter):
     # lower bound for the grand-space associate stays under a fixed multiple
     # of the conjugate small norm
     bound = associate_lower_bound(power_quarter, Grand(2, 1.0), MINI, FAST)
-    ceiling = small_norm(power_quarter, 2.0, 1.0, FAST)
+    ceiling = small_norm(power_quarter, 2.0, 1.0)
     assert bound <= 64.0 * ceiling
 
 

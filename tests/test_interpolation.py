@@ -182,13 +182,13 @@ def test_doubling_times():
 def test_z_norm_zero_all_cases():
     z = StepRearrangement(np.array([0.0, 1.0]), np.array([0.0]))
     for theta in (0.25, 0.5, 0.75):
-        assert z_norm(z, 2, theta, 2, FAST) == 0.0
+        assert z_norm(z, 2, theta, 2) == 0.0
 
 
 def test_z_norm_critical_telescopes(one, power_quarter):
     # theta = 1/p, r = p: the block sum telescopes to the plain p-norm
-    assert z_norm(one, 2, 0.5, 2, FAST) == pytest.approx(1.0, rel=1e-12)
-    assert z_norm(power_quarter, 2, 0.5, 2, FAST) == pytest.approx(
+    assert z_norm(one, 2, 0.5, 2) == pytest.approx(1.0, rel=1e-12)
+    assert z_norm(power_quarter, 2, 0.5, 2) == pytest.approx(
         lebesgue_norm(power_quarter, 2), rel=1e-12
     )
 
@@ -201,7 +201,7 @@ def test_z_norm_tail_case_against_scipy(chi_half):
     ref, _ = si.quad(
         lambda u: u ** (bt * r) * max(0.5 - math.exp(1.0 - u), 0.0), 1, np.inf
     )
-    assert z_norm(chi_half, p, theta, r, FAST) == pytest.approx(ref**0.5, rel=1e-9)
+    assert z_norm(chi_half, p, theta, r) == pytest.approx(ref**0.5, rel=1e-9)
 
 
 def test_z_norm_prefix_case_against_scipy(chi_half):
@@ -210,13 +210,13 @@ def test_z_norm_prefix_case_against_scipy(chi_half):
     ref, _ = si.quad(
         lambda u: u ** (bt * r) * min(math.exp(1.0 - u), 0.5), 1, np.inf
     )
-    assert z_norm(chi_half, p, theta, r, FAST) == pytest.approx(ref**0.5, rel=1e-9)
+    assert z_norm(chi_half, p, theta, r) == pytest.approx(ref**0.5, rel=1e-9)
 
 
 def test_z_alt_equals_double_weight_norm(power_quarter):
     theta, r, p = 0.75, 2.0, 2.0
     spec = GammaDouble(p, r, LogWeight(-1.0, theta * r - 1.0), LogWeight(0.0, -1.0))
-    assert z_norm_alt(power_quarter, p, theta, r, FAST) == pytest.approx(
+    assert z_norm_alt(power_quarter, p, theta, r) == pytest.approx(
         ggamma_norm(power_quarter, spec, FAST), rel=1e-8
     )
 
@@ -224,8 +224,8 @@ def test_z_alt_equals_double_weight_norm(power_quarter):
 def test_z_and_z_alt_bracket_each_other(power_quarter, chi_half, one):
     for f in (power_quarter, chi_half, one):
         for theta in (0.25, 0.5, 0.75):
-            a = z_norm(f, 2, theta, 2, FAST)
-            b = z_norm_alt(f, 2, theta, 2, FAST)
+            a = z_norm(f, 2, theta, 2)
+            b = z_norm_alt(f, 2, theta, 2)
             assert 0 < a < math.inf and 0 < b < math.inf
             assert max(a / b, b / a) < 16.0
 

@@ -164,7 +164,7 @@ def test_split_point_residuals():
         ts = np.exp(1.0 - np.linspace(1.0, u_hi, 200))
         psi = couple_psi(c)
         for t in ts:
-            phi = split_point(c, float(t), tol=1e-12)
+            phi = split_point(c, float(t))
             assert abs(float(psi(phi)) - t) <= 1e-10 * t
 
 

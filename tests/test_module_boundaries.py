@@ -133,3 +133,55 @@ def test_no_quadrature_tolerance():
         problems.append("logcalc.py defines adaptive_quad")
     assert not problems, "\n".join(problems)
     assert [f.name for f in fields(Resolution)] == ["u_max", "panels", "sup_count", "k_nodes"]
+
+
+def _params(fn) -> list:
+    a = fn.args
+    names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+    return names + [x.arg for x in (a.vararg, a.kwarg) if x is not None]
+
+
+def _signatures(tree: ast.Module):
+    """Every module-level function and method; functions nested in them, such
+    as integrand callbacks with a fixed signature, are not listed."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from (n for n in node.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+
+
+def test_every_parameter_is_read():
+    """A parameter the body never reads is an option no value of which changes
+    the result.  self, cls and names with a leading underscore (a dispatch
+    signature's unused slot) are exempt."""
+    problems = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for fn in _signatures(tree):
+            read = {
+                n.id
+                for stmt in fn.body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            problems += [
+                f"{path.name}:{fn.lineno} {fn.name} never reads {name}"
+                for name in _params(fn)
+                if name not in read and name not in ("self", "cls") and not name.startswith("_")
+            ]
+    assert not problems, "\n".join(problems)
+
+
+def test_no_inversion_tolerance():
+    """Every monotone-map inversion meets one relative residual, logcalc's
+    1e-12: no function takes a tol."""
+    problems = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        problems += [
+            f"{path.name}:{node.lineno} takes tol"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)) and "tol" in _params(node)
+        ]
+    assert not problems, "\n".join(problems)
