@@ -48,6 +48,7 @@ __all__ = [
     "log_quad_multi",
     "linear_power_integrals",
     "sup_on_grid",
+    "sups_on_grid",
     "sup_on_interval",
     "golden_refine",
     "invert_monotone",
@@ -65,7 +66,8 @@ _GL = {n: np.polynomial.legendre.leggauss(n) for n, _ in _RUNGS}
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _TAIL_CHUNKS = 4000
 _TAIL_EPS = 1e-16  # a marched chunk below this share of the sum is negligible
-_SCAN_BLOCK = 1 << 16
+_SCAN_BLOCK = 1 << 16  # (point, column) values per block of a grid scan
+_BLOCK = 1 << 20  # (node, column) values per block of a κ pass
 _SCAN_RUN = 32  # points per run of a pruned scan
 _INVERT_TOL = 1e-12  # relative residual of every monotone-map inversion
 
@@ -184,14 +186,18 @@ def _kappa_panels(c: np.ndarray, b: float, lo: np.ndarray, span: np.ndarray, sig
     return (0.5 * (pa + pb))[:, None] + half[:, None] * gx, half, ids[j]
 
 
-def _kappa_pass(fu, c: np.ndarray, b: float, lo: np.ndarray, span: np.ndarray, sigma=0.0):
-    """∫ fu(x, i) dx over x in [0, span_i] by one pass over _kappa_panels, with
-    fu(x, i) the u-integrand at the nodes lo_i + x of each panel's interval
-    i: a (panels, points) array, or (panels, points, m) for m columns."""
-    x, half, ids = _kappa_panels(c, b, lo, span, sigma)
-    per = np.tensordot(fu(x, ids), _GL[x.shape[1]][1], axes=(1, 0))
+def _panel_sums(fu, x: np.ndarray, half: np.ndarray, ids: np.ndarray, intervals: int, width: int):
+    """The κ pass over _kappa_panels' (x, half, ids): ∫ fu over each of the
+    intervals, with fu(x, i) the u-integrand at the nodes of each panel's
+    interval i, a (panels, points) array or (panels, points, width) for width
+    columns, evaluated on blocks of panels of at most _BLOCK values."""
+    rows, gl = max(1, _BLOCK // (x.shape[1] * max(width, 1))), _GL[x.shape[1]][1]
+    parts = [
+        np.tensordot(fu(x[k : k + rows], ids[k : k + rows]), gl, axes=(1, 0)) for k in range(0, half.size, rows)
+    ]
+    per = parts[0] if len(parts) == 1 else np.concatenate(parts)
     per *= half.reshape((-1,) + (1,) * (per.ndim - 1))
-    return np.add.reduceat(per, np.searchsorted(ids, np.arange(lo.size)), axis=0)
+    return np.add.reduceat(per, np.searchsorted(ids, np.arange(intervals)), axis=0)
 
 
 @lru_cache(maxsize=None)
@@ -309,8 +315,9 @@ def linear_power_integrals(w: LogWeight, s: float, near, far, at_near, slope, sh
 
 def log_quad_multi(g, w: LogWeight, lo: float, hi: float, breaks: Sequence[float] = (), sigma=None):
     """∫_lo^hi g(t) w(t) dt per output column of a vectorized g mapping t to
-    (len(t), m) values: one κ pass over the panels between lo, hi and the
-    breaks.  sigma(t), where given, bounds |t g'/g| (per point, or per point
+    (len(t), m) values (g of an empty t gives m): one κ pass over the panels
+    between lo, hi and the breaks, in blocks of at most _BLOCK values.
+    sigma(t), where given, bounds |t g'/g| (per point, or per point
     and column) at panel ends, the larger end bounding it on the panel;
     without it g must vary slowly against w.
 
@@ -323,8 +330,9 @@ def log_quad_multi(g, w: LogWeight, lo: float, hi: float, breaks: Sequence[float
     """
     if not (0.0 <= lo <= hi <= 1.0):
         raise BadInterval(f"bad interval [{lo}, {hi}]")
+    width = np.shape(g(np.zeros(0)))[-1]
     if lo == hi:
-        return np.zeros(np.shape(g(np.array([hi])))[-1])
+        return np.zeros(width)
 
     def pass_(us):  # the κ pass over the u-intervals between consecutive us
         bound = np.zeros(us.size)
@@ -337,7 +345,8 @@ def log_quad_multi(g, w: LogWeight, lo: float, hi: float, breaks: Sequence[float
             return vals * w.u_form(v)[..., None]
 
         c = np.full(us.size - 1, w.a + 1.0)
-        out = _kappa_pass(fu, c, w.b, us[:-1], np.diff(us), np.maximum(bound[:-1], bound[1:])).sum(axis=0)
+        panels = _kappa_panels(c, w.b, us[:-1], np.diff(us), np.maximum(bound[:-1], bound[1:]))
+        out = _panel_sums(fu, *panels, us.size - 1, width).sum(axis=0)
         if not np.all(np.isfinite(out)):
             raise Divergent(f"integrand is not finite on u in [{float(us[0])!r}, {float(us[-1])!r}]")
         return out
@@ -416,7 +425,8 @@ def _head_integral(w: LogWeight, x: float, shift: float) -> float:
             v = u + y
             return np.exp((1.0 - v) * c + w.b * np.log(v) - shift)
 
-        body = float(_kappa_pass(fu, np.array([c]), w.b, np.array([u]), np.array([top - u]))[0])
+        panels = _kappa_panels(np.array([c]), w.b, np.array([u]), np.array([top - u]))
+        body = float(_panel_sums(fu, *panels, 1, 1)[0])
     rest = math.exp(c * (1.0 - top) + s * math.log(top) - shift)
     return body + rest * _gamma_cf(s, c * top)
 
@@ -481,7 +491,7 @@ def power_log_integrals(a, b: float, los: np.ndarray, his: np.ndarray, shift=0.0
             v = ur[i][:, None] + x
             return np.exp((1.0 - v) * cr[i][:, None] + b * np.log(v) - sr[i][:, None])
 
-        out[rest] = _kappa_pass(fu, cr, b, ur, d[rest])
+        out[rest] = _panel_sums(fu, *_kappa_panels(cr, b, ur, d[rest]), rest.size, 1)
     return out
 
 
@@ -505,9 +515,11 @@ def _power_difference(x, y, e, l, shift):
 def weight_prefix_many(w: LogWeight, ts: np.ndarray) -> np.ndarray:
     """∫_0^{t_i} w for an array of points, by one cumulative sweep."""
     ts = np.asarray(ts, dtype=float)
+    if ts.size == 0:
+        return np.zeros(0)
     order = np.argsort(ts)
     s = ts[order]
-    base = weight_integral(w, 0.0, float(s[0])) if s.size else 0.0
+    base = weight_integral(w, 0.0, float(s[0]))
     acc = base + np.concatenate([[0.0], np.cumsum(_weight_integrals(w, s[:-1], s[1:]))])
     out = np.empty_like(acc)
     out[order] = acc
@@ -619,7 +631,8 @@ def sup_on_interval(
     count: int,
     extra_points: Iterable[float] = (),
     u_cap: float = 41.0,
-    bound: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] = None,
+    *,
+    bound: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(sup, argmax) arrays of g over windows (lo_k, hi_k] by log-grid scan plus
     golden refinement; g(t, k) evaluates window k's objective at points t.
@@ -628,8 +641,9 @@ def sup_on_interval(
     scales with its u-length, between 8 and count) and the extra points inside
     it; a window open at 0 reaches down to u_lo = max(u_cap, u(hi_k) + 8).  Both
     point sequences are cut into runs of _SCAN_RUN points.  A run is skipped
-    when bound(a, b, k), a required upper bound of g(·, k) on [a, b], lies below
-    g at the largest point of another run of its window: the result is the
+    when bound(a, b, k), an upper bound of g(·, k) on [a, b] that every call
+    passes by keyword, lies below g at the largest point of another run of
+    its window: the result is the
     full scan's bit for bit.  The maximum (at the smallest t attaining it)
     is refined in one golden pass between its neighbours in the window."""
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
@@ -706,21 +720,32 @@ def _values(g, ts: np.ndarray, ks: np.ndarray) -> np.ndarray:
     return vals
 
 
-def sup_on_grid(
-    g: Callable, grid: UGrid, extra_points: Iterable[float] = ()
-) -> Tuple[float, float]:
-    """(sup estimate, argmax t) of a vectorized g over (0, 1]: a scan of
-    grid.with_points(extra_points), then golden-section refinement between the
-    best point (the smallest t attaining the maximum) and its neighbours."""
-
-    def gk(t, k):
-        return _values(lambda s, j: g(s), t, k)
-
-    ts = grid.with_points(extra_points)
-    vals = gk(ts, ts)
-    i = int(np.argmax(vals))
-    val, arg = golden_refine(gk, ts[[max(i - 1, 0)]], ts[[min(i + 1, ts.size - 1)]], vals[[i]], ts[[i]])
+def sup_on_grid(g: Callable, grid: UGrid, extra_points: Iterable[float] = ()) -> Tuple[float, float]:
+    """(sup estimate, argmax t) of a vectorized g over (0, 1]: the one-column
+    sups_on_grid."""
+    val, arg = sups_on_grid(lambda t, _k: g(t), grid, 1, extra_points)
     return float(val[0]), float(arg[0])
+
+
+def sups_on_grid(g: Callable, grid: UGrid, columns: int, extra_points: Iterable[float] = ()):
+    """(sup, argmax t) arrays of each of the columns of g over (0, 1], where
+    g(t, None) gives every column at the points t, a (len(t), columns) array,
+    and g(t, k) column k_i at t_i: a scan of grid.with_points(extra_points) in
+    blocks of at most _SCAN_BLOCK values, then one golden_refine pass between
+    each column's best point (the smallest t attaining its maximum) and that
+    point's neighbours."""
+    ts, every = grid.with_points(extra_points), np.arange(columns)
+    rows = max(1, _SCAN_BLOCK // columns)
+    best, at = np.full(columns, -np.inf), np.zeros(columns, dtype=int)
+    for i in range(0, ts.size, rows):
+        vals = np.reshape(np.asarray(g(ts[i : i + rows], None), dtype=float), (-1, columns))
+        if not np.all(np.isfinite(vals)):
+            raise NonFiniteValue("objective returned a non-finite value")
+        j = np.argmax(vals, axis=0)
+        up = vals[j, every] > best
+        best[up], at[up] = vals[j[up], every[up]], i + j[up]
+    left, right = ts[np.maximum(at - 1, 0)], ts[np.minimum(at + 1, ts.size - 1)]
+    return golden_refine(lambda t, k: _values(g, t, k), left, right, best, ts[at])
 
 
 # ---------------------------------------------------------------------------

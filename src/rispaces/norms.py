@@ -22,9 +22,11 @@ from .logcalc import (
     golden_refine,
     linear_power_integrals,
     log_quad,
+    log_quad_multi,
     power_log_integrals,
     sup_on_grid,
     sup_on_interval,
+    sups_on_grid,
     tail_block_integral,
     weight_integral,
     weight_prefix_many,
@@ -32,9 +34,6 @@ from .logcalc import (
 from .rearrangement import (
     StepFunction,
     StepRearrangement,
-    capped_part,
-    excess_part,
-    head_restriction,
     prefix_power_at,
     tail_power_at,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "norms_over_cuts",
     "prefix_log_integral",
     "tail_log_integral",
-    "w2_prefix_at",
     "fundamental_function",
     "fundamental_equivalent_weight",
     "ggamma_lower_bound_check",
@@ -82,7 +80,7 @@ class LorentzZygmund:
     alpha: float
 
     def __post_init__(self):
-        _check(1.0 < self.p < math.inf, "first exponent must lie in (1, inf)")
+        _check(1.0 <= self.p < math.inf, "first exponent must lie in [1, inf)")
         _check(self.q >= 1.0, "second exponent must be >= 1")
         _check(math.isfinite(self.alpha), "log exponent must be finite")
 
@@ -175,34 +173,11 @@ def lebesgue_norm(f: StepRearrangement, p: float) -> float:
 
 def lorentz_zygmund_norm(f: StepRearrangement, p: float, q: float, alpha: float) -> float:
     """(∫_0^1 [t^{1/p-1/q}(1-Log t)^alpha f(t)]^q dt)^{1/q}; sup form for q = inf.
-
-    Accepts p = 1 (the degenerate log-weighted L^1 case) even though the space
-    descriptor keeps p strictly above 1.
-    """
-    _check(1.0 <= p < math.inf and q >= 1.0 and math.isfinite(alpha), "bad exponents")
-    top = float(np.max(f.values))  # f*(0+), factored out so that no power overflows
-    if top == 0.0:
-        return 0.0
-    n = int(np.count_nonzero(f.values))  # f is nonincreasing: its support is (0, x_n]
-    hi = f.breaks[1 : n + 1]
-    if math.isinf(q):
-        # w = t^{1/p}(1 - Log t)^alpha increases up to t* = e^{1 - alpha p} (1 where
-        # alpha p <= 1) and then decreases: a panel's sup of v·w is at its point nearest t*
-        peak = math.exp(1.0 - alpha * p) if alpha * p > 1.0 else 1.0
-        return float(np.max(f.values[:n] * LogWeight(1.0 / p, alpha)(np.clip(peak, f.breaks[:n], hi))))
-    # each panel term (v/top)^q ∫ w in one exp, shifted by the largest Log (v/top)^q t w(t)
-    # at a panel's right end (shift[0], as v_0 = top), so that none under- or overflows
-    w = LogWeight(q / p - 1.0, alpha * q)
-    lv = q * (np.log(f.values[:n]) - math.log(top))
-    shift = np.max(lv + (w.a + 1.0) * np.log(hi) + w.b * np.log1p(-np.log(hi))) - lv
-    rest = power_log_integrals(w.a, w.b, f.breaks[1:n], hi[1:], shift[1:])
-    total = weight_integral(w, 0.0, hi[0], shift[0]) + float(np.sum(rest))
-    return top * math.exp(shift[0] / q) * total ** (1.0 / q)
+    With p = 1 it is the log-weighted L^1 case."""
+    return float(norms_over_cuts(f, LorentzZygmund(p, q, alpha), np.zeros(1), "excess")[0])
 
 
-def grand_norm(
-    f: StepRearrangement, p: float, alpha: float, res: Resolution = DEFAULT
-) -> float:
+def grand_norm(f: StepRearrangement, p: float, alpha: float, res: Resolution = DEFAULT) -> float:
     """sup_t (1-Log t)^{-alpha/p} (∫_t^1 f^p)^{1/p}, exact tails on step data."""
     return float(norms_over_cuts(f, Grand(p, alpha), np.zeros(1), "excess", res)[0])
 
@@ -216,46 +191,9 @@ def small_norm(f: StepRearrangement, p: float, alpha: float) -> float:
     return float(norms_over_cuts(f, Small(p, alpha), np.zeros(1), "excess")[0])
 
 
-def w2_prefix_at(f: StepRearrangement, spec: GammaDouble, ts: np.ndarray) -> np.ndarray:
-    """∫_0^t f^p w2 at many points, exact panel structure."""
-
-    def make():
-        w2_at_breaks = weight_prefix_many(spec.w2, f.breaks)
-        vp = f.values**spec.p
-        return np.concatenate([[0.0], np.cumsum(vp * np.diff(w2_at_breaks))]), vp, w2_at_breaks
-
-    pref, vp, w2_at_breaks = f.memo(("w2prefix", spec.p, spec.w2), make)
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    idx = np.clip(np.searchsorted(f.breaks, ts, side="left"), 1, f.n)
-    part = weight_prefix_many(spec.w2, ts) - w2_at_breaks[idx - 1]
-    return pref[idx - 1] + vp[idx - 1] * np.maximum(part, 0.0)
-
-
 def ggamma_norm(f: StepRearrangement, spec: GammaDouble, res: Resolution = DEFAULT) -> float:
     """[∫_0^1 w1(t) (∫_0^t f^p w2)^{m/p} dt]^{1/m}; sup form for m = inf."""
-    p, m = spec.p, spec.m
-
-    def g(t):
-        return w2_prefix_at(f, spec, t) ** (1.0 / p)
-
-    if math.isinf(m):
-        def obj(t):
-            t = np.asarray(t, dtype=float)
-            return spec.w1(t) * g(t)
-
-        # on the first panel obj ~ t^a (1-Log t)^b, which peaks near u = b/a,
-        # maybe far below the grid: probe there and at half and twice that
-        e_t, e_b = spec.growth
-        a, b = spec.w1.a + e_t / p, spec.w1.b + e_b / p
-        u = b / a * np.array([0.5, 1.0, 2.0]) if a > 0.0 and b > 0.0 else np.zeros(0)
-        extras = np.concatenate([f.breaks[1:], np.exp(1.0 - np.minimum(u, 700.0))])
-        val, _ = sup_on_grid(obj, UGrid(res.u_max, res.sup_count), extras)
-        return val
-
-    def gm(t):
-        return w2_prefix_at(f, spec, t) ** (m / p)
-
-    return log_quad(gm, spec.w1, 0.0, 1.0, f.breaks[1:-1], _w2_sigma(spec, m / p)) ** (1.0 / m)
+    return float(norms_over_cuts(f, spec, np.zeros(1), "excess", res)[0])
 
 
 def _w2_sigma(spec: GammaDouble, s: float):
@@ -270,30 +208,26 @@ def _w2_sigma(spec: GammaDouble, s: float):
 
 
 def space_norm(f: StepRearrangement, spec: SpaceSpec, res: Resolution = DEFAULT) -> float:
-    if isinstance(spec, Lebesgue):
-        return lebesgue_norm(f, spec.p)
-    if isinstance(spec, LorentzZygmund):
-        return lorentz_zygmund_norm(f, spec.p, spec.q, spec.alpha)
-    if isinstance(spec, Grand):
-        return grand_norm(f, spec.p, spec.alpha, res)
-    if isinstance(spec, Small):
-        return small_norm(f, spec.p, spec.alpha)
-    if isinstance(spec, GammaDouble):
-        return ggamma_norm(f, spec, res)
-    raise TypeError(f"unknown space spec {spec!r}")
+    return float(norms_over_cuts(f, spec, np.zeros(1), "excess", res)[0])
 
 
 # ---------------------------------------------------------------------------
 # batched norms over a family of truncation cuts
 #
-# K-functional oracles minimize norm0((f-c)_+) + t·norm1(min(f,c)) over many
-# cuts c at once.  Each truncation keeps most of f's panel structure: with v
-# the nonincreasing panel values, (f - c)_+ vanishes past the first
+# norms_over_cuts evaluates, for many cuts at once, (family: kinds)
+#   Lebesgue: excess, capped, head; tail for finite p (exact step sums)
+#   LorentzZygmund: excess, capped, head ((cut, panel) value matrix)
+#   Grand: excess, capped (pruned cut scan); head, tail (window scans)
+#   Small: excess, capped, tail (prefix log integrals); head
+#   GammaDouble: excess, capped, head (one w2-prefix table for every cut)
+# Each truncation by value keeps most of f's panel structure: with v the
+# nonincreasing panel values, (f - c)_+ vanishes past the first
 # J = #{v > c} panels, and min(f, c) is the constant c on the first
 # K = #{v >= c} panels and f after them.  So the prefix integral P_c of a
 # cut's p-th power is linear below one break and constant from another
 # (_cut_reach), and the Small and Grand branches evaluate a cut at points only
-# where it is neither, in blocks of at most about _CELLS (point, cut) values.
+# where it is neither.  Each branch holds about _CELLS (point, cut) or
+# (panel, cut) values at a time, beside its (panel, cut) tables.
 # The tail kind cuts by position: f·χ_(c,1] has P_c = 0 up to c, P - P(c) after.
 # ---------------------------------------------------------------------------
 
@@ -323,11 +257,16 @@ def _cut_panel_powers(f: StepRearrangement, p: float, cuts: np.ndarray, kind: st
         return vp, pref
     v = f.values[:, None]
     c = cuts[None, :]
-    vp = np.maximum(v - c, 0.0) if kind == "excess" else np.minimum(v, c)
+    if kind == "capped":
+        vp = np.minimum(v, c)
+    else:
+        vp = v - c
+        np.maximum(vp, 0.0, out=vp)
     vp **= p
-    pref = np.empty((f.n + 1, cuts.size))
+    pref = np.empty((f.n + 1, cuts.size))  # summed in place: two tables, no third
     pref[0] = 0.0
-    np.cumsum(vp * f.widths[:, None], axis=0, out=pref[1:])
+    np.multiply(vp, f.widths[:, None], out=pref[1:])
+    np.cumsum(pref[1:], axis=0, out=pref[1:])
     return vp, pref
 
 
@@ -544,56 +483,200 @@ def _grand_over_windows(
     out = np.zeros(cuts.size)
     if k.size:
         out[k], _ = sup_on_interval(
-            lambda s, j: bound(s, s, j), lo, hi, res.sup_count, f.breaks[1:], res.u_max + 6.0, bound
+            lambda s, j: bound(s, s, j), lo, hi, res.sup_count, f.breaks[1:], res.u_max + 6.0, bound=bound
         )
     return out
 
 
 def norms_over_cuts(
-    f: StepRearrangement,
-    spec: SpaceSpec,
-    cuts: np.ndarray,
-    kind: str,
-    res: Resolution = DEFAULT,
+    f: StepRearrangement, spec: SpaceSpec, cuts: np.ndarray, kind: str, res: Resolution = DEFAULT
 ) -> np.ndarray:
     """Norms of the truncations of f at each cut c: by value, (f - c)_+
     (kind='excess') or min(f, c) (kind='capped'); by position, f·χ_(0,c]
     (kind='head') or f·χ_(c,1] in place, not rearranged (kind='tail').
-
-    Tails are evaluated for Lebesgue (finite p), Grand and Small spaces only."""
+    Every family takes excess, capped and head cuts, a head at c = 0 being
+    zero; tails are taken for Lebesgue (finite p), Grand and Small only."""
     cuts = np.asarray(cuts, dtype=float)
+    lebesgue = isinstance(spec, Lebesgue)
+    if kind == "tail" and not (isinstance(spec, (Grand, Small)) or lebesgue and not math.isinf(spec.p)):
+        raise TypeError(f"tail cuts are not evaluated for {spec!r}")
     if cuts.size == 0:
         return np.zeros(0)
-    position = kind in ("head", "tail")
-    if isinstance(spec, Lebesgue) and position and not math.isinf(spec.p):
-        at = prefix_power_at if kind == "head" else tail_power_at
-        return at(f, spec.p, cuts) ** (1.0 / spec.p)
-    if isinstance(spec, Grand) and position:
-        return _grand_over_windows(f, spec.p, spec.alpha, cuts, kind, res)
-    if kind == "tail" and not isinstance(spec, Small):
-        raise TypeError(f"tail cuts are not evaluated for {spec!r}")
-    if isinstance(spec, Lebesgue) and kind != "head":
-        v = f.values
-        if math.isinf(spec.p):
-            return np.maximum(v[0] - cuts, 0.0) if kind == "excess" else np.minimum(v[0], cuts)
-        # each truncation over its own g*(0+), so that no power overflows; each
-        # cut's row sums pairwise, as the batch of one of a scalar norm does
-        part = np.maximum(v - cuts[:, None], 0.0) if kind == "excess" else np.minimum(v, cuts[:, None])
+    if lebesgue:
+        return _lebesgue_over_cuts(f, spec.p, cuts, kind)
+    if isinstance(spec, LorentzZygmund):
+        return _lz_over_cuts(f, spec, cuts, kind)
+    if isinstance(spec, Grand):
+        over = _grand_over_windows if kind in ("head", "tail") else _grand_over_cuts
+        return over(f, spec.p, spec.alpha, cuts, kind, res)
+    if isinstance(spec, Small):
+        return _small_over_cuts(f, spec.p, spec.alpha, cuts, kind)
+    if isinstance(spec, GammaDouble):
+        return _ggamma_over_cuts(f, spec, cuts, kind, res)
+    raise TypeError(f"unknown space spec {spec!r}")
+
+
+def _lebesgue_over_cuts(f: StepRearrangement, p: float, cuts: np.ndarray, kind: str) -> np.ndarray:
+    v = f.values
+    if math.isinf(p):
+        if kind == "head":
+            return np.where(cuts > 0.0, v[0], 0.0)
+        return np.maximum(v[0] - cuts, 0.0) if kind == "excess" else np.minimum(v[0], cuts)
+    if kind == "tail":
+        return tail_power_at(f, p, cuts) ** (1.0 / p)
+    if kind == "head":
+        mass = prefix_power_at(f, p, cuts)
+        # a subnormal v_1^p·c inside the first panel keeps few digits; v_1·c^{1/p} keeps them all
+        low = (mass < np.finfo(float).tiny) & (cuts <= f.breaks[1])
+        return np.where(low, v[0] * cuts ** (1.0 / p), mass ** (1.0 / p))
+    # each truncation over its own g*(0+), so that no power overflows; each
+    # cut's row sums pairwise, as the batch of one of a scalar norm does
+    out = np.zeros(cuts.size)
+    for at, _, part in _value_blocks(f, cuts, kind):
         top = part.max(axis=1)
         top[top == 0.0] = 1.0
         part /= top[:, None]
-        part **= spec.p
+        part **= p
         part *= f.widths
-        return top * part.sum(axis=1) ** (1.0 / spec.p)
-    if isinstance(spec, Grand):
-        return _grand_over_cuts(f, spec.p, spec.alpha, cuts, kind, res)
-    if isinstance(spec, Small) and kind != "head":
-        p, alpha = spec.p, spec.alpha
-        w = LogWeight(-1.0, alpha - alpha / p - 1.0)
+        out[at] = top * part.sum(axis=1) ** (1.0 / p)
+    return out
+
+
+def _value_blocks(f: StepRearrangement, cuts: np.ndarray, kind: str):
+    """(at, hi, v) for each block of at most _CELLS (cut, panel) cells: the
+    slice at of its cuts, the right ends hi of their truncations' panels
+    (lo, hi], a head's ending at c, and the truncations' values v there,
+    zero past c."""
+    x, n = f.breaks, f.n
+    rows = max(1, _CELLS // n)
+    for a in range(0, cuts.size, rows):
+        c = cuts[a : a + rows, None]
+        hi = np.minimum(x[1:], c) if kind == "head" else np.broadcast_to(x[1:], (c.size, n))
+        if kind == "head":
+            v = np.where(hi > x[:-1], f.values, 0.0)
+        elif kind == "excess":
+            v = f.values - c
+            np.maximum(v, 0.0, out=v)
+        else:
+            v = np.minimum(f.values, c)
+        yield slice(a, a + rows), hi, v
+
+
+def _lz_over_cuts(f: StepRearrangement, spec: LorentzZygmund, cuts: np.ndarray, kind: str) -> np.ndarray:
+    """Lorentz-Zygmund norms of the truncations, from one (cut, panel) matrix
+    of their values v on the panels (lo, hi], a head's ending at c, in blocks
+    of _CELLS cells.  For q = inf a panel's sup of v·w, w = t^{1/p}(1 - Log
+    t)^alpha, is at its point nearest the peak of w; for finite q each term
+    v^q ∫_lo^hi w is the exp of its log less its row's largest, so that none
+    under- or overflows."""
+    p, q, alpha = spec.p, spec.q, spec.alpha
+    x, lo, out = f.breaks, f.breaks[:-1], np.zeros(cuts.size)
+    w = LogWeight(1.0 / p, alpha) if math.isinf(q) else LogWeight(q / p - 1.0, alpha * q)
+    peak = math.exp(min(0.0, 1.0 - alpha * p))  # w increases up to it, then decreases
+    whole = None if math.isinf(q) else _log_weight_integrals(w, lo, x[1:])
+    for at, hi, v in _value_blocks(f, cuts, kind):
+        if math.isinf(q):
+            out[at] = np.max(v * w(np.where(v > 0.0, np.clip(peak, lo, hi), 1.0)), axis=1)
+            continue
+        lw = np.repeat(whole[None, :], v.shape[0], axis=0)
+        r, k = np.nonzero((hi > lo) & (hi < x[1:]))  # the panel a head cuts inside, (x_k, c]
+        lw[r, k] = _log_weight_integrals(w, lo[k], hi[r, k])
+        terms = np.full(v.shape, -np.inf)
+        np.log(v, out=terms, where=v > 0.0)
+        terms = q * terms + lw
+        big = terms.max(axis=1)
+        live = np.flatnonzero(big > -np.inf)
+        total = np.sum(np.exp(terms[live] - big[live, None]), axis=1)
+        out[at.start + live] = np.exp((big[live] + np.log(total)) / q)
+    return out
+
+
+def _log_weight_integrals(w: LogWeight, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Log ∫_lo^hi w for intervals 0 <= lo < hi <= 1, each integral taken
+    relative to hi·w(hi), so that none under- or overflows."""
+    s = (w.a + 1.0) * np.log(hi) + w.b * np.log1p(-np.log(hi))
+    rel = np.empty(hi.size)
+    inner = lo > 0.0
+    rel[inner] = power_log_integrals(w.a, w.b, lo[inner], hi[inner], s[inner])
+    rel[~inner] = [weight_integral(w, 0.0, h, e) for h, e in zip(hi[~inner].tolist(), s[~inner].tolist())]
+    return s + np.log(rel)
+
+
+def _small_over_cuts(f: StepRearrangement, p: float, alpha: float, cuts: np.ndarray, kind: str) -> np.ndarray:
+    """A head's prefix is P(min(t, c)), so its Small norm is the prefix log
+    integral up to c plus P(c)^{1/p} ∫_c^1 w."""
+    w = LogWeight(-1.0, alpha - alpha / p - 1.0)
+    if kind != "head":
         return _prefix_log_integrals(f, p, 1.0 / p, w, cuts, kind, np.ones(1))[0]
-    # no batched path: fall back to one norm per cut
-    make = {"excess": excess_part, "capped": capped_part, "head": head_restriction}[kind]
-    return np.array([space_norm(make(f, float(c)), spec, res) for c in cuts])
+    hs, at = np.unique(cuts, return_inverse=True)
+    inner = np.flatnonzero((hs > 0.0) & (hs < 1.0))
+    rest = np.zeros(hs.size)
+    tails = power_log_integrals(w.a, w.b, hs[inner], np.ones(inner.size))
+    rest[inner] = prefix_power_at(f, p, hs[inner]) ** (1.0 / p) * tails
+    return (prefix_log_integral(f, p, 1.0 / p, w, hs) + rest)[at]
+
+
+def _w2_prefix_over_cuts(f: StepRearrangement, spec: GammaDouble, cuts: np.ndarray, kind: str):
+    """W(t, k) = ∫_0^t g^p w2 for the truncation g of f at cuts[k_i] at each
+    t_i, or W(t) for every cut at each t, from one table of ∫ w2 over f's
+    panels.  A value kind truncates the panel values.  A head's W is f's up to
+    c and constant after it, at the table's value at c, which like the table
+    leaves out ∫_0^{x_1} w2."""
+    x, n = f.breaks, f.n
+    w2b = f.memo(("w2breaks", spec.w2), lambda: weight_prefix_many(spec.w2, x))
+    v = f.values[:, None]
+    if kind != "head":
+        v = np.maximum(v - cuts, 0.0) if kind == "excess" else np.minimum(v, cuts)
+    vp = v**spec.p
+    pref = np.zeros((n + 1, vp.shape[1]))
+    np.multiply(vp, np.diff(w2b)[:, None], out=pref[1:])
+    np.cumsum(pref[1:], axis=0, out=pref[1:])
+
+    def table(t, k=None):
+        i = np.clip(np.searchsorted(x, t, side="left"), 1, n) - 1
+        part = np.maximum(weight_prefix_many(spec.w2, t) - w2b[i], 0.0)
+        return pref[i] + vp[i] * part[:, None] if k is None else pref[i, k] + vp[i, k] * part
+
+    if kind != "head":
+        return table
+    j = np.clip(np.searchsorted(x, cuts, side="left"), 1, n) - 1  # x_j < c <= x_{j+1}
+    inner = np.flatnonzero(x[j] > 0.0)
+    part = np.zeros(cuts.size)
+    part[inner] = power_log_integrals(spec.w2.a, spec.w2.b, x[j[inner]], cuts[inner])
+    at_cut = pref[j, 0] + vp[j, 0] * part
+
+    def head(t, k=None):
+        if k is None:
+            return np.where(t[:, None] <= cuts, table(t), at_cut)
+        return np.where(t <= cuts[k], table(t, 0), at_cut[k])
+
+    return head
+
+
+def _ggamma_over_cuts(f: StepRearrangement, spec: GammaDouble, cuts: np.ndarray, kind: str, res: Resolution):
+    """One log_quad_multi call over every cut, with the head cuts as breaks,
+    or for m = inf one scan of the sup grid, the breaks and the head cuts."""
+    p, m = spec.p, spec.m
+    prefix = _w2_prefix_over_cuts(f, spec, cuts, kind)
+    heads = cuts[(cuts > 0.0) & (cuts < 1.0)] if kind == "head" else np.zeros(0)
+
+    def obj(t, k):
+        w1 = spec.w1(t)
+        return (w1[:, None] if k is None else w1) * prefix(t, k) ** (1.0 / p)
+
+    def gm(t):
+        return prefix(t) ** (m / p)
+
+    if not math.isinf(m):
+        breaks = np.concatenate([f.breaks[1:-1], heads])
+        return log_quad_multi(gm, spec.w1, 0.0, 1.0, breaks, _w2_sigma(spec, m / p)) ** (1.0 / m)
+    # on the first panel the objective is ~ t^a (1-Log t)^b, which peaks near
+    # u = b/a, maybe far below the grid: probe there and at half and twice that
+    e_t, e_b = spec.growth
+    a, b = spec.w1.a + e_t / p, spec.w1.b + e_b / p
+    u = b / a * np.array([0.5, 1.0, 2.0]) if a > 0.0 and b > 0.0 else np.zeros(0)
+    extras = np.concatenate([f.breaks[1:], heads, np.exp(1.0 - np.minimum(u, 700.0))])
+    return sups_on_grid(obj, UGrid(res.u_max, res.sup_count), cuts.size, extras)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -653,5 +736,5 @@ def ggamma_lower_bound_check(
 
         denom = log_quad(gm, spec.w1, 0.0, measE, (), _w2_sigma(spec, m / p)) ** (1.0 / m)
     lhs = rho * w2_mass ** (1.0 / p) / denom if denom > 0 else math.inf
-    rhs_sq = w2_prefix_at(f, spec, np.array([measE]))[0]
+    rhs_sq = _w2_prefix_over_cuts(f, spec, np.zeros(1), "excess")(np.array([measE]))[0, 0]
     return lhs, float(rhs_sq ** (1.0 / p))

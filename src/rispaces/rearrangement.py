@@ -32,9 +32,6 @@ __all__ = [
     "evaluate_many",
     "prefix_power_at",
     "tail_power_at",
-    "excess_part",
-    "capped_part",
-    "head_restriction",
     "tail_rearranged",
     "product_integral",
 ]
@@ -278,31 +275,8 @@ def evaluate_many(f: StepFunction, ts: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# derived step data used by K-functional decompositions
+# the rearranged tail used by the general explicit K-form
 # ---------------------------------------------------------------------------
-
-
-def excess_part(f: StepRearrangement, c: float) -> StepRearrangement:
-    """(f - c)_+ on the same panels."""
-    return StepRearrangement(f.breaks, np.maximum(f.values - c, 0.0))
-
-
-def capped_part(f: StepRearrangement, c: float) -> StepRearrangement:
-    """min(f, c) on the same panels."""
-    return StepRearrangement(f.breaks, np.minimum(f.values, c))
-
-
-def head_restriction(f: StepRearrangement, x: float) -> StepRearrangement:
-    """f·χ_{(0,x]} as a rearrangement (zero beyond x); f itself at x = 1."""
-    if not (0.0 < x <= 1.0):
-        raise BadPoint(f"cut point {x} outside (0, 1]")
-    if x == 1.0:
-        return f
-    keep = f.breaks[1:-1] < x
-    breaks = np.concatenate([[0.0], f.breaks[1:-1][keep], [x, 1.0]])
-    idx = np.searchsorted(f.breaks, breaks[1:-1], side="left")
-    values = np.concatenate([f.values[np.clip(idx, 1, f.n) - 1], [0.0]])
-    return StepRearrangement(breaks, values)
 
 
 def tail_rearranged(f: StepRearrangement, x: float) -> StepRearrangement:

@@ -4,7 +4,6 @@ Each criterion prints its own PASS/FAIL line.  Families are module-level so
 their discretizations and oracle-line caches are shared across criteria.
 """
 
-import json
 import math
 
 import numpy as np
@@ -13,7 +12,6 @@ import pytest
 from rispaces.cli import main as cli_main
 from rispaces.config import Resolution
 from rispaces.equivharness import (
-    FunctionFamily,
     hardy_check,
     prop32_check,
     random_steps,
@@ -39,23 +37,17 @@ from rispaces.logcalc import LogWeight, UGrid, invert_monotone, log_integral_bou
 from rispaces.norms import (
     GammaDouble,
     ggamma_lower_bound_check,
-    grand_norm,
     lebesgue_norm,
     lorentz_zygmund_norm,
-    small_norm,
     space_norm,
-    ggamma_norm,
     Grand,
     Lebesgue,
     LorentzZygmund,
     Small,
 )
 from rispaces.rearrangement import (
-    Char,
-    PowerLog,
     StepFunction,
     StepRearrangement,
-    discretize_model,
     power_integral,
     rearrange_from_samples,
 )

@@ -28,7 +28,8 @@ from rispaces.norms import (
     small_norm,
     space_norm,
 )
-from rispaces.rearrangement import capped_part, excess_part, prefix_power_at, tail_power_at
+from rispaces.rearrangement import prefix_power_at, tail_power_at
+from truncations import capped_part, excess_part
 
 MEMBERS = ("const", "char_0.125", "plog_g0_d-1", "rand_00")
 REL = 1e-13

@@ -5,7 +5,6 @@ import math
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from rispaces.cli import main

@@ -18,12 +18,8 @@ import pytest
 from rispaces.config import Resolution
 from rispaces.equivharness import standard_family
 from rispaces.norms import Grand, Small, norms_over_cuts, space_norm
-from rispaces.rearrangement import (
-    ExplicitSteps,
-    capped_part,
-    discretize_model,
-    excess_part,
-)
+from rispaces.rearrangement import ExplicitSteps, discretize_model
+from truncations import capped_part, excess_part
 
 PINNED = json.loads(Path(__file__).with_name("cut_norms_pinned.json").read_text())
 RESOLUTIONS = {"default": Resolution(), "doubled": Resolution().doubled()}

@@ -21,16 +21,10 @@ from rispaces.interpolation import (
     z_norm,
     z_norm_alt,
 )
-from rispaces.kfunctional import GrandSmallSameP, LpLq, k_curve
+from rispaces.kfunctional import LpLq, k_curve
 from rispaces.logcalc import LogWeight, UGrid
 from rispaces.norms import GammaDouble, ggamma_norm, lebesgue_norm
-from rispaces.rearrangement import (
-    Char,
-    PowerLog,
-    StepRearrangement,
-    discretize_model,
-    rearrange_from_samples,
-)
+from rispaces.rearrangement import StepRearrangement
 
 from conftest import FAST
 

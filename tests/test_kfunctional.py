@@ -28,12 +28,7 @@ from rispaces.kfunctional import (
 )
 from rispaces.logcalc import LogWeight, UGrid
 from rispaces.norms import Grand, Lebesgue, space_norm
-from rispaces.rearrangement import (
-    Char,
-    PowerLog,
-    StepRearrangement,
-    discretize_model,
-)
+from rispaces.rearrangement import StepRearrangement
 
 from conftest import FAST
 

@@ -415,13 +415,18 @@ def test_nan_at_a_run_end_raises_with_a_bound():
         logcalc.sup_on_interval(g, [0.1], [0.5], 256, bound=lambda a, b, k: np.zeros(a.shape))
 
 
+def test_the_run_bound_is_a_required_keyword():
+    with pytest.raises(TypeError, match="bound"):
+        logcalc.sup_on_interval(lambda t, k: t, [0.1], [0.5], 256)
+
+
 def test_pruned_scan_equals_the_full_scan_on_explicit_k_windows(monkeypatch):
     """Every Grand window of the explicit K-curves of the benchmark's members
     (LpLq scans none)."""
     seen = []
 
     def check(g, lo, hi, count, extras, u_cap, bound):
-        got = logcalc.sup_on_interval(g, lo, hi, count, extras, u_cap, bound)
+        got = logcalc.sup_on_interval(g, lo, hi, count, extras, u_cap, bound=bound)
         _same_bits(got, _full_scan(g, lo, hi, count, extras, u_cap))
         seen.append(np.size(lo))
         return got
@@ -449,7 +454,7 @@ def test_pruned_scan_on_edge_cuts(monkeypatch):
     def check(g, lo, hi, count, extras, u_cap, bound):
         want = _full_scan(g, lo, hi, count, extras, u_cap)
         for b in (_unbounded, bound):
-            _same_bits(logcalc.sup_on_interval(g, lo, hi, count, extras, u_cap, b), want)
+            _same_bits(logcalc.sup_on_interval(g, lo, hi, count, extras, u_cap, bound=b), want)
         return want
 
     monkeypatch.setattr(norms, "sup_on_interval", check)  # every Grand head and tail window
@@ -472,7 +477,7 @@ def test_pruned_scan_evaluates_a_small_share_of_the_grid(monkeypatch):
                 points[key] += np.size(t)
                 return g(t, k)
 
-            got = logcalc.sup_on_interval(counted, lo, hi, count, extras, u_cap, b)
+            got = logcalc.sup_on_interval(counted, lo, hi, count, extras, u_cap, bound=b)
         return got
 
     monkeypatch.setattr(norms, "sup_on_interval", check)  # every Grand head and tail window

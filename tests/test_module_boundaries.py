@@ -1,5 +1,5 @@
 """Package modules reach each other only through public, top-level imports,
-and import nothing they do not use."""
+and neither they nor the test files import anything they do not use."""
 
 import ast
 from dataclasses import fields
@@ -9,6 +9,7 @@ import rispaces
 from rispaces.config import Resolution
 
 PACKAGE = Path(rispaces.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def _sibling_imports(tree: ast.Module):
@@ -57,12 +58,13 @@ def _exported(tree: ast.Module):
 
 
 def test_no_unused_module_imports():
+    """Package modules and test files alike."""
     problems = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | (_exported(tree) or set())
         problems += [
-            f"{path.name}:{line} imports {name}, which it neither uses nor lists in __all__"
+            f"{path.parent.name}/{path.name}:{line} imports {name}, which it neither uses nor lists in __all__"
             for name, line in _module_imports(tree)
             if name not in used
         ]

@@ -35,7 +35,6 @@ from rispaces.norms import (
     tail_log_integral,
 )
 from rispaces.rearrangement import (
-    Char,
     PowerLog,
     StepFunction,
     StepRearrangement,

@@ -137,7 +137,7 @@ def test_each_rung_is_exact_at_its_limit(points, limit, s):
 
             args = (np.array([c]), b, np.array([lo]), np.array([span]), sigma)
             assert logcalc._kappa_panels(*args)[0].shape == (1, points)
-            got = logcalc._kappa_pass(fu, *args)[0]
+            got = logcalc._panel_sums(fu, *logcalc._kappa_panels(*args), 1, 1)[0]
             with mpmath.workdps(30):
                 mc, mb, ml, ms, mr, mw = (mpmath.mpf(v) for v in (c, b, lo, s, rho, span))
 

@@ -10,20 +10,17 @@ from hypothesis import strategies as st
 from rispaces.errors import BadInterval, BadModel, BadPoint, BadWeights, NonFiniteInput
 from rispaces.rearrangement import (
     Char,
-    ExplicitSteps,
     PowerLog,
     StepFunction,
     StepRearrangement,
-    capped_part,
     discretize_model,
     evaluate_at,
-    excess_part,
-    head_restriction,
     power_integral,
     product_integral,
     rearrange_from_samples,
     tail_rearranged,
 )
+from truncations import capped_part, excess_part, head_restriction
 
 
 def reference_rearrangement(samples):
