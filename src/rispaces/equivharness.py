@@ -78,6 +78,7 @@ __all__ = [
     "associate_lower_bound",
     "model_in_space",
     "ZSpace",
+    "k_curve",
 ]
 
 DEFAULT_SEED = 20240801
@@ -296,15 +297,12 @@ def run_identity_experiment(
     required = (couple_spaces(couple)[0], target_space(theorem_id, **args))
 
     def rows_at(resolution: Resolution):
-        grid = UGrid(resolution.u_max, resolution.k_nodes)
         realized = dict(family.realize(resolution))
         for name, model in family.members:
             if not all(model_in_space(model, s) for s in required):
                 yield name, None, None
                 continue
-            curve = k_curve(realized[name], couple, grid, "oracle", resolution)
-            sides = identify_target(theorem_id, realized[name], **args, res=resolution, curve=curve)
-            yield (name, *sides)
+            yield (name, *identify_target(theorem_id, realized[name], **args, res=resolution))
 
     report = EquivReport(theorem_id, dict(params), ceiling=ceiling, seed=seed)
     return _judge_with_drift(report, rows_at, res)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -282,13 +282,11 @@ def identify_target(
     r: float = None,
     alpha: float = None,
     res: Resolution = DEFAULT,
-    curve: Optional[KCurve] = None,
 ) -> Tuple[float, float]:
     """(interpolation norm from the oracle K-curve, identified target norm)."""
     check_hypotheses(theorem_id, p, q, theta, r, alpha)
     couple = theorem_couple(theorem_id, p, q, alpha)
-    if curve is None:
-        curve = k_curve(f, couple, UGrid(res.u_max, res.k_nodes), "oracle", res)
+    curve = k_curve(f, couple, UGrid(res.u_max, res.k_nodes), "oracle", res)
     lhs = interp_norm(curve, _interp_params(theorem_id, p, q, theta, r, alpha))
     space = target_space(theorem_id, p, q, theta, r, alpha)
     if isinstance(space, ZSpace):

@@ -317,9 +317,9 @@ def log_quad_multi(g, w: LogWeight, lo: float, hi: float, breaks: Sequence[float
     """∫_lo^hi g(t) w(t) dt per output column of a vectorized g mapping t to
     (len(t), m) values (g of an empty t gives m): one κ pass over the panels
     between lo, hi and the breaks, in blocks of at most _BLOCK values.
-    sigma(t), where given, bounds |t g'/g| (per point, or per point
-    and column) at panel ends, the larger end bounding it on the panel;
-    without it g must vary slowly against w.
+    sigma(u), where given, bounds |t g'/g| at t = e^{1-u} (per point, or per
+    point and column) at panel ends in u, the larger end bounding it on the
+    panel; without it g must vary slowly against w.
 
     With lo = 0 the u-tail is marched in two-unit chunks, one κ pass each,
     until two in a row fall below _TAIL_EPS of the sum, which suits integrands
@@ -337,7 +337,7 @@ def log_quad_multi(g, w: LogWeight, lo: float, hi: float, breaks: Sequence[float
     def pass_(us):  # the κ pass over the u-intervals between consecutive us
         bound = np.zeros(us.size)
         if sigma is not None:
-            bound = np.max(np.reshape(sigma(t_of_u(us)), (us.size, -1)), axis=1)
+            bound = np.max(np.reshape(sigma(us), (us.size, -1)), axis=1)
 
         def fu(x, i):
             v = us[i][:, None] + x
@@ -348,7 +348,7 @@ def log_quad_multi(g, w: LogWeight, lo: float, hi: float, breaks: Sequence[float
         panels = _kappa_panels(c, w.b, us[:-1], np.diff(us), np.maximum(bound[:-1], bound[1:]))
         out = _panel_sums(fu, *panels, us.size - 1, width).sum(axis=0)
         if not np.all(np.isfinite(out)):
-            raise Divergent(f"integrand is not finite on u in [{float(us[0])!r}, {float(us[-1])!r}]")
+            raise Divergent(f"integrand is not finite on u in [{float(us[0])!r}, {float(us[-1])!r}] for {w!r}")
         return out
 
     brk = np.asarray(breaks, dtype=float)
@@ -367,9 +367,9 @@ def log_quad_multi(g, w: LogWeight, lo: float, hi: float, breaks: Sequence[float
         if small == 2 or n == _TAIL_CHUNKS:
             break
         u0 += 2.0
-    where = f"on u in [{float(us[0])!r}, inf): {n} two-unit chunks marched from u = {float(us[-1])!r}"
     if small == 2 and np.isfinite(acc).all():
         return acc
+    where = f"on u in [{float(us[0])!r}, inf): {n} two-unit chunks marched from u = {float(us[-1])!r} for {w!r}"
     if small == 2 or (mag > prev).any():
         raise Divergent(f"integrand grows without bound toward 0 {where}")
     raise NoConvergence(f"u-tail did not converge toward 0 {where}")

@@ -197,14 +197,17 @@ def ggamma_norm(f: StepRearrangement, spec: GammaDouble, res: Resolution = DEFAU
 
 
 def _w2_sigma(spec: GammaDouble, s: float):
-    """σ for L^s, L = ∫_0^t g^p w2 with g nonincreasing: on a panel
-    L = A + v^p W2(t), A >= v^p W2 at its start, so t L'/L <= t w2/W2."""
+    """σ(u) = s·(e + max(-d, 0)/u), (e, d) = spec.growth, bounds s·t L'/L at
+    t = e^{1-u} for L = ∫_0^t g^p w2, g nonincreasing.
 
-    def sigma(t):
-        w2t = weight_prefix_many(spec.w2, t)
-        return s * np.divide(t * spec.w2(t), w2t, out=np.zeros_like(w2t), where=w2t > 0.0)
-
-    return sigma
+    On a panel L = A + v^p W2(t), A >= 0 (in the w2 table too, whose
+    A = pref_i - v_i^p·w2b_i drops ∫_0^{x_1} w2), so t L'/L <= t w2/W2.  For
+    a2 > -1, ρ(x) = d log w2 / d log x = a2 - b2/u(x) is at most ρ̄ on x <= t:
+    ρ(t) if b2 <= 0, a2 if b2 > 0; so W2(t) >= t w2(t)/(1 + ρ̄), and
+    t w2/W2 <= a2 + 1 + max(-b2, 0)/u.  For a2 = -1, b2 < -1,
+    W2 = u^{b2+1}/(-(b2+1)), so t w2/W2 = -(b2+1)/u exactly."""
+    e, d = spec.growth
+    return lambda u: s * (e + max(-d, 0.0) / u)
 
 
 def space_norm(f: StepRearrangement, spec: SpaceSpec, res: Resolution = DEFAULT) -> float:

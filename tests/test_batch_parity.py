@@ -128,13 +128,15 @@ def test_lebesgue_position_cuts_are_step_power_integrals(members, p):
         assert np.array_equal(tail, tail_power_at(f, p, cuts) ** (1.0 / p)), name
 
 
-# Truncations no batched branch covers are one space_norm per cut.
+# Head, tail and capped truncations go through the same batched branch as the
+# excess: each kind against a closed form or the space's own norm.
 
 
 def test_lz_couple_written_as_general_is_the_lebesgue_couple(members):
     """LorentzZygmund(2, 2, 0) is L^2, so General(LZ(2, 2, 0), L^4) has the K
-    of LpLq(2, 4): its excess lines and explicit heads go one cut at a time
-    and its split point through the Lorentz-Zygmund fundamental weight."""
+    of LpLq(2, 4): its excess lines and explicit heads go through the batched
+    Lorentz-Zygmund branch and its split point through the Lorentz-Zygmund
+    fundamental weight."""
     general, lplq = General(LorentzZygmund(2.0, 2.0, 0.0), Lebesgue(4.0)), LpLq(2.0, 4.0)
     ts = np.geomspace(1e-6, 1.0, 12)
     for name, f in members:

@@ -243,6 +243,17 @@ def test_divergent_space_exits_1():
     assert code == 1
 
 
+def test_ggamma_with_an_a2_minus_one_inner_weight_exits_0():
+    code, out = run_cli(
+        "norm",
+        "--space",
+        '{"space":"ggamma","p":2,"m":2,"w1":{"a":-1,"b":0},"w2":{"a":-1,"b":-3}}',
+        "--fn", '{"kind":"power_log","gamma":0,"delta":0}',
+    )
+    assert code == 0
+    assert math.isfinite(json.loads(out)["value"])
+
+
 def test_small_norm_near_the_edge_exponent():
     """Small(1000, 1) of the constant 1 is ∫_0^1 t^{-0.999}(1 - Log t)^{-0.001} dt
     = e^c c^{-s} Γ(s, c) with c = 0.001, s = 0.999: an open-ended weight

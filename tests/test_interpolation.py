@@ -21,7 +21,7 @@ from rispaces.interpolation import (
     z_norm,
     z_norm_alt,
 )
-from rispaces.kfunctional import LpLq, k_curve
+from rispaces.kfunctional import k_curve
 from rispaces.logcalc import LogWeight, UGrid
 from rispaces.norms import GammaDouble, ggamma_norm, lebesgue_norm
 from rispaces.rearrangement import StepRearrangement
@@ -259,12 +259,3 @@ def test_identify_hypothesis_violations(one):
         identify_target("T5.1", one, p=2, q=4, theta=0.5, r=math.inf, res=FAST)
     with pytest.raises(HypothesisViolation):
         identify_target("nope", one, p=2, res=FAST)
-
-
-def test_identify_shares_precomputed_curve(chi_half):
-    couple = LpLq(2, math.inf)
-    curve = k_curve(chi_half, couple, UGrid(FAST.u_max, FAST.k_nodes), "oracle", FAST)
-    lhs1, rhs1 = identify_target("P4.1", chi_half, p=2, alpha=1.0, res=FAST, curve=curve)
-    lhs2, rhs2 = identify_target("P4.1", chi_half, p=2, alpha=1.0, res=FAST)
-    assert lhs1 == pytest.approx(lhs2, rel=1e-12)
-    assert rhs1 == rhs2

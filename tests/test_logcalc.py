@@ -18,6 +18,7 @@ from rispaces.errors import (
     BadExponent,
     BadInterval,
     Divergent,
+    NoConvergence,
     NonFiniteValue,
     OutOfRange,
 )
@@ -228,13 +229,15 @@ def test_weight_integral_takes_no_adaptive_step(monkeypatch):
 
 def test_errors_name_interval_tolerance_and_steps():
     with pytest.raises(
-        Divergent, match=r"on u in \[1\.69\d*, inf\): 4000 two-unit chunks"
+        Divergent, match=r"on u in \[1\.69\d*, inf\): 4000 two-unit chunks.* LogWeight\(a=-1\.0, b=2\.0\)"
     ):
         log_quad(lambda t: np.ones_like(t), LogWeight(-1.0, 2.0), 0.0, 0.5)
     with np.errstate(over="ignore"), pytest.raises(
-        Divergent, match=r"not finite on u in \[\d+\.\d+, \d+\.\d+\]"
+        Divergent, match=r"not finite on u in \[\d+\.\d+, \d+\.\d+\] for LogWeight\(a=-3\.0, b=0\.0\)"
     ):
         log_quad(lambda t: np.ones_like(t), LogWeight(-3.0, 0.0), 0.0, 0.5)
+    with pytest.raises(NoConvergence, match=r"did not converge .* LogWeight\(a=-1\.0, b=0\.0\)"):
+        log_quad(lambda t: np.ones_like(t), LogWeight(-1.0, 0.0), 0.0, 0.5)
 
 
 @pytest.mark.parametrize("w", [LogWeight(-1.5, 0.0), LogWeight(-3.0, 0.0), LogWeight(-1.0, 2.0)])

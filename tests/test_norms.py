@@ -12,6 +12,7 @@ import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rispaces import norms
 from rispaces.config import Resolution
 from rispaces.equivharness import standard_family
 from rispaces.errors import ConditionC2Failed
@@ -191,6 +192,44 @@ def test_ggamma_c2_failure():
 def test_ggamma_doubling_constant():
     assert THM13_W2.doubling_constant() == pytest.approx(1.0 + math.log(2.0))
     assert LogWeight(1.0, 0.0).doubling_constant() == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize(
+    "a2,b2",
+    [(a2, b2) for a2 in (-0.9, -0.5, 0.0, 0.5, 2.0, 8.0) for b2 in (-6.0, -1.0, 0.0, 0.5, 3.0, 10.0)]
+    + [(-1.0, b2) for b2 in (-6.0, -3.0, -1.5, -1.01)],
+)
+def test_w2_sigma_bounds_the_inner_log_derivative(a2, b2):
+    """σ(u) >= s·t w2/W2 at t = e^{1-u}, with W2 = ∫_0^t w2 from mpmath: with
+    c = a2 + 1 > 0, W2 = e^c c^{-(b2+1)} Γ(b2+1, c·u); with a2 = -1,
+    W2 = u^{b2+1} E_{-b2}(0).  The bound is the ratio itself where b2 = 0 or
+    a2 = -1."""
+    s = 1.5
+    sigma = norms._w2_sigma(GammaDouble(10.0, 1.0, LogWeight(0.0, 0.0), LogWeight(a2, b2)), s)
+    c = mpmath.mpf(a2) + 1
+    for u in np.geomspace(1.0, 5000.0, 13).tolist():
+        if c > 0:
+            ratio = mpmath.exp(-c * u) * mpmath.mpf(u) ** b2 * c ** (b2 + 1) / mpmath.gammainc(b2 + 1, c * u)
+        else:
+            ratio = 1 / (u * mpmath.expint(-b2, 0))
+        bound, want = sigma(u), s * float(ratio)
+        assert bound * (1.0 + 1e-12) >= want, (u, bound, want)
+        if b2 == 0.0 or a2 == -1.0:
+            assert bound == pytest.approx(want, rel=1e-12), u
+
+
+A2_ONE = GammaDouble(2, 2, LogWeight(-1.0, 0.0), LogWeight(-1.0, -3.0))
+
+
+@pytest.mark.parametrize("name", ["const", "rand_00", "plog_g0_d-1"])
+def test_ggamma_with_an_a2_minus_one_inner_weight_raises_no_warning(name):
+    """σ reads only the growth exponents, so an inner weight w2 = t^{-1}·…,
+    which overflows where t underflows, is never evaluated for it."""
+    f = dict(standard_family().realize(FAST))[name]
+    norm = ggamma_norm(f, A2_ONE, FAST)
+    lhs, rhs = ggamma_lower_bound_check(f, A2_ONE, 0.5, FAST)
+    assert math.isfinite(norm) and norm > 0.0
+    assert math.isfinite(lhs) and lhs >= rhs > 0.0
 
 
 def test_ggamma_quasi_triangle(rng):
