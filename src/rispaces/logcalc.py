@@ -14,7 +14,8 @@ such panels.  A weight alone (weight_integral) has elementary forms where
 b = 0 or a = -1 and the incomplete gamma function for an open lower end.  A
 power of a linear L
 (linear_power_integrals) takes a Gauss-Jacobi rule next to a root of L; any
-other g (log_quad) a march of two-unit κ passes toward t = 0.
+other g (log_quad) a march of two-unit chunks toward t = 0, computed in
+batches of 1, 2, 4, ... chunks, one κ pass each, and summed one at a time.
 """
 
 from __future__ import annotations
@@ -321,12 +322,16 @@ def log_quad_multi(g, w: LogWeight, lo: float, hi: float, breaks: Sequence[float
     point and column) at panel ends in u, the larger end bounding it on the
     panel; without it g must vary slowly against w.
 
-    With lo = 0 the u-tail is marched in two-unit chunks, one κ pass each,
+    With lo = 0 the u-tail is marched in two-unit chunks, summed one at a time
     until two in a row fall below _TAIL_EPS of the sum, which suits integrands
     that decay exponentially in u; slowly decaying tails need closed forms
-    such as ``tail_block_integral``.  A non-finite integrand, or a march whose
-    sum overflows or whose chunks still grow at its end, raises Divergent; one
-    whose chunks stop growing without vanishing, NoConvergence.
+    such as ``tail_block_integral``.  The chunks are computed in batches of 1,
+    2, 4, ... chunks, one κ pass each, none past _TAIL_CHUNKS: a march of n
+    chunks takes ceil(log2(n + 1)) passes and computes at most 2n - 1 chunks,
+    those past the stop never summed or checked.  A non-finite summed chunk,
+    or a march whose sum overflows or whose chunks still grow at its end,
+    raises Divergent; one whose chunks stop growing without vanishing,
+    NoConvergence.
     """
     if not (0.0 <= lo <= hi <= 1.0):
         raise BadInterval(f"bad interval [{lo}, {hi}]")
@@ -334,7 +339,7 @@ def log_quad_multi(g, w: LogWeight, lo: float, hi: float, breaks: Sequence[float
     if lo == hi:
         return np.zeros(width)
 
-    def pass_(us):  # the κ pass over the u-intervals between consecutive us
+    def pass_(us):  # the κ pass: one sum per u-interval between consecutive us
         bound = np.zeros(us.size)
         if sigma is not None:
             bound = np.max(np.reshape(sigma(us), (us.size, -1)), axis=1)
@@ -346,27 +351,33 @@ def log_quad_multi(g, w: LogWeight, lo: float, hi: float, breaks: Sequence[float
 
         c = np.full(us.size - 1, w.a + 1.0)
         panels = _kappa_panels(c, w.b, us[:-1], np.diff(us), np.maximum(bound[:-1], bound[1:]))
-        out = _panel_sums(fu, *panels, us.size - 1, width).sum(axis=0)
+        return _panel_sums(fu, *panels, us.size - 1, width)
+
+    def finite(out, u_lo, u_hi):
         if not np.all(np.isfinite(out)):
-            raise Divergent(f"integrand is not finite on u in [{float(us[0])!r}, {float(us[-1])!r}] for {w!r}")
+            raise Divergent(f"integrand is not finite on u in [{float(u_lo)!r}, {float(u_hi)!r}] for {w!r}")
         return out
 
     brk = np.asarray(breaks, dtype=float)
     brk = brk[(brk > lo) & (brk < hi)]
     us = np.unique(u_of_t(np.concatenate([[hi, lo] if lo > 0.0 else [hi], brk])))
-    acc = pass_(us) if us.size > 1 else 0.0
+    acc = finite(pass_(us).sum(axis=0), us[0], us[-1]) if us.size > 1 else 0.0
     if lo > 0.0:
         return acc
-    u0, small, mag = float(us[-1]), 0, np.inf
+    small, mag, ends = 0, np.inf, us[-1:]
     for n in range(1, _TAIL_CHUNKS + 1):
-        chunk = pass_(np.array([u0, u0 + 2.0]))
+        i = n - (1 << (n.bit_length() - 1))  # batch k holds chunks 2^k .. 2^{k+1} - 1
+        if i == 0:
+            # a sequential sum: the ends bit for bit as adding 2 per chunk gives them
+            ends = np.cumsum(np.concatenate([ends[-1:], np.full(min(n, _TAIL_CHUNKS + 1 - n), 2.0)]))
+            sums = pass_(ends)
+        chunk = finite(sums[i], ends[i], ends[i + 1])
         acc = acc + chunk
         prev, mag = mag, np.abs(chunk)
         # an overflowed sum also passes this test, hence the check on return
         small = small + 1 if (mag <= _TAIL_EPS * np.abs(acc)).all() else 0
-        if small == 2 or n == _TAIL_CHUNKS:
+        if small == 2:
             break
-        u0 += 2.0
     if small == 2 and np.isfinite(acc).all():
         return acc
     where = f"on u in [{float(us[0])!r}, inf): {n} two-unit chunks marched from u = {float(us[-1])!r} for {w!r}"
@@ -513,16 +524,16 @@ def _power_difference(x, y, e, l, shift):
 
 
 def weight_prefix_many(w: LogWeight, ts: np.ndarray) -> np.ndarray:
-    """∫_0^{t_i} w for an array of points, by one cumulative sweep."""
+    """∫_0^{t_i} w for an array of points, by one cumulative sweep up from the
+    smallest positive point; 0 at t_i = 0, whatever other points come with it."""
     ts = np.asarray(ts, dtype=float)
-    if ts.size == 0:
-        return np.zeros(0)
     order = np.argsort(ts)
     s = ts[order]
-    base = weight_integral(w, 0.0, float(s[0]))
-    acc = base + np.concatenate([[0.0], np.cumsum(_weight_integrals(w, s[:-1], s[1:]))])
-    out = np.empty_like(acc)
-    out[order] = acc
+    s = s[np.searchsorted(s, 0.0, side="right") :]
+    out = np.zeros(ts.size)
+    if s.size:
+        base, steps = weight_integral(w, 0.0, float(s[0])), _weight_integrals(w, s[:-1], s[1:])
+        out[order[ts.size - s.size :]] = base + np.concatenate([[0.0], np.cumsum(steps)])
     return out
 
 

@@ -626,7 +626,11 @@ def _w2_prefix_over_cuts(f: StepRearrangement, spec: GammaDouble, cuts: np.ndarr
     c and constant after it, at the table's value at c, which like the table
     leaves out ∫_0^{x_1} w2."""
     x, n = f.breaks, f.n
-    w2b = f.memo(("w2breaks", spec.w2), lambda: weight_prefix_many(spec.w2, x))
+
+    def at_breaks():  # ∫_{x_1}^{x_k} w2 at each break x_k: the table leaves out ∫_0^{x_1} w2
+        return np.concatenate([[0.0, 0.0], np.cumsum(power_log_integrals(spec.w2.a, spec.w2.b, x[1:-1], x[2:]))])
+
+    w2b = f.memo(("w2breaks", spec.w2), at_breaks)
     v = f.values[:, None]
     if kind != "head":
         v = np.maximum(v - cuts, 0.0) if kind == "excess" else np.minimum(v, cuts)

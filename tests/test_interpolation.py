@@ -215,6 +215,18 @@ def test_z_alt_equals_double_weight_norm(power_quarter):
     )
 
 
+@pytest.mark.parametrize("theta", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("r", [1.0, 2.0, 4.0])
+def test_z_alt_of_constant_against_mpmath(theta, r):
+    """For f = 1 the inner integral is e·E1(u) (DLMF 6.2), so z_norm_alt is
+    (∫_1^∞ u^{θr-1} (e·E1(u))^{r/2} du)^{1/r}: all of it the u-tail march."""
+    one = StepRearrangement(np.array([0.0, 1.0]), np.array([1.0]))
+    with mpmath.workdps(30):
+        integrand = lambda u: u ** (theta * r - 1) * (mpmath.e * mpmath.expint(1, u)) ** (r / 2)
+        want = mpmath.quad(integrand, [1, 4, 16, 64, mpmath.inf]) ** (1 / mpmath.mpf(r))
+    assert z_norm_alt(one, 2.0, theta, r) == pytest.approx(float(want), rel=1e-13)
+
+
 def test_z_and_z_alt_bracket_each_other(power_quarter, chi_half, one):
     for f in (power_quarter, chi_half, one):
         for theta in (0.25, 0.5, 0.75):

@@ -128,6 +128,16 @@ def test_weight_prefix_many_against_incomplete_gamma(a, b):
     assert got == pytest.approx(want, rel=1e-12)
 
 
+def test_weight_prefix_many_is_pointwise_with_zeros():
+    """A point at t = 0, such as a march node past e^{1-u}'s underflow, gets 0
+    and leaves every other point's value as it is alone."""
+    w, ts = LogWeight(-1.0, -3.0), np.exp(1.0 - np.array([700.0, 20.0, 744.0]))
+    got = weight_prefix_many(w, np.concatenate([[0.0], ts, [0.0]]))
+    assert got[0] == got[-1] == 0.0
+    assert np.array_equal(got[1:-1], weight_prefix_many(w, ts))
+    assert got[1:-1] == pytest.approx(0.5 / (1.0 - np.log(ts)) ** 2, rel=1e-12)
+
+
 @pytest.mark.parametrize("a,b", [(-0.99, 5.0), (-0.995, 1.0)])
 def test_open_end_tail_past_a_distant_peak(a, b):
     """The u-integrand e^{(1-u)(a+1)} u^b rises until u = b/(a+1) (500 and 200
@@ -240,12 +250,34 @@ def test_errors_name_interval_tolerance_and_steps():
         log_quad(lambda t: np.ones_like(t), LogWeight(-1.0, 0.0), 0.0, 0.5)
 
 
-@pytest.mark.parametrize("w", [LogWeight(-1.5, 0.0), LogWeight(-3.0, 0.0), LogWeight(-1.0, 2.0)])
-def test_growing_tail_is_divergent(w):
-    """Exponential growth overflows the sum (or the integrand first); u^2
-    still grows when the march ends."""
-    with np.errstate(over="ignore"), pytest.raises(Divergent):
+@pytest.mark.parametrize(
+    "w, chunk",
+    [
+        (LogWeight(-1.5, 0.0), r"not finite on u in \[1417\.69314718056, 1419\.69314718056\] "),
+        (LogWeight(-3.0, 0.0), r"not finite on u in \[353\.69314718055995, 355\.69314718055995\] "),
+        (LogWeight(-1.0, 2.0), r"grows without bound"),
+    ],
+    ids=["w0", "w1", "w2"],
+)
+def test_growing_tail_is_divergent(w, chunk):
+    """Exponential growth overflows the integrand, and the error names the
+    first two-unit chunk where it does, however the march batches its chunks;
+    u^2 still grows when the march ends."""
+    with np.errstate(over="ignore"), pytest.raises(Divergent, match=chunk):
         log_quad(lambda t: np.ones_like(t), w, 0.0, 0.5)
+
+
+def test_tail_march_takes_doubling_batches():
+    """∫_0^{1/2} t^{0.1} dt/t is marched over 178 two-unit chunks in u; in
+    batches of 1, 2, 4, ... chunks that is 8 κ passes, each one call of g."""
+    sizes = []
+
+    def g(t):
+        sizes.append(t.size)
+        return t**0.1
+
+    assert log_quad(g, LogWeight(-1.0, 0.0), 0.0, 0.5) == pytest.approx(0.5**0.1 / 0.1, rel=1e-13)
+    assert np.count_nonzero(sizes) <= 8
 
 
 def test_sup_parabola():
