@@ -48,6 +48,7 @@ __all__ = [
     "log_quad",
     "log_quad_multi",
     "linear_power_integrals",
+    "far_root_integrals",
     "sup_on_grid",
     "sups_on_grid",
     "sup_on_interval",
@@ -226,12 +227,10 @@ def linear_power_integrals(w: LogWeight, s: float, near, far, at_near, slope, sh
 
     Where L vanishes at near, the 15-point Gauss-Jacobi rule with weight x^s
     takes the stretch out to where t has moved by a factor e^h,
-    h = min(Log 2, 1/(2κ)), κ = |a+1| + (1+|b|)/u.  The rest is cut where its
-    distance from L's root doubles, and each piece is one κ pass with σ = 0
-    and the 15-point rule; a stretch whose root lies farther away than its
-    length is one piece with σ = s·t·slope/L at its ends.  Consecutive
-    pieces with the same ends, near and shift (the cuts over one panel) share
-    one set of nodes.
+    h = min(Log 2, 1/(2κ)), κ = |a+1| + (1+|b|)/u.  A stretch whose root lies
+    at least its length away is one far_root_integrals stretch; the rest is
+    cut where its distance from L's root doubles, and each piece is one κ
+    pass with σ = 0 and the 15-point rule.
     Exponents meet the shift before one exp, so nothing overflows that the
     shifted value does not.
     """
@@ -252,66 +251,73 @@ def linear_power_integrals(w: LogWeight, s: float, near, far, at_near, slope, sh
         near[r] = np.where(gap == np.abs(far[r] - near[r]), far[r], near[r] + side[r] * gap)
         at_near[r] = slope[r] * gap
     span = np.abs(far - near)
-    live = np.flatnonzero((span > 0.0) & (at_near > 0.0))
-    if live.size == 0:
+    live = (span > 0.0) & (at_near > 0.0)
+    d0 = np.divide(at_near, slope, out=span.copy(), where=slope > 0.0)  # the root's distance
+    whole = np.flatnonzero(live & (d0 >= span))
+    out[whole] += far_root_integrals(
+        w, s, near[whole], far[whole], at_near[whole, None], slope[whole, None], shift=shift[whole]
+    )[:, 0]
+    close = np.flatnonzero(live & (d0 < span))
+    if close.size == 0:
         return out
-    if live.size < near.size:
-        near, far, span, side, at_near, slope, shift = (
-            v[live] for v in (near, far, span, side, at_near, slope, shift)
-        )
-    # a root farther from near than far leaves one piece; one at d0 < span
-    # cuts the stretch at the offsets d0·(2^k - 1), the last piece ending at far
-    d0 = np.divide(at_near, slope, out=span.copy(), where=slope > 0.0)
-    close = d0 < span
-    n = np.ones(live.size, dtype=int)
-    d0[close] = np.maximum(d0[close], np.finfo(float).smallest_subnormal)
-    n[close] = np.ceil(np.logaddexp(0.0, np.log(span[close]) - np.log(d0[close])) / math.log(2.0))
-    ids = np.repeat(np.arange(live.size), n)
-    nr, ta, tb, a0, sl, sh = near, near, far, at_near, slope, shift
-    la, lb = at_near, at_near + slope * span
-    if ids.size > live.size:
-        k = np.arange(ids.size) - np.repeat(np.cumsum(n) - n, n)
-        nr, a0, sl, sh, sp = near[ids], at_near[ids], slope[ids], shift[ids], span[ids]
-        off_a = np.minimum(np.ldexp(d0[ids], k) - d0[ids], sp)
-        off_b = np.minimum(np.ldexp(d0[ids], k + 1) - d0[ids], sp)
-        ta = nr + side[ids] * off_a
-        tb = np.where(off_b >= sp, far[ids], nr + side[ids] * off_b)
-        la, lb = a0 + sl * off_a, a0 + sl * off_b
+    # cut at the offsets d0·(2^k - 1) from near, the last piece ending at far
+    d0 = np.maximum(d0[close], np.finfo(float).smallest_subnormal)
+    n = np.ceil(np.logaddexp(0.0, np.log(span[close]) - np.log(d0)) / math.log(2.0)).astype(int)
+    ids = np.repeat(close, n)
+    k = np.arange(ids.size) - np.repeat(np.cumsum(n) - n, n)
+    d0, sp = np.repeat(d0, n), span[ids]
+    off_a, off_b = np.minimum(np.ldexp(d0, k) - d0, sp), np.minimum(np.ldexp(d0, k + 1) - d0, sp)
+    ta = near[ids] + side[ids] * off_a
+    tb = np.where(off_b >= sp, far[ids], near[ids] + side[ids] * off_b)
     # a piece next to a root has σ = 0 but takes the full rule: L at most
     # doubles on it, and its root lies a piece's width away, which κ·w misses
-    rooted = close[ids]
-    sig = np.where(rooted, 0.0, s * sl * np.maximum(ta / la, tb / lb))
-    new = np.concatenate([[True], (ta[1:] != ta[:-1]) | (tb[1:] != tb[:-1]) | (nr[1:] != nr[:-1])])
-    new[1:] |= sh[1:] != sh[:-1]
-    run = np.cumsum(new) - 1  # runs of pieces that share their nodes
-    heads = np.flatnonzero(new)
-    hi_t, lo_t = np.maximum(ta[heads], tb[heads]), np.minimum(ta[heads], tb[heads])
-    near_r, lo_u = nr[heads], 1.0 - np.log(hi_t)
-    x, half, p_run = _kappa_panels(
-        np.full(heads.size, c), b, lo_u, _log1p_ratio(hi_t - lo_t, lo_t), np.maximum.reduceat(sig, heads),
-        0.5 if rooted.any() else 0.0,
+    pieces = _stretch_sums(
+        w, s, ta, tb, (at_near[ids] + slope[ids] * off_a)[:, None], slope[ids, None], shift[ids], 0.0, 0.5
     )
+    return out + np.bincount(ids, pieces[:, 0], out.size)
+
+
+def far_root_integrals(w: LogWeight, s: float, near, far, at_near, slope, need=True, shift=0.0):
+    """e^{-shift_i} ∫ w(t) (at_near_ij + slope_ij·|t - near_i|)^s dt from
+    near_i to far_i (either order, in (0, 1]) for each stretch i and column j
+    of the (stretch, column) arrays at_near and slope where need_ij holds, and
+    0 elsewhere.  A needed L has at_near > 0 and its root at least the
+    stretch's length away from near.  Each stretch lays its κ panels once for
+    all its columns, with σ the largest s·t·slope/L at its ends over its
+    needed columns.
+    """
+    near, far, shift = (np.broadcast_to(np.asarray(v, dtype=float), np.shape(near)) for v in (near, far, shift))
+    need = np.broadcast_to(need, np.shape(at_near))
+    at_near, slope = np.where(need, at_near, 1.0), np.where(need, slope, 0.0)  # L = 1 where not needed
+    at_far = at_near + slope * np.abs(far - near)[:, None]
+    sigma = s * np.max(slope * np.maximum(near[:, None] / at_near, far[:, None] / at_far), axis=1, initial=0.0)
+    return np.where(need, _stretch_sums(w, s, near, far, at_near, slope, shift, sigma), 0.0)
+
+
+def _stretch_sums(w: LogWeight, s: float, near, far, at_near, slope, shift, sigma, reach=0.0):
+    """The integrals of far_root_integrals at every (stretch, column), from
+    one κ pass: σ_i bounds stretch i's integrands, reach as in _kappa_panels."""
+    if near.size == 0:
+        return np.zeros(at_near.shape)
+    c, b = w.a + 1.0, w.b
+    hi_t, lo_t = np.maximum(near, far), np.minimum(near, far)
+    lo_u = 1.0 - np.log(hi_t)
+    x, half, p_run = _kappa_panels(np.full(near.size, c), b, lo_u, _log1p_ratio(hi_t - lo_t, lo_t), sigma, reach)
     v = lo_u[p_run][:, None] + x
     # |t - near| at the nodes from y = u(near) - v, or from t where t > e·near
-    g0 = np.sign(hi_t - near_r) * _log1p_ratio(np.abs(hi_t - near_r), np.minimum(hi_t, near_r))
+    g0 = np.sign(hi_t - near) * _log1p_ratio(np.abs(hi_t - near), np.minimum(hi_t, near))
     y = g0[p_run][:, None] - x
-    nv = np.broadcast_to(near_r[p_run][:, None], y.shape)
+    nv = np.broadcast_to(near[p_run][:, None], y.shape)
     dist = nv * np.abs(np.expm1(np.minimum(y, 1.0)))
     dist[y > 1.0] = t_of_u(v[y > 1.0]) - nv[y > 1.0]
-    mass = half[:, None] * _GL[x.shape[1]][1] * np.exp((1.0 - v) * c + b * np.log(v) - sh[heads][p_run][:, None])
-    owner, rows = slice(None), run  # each piece takes the panels of its run
-    if p_run.size > heads.size:
-        first = np.searchsorted(p_run, np.arange(heads.size))
-        count = np.diff(np.append(first, p_run.size))[run]
-        owner = np.repeat(np.arange(ids.size), count)
-        rows = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count) + first[run][owner]
-    big_l = np.take(dist, rows, axis=0)
-    big_l *= sl[owner][:, None]
-    big_l += a0[owner][:, None]
+    mass = half[:, None] * _GL[x.shape[1]][1] * np.exp((1.0 - v) * c + b * np.log(v) - shift[p_run][:, None])
+    big_l = slope[p_run][:, None, :] * dist[:, :, None]  # (panel, node, column)
+    big_l += at_near[p_run][:, None, :]
     big_l **= s
-    vals = np.einsum("ij,ij->i", big_l, np.take(mass, rows, axis=0))
-    out[live] += np.bincount(ids[owner], vals, live.size)
-    return out
+    per = np.einsum("ijk,ij->ik", big_l, mass)
+    if p_run.size == near.size:  # one panel per stretch
+        return per
+    return np.add.reduceat(per, np.searchsorted(p_run, np.arange(near.size)), axis=0)
 
 
 def log_quad_multi(g, w: LogWeight, lo: float, hi: float, breaks: Sequence[float] = (), sigma=None):

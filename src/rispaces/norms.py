@@ -19,6 +19,7 @@ from .errors import BadExponent, ConditionC2Failed
 from .logcalc import (
     LogWeight,
     UGrid,
+    far_root_integrals,
     golden_refine,
     linear_power_integrals,
     log_quad,
@@ -229,8 +230,11 @@ def space_norm(f: StepRearrangement, spec: SpaceSpec, res: Resolution = DEFAULT)
 # K = #{v >= c} panels and f after them.  So the prefix integral P_c of a
 # cut's p-th power is linear below one break and constant from another
 # (_cut_reach), and the Small and Grand branches evaluate a cut at points only
-# where it is neither.  Each branch holds about _CELLS (point, cut) or
-# (panel, cut) values at a time, beside its (panel, cut) tables.
+# where it is neither.  The Grand and Lorentz-Zygmund branches hold about
+# _CELLS (point, cut) or (panel, cut) values at a time, beside their
+# (panel, cut) tables; the Small branch holds (node, cut) values in blocks of
+# about _CELLS / 32 (stretch, cut) cells, each stretch's nodes laid once for
+# all the cuts live on it.
 # The tail kind cuts by position: f·χ_(c,1] has P_c = 0 up to c, P - P(c) after.
 # ---------------------------------------------------------------------------
 
@@ -306,12 +310,17 @@ def _prefix_log_integrals(
     The breaks and the hs cut (0, max hs] into stretches on which every P_c
     is linear.  Below x_H, P_c^s w is VP[0]^s·t^s w(t), a pure weight that
     one weight_prefix_many sweep gives for every cut; past x_Z the constant
-    P_c^s integrates in closed form.  Each (stretch, cut) in between is one
-    linear_power_integrals stretch from its lower end, where P_c is smallest;
-    the pairs are read off one (stretch, cut) mask row by row, in blocks of
-    about _CELLS / 64, so that the cuts over one stretch share its nodes.  A
-    cut whose P_c is zero up to rho > 0 (a tail cut, or a step function with
-    a zero head) has no linear head: its stretches start at rho, the root of P_c.
+    P_c^s integrates in closed form.  In between, each (stretch, cut) pair
+    integrates from the stretch's lower end, where P_c is smallest.  A cut
+    whose P_c is zero up to rho > 0 (a tail cut, or a step function with a
+    zero head) has no linear head: its first stretch starts at rho, the root
+    of P_c, and is one linear_power_integrals stretch.  The other pairs go in
+    blocks of stretches, each block about _CELLS / 32 (stretch, cut) cells
+    over the range of cuts live on it (the staircase, not the rectangle):
+    far_root_integrals lays each stretch's nodes once for all those cuts,
+    with P_c at the stretch's start from its rows of (VP, PREF); only the
+    pairs whose root lies closer than their stretch's length go to
+    linear_power_integrals.
     """
     x = f.breaks
     vp, pref = _cut_panel_powers(f, p, cuts, kind)
@@ -323,25 +332,33 @@ def _prefix_log_integrals(
     ends = np.unique(np.concatenate([x[x < hs[-1]], hs]))
     q0 = np.searchsorted(ends, start, side="right") - 1  # stretch holding each start
     q1 = np.minimum(np.searchsorted(ends, x[flat], side="left"), ends.size - 1)
-    live = np.flatnonzero(q1 > q0)
-    stretch = np.arange(ends.size - 1)[:, None]
-    need = (q0[live] <= stretch) & (stretch < q1[live])  # (stretch, live cut)
-    chunk = (np.cumsum(need.sum(axis=1)) - 1) // (_CELLS // 64)
-    bounds = np.concatenate([[0], np.flatnonzero(np.diff(chunk)) + 1, [ends.size - 1]])
     panel = np.searchsorted(x, ends[:-1], side="right") - 1
     below = np.searchsorted(hs, ends[1:])  # the first h at or past each stretch
-    sums = np.zeros(hs.size * cuts.size)
-    for qa, qb in zip(bounds[:-1], bounds[1:]):
-        q, col = np.nonzero(need[qa:qb])  # stretch by stretch, cuts ascending
-        q += qa
-        col = live[col]
+    sums = np.zeros((hs.size, cuts.size))
+    r = np.flatnonzero(rooted & (q1 > q0))
+    if r.size:
+        sums[below[q0[r]], r] = linear_power_integrals(w, s, rho[r], ends[q0[r] + 1], 0.0, vp[panel[q0[r]], r])
+    q0 = q0 + rooted  # past each rooted cut's first stretch
+    live = np.flatnonzero(q1 > q0)
+    count = np.cumsum(np.bincount(q0[live], minlength=ends.size) - np.bincount(q1[live], minlength=ends.size))
+    qs = np.flatnonzero(count[:-1])  # the stretches some cut needs
+    cut_at = np.flatnonzero(np.diff(np.cumsum(count[qs]) // (_CELLS // 32))) + 1
+    for q in np.split(qs, cut_at) if qs.size else ():
+        over = live[(q0[live] <= q[-1]) & (q1[live] > q[0])]
+        cols = slice(over[0], over[-1] + 1)
+        need = (q0[cols] <= q[:, None]) & (q[:, None] < q1[cols])
         j = panel[q]
-        lo = np.maximum(ends[q], start[col])
-        slope = vp[j, col]
-        at_lo = np.where(rooted[col] & (lo == start[col]), 0.0, pref[j, col] + slope * (lo - x[j]))
-        vals = linear_power_integrals(w, s, lo, ends[q + 1], at_lo, slope)
-        sums += np.bincount(below[q] * cuts.size + col, vals, sums.size)
-    out = np.cumsum(sums.reshape(hs.size, cuts.size), axis=0)
+        slope = vp[j, cols]
+        at_lo = slope * (ends[q] - x[j])[:, None]
+        at_lo += pref[j, cols]
+        close = need & (at_lo < slope * (ends[q + 1] - ends[q])[:, None])
+        vals = far_root_integrals(w, s, ends[q], ends[q + 1], at_lo, slope, need & ~close)
+        i, k = np.nonzero(close)
+        if i.size:
+            vals[i, k] = linear_power_integrals(w, s, ends[q[i]], ends[q[i] + 1], at_lo[i, k], slope[i, k])
+        rows = np.flatnonzero(np.diff(below[q], prepend=-1))
+        sums[below[q[rows]], cols] += np.add.reduceat(vals, rows, axis=0)
+    out = np.cumsum(sums, axis=0)
     xz = np.broadcast_to(x[flat], out.shape)
     past = (hs[:, None] > xz) & (xz > 0.0)
     top = np.broadcast_to(pref[-1] ** s, out.shape)[past]

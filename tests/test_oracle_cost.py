@@ -15,7 +15,7 @@ from rispaces.config import DEFAULT
 from rispaces.equivharness import standard_family
 from rispaces.kfunctional import GrandSmallSameP, SmallSmall, oracle_lines
 from rispaces.logcalc import UGrid, golden_refine
-from rispaces.norms import Grand
+from rispaces.norms import Grand, Small
 from rispaces.rearrangement import StepRearrangement
 
 SUBSET = ("const", "char_0.125", "plog_g0_d-1", "rand_00")
@@ -114,6 +114,42 @@ def test_grand_scan_evaluates_few_cells(monkeypatch, kind):
     norms._grand_over_cuts(f, 2.0, 1.0, cuts, kind, DEFAULT)
     rows = np.unique(np.concatenate([UGrid(DEFAULT.u_max, DEFAULT.sup_count).t_nodes(), f.breaks[1:]])).size
     assert 0 < cells[0] <= 0.15 * rows * cuts.size
+
+
+@pytest.mark.parametrize("kind", ["excess", "capped"])
+def test_small_lines_evaluate_the_staircase(monkeypatch, kind):
+    """plog_g0_d-1's Small lines evaluate at most 1.5 (node, cut) cells per
+    node of a live (stretch, cut) pair: each block of stretches covers only
+    the cuts live on it, not the whole (stretch, cut) rectangle.  No pair's
+    root lies within its stretch, so none takes the root rules."""
+    cells, live, pairs, rooted = [0], [0], [0], [0]
+    kappa_panels, far_root, root_rules = logcalc._kappa_panels, norms.far_root_integrals, norms.linear_power_integrals
+    laid = []
+
+    def counted_panels(*args, **kwargs):
+        laid.append(kappa_panels(*args, **kwargs))
+        return laid[-1]
+
+    def counted_blocks(w, s, near, far, at_near, slope, need):
+        laid.clear()
+        out = far_root(w, s, near, far, at_near, slope, need)
+        x, _, ids = laid[0]
+        cells[0] += x.size * at_near.shape[1]
+        live[0] += int(np.sum(np.bincount(ids, minlength=near.size) * x.shape[1] @ need))
+        pairs[0] += int(np.count_nonzero(need))
+        return out
+
+    def counted_roots(*args):
+        rooted[0] += np.size(args[2])
+        return root_rules(*args)
+
+    monkeypatch.setattr(logcalc, "_kappa_panels", counted_panels)
+    monkeypatch.setattr(norms, "far_root_integrals", counted_blocks)
+    monkeypatch.setattr(norms, "linear_power_integrals", counted_roots)
+    f = dict(standard_family(q=4.0).realize(DEFAULT))["plog_g0_d-1"]
+    norms.norms_over_cuts(f, Small(2.0, 1.0), np.unique(np.concatenate([[0.0], f.values])), kind)
+    assert pairs[0] == 179700 and rooted[0] == 0
+    assert 0 < cells[0] <= 1.5 * live[0]
 
 
 @pytest.mark.parametrize("s", [1 / 4, 1 / 3, 1 / 2, 3 / 2, 5 / 2])
