@@ -9,6 +9,7 @@ step data; outer weighted integrals and suprema run on the log scale through
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from typing import Tuple, Union
 
@@ -231,50 +232,83 @@ def space_norm(f: StepRearrangement, spec: SpaceSpec, res: Resolution = DEFAULT)
 # cut's p-th power is linear below one break and constant from another
 # (_cut_reach), and the Small and Grand branches evaluate a cut at points only
 # where it is neither.  The Grand and Lorentz-Zygmund branches hold about
-# _CELLS (point, cut) or (panel, cut) values at a time, beside their
-# (panel, cut) tables; the Small branch holds (node, cut) values in blocks of
-# about _CELLS / 32 (stretch, cut) cells, each stretch's nodes laid once for
-# all the cuts live on it.
+# _CELLS (point, cut) or (panel, cut) values at a time, and Grand one
+# (break, cut) table of P_c (_cut_prefix); the panel values VP are formed only
+# at the cells read (_cut_values).  The Small branch holds (node, cut) values
+# in blocks of about _CELLS / 32 (stretch, cut) cells, each stretch's nodes
+# laid once for all the cuts live on it, beside the same P_c table.
 # The tail kind cuts by position: f·χ_(c,1] has P_c = 0 up to c, P - P(c) after.
 # ---------------------------------------------------------------------------
 
 _CELLS = 1 << 20
 _RUN = 64  # rows per run of the pruned Grand cut scan
+_MAPPED = 1 << 20  # bytes from which a (panel, cut) table is a mapping of its own
 
 
-def _cut_panel_powers(f: StepRearrangement, p: float, cuts: np.ndarray, kind: str):
-    """(VP, PREF): panel values^p and cumulative prefix integrals, per cut.
+def _table(shape) -> np.ndarray:
+    """An uninitialised float table; one of _MAPPED bytes or more is a mapping
+    of its own, freed at once.  On malloc's heap a freed table stays resident
+    under any small block allocated above it, and where those land depends on
+    the heap's layout: theta-sweep's peak RSS read 69, 74 or 77 MB for one
+    commit checked out at paths of different lengths."""
+    size = 8 * math.prod(shape)
+    if size < _MAPPED or not hasattr(mmap, "MAP_ANONYMOUS"):
+        return np.empty(shape)
+    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
+    return np.frombuffer(mmap.mmap(-1, size, flags=flags), dtype=float).reshape(shape)
+
+
+def _cut_values(f: StepRearrangement, p: float, cuts, kind: str, rows, out=None) -> np.ndarray:
+    """VP at the panels rows for the cuts, the two broadcast against each
+    other: the p-th power of each cut's truncation on the panel (into out)."""
+    out = np.empty(np.broadcast_shapes(np.shape(rows), np.shape(cuts))) if out is None else out
+    if kind == "tail":  # f's own values from c's panel k on, x_k <= c < x_{k+1} (k = n at 1)
+        out.fill(0.0)
+        np.copyto(out, f.prefix_power(p)[1][rows], where=rows >= np.searchsorted(f.breaks, cuts, side="right") - 1)
+        return out
+    if kind == "capped":
+        np.minimum(f.values[rows], cuts, out=out)
+    else:
+        np.maximum(np.subtract(f.values[rows], cuts, out=out), 0.0, out=out)
+    out **= p
+    return out
+
+
+def _cut_prefix(f: StepRearrangement, p: float, cuts: np.ndarray, kind: str) -> np.ndarray:
+    """PREF: each cut's prefix integrals ∫_0^{x_i} g_c^p at f's breaks, an
+    (n + 1, cuts) table summed in place from the panels' VP·width.
 
     A tail cut keeps f's values on the panels that reach past c; its PREF at
     x_i is ∫_c^{x_i} f^p, summed from c on, so it keeps its digits however
     small it is next to the mass before c, and however close c lies to a
     break.  At the start x_k of c's own panel it is -∫_{x_k}^c f^p, and 0
     before."""
+    pref = _table((f.n + 1, cuts.size))
+    pref[0] = 0.0
+    mass = _cut_values(f, p, cuts, kind, np.arange(f.n)[:, None], out=pref[1:])
+    np.multiply(mass, f.widths[:, None], out=mass)
     if kind == "tail":
         x, (_, vpf, _) = f.breaks, f.prefix_power(p)
-        k = np.searchsorted(x, cuts, side="right") - 1  # x_k <= c < x_{k+1}, or k = n at 1
-        i = np.arange(f.n)[:, None]
-        vp = np.where(i >= k, vpf[:, None], 0.0)
-        k, col = np.minimum(k, f.n - 1), np.arange(cuts.size)
-        mass = np.where(i > k, vp * f.widths[:, None], 0.0)
+        k = np.minimum(np.searchsorted(x, cuts, side="right") - 1, f.n - 1)
+        col = np.arange(cuts.size)
+        np.copyto(mass, 0.0, where=np.arange(f.n)[:, None] <= k)
         mass[k, col] = vpf[k] * (x[k + 1] - cuts)
-        pref = np.zeros((f.n + 1, cuts.size))
-        np.cumsum(mass, axis=0, out=pref[1:])
+    np.cumsum(mass, axis=0, out=mass)
+    if kind == "tail":
         pref[k, col] = -vpf[k] * (cuts - x[k])
-        return vp, pref
-    v = f.values[:, None]
-    c = cuts[None, :]
-    if kind == "capped":
-        vp = np.minimum(v, c)
-    else:
-        vp = v - c
-        np.maximum(vp, 0.0, out=vp)
-    vp **= p
-    pref = np.empty((f.n + 1, cuts.size))  # summed in place: two tables, no third
-    pref[0] = 0.0
-    np.multiply(vp, f.widths[:, None], out=pref[1:])
-    np.cumsum(pref[1:], axis=0, out=pref[1:])
-    return vp, pref
+    return pref
+
+
+def _first_positive(f: StepRearrangement, p: float, cuts: np.ndarray, kind: str) -> np.ndarray:
+    """argmax(VP > 0, axis=0) without a VP table: each cut's first panel
+    where its truncation is positive, 0 where there is none."""
+    if kind == "tail":  # f's own from the cut's panel k on: f's first positive panel from k
+        pos = np.append(np.flatnonzero(f.prefix_power(p)[1] > 0.0), 0)
+        return pos[np.searchsorted(pos[:-1], np.searchsorted(f.breaks, cuts, side="right") - 1)]
+    first = np.zeros(cuts.size, dtype=int)
+    late = np.flatnonzero(_cut_values(f, p, cuts, kind, 0) <= 0.0)  # a zero head, a cut at f's top
+    first[late] = np.argmax(_cut_values(f, p, cuts[late], kind, np.arange(f.n)[:, None]) > 0.0, axis=0)
+    return first
 
 
 def _cut_reach(f: StepRearrangement, cuts: np.ndarray, kind: str):
@@ -318,14 +352,14 @@ def _prefix_log_integrals(
     blocks of stretches, each block about _CELLS / 32 (stretch, cut) cells
     over the range of cuts live on it (the staircase, not the rectangle):
     far_root_integrals lays each stretch's nodes once for all those cuts,
-    with P_c at the stretch's start from its rows of (VP, PREF); only the
+    with P_c at the stretch's start from its row of PREF and its VP; only the
     pairs whose root lies closer than their stretch's length go to
     linear_power_integrals.
     """
     x = f.breaks
-    vp, pref = _cut_panel_powers(f, p, cuts, kind)
+    pref = _cut_prefix(f, p, cuts, kind)
     linear, flat = _cut_reach(f, cuts, kind)
-    kr = np.argmax(vp > 0.0, axis=0)  # each cut's first positive panel
+    kr = _first_positive(f, p, cuts, kind)
     rho = np.maximum(x[kr], cuts if kind == "tail" else 0.0)
     rooted = (rho > 0.0) & (flat > 0)
     start = np.where(rooted, rho, x[linear])
@@ -337,7 +371,9 @@ def _prefix_log_integrals(
     sums = np.zeros((hs.size, cuts.size))
     r = np.flatnonzero(rooted & (q1 > q0))
     if r.size:
-        sums[below[q0[r]], r] = linear_power_integrals(w, s, rho[r], ends[q0[r] + 1], 0.0, vp[panel[q0[r]], r])
+        sums[below[q0[r]], r] = linear_power_integrals(
+            w, s, rho[r], ends[q0[r] + 1], 0.0, _cut_values(f, p, cuts[r], kind, panel[q0[r]])
+        )
     q0 = q0 + rooted  # past each rooted cut's first stretch
     live = np.flatnonzero(q1 > q0)
     count = np.cumsum(np.bincount(q0[live], minlength=ends.size) - np.bincount(q1[live], minlength=ends.size))
@@ -348,7 +384,7 @@ def _prefix_log_integrals(
         cols = slice(over[0], over[-1] + 1)
         need = (q0[cols] <= q[:, None]) & (q[:, None] < q1[cols])
         j = panel[q]
-        slope = vp[j, cols]
+        slope = _cut_values(f, p, cuts[cols], kind, j[:, None])
         at_lo = slope * (ends[q] - x[j])[:, None]
         at_lo += pref[j, cols]
         close = need & (at_lo < slope * (ends[q + 1] - ends[q])[:, None])
@@ -365,7 +401,7 @@ def _prefix_log_integrals(
     out[past] += top * power_log_integrals(w.a, w.b, xz[past], np.broadcast_to(hs[:, None], out.shape)[past])
     heads = np.minimum(hs[:, None], x[linear][None, :])
     linear_head = (heads > 0.0) & ~rooted
-    lead = np.broadcast_to(vp[0] ** s, out.shape)[linear_head]
+    lead = np.broadcast_to(_cut_values(f, p, cuts, kind, 0) ** s, out.shape)[linear_head]
     out[linear_head] += lead * weight_prefix_many(LogWeight(w.a + s, w.b), heads[linear_head])
     return out
 
@@ -411,7 +447,7 @@ def _grand_over_cuts(
     """
     e, ip = -alpha / p, 1.0 / p
     x, n = f.breaks, f.n
-    vp, pref = _cut_panel_powers(f, p, cuts, kind)
+    pref = _cut_prefix(f, p, cuts, kind)
     linear, flat = _cut_reach(f, cuts, kind)
     ts = UGrid(res.u_max, res.sup_count).with_points(x[1:])
     lw = (1.0 - np.log(ts)) ** e
@@ -424,10 +460,10 @@ def _grand_over_cuts(
     last = np.append(first[1:], ts.size) - 1
     inside = first[:, None] < stop  # (run, cut): the run lies in the cut's blocks
     every = np.arange(cuts.size)
-    ends = _cut_tails(vp, pref, j[last], dt[last], every, ip)
+    ends = _cut_tails(f, p, cuts, kind, pref, j[last], dt[last], every, ip)
     ends *= lw[last, None]
     ends[~inside] = 0.0
-    bound = _cut_tails(vp, pref, j[first], dt[first], every, ip)
+    bound = _cut_tails(f, p, cuts, kind, pref, j[first], dt[first], every, ip)
     bound *= lw[last, None]
     live = ~(bound * (1.0 + 1e-12) < ends.max(axis=0)) & inside
     best = np.zeros(cuts.size)
@@ -435,7 +471,7 @@ def _grand_over_cuts(
     for r in np.flatnonzero(live.any(axis=1)):
         c = np.flatnonzero(live[r])
         seg = np.arange(first[r], last[r] + 1)
-        obj = _cut_tails(vp, pref, j[seg], dt[seg], c, ip)
+        obj = _cut_tails(f, p, cuts, kind, pref, j[seg], dt[seg], c, ip)
         obj *= lw[seg, None]
         i = np.argmax(obj, axis=0)
         top = obj[i, np.arange(c.size)]
@@ -452,7 +488,7 @@ def _grand_over_cuts(
 
     def h(t, c):
         k = np.clip(np.searchsorted(x, t, side="left"), 1, n)
-        tail = pref[-1, c] - (pref[k - 1, c] + vp[k - 1, c] * (t - x[k - 1]))
+        tail = pref[-1, c] - (pref[k - 1, c] + _cut_values(f, p, cuts[c], kind, k - 1) * (t - x[k - 1]))
         return (1.0 - np.log(t)) ** e * np.maximum(tail, 0.0) ** ip
 
     out, _ = golden_refine(
@@ -461,10 +497,10 @@ def _grand_over_cuts(
     return out
 
 
-def _cut_tails(vp: np.ndarray, pref: np.ndarray, j: np.ndarray, dt: np.ndarray, c: np.ndarray, ip: float):
+def _cut_tails(f: StepRearrangement, p: float, cuts, kind: str, pref, j, dt, c, ip: float) -> np.ndarray:
     """max(∫_t^1 g_c^p, 0)^{1/p} at the points t = x_j + dt (rows) for the cuts
-    c (columns), from the (VP, PREF) of _cut_panel_powers."""
-    obj = vp[j[:, None], c]
+    c (columns), from _cut_prefix's PREF."""
+    obj = _cut_values(f, p, cuts[c], kind, j[:, None])
     obj *= dt[:, None]
     obj += pref[j[:, None], c]
     np.subtract(pref[-1, c], obj, out=obj)

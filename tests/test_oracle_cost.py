@@ -26,7 +26,8 @@ def _dense_grand_over_cuts(f, p, alpha, cuts, kind, res):
     """The Grand cut scan before pruning: every row of every cut's blocks."""
     e, ip = -alpha / p, 1.0 / p
     x, n = f.breaks, f.n
-    vp, pref = norms._cut_panel_powers(f, p, cuts, kind)
+    pref = norms._cut_prefix(f, p, cuts, kind)
+    vp = norms._cut_values(f, p, cuts, kind, np.arange(f.n)[:, None])
     linear, flat = norms._cut_reach(f, cuts, kind)
     ts = np.unique(np.concatenate([UGrid(res.u_max, res.sup_count).t_nodes(), x[1:]]))
     lw = (1.0 - np.log(ts)) ** e

@@ -27,7 +27,8 @@ def _pair_list_prefix_log_integrals(f, p, s, w, cuts, kind, hs):
     """_prefix_log_integrals with one linear_power_integrals stretch per
     (stretch, cut) pair, in blocks of about _CELLS / 64 pairs."""
     x = f.breaks
-    vp, pref = norms._cut_panel_powers(f, p, cuts, kind)
+    pref = norms._cut_prefix(f, p, cuts, kind)
+    vp = norms._cut_values(f, p, cuts, kind, np.arange(f.n)[:, None])
     linear, flat = norms._cut_reach(f, cuts, kind)
     kr = np.argmax(vp > 0.0, axis=0)
     rho = np.maximum(x[kr], cuts if kind == "tail" else 0.0)
