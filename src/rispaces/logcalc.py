@@ -70,7 +70,7 @@ _TAIL_CHUNKS = 4000
 _TAIL_EPS = 1e-16  # a marched chunk below this share of the sum is negligible
 _SCAN_BLOCK = 1 << 16  # (point, column) values per block of a grid scan
 _BLOCK = 1 << 20  # (node, column) values per block of a κ pass
-_SCAN_RUN = 32  # points per run of a pruned scan
+_SCAN_LEVELS = (4096, 512, 64, 8)  # run sizes of a pruned scan, coarse to fine
 _INVERT_TOL = 1e-12  # relative residual of every monotone-map inversion
 
 
@@ -656,84 +656,81 @@ def sup_on_interval(
 
     Window k scans the n_k nodes of np.linspace(u_hi, u_lo, n_k) in t (n_k
     scales with its u-length, between 8 and count) and the extra points inside
-    it; a window open at 0 reaches down to u_lo = max(u_cap, u(hi_k) + 8).  Both
-    point sequences are cut into runs of _SCAN_RUN points.  A run is skipped
-    when bound(a, b, k), an upper bound of g(·, k) on [a, b] that every call
-    passes by keyword, lies below g at the largest point of another run of
-    its window: the result is the
-    full scan's bit for bit.  The maximum (at the smallest t attaining it)
-    is refined in one golden pass between its neighbours in the window."""
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    it; a window open at 0 reaches down to u_lo = max(u_cap, u(hi_k) + 8).  Each
+    point sequence is one run, cut coarse to fine into runs of the sizes in
+    _SCAN_LEVELS.  A run is dropped when bound(a, b, k), an upper bound of g(·, k)
+    on [a, b] that every call passes by keyword, lies below g at the largest point
+    of a run of its window; the runs left are scanned point by point: the full
+    scan's bits.  The maximum (at the smallest t attaining it) is refined in one
+    golden pass between its neighbours in the window."""
+    lo, hi = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (lo, hi))
     u_hi = u_of_t(hi)
     u_lo = np.maximum(u_cap, u_hi + 8.0)
     u_lo[lo > 0.0] = u_of_t(lo[lo > 0.0])
     n = np.maximum(8, np.minimum(count, (count * (u_lo - u_hi) / 34.0).astype(int) + 8))
     step = (u_lo - u_hi) / (n - 1)
     xs = np.sort(np.asarray(list(extra_points), dtype=float))
-    x_to = np.searchsorted(xs, hi, side="right")
-    counts = np.stack([n, x_to - np.searchsorted(xs, lo, side="right")], axis=1)
-    xp = np.append(xs, 0.0)  # so that the index x_to - 1 - i of a node or of i = -1 is in range
+    x_from, x_to = np.searchsorted(xs, lo, side="right"), np.searchsorted(xs, hi, side="right")
+    xp = np.append(xs, 0.0)  # so that index 0 of an empty xs and the index xs.size are in range
 
-    def point(k, s, i):  # point i, decreasing in i, of windows k: node (s = 0) or extra point
-        u = np.where(i == n[k] - 1, u_lo[k], i * step[k] + u_hi[k])  # as np.linspace has it
-        return np.where(s == 0, t_of_u(u), xp[np.maximum(x_to[k] - 1 - i, 0)])
+    def node(k, i):  # node i, decreasing in i, of windows k, as np.linspace has it
+        return t_of_u(np.where(i == n[k] - 1, u_lo[k], i * step[k] + u_hi[k]))
 
-    k, s, start, stop = _runs(counts)
-    a, b = point(k, s, stop - 1), point(k, s, start)
-    ends = _values(g, b, k)
-    best_end = np.maximum.reduceat(ends, np.flatnonzero(np.diff(k, prepend=-1)))
-    live = ~(bound(a, b, k) * (1.0 + 1e-12) < best_end[k]) | (ends == best_end[k])
-    k, s, start, stop = k[live], s[live], start[live], stop[live]
-    size = stop - start
-    i = np.arange(size.sum()) + np.repeat(start - np.cumsum(size) + size, size)
-    k, s = np.repeat(k, size), np.repeat(s, size)
-    ts = point(k, s, i)
-    vals = _values(g, ts, k)
-    first = np.flatnonzero(np.diff(k, prepend=-1))
-    best = np.maximum.reduceat(vals, first)
-    best_t = np.minimum.reduceat(np.where(vals == best[k], ts, np.inf), first)
+    def point(k, s, i):  # point i of windows k: node (s = 0) or extra point
+        return np.where(s == 0, node(k, i), xp[np.maximum(x_to[k] - 1 - i, 0)])
 
-    # its neighbours: in each sequence, the points just below and just above
+    def values(t, k):
+        return _values(g, t, k, lambda j: f"window ({float(lo[j])!r}, {float(hi[j])!r}]")
+
+    k, s = np.divmod(np.arange(2 * lo.size), 2)  # one run per (window, sequence)
+    start, stop = np.zeros(k.size, dtype=int), np.stack([n, x_to - x_from], axis=1).ravel()
+    best, best_t = np.full(lo.size, -np.inf), np.full(lo.size, np.inf)
+    for size in _SCAN_LEVELS + (1,):  # runs of one point: the scan of what is left
+        m = -(-(stop - start) // size)
+        start = np.repeat(start, m) + size * (np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m))
+        k, s, stop = np.repeat(k, m), np.repeat(s, m), np.minimum(start + size, np.repeat(stop, m))
+        b = point(k, s, start)
+        ends = values(b, k)
+        np.maximum.at(best, k, ends)
+        if size > 1:
+            live = ~(bound(point(k, s, stop - 1), b, k) * (1.0 + 1e-12) < best[k]) | (ends == best[k])
+            k, s, start, stop = k[live], s[live], start[live], stop[live]
+    np.minimum.at(best_t, k, np.where(ends == best[k], b, np.inf))
+
+    # its neighbours, the points just below and just above it: the extra ones by
+    # bisection in xs, the nodes from their index in u, checked exactly
+    xl, xr = (np.clip(np.searchsorted(xs, best_t, side), x_from, x_to) for side in ("left", "right"))
+    guess = np.divide(u_of_t(best_t) - u_hi, step, out=np.zeros(lo.size), where=step > 0.0)
+    above = _walk(lambda j, v: node(v, j) > best_t[v], np.clip(guess, 0, n).astype(int), n)
+    upto = _walk(lambda j, v: node(v, j) >= best_t[v], above, n)
     w = np.arange(lo.size)
-    t_left, t_right = np.full(lo.size, -np.inf), np.full(lo.size, np.inf)
-    for q in (0, 1):
-        seq = np.full(lo.size, q)
-        above = _index_search(lambda j, v: point(v, seq[v], j) > best_t[v], counts[:, q])
-        upto = _index_search(lambda j, v: point(v, seq[v], j) >= best_t[v], counts[:, q])
-        t_left = np.maximum(t_left, np.where(upto < counts[:, q], point(w, seq, upto), -np.inf))
-        t_right = np.minimum(t_right, np.where(above > 0, point(w, seq, above - 1), np.inf))
+    t_left = np.maximum(np.where(upto < n, node(w, upto), -np.inf), np.where(xl > x_from, xp[xl - 1], -np.inf))
+    t_right = np.minimum(np.where(above > 0, node(w, above - 1), np.inf), np.where(xr < x_to, xp[xr], np.inf))
     t_left, t_right = (np.where(np.isinf(t), best_t, t) for t in (t_left, t_right))
-    return golden_refine(lambda t, k: _values(g, t, k), t_left, t_right, best, best_t)
+    return golden_refine(values, t_left, t_right, best, best_t)
 
 
-def _runs(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Indices 0 .. counts[k, s] - 1 of window k's point sequence s cut into runs
-    of at most _SCAN_RUN: (k, s, start, stop) of each run, grouped by window."""
-    m = -(-counts.ravel() // _SCAN_RUN)
-    ks = np.repeat(np.arange(m.size), m)
-    start = _SCAN_RUN * (np.arange(ks.size) - np.repeat(np.cumsum(m) - m, m))
-    stop = np.minimum(start + _SCAN_RUN, counts.ravel()[ks])
-    return ks // counts.shape[1], ks % counts.shape[1], start, stop
+def _walk(pred, c: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """For each k, how many j in [0, n_k) satisfy pred(j, k), a predicate on arrays
+    of j and k that holds up to some j and fails beyond: a walk from the guesses c."""
+    c = c.copy()
+    v = np.arange(n.size)
+    while (v := v[c[v] < n[v]]).size and (v := v[pred(c[v], v)]).size:
+        c[v] += 1
+    v = np.arange(n.size)
+    while (v := v[c[v] > 0]).size and (v := v[~pred(c[v] - 1, v)]).size:
+        c[v] -= 1
+    return c
 
 
-def _index_search(pred, n: np.ndarray) -> np.ndarray:
-    """For each k, how many j in [0, n_k) satisfy pred(j, k), a predicate that
-    holds up to some j and fails beyond; pred takes arrays of j and of k."""
-    a, b = np.zeros_like(n), n.copy()
-    while (act := np.flatnonzero(a < b)).size:
-        m = (a[act] + b[act]) // 2
-        yes = pred(m, act)
-        a[act[yes]], b[act[~yes]] = m[yes] + 1, m[~yes]
-    return a
-
-
-def _values(g, ts: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """g(ts, ks) in chunks of _SCAN_BLOCK points, all finite."""
+def _values(g, ts: np.ndarray, ks: np.ndarray, name: Callable[[int], str]) -> np.ndarray:
+    """g(ts, ks) in chunks of _SCAN_BLOCK points, all finite; name(k) says what
+    k is when they are not."""
     chunks = [g(ts[i:i + _SCAN_BLOCK], ks[i:i + _SCAN_BLOCK]) for i in range(0, ts.size, _SCAN_BLOCK)]
     vals = np.concatenate([np.zeros(0)] + [np.asarray(v, dtype=float) for v in chunks])
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteValue("objective returned a non-finite value")
+    if not np.all(finite := np.isfinite(vals)):
+        i = np.argmin(finite)
+        raise NonFiniteValue(f"objective is {vals[i]} at t = {float(ts[i])!r} in {name(ks[i])}")
     return vals
 
 
@@ -756,13 +753,14 @@ def sups_on_grid(g: Callable, grid: UGrid, columns: int, extra_points: Iterable[
     best, at = np.full(columns, -np.inf), np.zeros(columns, dtype=int)
     for i in range(0, ts.size, rows):
         vals = np.reshape(np.asarray(g(ts[i : i + rows], None), dtype=float), (-1, columns))
-        if not np.all(np.isfinite(vals)):
-            raise NonFiniteValue("objective returned a non-finite value")
+        if not np.all(finite := np.isfinite(vals)):
+            r, c = np.argwhere(~finite)[0]
+            raise NonFiniteValue(f"objective is {vals[r, c]} at t = {float(ts[i + r])!r} in column {c}")
         j = np.argmax(vals, axis=0)
         up = vals[j, every] > best
         best[up], at[up] = vals[j[up], every[up]], i + j[up]
     left, right = ts[np.maximum(at - 1, 0)], ts[np.minimum(at + 1, ts.size - 1)]
-    return golden_refine(lambda t, k: _values(g, t, k), left, right, best, ts[at])
+    return golden_refine(lambda t, k: _values(g, t, k, lambda c: f"column {c}"), left, right, best, ts[at])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Quadrature, suprema and inversion against closed forms and scipy oracles."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -521,6 +522,102 @@ def test_pruned_scan_evaluates_a_small_share_of_the_grid(monkeypatch):
     k_explicit(f, GrandGrand(2, 4, 1.0), UGrid(res.u_max, res.k_nodes).t_nodes(), res)
     assert points["full"] > 1e6
     assert points["bounded"] <= 0.15 * points["full"]
+
+
+def test_coarse_to_fine_scan_evaluates_few_points(monkeypatch):
+    """GrandGrand(2, 4, 1) windows of plog_g0_d-1 at Resolution(): the coarse-to-fine
+    scan gives g 90,737 points and bound 31,163 runs (one level of runs of 32
+    gave them 153,091 and 35,100)."""
+    points = {"g": 0, "bound": 0}
+
+    def check(g, lo, hi, count, extras, u_cap, bound):
+        def counted_g(t, k):
+            points["g"] += np.size(t)
+            return g(t, k)
+
+        def counted_bound(a, b, k):
+            points["bound"] += np.size(a)
+            return bound(a, b, k)
+
+        return logcalc.sup_on_interval(counted_g, lo, hi, count, extras, u_cap, bound=counted_bound)
+
+    monkeypatch.setattr(norms, "sup_on_interval", check)  # every Grand head and tail window
+    res = Resolution()
+    f = dict(standard_family(4.0).realize(res))["plog_g0_d-1"]
+    k_explicit(f, GrandGrand(2, 4, 1.0), UGrid(res.u_max, res.k_nodes).t_nodes(), res)
+    assert 0 < points["g"] <= 95_000 and 0 < points["bound"] <= 33_000
+
+
+@st.composite
+def _scan_cases(draw):
+    """(lo, hi, count, extras, centre): windows open at 0, closed, a few ulps
+    wide, of one point, reaching 1 or ending at a subnormal hi; extra points that
+    repeat, sit at a window's end or on one of its nodes; bump centres on a point,
+    mid-window or anywhere."""
+    count = draw(st.integers(2, 9000))
+    lo, hi = [], []
+    kinds = ["open", "closed", "narrow", "point", "top", "subnormal"]
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4)):
+        h = {"top": 1.0, "subnormal": draw(st.floats(1e-318, 2e-308))}.get(kind) or draw(st.floats(1e-12, 1.0))
+        if kind == "narrow":
+            lo.append(h - draw(st.integers(1, 64)) * math.ulp(h))
+        else:
+            lo.append({"open": 0.0, "subnormal": 0.0, "point": h}.get(kind, draw(st.floats(0.0, h, exclude_min=True))))
+        hi.append(h)
+    extras = draw(st.lists(st.floats(1e-15, 1.0), max_size=12))
+    points = extras + [x for x in lo if x > 0.0] + hi
+    for k in range(len(lo)):
+        u_hi = float(u_of_t(hi[k]))
+        u_lo = float(u_of_t(lo[k])) if lo[k] > 0.0 else max(41.0, u_hi + 8.0)
+        n = max(8, min(count, int(count * (u_lo - u_hi) / 34.0) + 8))
+        points.append(float(t_of_u(np.linspace(u_hi, u_lo, n))[draw(st.integers(0, n - 1))]))
+    extras += draw(st.lists(st.sampled_from(points), max_size=6))
+    mids = [(a + b) / 2.0 for a, b in zip(lo, hi) if a + b > 0.0]
+    anywhere = st.floats(0.5, 700.0).map(lambda u: float(t_of_u(u)))
+    centre = [draw(st.sampled_from(points + mids) | anywhere) for _ in lo]
+    return np.array(lo), np.array(hi), count, np.array(extras), np.array(centre)
+
+
+@given(_scan_cases(), st.floats(0.01, 3.0))
+@settings(max_examples=60, deadline=None)
+def test_pruned_scan_equals_the_full_scan_on_drawn_windows(case, width):
+    lo, hi, count, extras, centre = case
+    g, bound = _bump(centre, width)
+    want = _full_scan(g, lo, hi, count, extras)
+    for b in (_unbounded, bound, _nan_bound(bound)):
+        _same_bits(logcalc.sup_on_interval(g, lo, hi, count, extras, bound=b), want)
+
+
+def test_the_neighbour_walk_counts_from_any_guess():
+    """A window a few ulps wide has many nodes per rounding step of u(t), so the
+    index guess of sup_on_interval's neighbour search can fall on either side."""
+    n, held = np.array([0, 1, 8, 8, 8]), np.array([0, 1, 0, 5, 8])
+    for guess in range(9):
+        got = logcalc._walk(lambda j, k: j < held[k], np.minimum(guess, n), n)
+        assert got.tolist() == held.tolist()
+
+
+def test_a_non_finite_window_value_names_the_window_and_the_point():
+    top = float(t_of_u(u_of_t(0.5)))  # the largest node of the window (0.1, 0.5]
+
+    def g(t, k):
+        return np.where(t >= top, np.nan, 1.0)
+
+    with pytest.raises(NonFiniteValue, match=rf"nan at t = {re.escape(repr(top))} in window \(0\.1, 0\.5\]"):
+        logcalc.sup_on_interval(g, [0.2, 0.1], [0.3, 0.5], 256, bound=lambda a, b, k: np.full(a.shape, np.inf))
+
+
+def test_a_non_finite_column_value_names_the_column_and_the_point():
+    grid = UGrid(35.0, 64)
+    ts = grid.with_points(())
+    first = float(ts[ts > 0.5][0])  # the scan runs up in t
+
+    def g(t, k):
+        cols = np.stack([np.ones_like(t), np.where(t > 0.5, np.inf, t)], axis=1)
+        return cols if k is None else cols[np.arange(t.size), k]
+
+    with pytest.raises(NonFiniteValue, match=rf"inf at t = {re.escape(repr(first))} in column 1"):
+        logcalc.sups_on_grid(g, grid, 2)
 
 
 def test_invert_pure_power_exact():
