@@ -70,7 +70,8 @@ _TAIL_CHUNKS = 4000
 _TAIL_EPS = 1e-16  # a marched chunk below this share of the sum is negligible
 _SCAN_BLOCK = 1 << 16  # (point, column) values per block of a grid scan
 _BLOCK = 1 << 20  # (node, column) values per block of a κ pass
-_SCAN_LEVELS = (4096, 512, 64, 8)  # run sizes of a pruned scan, coarse to fine
+_SCAN_LEVELS = (4096, 512, 64, 8)  # run sizes of a pruned window scan, coarse to fine
+_RUN = 64  # points per run of a bounded sups_on_grid scan
 _INVERT_TOL = 1e-12  # relative residual of every monotone-map inversion
 
 
@@ -530,16 +531,17 @@ def _power_difference(x, y, e, l, shift):
 
 
 def weight_prefix_many(w: LogWeight, ts: np.ndarray) -> np.ndarray:
-    """∫_0^{t_i} w for an array of points, by one cumulative sweep up from the
-    smallest positive point; 0 at t_i = 0, whatever other points come with it."""
+    """∫_0^{t_i} w at each point of an array of any shape, by one cumulative
+    sweep up from the smallest positive point; 0 at t_i = 0, whatever other
+    points come with it."""
     ts = np.asarray(ts, dtype=float)
-    order = np.argsort(ts)
-    s = ts[order]
+    order = np.argsort(ts, axis=None)
+    s = ts.flat[order]
     s = s[np.searchsorted(s, 0.0, side="right") :]
-    out = np.zeros(ts.size)
+    out = np.zeros(ts.shape)
     if s.size:
         base, steps = weight_integral(w, 0.0, float(s[0])), _weight_integrals(w, s[:-1], s[1:])
-        out[order[ts.size - s.size :]] = base + np.concatenate([[0.0], np.cumsum(steps)])
+        out.flat[order[ts.size - s.size :]] = base + np.concatenate([[0.0], np.cumsum(steps)])
     return out
 
 
@@ -679,8 +681,12 @@ def sup_on_interval(
     def point(k, s, i):  # point i of windows k: node (s = 0) or extra point
         return np.where(s == 0, node(k, i), xp[np.maximum(x_to[k] - 1 - i, 0)])
 
-    def values(t, k):
-        return _values(g, t, k, lambda j: f"window ({float(lo[j])!r}, {float(hi[j])!r}]")
+    def name(j):
+        return f"window ({float(lo[j])!r}, {float(hi[j])!r}]"
+
+    def values(t, k):  # in chunks of _SCAN_BLOCK points
+        chunks = (slice(i, i + _SCAN_BLOCK) for i in range(0, t.size, _SCAN_BLOCK))
+        return np.concatenate([np.zeros(0)] + [_values(g, t[c], k[c], name) for c in chunks])
 
     k, s = np.divmod(np.arange(2 * lo.size), 2)  # one run per (window, sequence)
     start, stop = np.zeros(k.size, dtype=int), np.stack([n, x_to - x_from], axis=1).ravel()
@@ -724,43 +730,59 @@ def _walk(pred, c: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 
 def _values(g, ts: np.ndarray, ks: np.ndarray, name: Callable[[int], str]) -> np.ndarray:
-    """g(ts, ks) in chunks of _SCAN_BLOCK points, all finite; name(k) says what
-    k is when they are not."""
-    chunks = [g(ts[i:i + _SCAN_BLOCK], ks[i:i + _SCAN_BLOCK]) for i in range(0, ts.size, _SCAN_BLOCK)]
-    vals = np.concatenate([np.zeros(0)] + [np.asarray(v, dtype=float) for v in chunks])
+    """g(ts, ks), ts and ks broadcast against each other, all finite; name(k)
+    says what k is when they are not."""
+    vals = np.asarray(g(ts, ks), dtype=float)
     if not np.all(finite := np.isfinite(vals)):
         i = np.argmin(finite)
-        raise NonFiniteValue(f"objective is {vals[i]} at t = {float(ts[i])!r} in {name(ks[i])}")
+        t, k = (np.broadcast_to(v, vals.shape).flat[i] for v in (ts, ks))
+        raise NonFiniteValue(f"objective is {vals.flat[i]} at t = {float(t)!r} in {name(k)}")
     return vals
 
 
 def sup_on_grid(g: Callable, grid: UGrid, extra_points: Iterable[float] = ()) -> Tuple[float, float]:
-    """(sup estimate, argmax t) of a vectorized g over (0, 1]: the one-column
-    sups_on_grid."""
-    val, arg = sups_on_grid(lambda t, _k: g(t), grid, 1, extra_points)
+    """(sup estimate, argmax t) of a vectorized g >= 0 over (0, 1]: the
+    one-column sups_on_grid."""
+    val, arg = sups_on_grid(lambda t, _k: np.reshape(g(np.ravel(t)), np.shape(t)), grid, 1, extra_points)
     return float(val[0]), float(arg[0])
 
 
-def sups_on_grid(g: Callable, grid: UGrid, columns: int, extra_points: Iterable[float] = ()):
+def sups_on_grid(g: Callable, grid: UGrid, columns: int, extra_points: Iterable[float] = (), bound=None):
     """(sup, argmax t) arrays of each of the columns of g over (0, 1], where
-    g(t, None) gives every column at the points t, a (len(t), columns) array,
-    and g(t, k) column k_i at t_i: a scan of grid.with_points(extra_points) in
-    blocks of at most _SCAN_BLOCK values, then one golden_refine pass between
-    each column's best point (the smallest t attaining its maximum) and that
-    point's neighbours."""
+    g(t, k), nonnegative, gives columns k at points t, the two broadcast
+    against each other: a scan up in t of grid.with_points(extra_points), then
+    one golden_refine pass between each column's best point (the smallest t
+    attaining its maximum) and that point's neighbours.
+
+    The best value starts at 0.  Without a bound the scan goes in blocks of at
+    most _SCAN_BLOCK values.  bound(a, b, k), an upper bound of g(·, k) on
+    [a, b] as in sup_on_interval, makes it go in runs of _RUN points: g is
+    evaluated at every run's largest point, and a run is scanned only for the
+    columns whose bound there is positive and not below their best run end,
+    which leaves every value bit for bit as the unbounded scan has it."""
     ts, every = grid.with_points(extra_points), np.arange(columns)
-    rows = max(1, _SCAN_BLOCK // columns)
-    best, at = np.full(columns, -np.inf), np.zeros(columns, dtype=int)
-    for i in range(0, ts.size, rows):
-        vals = np.reshape(np.asarray(g(ts[i : i + rows], None), dtype=float), (-1, columns))
-        if not np.all(finite := np.isfinite(vals)):
-            r, c = np.argwhere(~finite)[0]
-            raise NonFiniteValue(f"objective is {vals[r, c]} at t = {float(ts[i + r])!r} in column {c}")
-        j = np.argmax(vals, axis=0)
-        up = vals[j, every] > best
-        best[up], at[up] = vals[j[up], every[up]], i + j[up]
+
+    def values(t, k):
+        return _values(g, t, k, lambda c: f"column {c}")
+
+    size = max(1, _SCAN_BLOCK // columns) if bound is None else _RUN
+    first = np.arange(0, ts.size, size)
+    last = np.append(first[1:], ts.size) - 1
+    live = np.ones((first.size, columns), dtype=bool)
+    if bound is not None:
+        top = np.max(values(ts[last, None], every), axis=0, initial=0.0)
+        b = np.asarray(bound(ts[first, None], ts[last, None], every), dtype=float)
+        live = ~((b * (1.0 + 1e-12) < top) | (b == 0.0))  # a NaN never prunes
+    best, at = np.zeros(columns), np.zeros(columns, dtype=int)
+    for r in np.flatnonzero(live.any(axis=1)):
+        c = np.flatnonzero(live[r])
+        vals = values(ts[first[r] : last[r] + 1, None], c)
+        i = np.argmax(vals, axis=0)
+        top = vals[i, np.arange(c.size)]
+        up = top > best[c]
+        best[c[up]], at[c[up]] = top[up], first[r] + i[up]
     left, right = ts[np.maximum(at - 1, 0)], ts[np.minimum(at + 1, ts.size - 1)]
-    return golden_refine(lambda t, k: _values(g, t, k, lambda c: f"column {c}"), left, right, best, ts[at])
+    return golden_refine(values, left, right, best, ts[at])
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from .logcalc import (
     LogWeight,
     UGrid,
     far_root_integrals,
-    golden_refine,
     linear_power_integrals,
     log_quad,
     log_quad_multi,
@@ -222,7 +221,7 @@ def space_norm(f: StepRearrangement, spec: SpaceSpec, res: Resolution = DEFAULT)
 # norms_over_cuts evaluates, for many cuts at once, (family: kinds)
 #   Lebesgue: excess, capped, head; tail for finite p (exact step sums)
 #   LorentzZygmund: excess, capped, head ((cut, panel) value matrix)
-#   Grand: excess, capped (pruned cut scan); head, tail (window scans)
+#   Grand: excess, capped (one bounded sups_on_grid scan); head, tail (window scans)
 #   Small: excess, capped, tail (prefix log integrals); head
 #   GammaDouble: excess, capped, head (one w2-prefix table for every cut)
 # Each truncation by value keeps most of f's panel structure: with v the
@@ -230,18 +229,18 @@ def space_norm(f: StepRearrangement, spec: SpaceSpec, res: Resolution = DEFAULT)
 # J = #{v > c} panels, and min(f, c) is the constant c on the first
 # K = #{v >= c} panels and f after them.  So the prefix integral P_c of a
 # cut's p-th power is linear below one break and constant from another
-# (_cut_reach), and the Small and Grand branches evaluate a cut at points only
-# where it is neither.  The Grand and Lorentz-Zygmund branches hold about
-# _CELLS (point, cut) or (panel, cut) values at a time, and Grand one
-# (break, cut) table of P_c (_cut_prefix); the panel values VP are formed only
-# at the cells read (_cut_values).  The Small branch holds (node, cut) values
+# (_cut_reach), and the Small branch evaluates a cut at points only where it
+# is neither; the Grand scan skips a run of points for a cut whose bound there
+# is 0 or below its best.  The Lorentz-Zygmund branch holds about _CELLS
+# (panel, cut) values at a time, and Grand one (break, cut) table of P_c
+# (_cut_prefix); the panel values VP are formed only at the cells read
+# (_cut_values).  The Small branch holds (node, cut) values
 # in blocks of about _CELLS / 32 (stretch, cut) cells, each stretch's nodes
 # laid once for all the cuts live on it, beside the same P_c table.
 # The tail kind cuts by position: f·χ_(c,1] has P_c = 0 up to c, P - P(c) after.
 # ---------------------------------------------------------------------------
 
 _CELLS = 1 << 20
-_RUN = 64  # rows per run of the pruned Grand cut scan
 _MAPPED = 1 << 20  # bytes from which a (panel, cut) table is a mapping of its own
 
 
@@ -433,80 +432,27 @@ def _grand_over_cuts(
     f: StepRearrangement, p: float, alpha: float, cuts: np.ndarray, kind: str, res: Resolution
 ) -> np.ndarray:
     """sup_t (1-Log t)^{-alpha/p} (∫_t^1 g_c^p)^{1/p} for each cut's truncation
-    g_c: a scan of the sup grid and the breaks, then one golden_refine pass.
-
-    The excess objective is 0 from x_Z on and the capped one is f's own from
-    x_H on, so a cut is scanned only in the blocks of _CELLS // len(cuts) rows
-    that start below that break; past them the capped cut takes f's
-    objective's suffix maximum.  The blocks are cut into runs of _RUN rows,
-    and each cut is evaluated at every run's last row.  The first factor
-    increases in t and the tail decreases, so a run is scanned only for the
-    cuts whose bound there, the first factor at its last row times the tail
-    at its first, is not below the cut's best run end: the result is the
-    dense scan's bit for bit.
-    """
+    g_c: one sups_on_grid scan of the sup grid and the breaks over every cut,
+    the tails from _cut_prefix's PREF.  The first factor increases in t and the
+    tail decreases, so on [a, b] the objective is at most the first factor at b
+    times the tail at a; an excess cut's tail, and so its bound, is 0 from x_Z on."""
     e, ip = -alpha / p, 1.0 / p
     x, n = f.breaks, f.n
     pref = _cut_prefix(f, p, cuts, kind)
-    linear, flat = _cut_reach(f, cuts, kind)
-    ts = UGrid(res.u_max, res.sup_count).with_points(x[1:])
-    lw = (1.0 - np.log(ts)) ** e
-    j = np.clip(np.searchsorted(x, ts, side="left"), 1, n) - 1
-    dt = ts - x[j]
-    rows = max(1, _CELLS // cuts.size)
-    stop = np.searchsorted(ts, x[flat if kind == "excess" else linear], side="left")
-    stop = np.minimum(-(-stop // rows) * rows, ts.size)
-    first = np.unique(np.concatenate([np.arange(0, ts.size, rows), np.arange(0, ts.size, _RUN)]))
-    last = np.append(first[1:], ts.size) - 1
-    inside = first[:, None] < stop  # (run, cut): the run lies in the cut's blocks
-    every = np.arange(cuts.size)
-    ends = _cut_tails(f, p, cuts, kind, pref, j[last], dt[last], every, ip)
-    ends *= lw[last, None]
-    ends[~inside] = 0.0
-    bound = _cut_tails(f, p, cuts, kind, pref, j[first], dt[first], every, ip)
-    bound *= lw[last, None]
-    live = ~(bound * (1.0 + 1e-12) < ends.max(axis=0)) & inside
-    best = np.zeros(cuts.size)
-    at = np.zeros(cuts.size, dtype=int)
-    for r in np.flatnonzero(live.any(axis=1)):
-        c = np.flatnonzero(live[r])
-        seg = np.arange(first[r], last[r] + 1)
-        obj = _cut_tails(f, p, cuts, kind, pref, j[seg], dt[seg], c, ip)
-        obj *= lw[seg, None]
-        i = np.argmax(obj, axis=0)
-        top = obj[i, np.arange(c.size)]
-        up = top > best[c]  # ascending runs: the smallest t attaining the max
-        best[c[up]], at[c[up]] = top[up], seg[i[up]]
-    if kind == "capped":
-        pf, vpf, _ = f.prefix_power(p)
-        own = lw * np.maximum(pf[-1] - (pf[j] + vpf[j] * dt), 0.0) ** ip
-        records = np.flatnonzero(own == np.maximum.accumulate(own[::-1])[::-1])
-        rest = np.flatnonzero(stop < ts.size)
-        k = records[np.searchsorted(records, stop[rest])]
-        win = own[k] > best[rest]
-        best[rest[win]], at[rest[win]] = own[k[win]], k[win]
 
-    def h(t, c):
-        k = np.clip(np.searchsorted(x, t, side="left"), 1, n)
-        tail = pref[-1, c] - (pref[k - 1, c] + _cut_values(f, p, cuts[c], kind, k - 1) * (t - x[k - 1]))
-        return (1.0 - np.log(t)) ** e * np.maximum(tail, 0.0) ** ip
+    def tail(t, k):  # max(∫_t^1 g_c^p, 0)^{1/p} for the cuts k, t and k broadcast
+        j = np.clip(np.searchsorted(x, t, side="left"), 1, n) - 1
+        out = _cut_values(f, p, cuts[k], kind, j)
+        out *= t - x[j]
+        out += pref[j, k]
+        np.subtract(pref[-1, k], out, out=out)
+        return np.maximum(out, 0.0, out=out) ** ip
 
-    out, _ = golden_refine(
-        h, ts[np.maximum(at - 1, 0)], ts[np.minimum(at + 1, ts.size - 1)], best, ts[at]
-    )
-    return out
+    def bound(a, b, k):
+        return (1.0 - np.log(b)) ** e * tail(a, k)
 
-
-def _cut_tails(f: StepRearrangement, p: float, cuts, kind: str, pref, j, dt, c, ip: float) -> np.ndarray:
-    """max(∫_t^1 g_c^p, 0)^{1/p} at the points t = x_j + dt (rows) for the cuts
-    c (columns), from _cut_prefix's PREF."""
-    obj = _cut_values(f, p, cuts[c], kind, j[:, None])
-    obj *= dt[:, None]
-    obj += pref[j[:, None], c]
-    np.subtract(pref[-1, c], obj, out=obj)
-    np.maximum(obj, 0.0, out=obj)
-    obj **= ip
-    return obj
+    grid = UGrid(res.u_max, res.sup_count)
+    return sups_on_grid(lambda t, k: bound(t, t, k), grid, cuts.size, x[1:], bound)[0]
 
 
 def _grand_over_windows(
@@ -673,8 +619,8 @@ def _small_over_cuts(f: StepRearrangement, p: float, alpha: float, cuts: np.ndar
 
 
 def _w2_prefix_over_cuts(f: StepRearrangement, spec: GammaDouble, cuts: np.ndarray, kind: str):
-    """W(t, k) = ∫_0^t g^p w2 for the truncation g of f at cuts[k_i] at each
-    t_i, or W(t) for every cut at each t, from one table of ∫ w2 over f's
+    """W(t, k) = ∫_0^t g^p w2 for the truncations g of f at cuts[k] at points
+    t, the two broadcast against each other, from one table of ∫ w2 over f's
     panels.  A value kind truncates the panel values.  A head's W is f's up to
     c and constant after it, at the table's value at c, which like the table
     leaves out ∫_0^{x_1} w2."""
@@ -692,10 +638,10 @@ def _w2_prefix_over_cuts(f: StepRearrangement, spec: GammaDouble, cuts: np.ndarr
     np.multiply(vp, np.diff(w2b)[:, None], out=pref[1:])
     np.cumsum(pref[1:], axis=0, out=pref[1:])
 
-    def table(t, k=None):
+    def table(t, k):
         i = np.clip(np.searchsorted(x, t, side="left"), 1, n) - 1
         part = np.maximum(weight_prefix_many(spec.w2, t) - w2b[i], 0.0)
-        return pref[i] + vp[i] * part[:, None] if k is None else pref[i, k] + vp[i, k] * part
+        return pref[i, k] + vp[i, k] * part
 
     if kind != "head":
         return table
@@ -705,9 +651,7 @@ def _w2_prefix_over_cuts(f: StepRearrangement, spec: GammaDouble, cuts: np.ndarr
     part[inner] = power_log_integrals(spec.w2.a, spec.w2.b, x[j[inner]], cuts[inner])
     at_cut = pref[j, 0] + vp[j, 0] * part
 
-    def head(t, k=None):
-        if k is None:
-            return np.where(t[:, None] <= cuts, table(t), at_cut)
+    def head(t, k):
         return np.where(t <= cuts[k], table(t, 0), at_cut[k])
 
     return head
@@ -719,13 +663,13 @@ def _ggamma_over_cuts(f: StepRearrangement, spec: GammaDouble, cuts: np.ndarray,
     p, m = spec.p, spec.m
     prefix = _w2_prefix_over_cuts(f, spec, cuts, kind)
     heads = cuts[(cuts > 0.0) & (cuts < 1.0)] if kind == "head" else np.zeros(0)
+    every = np.arange(cuts.size)
 
     def obj(t, k):
-        w1 = spec.w1(t)
-        return (w1[:, None] if k is None else w1) * prefix(t, k) ** (1.0 / p)
+        return spec.w1(t) * prefix(t, k) ** (1.0 / p)
 
     def gm(t):
-        return prefix(t) ** (m / p)
+        return prefix(t[:, None], every[None, :]) ** (m / p)
 
     if not math.isinf(m):
         breaks = np.concatenate([f.breaks[1:-1], heads])
@@ -796,5 +740,5 @@ def ggamma_lower_bound_check(
 
         denom = log_quad(gm, spec.w1, 0.0, measE, (), _w2_sigma(spec, m / p)) ** (1.0 / m)
     lhs = rho * w2_mass ** (1.0 / p) / denom if denom > 0 else math.inf
-    rhs_sq = _w2_prefix_over_cuts(f, spec, np.zeros(1), "excess")(np.array([measE]))[0, 0]
+    rhs_sq = _w2_prefix_over_cuts(f, spec, np.zeros(1), "excess")(np.array([measE]), 0)[0]
     return lhs, float(rhs_sq ** (1.0 / p))

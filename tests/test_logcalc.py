@@ -332,17 +332,23 @@ def test_sup_rejects_non_finite():
         sup_on_grid(lambda t: np.full_like(np.asarray(t), np.nan), UGrid(35.0, 16))
 
 
+def _layout(lo, hi, count, extra_points, u_cap):
+    """(u_hi, u_lo, n, xs, x_from, x_to): window k holds the n_k nodes of
+    np.linspace(u_hi_k, u_lo_k, n_k) and the extra points xs[x_from_k:x_to_k]."""
+    u_hi = u_of_t(hi)
+    u_lo = np.where(lo > 0.0, u_of_t(np.where(lo > 0.0, lo, 1.0)), np.maximum(u_cap, u_hi + 8.0))
+    n = np.maximum(8, np.minimum(count, (count * (u_lo - u_hi) / 34.0).astype(int) + 8))
+    xs = np.sort(np.asarray(list(extra_points), dtype=float))
+    return u_hi, u_lo, n, xs, np.searchsorted(xs, lo, side="right"), np.searchsorted(xs, hi, side="right")
+
+
 def _full_scan(g, lo, hi, count, extra_points=(), u_cap=41.0):
     """The window scan without pruning, as it was before runs: each window's
     nodes np.linspace(u_hi, u_lo, n_k) and extra points in (lo_k, hi_k], merged
     by np.unique and scanned in blocks of about 2^16 points, then golden
     refinement between the best point's neighbours."""
     lo, hi = np.atleast_1d(lo).astype(float), np.atleast_1d(hi).astype(float)
-    u_hi = u_of_t(hi)
-    u_lo = np.where(lo > 0.0, u_of_t(np.where(lo > 0.0, lo, 1.0)), np.maximum(u_cap, u_hi + 8.0))
-    n = np.maximum(8, np.minimum(count, (count * (u_lo - u_hi) / 34.0).astype(int) + 8))
-    xs = np.sort(np.asarray(list(extra_points), dtype=float))
-    x_from, x_to = np.searchsorted(xs, lo, side="right"), np.searchsorted(xs, hi, side="right")
+    u_hi, u_lo, n, xs, x_from, x_to = _layout(lo, hi, count, extra_points, u_cap)
     best, best_t, t_left, t_right = (np.empty(lo.size) for _ in range(4))
     k0 = 0
     while k0 < lo.size:
@@ -503,25 +509,26 @@ def test_pruned_scan_on_edge_cuts(monkeypatch):
 
 def test_pruned_scan_evaluates_a_small_share_of_the_grid(monkeypatch):
     """GrandGrand(2, 4, 1) windows of plog_g0_d-1: the bounded scan evaluates
-    at most 15% of the points the unbounded one does."""
-    points = {"bounded": 0, "full": 0}
+    g at most at 15% as many points as the windows hold, nodes and extra
+    points, golden refinement included."""
+    points = {"g": 0, "windows": 0}
 
     def check(g, lo, hi, count, extras, u_cap, bound):
-        for key, b in (("full", _unbounded), ("bounded", bound)):
+        *_, n, _, x_from, x_to = _layout(lo, hi, count, extras, u_cap)
+        points["windows"] += int(np.sum(n + x_to - x_from))
 
-            def counted(t, k, key=key):
-                points[key] += np.size(t)
-                return g(t, k)
+        def counted(t, k):
+            points["g"] += np.size(t)
+            return g(t, k)
 
-            got = logcalc.sup_on_interval(counted, lo, hi, count, extras, u_cap, bound=b)
-        return got
+        return logcalc.sup_on_interval(counted, lo, hi, count, extras, u_cap, bound=bound)
 
     monkeypatch.setattr(norms, "sup_on_interval", check)  # every Grand head and tail window
     res = Resolution()
     f = dict(standard_family(4.0).realize(res))["plog_g0_d-1"]
     k_explicit(f, GrandGrand(2, 4, 1.0), UGrid(res.u_max, res.k_nodes).t_nodes(), res)
-    assert points["full"] > 1e6
-    assert points["bounded"] <= 0.15 * points["full"]
+    assert points["windows"] > 1e6
+    assert 0 < points["g"] <= 0.15 * points["windows"]
 
 
 def test_coarse_to_fine_scan_evaluates_few_points(monkeypatch):
@@ -612,12 +619,54 @@ def test_a_non_finite_column_value_names_the_column_and_the_point():
     ts = grid.with_points(())
     first = float(ts[ts > 0.5][0])  # the scan runs up in t
 
-    def g(t, k):
-        cols = np.stack([np.ones_like(t), np.where(t > 0.5, np.inf, t)], axis=1)
-        return cols if k is None else cols[np.arange(t.size), k]
+    def g(t, k):  # column 0 is 1, column 1 is t up to 0.5 and inf past it
+        return np.where(k == 0, 1.0, np.where(t > 0.5, np.inf, t))
 
     with pytest.raises(NonFiniteValue, match=rf"inf at t = {re.escape(repr(first))} in column 1"):
         logcalc.sups_on_grid(g, grid, 2)
+
+
+@st.composite
+def _grid_cases(draw):
+    """(grid, extras, columns, g, bound): a sup grid, extra points (repeated,
+    on a node or outside (0, 1]) and per column a tent in u, at most cap[k]
+    high (a plateau where it is cut), whose peak lies on an extra point, on a
+    run's largest point, on a node or anywhere; a column of height 0 is zero
+    everywhere.  bound is the tent's exact maximum on [a, b]."""
+    grid = UGrid(draw(st.floats(2.0, 45.0)), draw(st.integers(2, 3000)))
+    nodes = grid.t_nodes()
+    extras = draw(st.lists(st.floats(1e-20, 1.5) | st.sampled_from(nodes.tolist()), max_size=10))
+    extras += draw(st.lists(st.sampled_from(extras), max_size=3)) if extras else []
+    ts = grid.with_points(extras)
+    places = {
+        "extra": st.sampled_from(extras) if extras else st.nothing(),
+        "run end": st.sampled_from(ts[logcalc._RUN - 1 :: logcalc._RUN].tolist() or [float(ts[-1])]),
+        "node": st.sampled_from(nodes.tolist()),
+        "anywhere": st.floats(0.5, 60.0).map(lambda u: float(t_of_u(u))),
+    }
+    columns = draw(st.integers(1, 6))
+    centre = np.array([draw(st.one_of(*places.values())) for _ in range(columns)])
+    height = np.array([draw(st.sampled_from([0.0, 1.0]) | st.floats(0.1, 10.0)) for _ in range(columns)])
+    width = np.array([draw(st.floats(1e-3, 5.0)) for _ in range(columns)])
+    cap = np.array([draw(st.sampled_from([1.0]) | st.floats(0.05, 1.0)) for _ in range(columns)])
+
+    def g(t, k):
+        tent = np.maximum(0.0, 1.0 - np.abs(u_of_t(t) - u_of_t(centre[k])) / width[k])
+        return height[k] * np.minimum(tent, cap[k])
+
+    def bound(a, b, k):
+        return g(np.clip(centre[k], a, b), k)
+
+    return grid, np.array(extras), columns, g, bound
+
+
+@given(_grid_cases())
+@settings(max_examples=150, deadline=None)
+def test_bounded_grid_scan_equals_the_unbounded_scan(case):
+    grid, extras, columns, g, bound = case
+    want = logcalc.sups_on_grid(g, grid, columns, extras)
+    for b in (bound, _nan_bound(bound), lambda a, b, k: 2.0 * bound(a, b, k)):
+        _same_bits(logcalc.sups_on_grid(g, grid, columns, extras, b), want)
 
 
 def test_invert_pure_power_exact():

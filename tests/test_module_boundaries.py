@@ -109,6 +109,22 @@ def test_explicit_forms_reach_integrals_only_through_norms():
     }
 
 
+def test_only_logcalc_refines_by_golden_section():
+    """Every supremum search is logcalc's: no other module imports
+    golden_refine to run a scan of its own."""
+    problems = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "logcalc":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        problems += [
+            f"{path.name}:{node.lineno} imports golden_refine"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and "golden_refine" in (a.name for a in node.names)
+        ]
+    assert not problems, "\n".join(problems)
+
+
 def test_no_quadrature_tolerance():
     """Every integral is a closed form or a κ pass, whose panels come from the
     integrand's data: no function takes a rel_tol, no dataclass carries one,

@@ -1,7 +1,7 @@
 """The oracle lines do only the work that can change a result.
 
-The Grand cut scan skips runs of rows that a monotone bound rules out, and
-must equal the dense scan bit for bit; each κ pass takes the fewest
+The Grand cut scan skips the (run, cut) pairs that a monotone bound rules
+out, and must equal the dense scan bit for bit; each κ pass takes the fewest
 Gauss-Legendre points that its panels' κ·w allows, and each rung must be
 exact to rounding at its limit.  Counts of scanned cells and of quadrature
 nodes guard the savings."""
@@ -23,56 +23,29 @@ GRANDS = [Grand(2.0, 1.0), Grand(4.0, 1.0), Grand(2.0, 0.5)]
 
 
 def _dense_grand_over_cuts(f, p, alpha, cuts, kind, res):
-    """The Grand cut scan before pruning: every row of every cut's blocks."""
+    """The Grand cut scan without pruning: every row for every cut, from the
+    cut table, then golden refinement between the best row's neighbours."""
     e, ip = -alpha / p, 1.0 / p
     x, n = f.breaks, f.n
     pref = norms._cut_prefix(f, p, cuts, kind)
     vp = norms._cut_values(f, p, cuts, kind, np.arange(f.n)[:, None])
-    linear, flat = norms._cut_reach(f, cuts, kind)
     ts = np.unique(np.concatenate([UGrid(res.u_max, res.sup_count).t_nodes(), x[1:]]))
-    lw = (1.0 - np.log(ts)) ** e
-    rows = max(1, norms._CELLS // cuts.size)
-    order = np.argsort(cuts, kind="stable")
-    vs, ps = vp[:, order], pref[:, order]
-    stop = np.searchsorted(ts, x[flat if kind == "excess" else linear][order], side="left")
-    stop = np.minimum(-(-stop // rows) * rows, ts.size)
-    best = np.zeros(cuts.size)
-    at = np.zeros(cuts.size, dtype=int)
-    for r0 in range(0, ts.size, rows):
-        m = int(np.count_nonzero(stop > r0))
-        if m == 0:
-            break
-        t = ts[r0 : r0 + rows]
-        j = np.clip(np.searchsorted(x, t, side="left"), 1, n) - 1
-        obj = vs[j, :m]
-        obj *= (t - x[j])[:, None]
-        obj += ps[j, :m]
-        np.subtract(ps[-1, :m], obj, out=obj)
-        np.maximum(obj, 0.0, out=obj)
-        obj **= ip
-        obj *= lw[r0 : r0 + rows, None]
-        i = np.argmax(obj, axis=0)
-        top = obj[i, np.arange(m)]
-        up = np.flatnonzero(top > best[:m])
-        best[up], at[up] = top[up], r0 + i[up]
-    if kind == "capped":
-        pf, vpf, _ = f.prefix_power(p)
-        j = np.clip(np.searchsorted(x, ts, side="left"), 1, n) - 1
-        own = lw * np.maximum(pf[-1] - (pf[j] + vpf[j] * (ts - x[j])), 0.0) ** ip
-        records = np.flatnonzero(own == np.maximum.accumulate(own[::-1])[::-1])
-        rest = np.flatnonzero(stop < ts.size)
-        k = records[np.searchsorted(records, stop[rest])]
-        win = own[k] > best[rest]
-        best[rest[win]], at[rest[win]] = own[k[win]], k[win]
-    back = np.argsort(order)
-    i, best = at[back], best[back]
 
-    def h(t, c):
+    def h(t, c):  # t and c broadcast against each other
         k = np.clip(np.searchsorted(x, t, side="left"), 1, n)
         tail = pref[-1, c] - (pref[k - 1, c] + vp[k - 1, c] * (t - x[k - 1]))
         return (1.0 - np.log(t)) ** e * np.maximum(tail, 0.0) ** ip
 
-    out, _ = golden_refine(h, ts[np.maximum(i - 1, 0)], ts[np.minimum(i + 1, ts.size - 1)], best, ts[i])
+    every = np.arange(cuts.size)
+    best, at = np.zeros(cuts.size), np.zeros(cuts.size, dtype=int)
+    rows = max(1, (1 << 20) // cuts.size)
+    for r0 in range(0, ts.size, rows):
+        obj = h(ts[r0 : r0 + rows, None], every)
+        i = np.argmax(obj, axis=0)
+        top = obj[i, every]
+        up = top > best  # ascending rows: the smallest t attaining the max
+        best[up], at[up] = top[up], r0 + i[up]
+    out, _ = golden_refine(h, ts[np.maximum(at - 1, 0)], ts[np.minimum(at + 1, ts.size - 1)], best, ts[at])
     return out
 
 
@@ -99,17 +72,22 @@ def test_pruned_grand_scan_is_the_dense_scan(kind):
 
 @pytest.mark.parametrize("kind", ["excess", "capped"])
 def test_grand_scan_evaluates_few_cells(monkeypatch, kind):
-    """At most 15% of the (row, cut) cells of plog_g0_d-1's scan, run ends
-    and bounds included."""
+    """At most 15% of the (row, cut) cells of plog_g0_d-1's scan, run ends,
+    bounds and golden refinement included."""
     cells = [0]
-    cut_tails = norms._cut_tails
 
-    def counted(*args):
-        out = cut_tails(*args)
-        cells[0] += out.size
-        return out
+    def counted(g, grid, columns, extra_points, bound):
+        def count(fn):
+            def call(*args):
+                out = fn(*args)
+                cells[0] += np.size(out)
+                return out
 
-    monkeypatch.setattr(norms, "_cut_tails", counted)
+            return call
+
+        return logcalc.sups_on_grid(count(g), grid, columns, extra_points, count(bound))
+
+    monkeypatch.setattr(norms, "sups_on_grid", counted)
     f = dict(standard_family(q=4.0).realize(DEFAULT))["plog_g0_d-1"]
     cuts = np.unique(np.concatenate([[0.0], f.values]))
     norms._grand_over_cuts(f, 2.0, 1.0, cuts, kind, DEFAULT)
