@@ -19,7 +19,7 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from .config import DEFAULT, DEFAULT_CEILING, Resolution
-from .errors import BadExponent, NotMonotone
+from .errors import BadExponent, NotMonotone, failure_context
 from .interpolation import (
     ZSpace,
     check_hypotheses,
@@ -288,7 +288,9 @@ def run_identity_experiment(
     ceiling: float = DEFAULT_CEILING,
     seed: int = DEFAULT_SEED,
 ) -> EquivReport:
-    """Both sides of one identity over a family, plus refinement drift."""
+    """Both sides of one identity over a family, plus refinement drift.  A
+    member's failure is re-raised as its type, naming the identity, the
+    member, the resolution and the side."""
     args = {name: params.get(name) for name in ("p", "q", "theta", "r", "alpha")}
     check_hypotheses(theorem_id, **args)
     if family is None:
@@ -302,7 +304,9 @@ def run_identity_experiment(
             if not all(model_in_space(model, s) for s in required):
                 yield name, None, None
                 continue
-            yield (name, *identify_target(theorem_id, realized[name], **args, res=resolution))
+            with failure_context(f"{theorem_id} member {name} at {resolution}"):
+                sides = identify_target(theorem_id, realized[name], **args, res=resolution)
+            yield (name, *sides)
 
     report = EquivReport(theorem_id, dict(params), ceiling=ceiling, seed=seed)
     return _judge_with_drift(report, rows_at, res)

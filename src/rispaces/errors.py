@@ -1,5 +1,7 @@
 """Exception types shared by all modules."""
 
+from contextlib import contextmanager
+
 
 class RispacesError(Exception):
     """Base class for every error raised by this package."""
@@ -64,3 +66,13 @@ class NotMonotone(RispacesError):
 
 class HypothesisViolation(RispacesError):
     """Experiment parameters violate the hypotheses of the identity under test."""
+
+
+@contextmanager
+def failure_context(what: str):
+    """Re-raise a RispacesError from inside the block as the same type, its
+    message led by what, from the original."""
+    try:
+        yield
+    except RispacesError as err:
+        raise type(err)(f"{what}: {err}") from err

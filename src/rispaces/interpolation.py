@@ -16,7 +16,7 @@ from typing import Tuple
 import numpy as np
 
 from .config import DEFAULT, Resolution
-from .errors import BadExponent, Divergent, HypothesisViolation
+from .errors import BadExponent, Divergent, HypothesisViolation, failure_context
 from .kfunctional import (
     CoupleSpec,
     General,
@@ -283,16 +283,19 @@ def identify_target(
     alpha: float = None,
     res: Resolution = DEFAULT,
 ) -> Tuple[float, float]:
-    """(interpolation norm from the oracle K-curve, identified target norm)."""
+    """(interpolation norm from the oracle K-curve, identified target norm);
+    a failure names its side."""
     check_hypotheses(theorem_id, p, q, theta, r, alpha)
     couple = theorem_couple(theorem_id, p, q, alpha)
-    curve = k_curve(f, couple, UGrid(res.u_max, res.k_nodes), "oracle", res)
-    lhs = interp_norm(curve, _interp_params(theorem_id, p, q, theta, r, alpha))
+    with failure_context("oracle K-curve"):
+        curve = k_curve(f, couple, UGrid(res.u_max, res.k_nodes), "oracle", res)
+        lhs = interp_norm(curve, _interp_params(theorem_id, p, q, theta, r, alpha))
     space = target_space(theorem_id, p, q, theta, r, alpha)
-    if isinstance(space, ZSpace):
-        norm = z_norm if theorem_id == "T6.2" else z_norm_alt
-        return lhs, norm(f, space.p, space.theta, space.r)
-    return lhs, space_norm(f, space, res)
+    with failure_context("target norm"):
+        if isinstance(space, ZSpace):
+            norm = z_norm if theorem_id == "T6.2" else z_norm_alt
+            return lhs, norm(f, space.p, space.theta, space.r)
+        return lhs, space_norm(f, space, res)
 
 
 # ---------------------------------------------------------------------------

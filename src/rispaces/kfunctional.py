@@ -189,12 +189,15 @@ def k_oracle(
 
 
 def _oracle_envelope(f: StepRearrangement, couple: CoupleSpec, ts: np.ndarray, res: Resolution) -> np.ndarray:
-    """min over the cuts with finite lines of A_c + t·B_c, at each t of ts."""
+    """min over the cuts with finite lines of A_c + t·B_c, at each t of ts:
+    one (t, cut) array, t·B_c + A_c formed in place (addition commutes)."""
     A, B = oracle_lines(f, couple, res)
     finite = np.isfinite(A) & np.isfinite(B)
     if not np.any(finite):
         raise InfiniteNorm("no trial decomposition has finite component norms")
-    return np.min(A[finite][None, :] + ts[:, None] * B[finite][None, :], axis=1)
+    lines = np.multiply.outer(ts, B[finite])
+    lines += A[finite]
+    return lines.min(axis=1)
 
 
 # ---------------------------------------------------------------------------

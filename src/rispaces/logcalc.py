@@ -15,7 +15,7 @@ b = 0 or a = -1 and the incomplete gamma function for an open lower end.  A
 power of a linear L
 (linear_power_integrals) takes a Gauss-Jacobi rule next to a root of L; any
 other g (log_quad) a march of two-unit chunks toward t = 0, computed in
-batches of 1, 2, 4, ... chunks, one κ pass each, and summed one at a time.
+batches of 8, 16, 32, ... chunks, one κ pass each, and summed one at a time.
 """
 
 from __future__ import annotations
@@ -152,6 +152,8 @@ def _split(lo: np.ndarray, hi: np.ndarray, width) -> Tuple[np.ndarray, np.ndarra
     """Each [lo_i, hi_i] cut evenly into panels at most width (or width_i) wide:
     (panel starts, panel ends, index i of each panel's interval)."""
     n = np.maximum(1, np.ceil((hi - lo) / width).astype(int))
+    if (n == 1).all():
+        return lo, hi, np.arange(lo.size)
     ids = np.repeat(np.arange(lo.size), n)
     k = np.arange(ids.size) - np.repeat(np.cumsum(n) - n, n)
     step = ((hi - lo) / n)[ids]
@@ -174,19 +176,28 @@ def _kappa_panels(c: np.ndarray, b: float, lo: np.ndarray, span: np.ndarray, sig
     point v = 0.  The pass takes the fewest points of _RUNGS whose limit
     bounds κ·w on every panel, and reach, a κ·w that some integrand needs
     beyond what its κ shows; so its Gauss-Legendre rule is exact to rounding
-    on every panel, however wide the interval.
+    on every panel, however wide the interval.  Intervals that are each one
+    piece (k = 0) skip the piece layout, and pieces that are each one panel
+    the panel layout: the same bits, without the gathers.
     """
     n = np.maximum(1, np.ceil(np.log1p(span / lo) / math.log(2.0))).astype(int)
-    ids = np.repeat(np.arange(lo.size), n)
-    k = np.arange(ids.size) - np.repeat(np.cumsum(n) - n, n)
-    start = np.minimum(lo[ids] * (2.0**k - 1.0), span[ids])
-    end = np.minimum(lo[ids] * (2.0 ** (k + 1) - 1.0), span[ids])
-    kappa = np.abs(c[ids]) + np.broadcast_to(sigma, lo.shape)[ids] + (1.0 + abs(b)) / (lo[ids] + start)
+    sigma = np.broadcast_to(sigma, lo.shape)
+    if (n == 1).all():
+        ids, start, end = np.arange(lo.size), np.minimum(0.0, span), np.minimum(lo, span)
+    else:
+        ids = np.repeat(np.arange(lo.size), n)
+        k = np.arange(ids.size) - np.repeat(np.cumsum(n) - n, n)
+        c, sigma, lo, span = c[ids], sigma[ids], lo[ids], span[ids]
+        start = np.minimum(lo * (2.0**k - 1.0), span)
+        end = np.minimum(lo * (2.0 ** (k + 1) - 1.0), span)
+    kappa = np.abs(c) + sigma + (1.0 + abs(b)) / (lo + start)
     pa, pb, j = _split(start, end, 0.5 / kappa)
+    if j.size > ids.size:  # some piece takes several panels
+        kappa, ids = kappa[j], ids[j]
     half = 0.5 * (pb - pa)
-    widest = max(reach, float(np.max(2.0 * half * kappa[j], initial=0.0)))
+    widest = max(reach, float(np.max(2.0 * half * kappa, initial=0.0)))
     gx = _GL[next((n for n, limit in _RUNGS if widest <= limit), 15)][0]
-    return (0.5 * (pa + pb))[:, None] + half[:, None] * gx, half, ids[j]
+    return (0.5 * (pa + pb))[:, None] + half[:, None] * gx, half, ids
 
 
 def _panel_sums(fu, x: np.ndarray, half: np.ndarray, ids: np.ndarray, intervals: int, width: int):
@@ -332,12 +343,12 @@ def log_quad_multi(g, w: LogWeight, lo: float, hi: float, breaks: Sequence[float
     With lo = 0 the u-tail is marched in two-unit chunks, summed one at a time
     until two in a row fall below _TAIL_EPS of the sum, which suits integrands
     that decay exponentially in u; slowly decaying tails need closed forms
-    such as ``tail_block_integral``.  The chunks are computed in batches of 1,
-    2, 4, ... chunks, one κ pass each, none past _TAIL_CHUNKS: a march of n
-    chunks takes ceil(log2(n + 1)) passes and computes at most 2n - 1 chunks,
-    those past the stop never summed or checked.  A non-finite summed chunk,
-    or a march whose sum overflows or whose chunks still grow at its end,
-    raises Divergent; one whose chunks stop growing without vanishing,
+    such as ``tail_block_integral``.  The chunks are computed in batches of 8,
+    16, 32, ... chunks, one κ pass each, none past _TAIL_CHUNKS: a march of n
+    chunks takes ceil(log2(n/8 + 1)) passes and computes at most 2n + 7
+    chunks, those past the stop never summed or checked.  A non-finite summed
+    chunk, or a march whose sum overflows or whose chunks still grow at its
+    end, raises Divergent; one whose chunks stop growing without vanishing,
     NoConvergence.
     """
     if not (0.0 <= lo <= hi <= 1.0):
@@ -373,10 +384,10 @@ def log_quad_multi(g, w: LogWeight, lo: float, hi: float, breaks: Sequence[float
         return acc
     small, mag, ends = 0, np.inf, us[-1:]
     for n in range(1, _TAIL_CHUNKS + 1):
-        i = n - (1 << (n.bit_length() - 1))  # batch k holds chunks 2^k .. 2^{k+1} - 1
+        i = n + 7 - (1 << ((n + 7).bit_length() - 1))  # batch k holds chunks 2^{k+3} - 7 .. 2^{k+4} - 8
         if i == 0:
             # a sequential sum: the ends bit for bit as adding 2 per chunk gives them
-            ends = np.cumsum(np.concatenate([ends[-1:], np.full(min(n, _TAIL_CHUNKS + 1 - n), 2.0)]))
+            ends = np.cumsum(np.concatenate([ends[-1:], np.full(min(n + 7, _TAIL_CHUNKS + 1 - n), 2.0)]))
             sums = pass_(ends)
         chunk = finite(sums[i], ends[i], ends[i + 1])
         acc = acc + chunk
@@ -535,7 +546,7 @@ def weight_prefix_many(w: LogWeight, ts: np.ndarray) -> np.ndarray:
     sweep up from the smallest positive point; 0 at t_i = 0, whatever other
     points come with it."""
     ts = np.asarray(ts, dtype=float)
-    order = np.argsort(ts, axis=None)
+    order = np.argsort(ts, axis=None, kind="stable")  # fast on the sorted or reversed runs callers pass
     s = ts.flat[order]
     s = s[np.searchsorted(s, 0.0, side="right") :]
     out = np.zeros(ts.shape)

@@ -23,7 +23,7 @@ from rispaces.equivharness import (
     standard_family,
     sup_smoothing_check,
 )
-from rispaces.errors import BadExponent, HypothesisViolation, NotMonotone
+from rispaces.errors import BadExponent, HypothesisViolation, NonFiniteValue, NotMonotone
 from rispaces.logcalc import sup_on_grid
 from rispaces.norms import Grand, Lebesgue, Small, small_norm
 from rispaces.rearrangement import (
@@ -202,6 +202,27 @@ def test_identity_experiment_checks_hypotheses_first():
         run_identity_experiment("T1.2", dict(p=4, q=2, theta=0.5, r=2, alpha=1.0), MINI, FAST)
     with pytest.raises(HypothesisViolation, match="need p, q, alpha"):
         run_identity_experiment("T1.1", dict(p=2, q=4), MINI, FAST)
+
+
+def test_identity_experiment_failure_names_its_member():
+    """A member too large for the Grand cut scan fails with the type and
+    message of the scan's error, led by the identity, the member, the
+    resolution and the side, and raised from the scan's error."""
+    steps = dict(standard_family(q=4.0).members)["rand_00"]
+    huge = ExplicitSteps(steps.breaks, tuple(1e200 * v for v in steps.values))
+    family = FunctionFamily("huge", (("huge_rand_00", huge),))
+    scan = "objective is nan at t = 2.891725312640603e-15 in column 0"
+    want = (
+        "T1.1 member huge_rand_00 at Resolution(u_max=35.0, panels=600, sup_count=4096, k_nodes=200): "
+        f"oracle K-curve: {scan}"
+    )
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteValue) as err:
+        run_identity_experiment("T1.1", dict(p=2, q=4, alpha=1.0), family)
+    assert str(err.value) == want
+    cause = err.value.__cause__
+    while cause.__cause__ is not None:
+        cause = cause.__cause__
+    assert type(cause) is NonFiniteValue and str(cause) == scan
 
 
 def test_hardy_bad_exponents():

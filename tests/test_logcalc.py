@@ -270,7 +270,7 @@ def test_growing_tail_is_divergent(w, chunk):
 
 def test_tail_march_takes_doubling_batches():
     """∫_0^{1/2} t^{0.1} dt/t is marched over 178 two-unit chunks in u; in
-    batches of 1, 2, 4, ... chunks that is 8 κ passes, each one call of g."""
+    batches of 8, 16, 32, ... chunks that is 5 κ passes, each one call of g."""
     sizes = []
 
     def g(t):
@@ -278,7 +278,22 @@ def test_tail_march_takes_doubling_batches():
         return t**0.1
 
     assert log_quad(g, LogWeight(-1.0, 0.0), 0.0, 0.5) == pytest.approx(0.5**0.1 / 0.1, rel=1e-13)
-    assert np.count_nonzero(sizes) <= 8
+    assert np.count_nonzero(sizes) == 5
+
+
+def test_short_tail_march_takes_one_pass():
+    """∫_0^{1/2} t^{60} dt/t with a break at 1/4: past the break's κ pass the
+    march stops after 2 chunks, each below 2^-60 of the sum, so its first
+    batch of 8 chunks is its only pass."""
+    sizes = []
+
+    def g(t):
+        sizes.append(t.size)
+        return t**60
+
+    got = log_quad(g, LogWeight(-1.0, 0.0), 0.0, 0.5, breaks=(0.25,))
+    assert got == pytest.approx(0.5**60 / 60.0, rel=1e-13)
+    assert np.count_nonzero(sizes) == 2
 
 
 def test_sup_parabola():
