@@ -288,9 +288,8 @@ def run_identity_experiment(
     ceiling: float = DEFAULT_CEILING,
     seed: int = DEFAULT_SEED,
 ) -> EquivReport:
-    """Both sides of one identity over a family, plus refinement drift.  A
-    member's failure is re-raised as its type, naming the identity, the
-    member, the resolution and the side."""
+    """Both sides of one identity over a family, plus refinement drift; a
+    member's failure names the identity, member, resolution and side."""
     args = {name: params.get(name) for name in ("p", "q", "theta", "r", "alpha")}
     check_hypotheses(theorem_id, **args)
     if family is None:

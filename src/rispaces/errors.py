@@ -70,8 +70,7 @@ class HypothesisViolation(RispacesError):
 
 @contextmanager
 def failure_context(what: str):
-    """Re-raise a RispacesError from inside the block as the same type, its
-    message led by what, from the original."""
+    """Re-raise a RispacesError in the block as its own type, its message led by what, from it."""
     try:
         yield
     except RispacesError as err:

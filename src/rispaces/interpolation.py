@@ -283,8 +283,7 @@ def identify_target(
     alpha: float = None,
     res: Resolution = DEFAULT,
 ) -> Tuple[float, float]:
-    """(interpolation norm from the oracle K-curve, identified target norm);
-    a failure names its side."""
+    """(interpolation norm from the oracle K-curve, identified target norm); a failure names its side."""
     check_hypotheses(theorem_id, p, q, theta, r, alpha)
     couple = theorem_couple(theorem_id, p, q, alpha)
     with failure_context("oracle K-curve"):
