@@ -211,6 +211,8 @@ def _panel_sums(fu, x: np.ndarray, half: np.ndarray, ids: np.ndarray, intervals:
     ]
     per = parts[0] if len(parts) == 1 else np.concatenate(parts)
     per *= half.reshape((-1,) + (1,) * (per.ndim - 1))
+    if half.size == intervals:  # one panel per interval
+        return per
     return np.add.reduceat(per, np.searchsorted(ids, np.arange(intervals)), axis=0)
 
 
@@ -315,21 +317,24 @@ def _stretch_sums(w: LogWeight, s: float, near, far, at_near, slope, shift, sigm
     hi_t, lo_t = np.maximum(near, far), np.minimum(near, far)
     lo_u = 1.0 - np.log(hi_t)
     x, half, p_run = _kappa_panels(np.full(near.size, c), b, lo_u, _log1p_ratio(hi_t - lo_t, lo_t), sigma, reach)
-    v = lo_u[p_run][:, None] + x
     # |t - near| at the nodes from y = u(near) - v, or from t where t > e·near
     g0 = np.sign(hi_t - near) * _log1p_ratio(np.abs(hi_t - near), np.minimum(hi_t, near))
-    y = g0[p_run][:, None] - x
-    nv = np.broadcast_to(near[p_run][:, None], y.shape)
+    stretches = near.size
+    if half.size > stretches:  # some stretch takes several panels; else p_run is the identity
+        lo_u, g0, near, shift, slope, at_near = (a[p_run] for a in (lo_u, g0, near, shift, slope, at_near))
+    v = lo_u[:, None] + x
+    y = g0[:, None] - x
+    nv = np.broadcast_to(near[:, None], y.shape)
     dist = nv * np.abs(np.expm1(np.minimum(y, 1.0)))
     dist[y > 1.0] = t_of_u(v[y > 1.0]) - nv[y > 1.0]
-    mass = half[:, None] * _GL[x.shape[1]][1] * np.exp((1.0 - v) * c + b * np.log(v) - shift[p_run][:, None])
-    big_l = slope[p_run][:, None, :] * dist[:, :, None]  # (panel, node, column)
-    big_l += at_near[p_run][:, None, :]
+    mass = half[:, None] * _GL[x.shape[1]][1] * np.exp((1.0 - v) * c + b * np.log(v) - shift[:, None])
+    big_l = slope[:, None, :] * dist[:, :, None]  # (panel, node, column)
+    big_l += at_near[:, None, :]
     big_l **= s
     per = np.einsum("ijk,ij->ik", big_l, mass)
-    if p_run.size == near.size:  # one panel per stretch
+    if half.size == stretches:
         return per
-    return np.add.reduceat(per, np.searchsorted(p_run, np.arange(near.size)), axis=0)
+    return np.add.reduceat(per, np.searchsorted(p_run, np.arange(stretches)), axis=0)
 
 
 def log_quad_multi(g, w: LogWeight, lo: float, hi: float, breaks: Sequence[float] = (), sigma=None):

@@ -242,6 +242,7 @@ def space_norm(f: StepRearrangement, spec: SpaceSpec, res: Resolution = DEFAULT)
 
 _CELLS = 1 << 20
 _MAPPED = 1 << 20  # bytes from which a (panel, cut) table is a mapping of its own
+_ROW_SUMS = 512  # columns from which _column_prefix adds row by row
 
 
 def _table(shape) -> np.ndarray:
@@ -261,16 +262,31 @@ def _cut_values(f: StepRearrangement, p: float, cuts, kind: str, rows, out=None)
     """VP at the panels rows for the cuts, the two broadcast against each
     other: the p-th power of each cut's truncation on the panel (into out)."""
     out = np.empty(np.broadcast_shapes(np.shape(rows), np.shape(cuts))) if out is None else out
+    if kind == "excess":
+        np.maximum(np.subtract(f.values[rows], cuts, out=out), 0.0, out=out)
+        out **= p
+        return out
+    vp = f.prefix_power(p)[1]
     if kind == "tail":  # f's own values from c's panel k on, x_k <= c < x_{k+1} (k = n at 1)
         out.fill(0.0)
-        np.copyto(out, f.prefix_power(p)[1][rows], where=rows >= np.searchsorted(f.breaks, cuts, side="right") - 1)
-        return out
-    if kind == "capped":
-        np.minimum(f.values[rows], cuts, out=out)
-    else:
-        np.maximum(np.subtract(f.values[rows], cuts, out=out), 0.0, out=out)
-    out **= p
+        np.copyto(out, vp[rows], where=rows >= np.searchsorted(f.breaks, cuts, side="right") - 1)
+    else:  # capped, min(v, c)^p: the same ** on c where v >= c, on v elsewhere
+        np.copyto(out, vp[rows])
+        np.copyto(out, np.asarray(cuts) ** p, where=f.values[rows] >= cuts)
     return out
+
+
+def _column_prefix(a: np.ndarray) -> np.ndarray:
+    """Sum a (row, column) table down its columns in place, as np.cumsum(axis=0)
+    does, bit for bit.  cumsum strides down one column at a time; adding row to
+    row is faster from _ROW_SUMS columns on: at 1,200 rows, 3.0 against 7.4 ms
+    at 1,201 columns, 2.4 against 0.7 at 128 (2-core x86-64 VM; they cross
+    between 448 and 544 columns)."""
+    if a.shape[1] < _ROW_SUMS:
+        return np.cumsum(a, axis=0, out=a)
+    for i in range(1, a.shape[0]):
+        np.add(a[i - 1], a[i], out=a[i])
+    return a
 
 
 def _cut_prefix(f: StepRearrangement, p: float, cuts: np.ndarray, kind: str) -> np.ndarray:
@@ -292,7 +308,7 @@ def _cut_prefix(f: StepRearrangement, p: float, cuts: np.ndarray, kind: str) -> 
         col = np.arange(cuts.size)
         np.copyto(mass, 0.0, where=np.arange(f.n)[:, None] <= k)
         mass[k, col] = vpf[k] * (x[k + 1] - cuts)
-    np.cumsum(mass, axis=0, out=mass)
+    _column_prefix(mass)
     if kind == "tail":
         pref[k, col] = -vpf[k] * (cuts - x[k])
     return pref
@@ -636,7 +652,7 @@ def _w2_prefix_over_cuts(f: StepRearrangement, spec: GammaDouble, cuts: np.ndarr
     vp = v**spec.p
     pref = np.zeros((n + 1, vp.shape[1]))
     np.multiply(vp, np.diff(w2b)[:, None], out=pref[1:])
-    np.cumsum(pref[1:], axis=0, out=pref[1:])
+    _column_prefix(pref[1:])
 
     def table(t, k):
         i = np.clip(np.searchsorted(x, t, side="left"), 1, n) - 1

@@ -1,6 +1,6 @@
-"""The κ-pass layout, the oracle envelope and the prefix sweep take shortcuts
-that must leave every bit as the general constructions have it: each test
-keeps the general form and compares with np.array_equal."""
+"""The κ-pass layout and sums, the oracle envelope and the prefix sweep take
+shortcuts that must leave every bit as the general constructions have it:
+each test keeps the general form and compares with np.array_equal."""
 
 import math
 
@@ -80,6 +80,68 @@ def test_split_matches_the_general_layout(seed):
     for mask in (hi - lo < 0.2, np.ones(lo.size, dtype=bool)):  # one panel each, then mixed
         got, want = logcalc._split(lo[mask], hi[mask], width[mask]), split_general(lo[mask], hi[mask], width[mask])
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def panel_sums_reduceat(fu, x, half, ids, intervals, width):
+    """Every pass reduced by np.add.reduceat, one-panel intervals included."""
+    rows, gl = max(1, logcalc._BLOCK // (x.shape[1] * max(width, 1))), logcalc._GL[x.shape[1]][1]
+    per = np.concatenate(
+        [np.tensordot(fu(x[k : k + rows], ids[k : k + rows]), gl, axes=(1, 0)) for k in range(0, half.size, rows)]
+    )
+    per *= half.reshape((-1,) + (1,) * (per.ndim - 1))
+    return np.add.reduceat(per, np.searchsorted(ids, np.arange(intervals)), axis=0)
+
+
+@pytest.mark.parametrize("args, panels", [(_node_steps(), "one"), (_mixed(0), "many")], ids=["node-steps", "mixed-0"])
+@pytest.mark.parametrize("width", [0, 3])
+def test_panel_sums_match_the_reduceat_form(args, panels, width):
+    layout = logcalc._kappa_panels(*args)
+    intervals = args[2].size
+
+    def fu(x, i):
+        base = np.exp(-0.5 * x) * (1.0 + i)[:, None]
+        return base[:, :, None] * np.arange(1.0, width + 1.0) if width else base
+
+    want = panel_sums_reduceat(fu, *layout, intervals, width)
+    assert np.array_equal(logcalc._panel_sums(fu, *layout, intervals, width), want)
+    assert (layout[1].size == intervals) == (panels == "one")
+
+
+def stretch_sums_gathered(w, s, near, far, at_near, slope, shift, sigma, reach=0.0):
+    """_stretch_sums with every per-stretch array gathered to the panels and
+    every pass reduced by np.add.reduceat; also the panel count."""
+    c, b = w.a + 1.0, w.b
+    hi_t, lo_t = np.maximum(near, far), np.minimum(near, far)
+    lo_u = 1.0 - np.log(hi_t)
+    span = logcalc._log1p_ratio(hi_t - lo_t, lo_t)
+    x, half, p_run = logcalc._kappa_panels(np.full(near.size, c), b, lo_u, span, sigma, reach)
+    v = lo_u[p_run][:, None] + x
+    g0 = np.sign(hi_t - near) * logcalc._log1p_ratio(np.abs(hi_t - near), np.minimum(hi_t, near))
+    y = g0[p_run][:, None] - x
+    nv = np.broadcast_to(near[p_run][:, None], y.shape)
+    dist = nv * np.abs(np.expm1(np.minimum(y, 1.0)))
+    dist[y > 1.0] = logcalc.t_of_u(v[y > 1.0]) - nv[y > 1.0]
+    mass = half[:, None] * logcalc._GL[x.shape[1]][1] * np.exp((1.0 - v) * c + b * np.log(v) - shift[p_run][:, None])
+    big_l = slope[p_run][:, None, :] * dist[:, :, None]
+    big_l += at_near[p_run][:, None, :]
+    big_l **= s
+    per = np.einsum("ijk,ij->ik", big_l, mass)
+    return np.add.reduceat(per, np.searchsorted(p_run, np.arange(near.size)), axis=0), half.size
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["one-panel", "some-split"])
+def test_stretch_sums_match_the_gathered_form(split):
+    rng = np.random.default_rng(5)
+    near = rng.uniform(0.05, 0.9, 400)
+    ratio = rng.choice([0.999, 1.001, 1e-3, 1.05] if split else [0.999, 1.001], near.size)
+    far = np.minimum(near * ratio, 1.0)
+    at_near, slope = rng.uniform(0.1, 2.0, (near.size, 3)), rng.uniform(0.0, 1.0, (near.size, 3))
+    shift, sigma = rng.uniform(-1.0, 1.0, near.size), rng.uniform(0.0, 2.0, near.size)
+    w = LogWeight(-0.5, 0.75)
+    for args in ((w, 0.5, near, far, at_near, slope, shift, sigma), (w, 2.5, near, far, at_near, slope, shift, 0.0, 0.5)):
+        want, panels = stretch_sums_gathered(*args)
+        assert (panels > near.size) == split
+        assert np.array_equal(logcalc._stretch_sums(*args), want)
 
 
 @pytest.mark.parametrize(
