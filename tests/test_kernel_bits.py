@@ -138,7 +138,8 @@ def test_stretch_sums_match_the_gathered_form(split):
     at_near, slope = rng.uniform(0.1, 2.0, (near.size, 3)), rng.uniform(0.0, 1.0, (near.size, 3))
     shift, sigma = rng.uniform(-1.0, 1.0, near.size), rng.uniform(0.0, 2.0, near.size)
     w = LogWeight(-0.5, 0.75)
-    for args in ((w, 0.5, near, far, at_near, slope, shift, sigma), (w, 2.5, near, far, at_near, slope, shift, 0.0, 0.5)):
+    blocks = (near, far, at_near, slope, shift)
+    for args in ((w, 0.5, *blocks, sigma), (w, 2.5, *blocks, 0.0, 0.5)):  # a σ per stretch; none, with a reach
         want, panels = stretch_sums_gathered(*args)
         assert (panels > near.size) == split
         assert np.array_equal(logcalc._stretch_sums(*args), want)
