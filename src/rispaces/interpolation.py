@@ -283,12 +283,18 @@ def identify_target(
     alpha: float = None,
     res: Resolution = DEFAULT,
 ) -> Tuple[float, float]:
-    """(interpolation norm from the oracle K-curve, identified target norm); a failure names its side."""
+    """(interpolation norm from the oracle K-curve, identified target norm); a
+    failure names its side.  The left side is memoized on the function: the
+    identities that share a couple and parameters (T1.3 and T6.2) share it."""
     check_hypotheses(theorem_id, p, q, theta, r, alpha)
     couple = theorem_couple(theorem_id, p, q, alpha)
+    params = _interp_params(theorem_id, p, q, theta, r, alpha)
+
+    def left_side():
+        return interp_norm(k_curve(f, couple, UGrid(res.u_max, res.k_nodes), "oracle", res), params)
+
     with failure_context("oracle K-curve"):
-        curve = k_curve(f, couple, UGrid(res.u_max, res.k_nodes), "oracle", res)
-        lhs = interp_norm(curve, _interp_params(theorem_id, p, q, theta, r, alpha))
+        lhs = f.memo(("lhs", couple, params, res), left_side)
     space = target_space(theorem_id, p, q, theta, r, alpha)
     with failure_context("target norm"):
         if isinstance(space, ZSpace):

@@ -185,13 +185,12 @@ def k_oracle(
     """min over truncation cuts of norm0((f-c)_+) + t·norm1(min(f, c))."""
     if not t > 0.0:
         raise BadExponent("K argument must be positive")
-    return float(_oracle_envelope(f, couple, np.array([t]), res)[0])
+    return float(_oracle_envelope(*oracle_lines(f, couple, res), np.array([t]))[0])
 
 
-def _oracle_envelope(f: StepRearrangement, couple: CoupleSpec, ts: np.ndarray, res: Resolution) -> np.ndarray:
-    """min over the cuts with finite lines of A_c + t·B_c, at each t of ts:
-    one (t, cut) array, t·B_c + A_c formed in place (addition commutes)."""
-    A, B = oracle_lines(f, couple, res)
+def _oracle_envelope(A: np.ndarray, B: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """min over the cuts with finite lines (A, B) of A_c + t·B_c, at each t of
+    ts: one (t, cut) array, t·B_c + A_c formed in place (addition commutes)."""
     finite = np.isfinite(A) & np.isfinite(B)
     if not np.any(finite):
         raise InfiniteNorm("no trial decomposition has finite component norms")
@@ -302,15 +301,31 @@ def k_curve(
     method: str = "oracle",
     res: Resolution = DEFAULT,
 ) -> KCurve:
-    """Sample K(f, t) at the grid's t-nodes by the chosen method."""
-    ts = grid.t_nodes()
+    """Sample K(f, t) at the grid's t-nodes by the chosen method.  An oracle
+    curve is memoized on the function, sampled from its memoized lines."""
     if method == "oracle":
-        vals = _oracle_envelope(f, couple, ts, res)
-    elif method == "explicit":
-        vals = k_explicit(f, couple, ts, res)
-    else:
-        raise BadExponent(f"unknown method {method!r}")
-    return KCurve(ts, vals)
+        A, B = oracle_lines(f, couple, res)
+
+        def make():  # read-only arrays: later calls get this curve
+            ts = _shared_t_nodes(grid)
+            k = _oracle_envelope(A, B, ts)
+            k.flags.writeable = False
+            return KCurve(ts, k)
+
+        return f.memo(("curve", couple, grid, res), make)
+    if method == "explicit":
+        ts = grid.t_nodes()
+        return KCurve(ts, k_explicit(f, couple, ts, res))
+    raise BadExponent(f"unknown method {method!r}")
+
+
+@functools.lru_cache(maxsize=None)
+def _shared_t_nodes(grid: UGrid) -> np.ndarray:
+    """The grid's t-nodes, read-only: one array for every memoized curve on
+    the grid, not one per function."""
+    ts = grid.t_nodes()
+    ts.flags.writeable = False
+    return ts
 
 
 # ---------------------------------------------------------------------------

@@ -73,14 +73,20 @@ class StepFunction:
 
     def memo(self, key, make):
         """make()'s result, computed on the first call with this key and kept as
-        long as this function lives: the one cache of per-function data."""
+        long as this function lives: the one cache of per-function data.  An
+        array result, alone or in a tuple, is made read-only, so no caller can
+        change what later calls get; a make() that raises stores nothing."""
         if key not in self._cache:
-            self._cache[key] = make()
+            value = make()
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
+            self._cache[key] = value
         return self._cache[key]
 
     @property
     def widths(self) -> np.ndarray:
-        return self.memo("widths", lambda: _read_only(np.diff(self.breaks)))
+        return self.memo("widths", lambda: np.diff(self.breaks))
 
     def prefix_power(self, p: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(∫_0^{x_i} f^p, panel values^p, ∫_{x_i}^1 f^p): prefix and suffix
@@ -93,14 +99,9 @@ class StepFunction:
             mass = vp * self.widths
             pref = np.concatenate([[0.0], np.cumsum(mass)])
             suf = np.concatenate([np.cumsum(mass[::-1])[::-1], [0.0]])
-            return _read_only(pref), _read_only(vp), _read_only(suf)
+            return pref, vp, suf
 
         return self.memo(("prefix", p), make)
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 class StepRearrangement(StepFunction):

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 import scipy.integrate as si
 
+from rispaces import interpolation
 from rispaces.config import DEFAULT
-from rispaces.equivharness import standard_family
+from rispaces.equivharness import FunctionFamily, run_identity_experiment, standard_family
 from rispaces.errors import BadExponent, HypothesisViolation
 from rispaces.interpolation import (
     InterpParams,
@@ -271,3 +272,31 @@ def test_identify_hypothesis_violations(one):
         identify_target("T5.1", one, p=2, q=4, theta=0.5, r=math.inf, res=FAST)
     with pytest.raises(HypothesisViolation):
         identify_target("nope", one, p=2, res=FAST)
+
+
+def test_t13_takes_the_left_side_t62_computed(monkeypatch):
+    """T6.2 and T1.3 share a couple and InterpParams, so interp_norm runs once
+    per (member, resolution, theta, r), and the kept left side is the one a
+    function with an empty memo computes."""
+    members = dict(standard_family(q=2.0).members)
+    names = ("const", "char_0.125", "plog_g0_d-1", "rand_00")
+    fam = FunctionFamily("left-side memo", tuple((n, members[n]) for n in names))
+    real, calls = interpolation.interp_norm, []
+
+    def counted(curve, params):
+        calls.append(params)
+        return real(curve, params)
+
+    monkeypatch.setattr(interpolation, "interp_norm", counted)
+    runs = []
+    for theta, r in ((0.75, 2.0), (0.5, 1.0)):
+        params = dict(p=2.0, theta=theta, r=r)
+        runs += [(params, run_identity_experiment(tid, params, fam, FAST)) for tid in ("T6.2", "T1.3")]
+    assert len(calls) == 2 * 2 * len(names)  # (theta, r) pairs x resolutions x members
+    monkeypatch.undo()
+    realized = dict(fam.realize(FAST))
+    for params, report in runs:
+        assert [m["id"] for m in report.members] == list(names)
+        for m in report.members:
+            f = realized[m["id"]]
+            assert m["lhs"] == identify_target("T6.2", StepRearrangement(f.breaks, f.values), **params, res=FAST)[0]

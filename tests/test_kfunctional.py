@@ -9,7 +9,7 @@ import scipy.optimize as so
 
 from rispaces import kfunctional
 from rispaces.config import Resolution
-from rispaces.errors import BadExponent, OutOfRange
+from rispaces.errors import BadExponent, InfiniteNorm, OutOfRange
 from rispaces.kfunctional import (
     General,
     GrandGrand,
@@ -24,6 +24,7 @@ from rispaces.kfunctional import (
     k_curve,
     k_explicit,
     k_oracle,
+    oracle_lines,
     split_point,
 )
 from rispaces.logcalc import LogWeight, UGrid
@@ -251,3 +252,43 @@ def test_general_couple_explicit_runs(power_quarter):
     # the general form stays within a constant of the oracle
     o = k_oracle(power_quarter, couple, 0.4, FAST)
     assert max(val / o, o / val) < 64.0
+
+
+def fresh(f):
+    """f with an empty memo."""
+    return StepRearrangement(f.breaks, f.values)
+
+
+def test_oracle_lines_and_curves_are_read_only(power_quarter):
+    f = fresh(power_quarter)
+    couple = GrandLq(2, 4, 1.0)
+    curve = k_curve(f, couple, UGrid(FAST.u_max, FAST.k_nodes), "oracle", FAST)
+    for a in (*oracle_lines(f, couple, FAST), curve.t_nodes, curve.k_values):
+        with pytest.raises(ValueError):
+            a[0] = -1.0
+
+
+def test_oracle_curve_is_kept_per_grid_couple_and_resolution(power_quarter):
+    f = fresh(power_quarter)
+    grid = UGrid(FAST.u_max, FAST.k_nodes)
+    base = k_curve(f, GrandLq(2, 4, 1.0), grid, "oracle", FAST)
+    assert k_curve(f, GrandLq(2.0, 4.0, 1.0), UGrid(FAST.u_max, FAST.k_nodes), "oracle", FAST) is base
+    others = [
+        (GrandLq(2, 4, 1.0), grid.doubled(), FAST),
+        (LpLq(2, 4), grid, FAST),
+        (GrandLq(2, 4, 1.0), grid, FAST.doubled()),
+    ]
+    for couple, g, res in others:
+        curve = k_curve(f, couple, g, "oracle", res)
+        assert curve is not base
+        assert k_curve(f, couple, g, "oracle", res) is curve
+        assert np.array_equal(curve.k_values, k_curve(fresh(f), couple, g, "oracle", res).k_values)
+    assert k_curve(f, LpLq(2, 4), grid, "oracle", FAST).k_values.tolist() != base.k_values.tolist()
+
+
+def test_a_curve_with_no_finite_line_raises_on_every_call(monkeypatch, power_quarter):
+    monkeypatch.setattr(kfunctional, "norms_over_cuts", lambda f, spec, cuts, kind, res: np.full(cuts.size, np.inf))
+    f = fresh(power_quarter)
+    for _ in range(2):
+        with pytest.raises(InfiniteNorm):
+            k_curve(f, LpLq(2, 4), UGrid(FAST.u_max, FAST.k_nodes), "oracle", FAST)

@@ -203,3 +203,44 @@ def test_no_inversion_tolerance():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)) and "tol" in _params(node)
         ]
     assert not problems, "\n".join(problems)
+
+
+# The pure helpers a functools cache may keep for the process: their arguments
+# are values, not step functions.
+PROCESS_CACHED = {
+    ("equivharness", "_realize"),
+    ("kfunctional", "_condition_verdict"),
+    ("kfunctional", "_shared_t_nodes"),
+    ("logcalc", "_jacobi_rule"),
+}
+CACHE_DECORATORS = {"lru_cache", "cache", "cached_property"}
+
+
+def _names(node):
+    return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+
+
+def test_one_owner_for_memo_caches():
+    """Per-function data is cached only through StepFunction.memo: only
+    StepFunction reads or writes a function's _cache, and a functools cache
+    decorates only the pure helpers of PROCESS_CACHED."""
+    cached, problems = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and path.stem == "rearrangement" and node.name == "StepFunction":
+                allowed |= {id(n) for n in ast.walk(node) if isinstance(n, ast.Attribute) and n.attr == "_cache"}
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for d in node.decorator_list:
+                    found = {id(n) for n in ast.walk(d) if _names(n) in CACHE_DECORATORS}
+                    if found:
+                        cached.add((path.stem, node.name))
+                        allowed |= found
+        problems += [
+            f"{path.name}:{node.lineno} uses {_names(node)} outside a listed decorator or StepFunction"
+            for node in ast.walk(tree)
+            if _names(node) in CACHE_DECORATORS | {"_cache"} and id(node) not in allowed
+        ]
+    assert cached == PROCESS_CACHED
+    assert not problems, "\n".join(problems)

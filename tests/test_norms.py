@@ -237,6 +237,14 @@ def test_ggamma_against_scipy(one):
     assert ggamma_norm(one, spec, FAST) == pytest.approx(math.sqrt(ref), rel=1e-8)
 
 
+def test_w2_table_is_read_only(power_quarter):
+    f = StepRearrangement(power_quarter.breaks, power_quarter.values)
+    ggamma_norm(f, GammaDouble(2, 2, THM13_W1, THM13_W2), FAST)
+    table = f.memo(("w2breaks", THM13_W2), lambda: None)
+    with pytest.raises(ValueError):
+        table[1] = -1.0
+
+
 def test_ggamma_homogeneity(power_quarter):
     spec = GammaDouble(2, 2, THM13_W1, THM13_W2)
     base = ggamma_norm(power_quarter, spec, FAST)

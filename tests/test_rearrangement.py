@@ -197,3 +197,21 @@ def test_product_integral_matches_riemann(rng):
     # merged-grid oracle
     expected = 2 * 1 * 0.3 + 1 * 1 * 0.2 + 1 * 3 * 0.5
     assert product_integral(f, g) == pytest.approx(expected, abs=1e-15)
+
+
+def test_memo_keeps_arrays_read_only_and_stores_no_failure():
+    f = StepFunction(np.array([0.0, 0.5, 1.0]), np.array([2.0, 1.0]))
+    kept = f.memo("pair", lambda: (np.zeros(2), np.ones(2))) + (f.memo("one", lambda: np.zeros(3)), f.widths)
+    for a in kept + f.prefix_power(2.0):
+        with pytest.raises(ValueError):
+            a[0] = -1.0
+    calls = []
+
+    def failing():
+        calls.append(None)
+        raise ZeroDivisionError
+
+    for _ in range(2):
+        with pytest.raises(ZeroDivisionError):
+            f.memo("failing", failing)
+    assert len(calls) == 2
