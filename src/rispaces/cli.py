@@ -20,76 +20,30 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
 
 from . import equivharness as harness
-from .config import DEFAULT, DEFAULT_CEILING, Resolution
+from .config import DEFAULT, Resolution
 from .errors import BadExponent, BadModel, BadWeights, HypothesisViolation, NonFiniteInput
 from .errors import RispacesError
-from .interpolation import THEOREM_IDS, THEOREM_PARAMS, identify_target
-from .kfunctional import (
-    CoupleSpec,
-    General,
-    GrandGrand,
-    GrandLq,
-    GrandSmallSameP,
-    LpLq,
-    SmallSmall,
-    k_curve,
-)
+from .interpolation import THEOREM_IDS
+from .kfunctional import General, GrandGrand, GrandLq, GrandSmallSameP, LpLq, SmallSmall, k_curve
 from .logcalc import LogWeight, UGrid
-from .norms import (
-    GammaDouble,
-    Grand,
-    Lebesgue,
-    LorentzZygmund,
-    Small,
-    SpaceSpec,
-    space_norm,
-)
-from .rearrangement import (
-    Char,
-    ExplicitSteps,
-    FunctionModel,
-    PowerLog,
-    Samples,
-    StepFunction,
-    discretize_model,
-)
-
-EXPERIMENT_CATALOG = {
-    **{tid: " ".join(names) for tid, names in THEOREM_PARAMS.items()},
-    **{f"hardy:{which}": " ".join(names) for which, names in harness.HARDY_PARAMS.items()},
-    "discretization": "lambda q",
-}
+from .norms import GammaDouble, Grand, Lebesgue, LorentzZygmund, Small, space_norm
+from .rearrangement import Char, ExplicitSteps, FunctionModel, PowerLog, Samples, discretize_model
 
 
 class ConfigError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    command: str
-    fn: Optional[FunctionModel] = None
-    space: Optional[SpaceSpec] = None
-    couple: Optional[CoupleSpec] = None
-    theorem: Optional[str] = None
-    params: Optional[dict] = None
-    out: Optional[str] = None
-    seed: int = harness.DEFAULT_SEED
-    res: Resolution = DEFAULT
-    ceiling: Optional[float] = None  # --ceiling; None keeps each experiment's own
-
-
 def _load_json(text: str) -> dict:
     text = text.strip()
     if text.startswith("@"):
-        with open(text[1:], "r") as fh:
-            text = fh.read()
+        try:
+            with open(text[1:], "r") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read {text[1:]!r}: {exc.strerror}") from exc
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -99,10 +53,9 @@ def _load_json(text: str) -> dict:
     return obj
 
 
-def parse_fn(text: str) -> FunctionModel:
-    """The function model a spec names; a model its constructor or (for steps
-    and samples, which need no grid) its rearrangement rejects is a ConfigError."""
-    obj = _load_json(text)
+def parse_fn(obj: dict) -> FunctionModel:
+    """The function model a decoded spec names; a model its constructor or (for
+    steps and samples, which need no grid) its rearrangement rejects is a ConfigError."""
     kind = obj.get("kind")
     try:
         if kind == "power_log":
@@ -126,57 +79,53 @@ def parse_fn(text: str) -> FunctionModel:
             raise ConfigError(f"unknown function kind {kind!r}")
         discretize_model(model)
         return model
-    except (KeyError, ValueError, OSError, BadModel, BadWeights, NonFiniteInput) as exc:
+    except (KeyError, ValueError, TypeError, OSError, BadModel, BadWeights, NonFiniteInput) as exc:
         raise ConfigError(f"bad function spec: {exc}") from exc
 
 
-def parse_space(text: str) -> SpaceSpec:
-    obj = _load_json(text)
-    kind = obj.get("space")
+# Each spec kind's constructor and its fields in order: w1 and w2 are weights
+# {"a", "b"}, x0 and x1 space specs, and every other field a number.
+_SPECS = {
+    "space": {
+        "lebesgue": (Lebesgue, ("p",)),
+        "lorentz_zygmund": (LorentzZygmund, ("p", "q", "alpha")),
+        "grand": (Grand, ("p", "alpha")),
+        "small": (Small, ("p", "alpha")),
+        "ggamma": (GammaDouble, ("p", "m", "w1", "w2")),
+    },
+    "couple": {
+        "lp_lq": (LpLq, ("p", "q")),
+        "grand_lq": (GrandLq, ("p", "q", "alpha")),
+        "grand_grand": (GrandGrand, ("p", "q", "alpha")),
+        "small_small": (SmallSmall, ("p", "q")),
+        "grand_small_same_p": (GrandSmallSameP, ("p",)),
+        "general": (General, ("x0", "x1")),
+    },
+}
+
+
+def _field(name: str, value):
+    if name in ("w1", "w2"):
+        return LogWeight(float(value["a"]), float(value["b"]))
+    if name in ("x0", "x1"):
+        return parse_spec("space", value)
+    return float(value)
+
+
+def parse_spec(what: str, obj):
+    """The space or couple (what) a decoded JSON spec names."""
+    if not isinstance(obj, dict):
+        raise ConfigError("expected a JSON object")
+    kind = obj.get(what)
+    if not isinstance(kind, str) or kind not in _SPECS[what]:
+        raise ConfigError(f"unknown {what} {kind!r}")
+    build, fields = _SPECS[what][kind]
     try:
-        if kind == "lebesgue":
-            return Lebesgue(float(obj["p"]))
-        if kind == "lorentz_zygmund":
-            return LorentzZygmund(float(obj["p"]), float(obj["q"]), float(obj["alpha"]))
-        if kind == "grand":
-            return Grand(float(obj["p"]), float(obj["alpha"]))
-        if kind == "small":
-            return Small(float(obj["p"]), float(obj["alpha"]))
-        if kind == "ggamma":
-            return GammaDouble(
-                float(obj["p"]),
-                float(obj["m"]),
-                LogWeight(float(obj["w1"]["a"]), float(obj["w1"]["b"])),
-                LogWeight(float(obj["w2"]["a"]), float(obj["w2"]["b"])),
-            )
+        return build(*(_field(name, obj[name]) for name in fields))
     except ConfigError:
         raise
     except (KeyError, ValueError, TypeError, BadExponent) as exc:
-        raise ConfigError(f"bad space spec: {exc}") from exc
-    raise ConfigError(f"unknown space {kind!r}")
-
-
-def parse_couple(text: str) -> CoupleSpec:
-    obj = _load_json(text)
-    kind = obj.get("couple")
-    try:
-        if kind == "lp_lq":
-            return LpLq(float(obj["p"]), float(obj["q"]))
-        if kind == "grand_lq":
-            return GrandLq(float(obj["p"]), float(obj["q"]), float(obj["alpha"]))
-        if kind == "grand_grand":
-            return GrandGrand(float(obj["p"]), float(obj["q"]), float(obj["alpha"]))
-        if kind == "small_small":
-            return SmallSmall(float(obj["p"]), float(obj["q"]))
-        if kind == "grand_small_same_p":
-            return GrandSmallSameP(float(obj["p"]))
-        if kind == "general":
-            return General(parse_space(json.dumps(obj["x0"])), parse_space(json.dumps(obj["x1"])))
-    except ConfigError:
-        raise
-    except (KeyError, ValueError, TypeError, BadExponent) as exc:
-        raise ConfigError(f"bad couple spec: {exc}") from exc
-    raise ConfigError(f"unknown couple {kind!r}")
+        raise ConfigError(f"bad {what} spec: {exc}") from exc
 
 
 def _parse_kv(tokens) -> dict:
@@ -192,7 +141,7 @@ def _parse_kv(tokens) -> dict:
     return out
 
 
-def _write_text(path: Optional[str], text: str) -> None:
+def _write_text(path, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
@@ -200,109 +149,69 @@ def _write_text(path: Optional[str], text: str) -> None:
             fh.write(text)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _fmt(x) -> str:
+    return "" if x is None else repr(float(x))
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes the parsed arguments and the resolution
 # ---------------------------------------------------------------------------
 
 
-def cmd_norm(cfg: RunConfig) -> int:
-    f = discretize_model(cfg.fn, cfg.res.u_max, cfg.res.panels)
-    value = space_norm(f, cfg.space, cfg.res)
-    payload = {"space": cfg.space.__class__.__name__.lower(), "value": value}
-    _write_text(cfg.out, json.dumps(payload) + "\n")
+def cmd_norm(args, res: Resolution) -> int:
+    if not (args.fn and args.space):
+        raise ConfigError("norm needs --fn and --space")
+    f = discretize_model(args.fn, res.u_max, res.panels)
+    payload = {"space": type(args.space).__name__.lower(), "value": space_norm(f, args.space, res)}
+    _write_text(args.out, json.dumps(payload) + "\n")
     return 0
 
 
-def cmd_kfunc(cfg: RunConfig) -> int:
-    f = discretize_model(cfg.fn, cfg.res.u_max, cfg.res.panels)
-    grid = UGrid(cfg.res.u_max, cfg.res.k_nodes)
-    oracle = k_curve(f, cfg.couple, grid, "oracle", cfg.res)
+def cmd_kfunc(args, res: Resolution) -> int:
+    if not (args.fn and args.couple):
+        raise ConfigError("kfunc needs --fn and --couple")
+    f = discretize_model(args.fn, res.u_max, res.panels)
+    grid = UGrid(res.u_max, res.k_nodes)
+    oracle = k_curve(f, args.couple, grid, "oracle", res)
     try:
-        explicit = k_curve(f, cfg.couple, grid, "explicit", cfg.res)
-        expl = explicit.k_values
+        expl = k_curve(f, args.couple, grid, "explicit", res).k_values
     except RispacesError as exc:
         # the oracle curve still goes out; the explicit column stays empty
         msg = " ".join(str(exc).split())
         print(f"explicit K failed: {type(exc).__name__}: {msg}", file=sys.stderr)
-        expl = None
+        expl = [None] * len(oracle.k_values)
     lines = ["t,K_oracle,K_explicit,ratio"]
-    for i, t in enumerate(oracle.t_nodes):
-        ko = oracle.k_values[i]
-        ke = expl[i] if expl is not None else None
+    for t, ko, ke in zip(oracle.t_nodes, oracle.k_values, expl):
         ratio = "" if ke in (None, 0.0) or ko == 0.0 else _fmt(ko / ke)
-        lines.append(
-            f"{_fmt(t)},{_fmt(ko)},{'' if ke is None else _fmt(ke)},{ratio}"
-        )
-    _write_text(cfg.out, "\n".join(lines) + "\n")
+        lines.append(f"{_fmt(t)},{_fmt(ko)},{_fmt(ke)},{ratio}")
+    _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
 
-def cmd_interp(cfg: RunConfig) -> int:
-    params = dict(cfg.params)
-    family = harness.standard_family(
-        q=params.get("q", params.get("p", 4.0)), seed=cfg.seed
-    )
-    members = family.members if cfg.fn is None else (("fn", cfg.fn),)
-    lines = ["function_id,lhs,rhs,ratio"]
-    for name, model in members:
-        f = discretize_model(model, cfg.res.u_max, cfg.res.panels)
-        lhs, rhs = identify_target(
-            cfg.theorem,
-            f,
-            p=params.get("p"),
-            q=params.get("q"),
-            theta=params.get("theta"),
-            r=params.get("r"),
-            alpha=params.get("alpha"),
-            res=cfg.res,
-        )
-        ratio = _fmt(lhs / rhs) if lhs > 0 and rhs > 0 else ""
-        lines.append(f"{name},{_fmt(lhs)},{_fmt(rhs)},{ratio}")
-    _write_text(cfg.out, "\n".join(lines) + "\n")
-    return 0
-
-
-def cmd_experiment(cfg: RunConfig) -> int:
-    name = cfg.theorem
-    params = dict(cfg.params)
-    ceiling = DEFAULT_CEILING if cfg.ceiling is None else cfg.ceiling
-    if name in THEOREM_IDS:
-        report = harness.run_identity_experiment(
-            name, params, res=cfg.res, ceiling=ceiling, seed=cfg.seed
-        )
-    elif name.startswith("hardy:"):
-        fam = harness.standard_family(seed=cfg.seed)
-        report = harness.hardy_check(
-            name.split(":", 1)[1], params, fam, cfg.res, ceiling, cfg.seed
-        )
-    elif name == "discretization":
-        lam = params.get("lambda", params.get("lam", 1.0))
-        q = params.get("q", 1.0)
-        rng = np.random.default_rng(cfg.seed)
-        given = {} if cfg.ceiling is None else {"ceiling": cfg.ceiling}
-        reports = []
-        for i in range(20):
-            m = harness.random_steps(rng, nonincreasing=False)
-            h = StepFunction(np.asarray(m.breaks), np.asarray(m.values))
-            reports.append(harness.discretization_check(h, lam, q, **given))
-        report = reports[0]
-        for other in reports[1:]:
-            report.members.extend(other.members)
-        report = report.finalize()
-        report.seed = cfg.seed
+def cmd_interp(args, res: Resolution) -> int:
+    params = args.params
+    harness.check_params(args.theorem, params)
+    if not args.fn:
+        family = harness.standard_family(params.get("q") or params.get("p") or 4.0, args.seed)
     else:
-        raise ConfigError(f"unknown experiment {name!r}; see list-experiments")
-    _write_text(cfg.out, report.to_json() + "\n")
+        family = harness.FunctionFamily("fn", (("fn", args.fn),))
+    lines = ["function_id,lhs,rhs,ratio"]
+    for name, lhs, rhs in harness.identity_rows(args.theorem, params, family, res):
+        ratio = _fmt(lhs / rhs) if lhs is not None and lhs > 0 and rhs > 0 else ""
+        lines.append(f"{name},{_fmt(lhs)},{_fmt(rhs)},{ratio}")
+    _write_text(args.out, "\n".join(lines) + "\n")
+    return 0
+
+
+def cmd_experiment(args, res: Resolution) -> int:
+    report = harness.run_experiment(args.theorem, args.params, res, args.seed, args.ceiling)
+    _write_text(args.out, report.to_json() + "\n")
     return 0 if report.passed else 3
 
 
-def cmd_list_experiments(_cfg: RunConfig) -> int:
-    for name, params in EXPERIMENT_CATALOG.items():
-        print(f"{name:24s} {params}")
+def cmd_list_experiments(_args, _res: Resolution) -> int:
+    for name, params in harness.EXPERIMENTS.items():
+        print(f"{name:24s} {' '.join(params)}")
     return 0
 
 
@@ -331,67 +240,49 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="rispaces", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, help, *flags):
+    def add(name, run, help, *flags):
         sp = sub.add_parser(name, help=help)
+        sp.set_defaults(run=run)
         for flag in flags:
             sp.add_argument(flag, **_FLAGS[flag])
         return sp
 
-    add("norm", "evaluate a norm", "--fn", "--space", *_RUN)
-    add("kfunc", "sample K curves", "--fn", "--couple", "--k-nodes", *_RUN)
-    interp = add("interp", "identity over a family or one function",
+    add("norm", cmd_norm, "evaluate a norm", "--fn", "--space", *_RUN)
+    add("kfunc", cmd_kfunc, "sample K curves", "--fn", "--couple", "--k-nodes", *_RUN)
+    interp = add("interp", cmd_interp, "identity over a family or one function",
                  "--fn", "--seed", "--k-nodes", *_RUN)
     interp.add_argument("theorem", choices=THEOREM_IDS)
-    experiment = add("experiment", "run a ratio experiment",
+    experiment = add("experiment", cmd_experiment, "run a ratio experiment",
                      "--seed", "--k-nodes", "--ceiling", *_RUN)
     experiment.add_argument("theorem")
     for sp in (interp, experiment):
-        sp.add_argument("kv", nargs="*", help="key=value experiment parameters")
-    add("list-experiments", "print the catalog")
+        sp.add_argument("params", nargs="*", metavar="kv", help="key=value experiment parameters")
+    add("list-experiments", cmd_list_experiments, "print the catalog")
     return p
 
 
-def _config_from_args(args) -> RunConfig:
-    a = vars(args)
-    cfg = RunConfig(command=args.command, out=a.get("out"), ceiling=a.get("ceiling"))
-    if "seed" in a:
-        env = os.environ.get("RISPACES_SEED", str(harness.DEFAULT_SEED))
-        try:
-            cfg.seed = int(env) if a["seed"] is None else a["seed"]
-        except ValueError:
-            raise ConfigError(f"RISPACES_SEED must be an integer, got {env!r}") from None
-    floors = {"u_max": 1.0, "panels": 1, "sup_count": 1, "k_nodes": 1}  # the smallest grids
-    bad = [k for k in floors if k in a and not a[k] > floors[k]]
-    if bad:
-        raise ConfigError(f"--{bad[0].replace('_', '-')} must exceed {floors[bad[0]]:g}, got {a[bad[0]]}")
-    cfg.res = Resolution(**{k: a[k] for k in floors if k in a})
-    for key, parse in (("fn", parse_fn), ("space", parse_space), ("couple", parse_couple)):
-        if a.get(key):
-            setattr(cfg, key, parse(a[key]))
-    cfg.theorem = a.get("theorem")
-    cfg.params = _parse_kv(a.get("kv") or [])
-    return cfg
-
-
-_COMMANDS = {
-    "norm": cmd_norm,
-    "kfunc": cmd_kfunc,
-    "interp": cmd_interp,
-    "experiment": cmd_experiment,
-    "list-experiments": cmd_list_experiments,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    a = vars(args)  # the namespace's own dict: the parsed specs replace their text
     try:
-        cfg = _config_from_args(args)
-        if cfg.command == "norm" and (cfg.fn is None or cfg.space is None):
-            raise ConfigError("norm needs --fn and --space")
-        if cfg.command == "kfunc" and (cfg.fn is None or cfg.couple is None):
-            raise ConfigError("kfunc needs --fn and --couple")
-        return _COMMANDS[cfg.command](cfg)
+        if "seed" in a and args.seed is None:
+            env = os.environ.get("RISPACES_SEED", str(harness.DEFAULT_SEED))
+            try:
+                args.seed = int(env)
+            except ValueError:
+                raise ConfigError(f"RISPACES_SEED must be an integer, got {env!r}") from None
+        floors = {"u_max": 1.0, "panels": 1, "sup_count": 1, "k_nodes": 1}  # the smallest grids
+        bad = [k for k in floors if k in a and not a[k] > floors[k]]
+        if bad:
+            raise ConfigError(f"--{bad[0].replace('_', '-')} must exceed {floors[bad[0]]:g}, got {a[bad[0]]}")
+        res = Resolution(**{k: a[k] for k in floors if k in a})
+        for key in ("fn", "space", "couple"):
+            if a.get(key):
+                obj = _load_json(a[key])
+                a[key] = parse_fn(obj) if key == "fn" else parse_spec(key, obj)
+        if "params" in a:
+            args.params = _parse_kv(args.params)
+        return args.run(args, res)
     except (ConfigError, HypothesisViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,14 +13,16 @@ import functools
 import json
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from .config import DEFAULT, DEFAULT_CEILING, Resolution
-from .errors import BadExponent, NotMonotone, failure_context
+from .errors import BadExponent, HypothesisViolation, NotMonotone, failure_context
 from .interpolation import (
+    THEOREM_IDS,
+    THEOREM_PARAMS,
     ZSpace,
     check_hypotheses,
     doubling_blocks,
@@ -30,13 +32,7 @@ from .interpolation import (
     theorem_couple,
 )
 from .kfunctional import couple_spaces, k_curve
-from .logcalc import (
-    LogWeight,
-    UGrid,
-    log_weight_integral,
-    sup_on_grid,
-    weight_integral,
-)
+from .logcalc import LogWeight, UGrid, log_weight_integral, sup_on_grid, weight_integral
 from .norms import (
     Grand,
     GammaDouble,
@@ -68,9 +64,13 @@ __all__ = [
     "EquivReport",
     "standard_family",
     "random_steps",
+    "identity_rows",
     "run_identity_experiment",
     "hardy_check",
     "HARDY_PARAMS",
+    "EXPERIMENTS",
+    "check_params",
+    "run_experiment",
     "sup_smoothing_check",
     "discretization_check",
     "prop32_check",
@@ -214,19 +214,8 @@ class EquivReport:
         return self
 
     def to_json(self) -> str:
-        payload = {
-            "experiment": self.experiment,
-            "params": self.params,
-            "members": self.members,
-            "skipped": self.skipped,
-            "max_ratio": self.max_ratio,
-            "min_ratio": self.min_ratio,
-            "median_ratio": self.median_ratio,
-            "drift": self.drift,
-            "pass": self.passed,
-            "ceiling": self.ceiling,
-            "seed": self.seed,
-        }
+        payload = asdict(self)
+        payload["pass"] = payload.pop("passed")
         return json.dumps(_finite_or_null(payload), sort_keys=True, allow_nan=False, indent=2)
 
 
@@ -280,6 +269,24 @@ def _judge_with_drift(report: EquivReport, rows_at, res: Resolution, two_sided: 
 # ---------------------------------------------------------------------------
 
 
+def identity_rows(theorem_id: str, params: dict, family: FunctionFamily, res: Resolution):
+    """(member, lhs, rhs) of one identity for each member of a family, evaluated
+    as the row is read, after the hypotheses are checked on the call; a member
+    outside the couple's first space or the target space has None sides."""
+    args = {name: params.get(name) for name in ("p", "q", "theta", "r", "alpha")}
+    check_hypotheses(theorem_id, **args)
+    couple = theorem_couple(theorem_id, args["p"], args["q"], args["alpha"])
+    required = (couple_spaces(couple)[0], target_space(theorem_id, **args))
+    realized = dict(family.realize(res))
+
+    def sides(name, model):
+        if not all(model_in_space(model, s) for s in required):
+            return None, None
+        return identify_target(theorem_id, realized[name], **args, res=res)
+
+    return ((name, *sides(name, model)) for name, model in family.members)
+
+
 def run_identity_experiment(
     theorem_id: str,
     params: dict,
@@ -288,24 +295,17 @@ def run_identity_experiment(
     ceiling: float = DEFAULT_CEILING,
     seed: int = DEFAULT_SEED,
 ) -> EquivReport:
-    """Both sides of one identity over a family, plus refinement drift; a
-    member's failure names the identity, member, resolution and side."""
-    args = {name: params.get(name) for name in ("p", "q", "theta", "r", "alpha")}
-    check_hypotheses(theorem_id, **args)
+    """Both sides of one identity over a family (by default the standard
+    family keyed to q, or to p when the identity takes no q), plus refinement
+    drift; a member's failure names the identity, member, resolution and side."""
     if family is None:
-        family = standard_family(q=args["q"] if args["q"] is not None else args["p"], seed=seed)
-    couple = theorem_couple(theorem_id, args["p"], args["q"], args["alpha"])
-    required = (couple_spaces(couple)[0], target_space(theorem_id, **args))
+        family = standard_family(params.get("q") or params.get("p") or 4.0, seed)
 
     def rows_at(resolution: Resolution):
-        realized = dict(family.realize(resolution))
-        for name, model in family.members:
-            if not all(model_in_space(model, s) for s in required):
-                yield name, None, None
-                continue
+        rows = identity_rows(theorem_id, params, family, resolution)
+        for name, _ in family.members:
             with failure_context(f"{theorem_id} member {name} at {resolution}"):
-                sides = identify_target(theorem_id, realized[name], **args, res=resolution)
-            yield (name, *sides)
+                yield next(rows)
 
     report = EquivReport(theorem_id, dict(params), ceiling=ceiling, seed=seed)
     return _judge_with_drift(report, rows_at, res)
@@ -330,9 +330,7 @@ def _hardy_sides(which: str, exponents: dict, f: StepFunction, res: Resolution):
     power root."""
     prefix = which.endswith("first")
     if which.startswith("thm2.1"):
-        lam = exponents["lam"]
-        b = exponents["b"]
-        beta = exponents.get("beta", 0.0)
+        lam, b, beta = exponents["lam"], exponents["b"], exponents.get("beta", 0.0)
         if not lam > 0.0 or not b >= 1.0:
             raise BadExponent("need lam > 0 and b >= 1")
         if math.isinf(b):
@@ -343,8 +341,7 @@ def _hardy_sides(which: str, exponents: dict, f: StepFunction, res: Resolution):
         w = LogWeight(signed * b - 1.0, beta * b)
         w_rhs = LogWeight((1.0 + signed) * b - 1.0, beta * b)
     else:
-        a = exponents["a"]
-        alpha = exponents["alpha"]
+        a, alpha = exponents["a"], exponents["alpha"]
         if not a >= 1.0 or alpha + 1.0 / a == 0.0:
             raise BadExponent("need a >= 1 and alpha + 1/a != 0")
         if prefix and not alpha + 1.0 / a > 0.0:
@@ -354,10 +351,7 @@ def _hardy_sides(which: str, exponents: dict, f: StepFunction, res: Resolution):
         s, root = a, 1.0 / a
         w = LogWeight(-1.0, alpha * a)
         w_rhs = LogWeight(a - 1.0, (1.0 + alpha) * a)
-    if prefix:
-        lhs = prefix_log_integral(f, 1.0, s, w, 1.0)
-    else:
-        lhs = tail_log_integral(f, 1.0, s, w)
+    lhs = prefix_log_integral(f, 1.0, s, w, 1.0) if prefix else tail_log_integral(f, 1.0, s, w)
     rhs = log_weight_integral(f, s, w_rhs, 0.0, 1.0)
     return lhs**root, rhs**root
 
@@ -423,12 +417,7 @@ def sup_smoothing_check(
     if np.any(np.diff(kd.values) > 0):
         raise NotMonotone("K_d must be nonincreasing")
     if which == "prop3.1":
-        theta, r, alpha, q = (
-            exponents["theta"],
-            exponents["r"],
-            exponents["alpha"],
-            exponents["q"],
-        )
+        theta, r, alpha, q = (exponents[k] for k in ("theta", "r", "alpha", "q"))
         if not (0.0 < theta < 1.0 and alpha > 0.0 and r >= 1.0 and q > 0.0):
             raise BadExponent("need 0 < theta < 1, alpha > 0, r >= 1, q > 0")
         e = alpha / q
@@ -446,9 +435,8 @@ def sup_smoothing_check(
     peaks = (1.0 - np.log(kd.breaks[1:])) ** (-e) * kd.values
     sup_vals = np.maximum.accumulate(peaks[::-1])[::-1]
     m_step = StepFunction(kd.breaks, sup_vals)
-    i_sup = log_weight_integral(m_step, exponents["r"], w_sup, 0.0, 1.0)
-    i_dir = log_weight_integral(kd, exponents["r"], w_dir, 0.0, 1.0)
-    i_sup, i_dir = float(i_sup), float(i_dir)
+    i_sup = float(log_weight_integral(m_step, exponents["r"], w_sup, 0.0, 1.0))
+    i_dir = float(log_weight_integral(kd, exponents["r"], w_dir, 0.0, 1.0))
     report = EquivReport(f"sup_smoothing:{which}", dict(exponents), ceiling=ceiling)
     if i_sup > 0.0 and i_dir > 0.0:
         report.members.append({"id": "kd", "lhs": i_sup, "rhs": i_dir, "ratio": i_sup / i_dir})
@@ -488,9 +476,7 @@ def discretization_check(
     d1_rhs = float(np.sum((2.0 ** (lam_abs * k) * blocks) ** q))
     d2_lhs = float(np.sum(tail_k**q * 2.0 ** (-lam_abs * k * q)))
     d2_rhs = float(np.sum((2.0 ** (-lam_abs * k) * blocks) ** q))
-    report = EquivReport(
-        "discretization", {"lam": lam, "q": q}, ceiling=ceiling
-    )
+    report = EquivReport("discretization", {"lam": lam, "q": q}, ceiling=ceiling)
     pairs = [("blocks-prefix", d1_lhs, d1_rhs), ("blocks-tail", d2_lhs, d2_rhs)]
     # panel bracket: (1 - Log s)/2^k over s in [t_{k+1}, t_k], k small enough to matter
     ln2 = math.log(2.0)
@@ -518,6 +504,55 @@ def discretization_check(
         integral = prefix_log_integral(h, 1.0, q, LogWeight(-1.0, -1.0), 1.0)
         pairs.append(("sum-vs-integral", sum0, integral))
     return _judge(report, pairs).finalize()
+
+
+# ---------------------------------------------------------------------------
+# the experiment catalogue
+# ---------------------------------------------------------------------------
+
+# Each named experiment's parameters, in the order `rispaces list-experiments` prints them.
+EXPERIMENTS = {
+    **THEOREM_PARAMS,
+    **{f"hardy:{which}": names for which, names in HARDY_PARAMS.items()},
+    "discretization": ("lambda", "q"),
+}
+
+
+def check_params(name: str, params: dict) -> None:
+    """Raise HypothesisViolation for a parameter the named experiment does not take."""
+    unknown = [key for key in params if key not in EXPERIMENTS[name]]
+    if unknown:
+        accepted = ", ".join(EXPERIMENTS[name])
+        raise HypothesisViolation(f"{name} takes no parameter {unknown[0]!r}; it takes {accepted}")
+
+
+def run_experiment(
+    name: str, params: dict, res: Resolution = DEFAULT, seed: int = DEFAULT_SEED, ceiling=None
+) -> EquivReport:
+    """One named experiment: an identity or a Hardy display over the seeded standard family, or
+    the discretization check over 20 seeded random step functions (the first one's params and
+    skips, every one's members); a ceiling of None keeps the experiment's own."""
+    if name in EXPERIMENTS:
+        check_params(name, params)
+    given = {} if ceiling is None else {"ceiling": ceiling}
+    if name in THEOREM_IDS:
+        return run_identity_experiment(name, params, res=res, seed=seed, **given)
+    if name.startswith("hardy:"):
+        family = standard_family(seed=seed)
+        return hardy_check(name.split(":", 1)[1], params, family, res, seed=seed, **given)
+    if name != "discretization":
+        raise HypothesisViolation(f"unknown experiment {name!r}; see list-experiments")
+    lam, q = params.get("lambda", 1.0), params.get("q", 1.0)
+    rng = np.random.default_rng(seed)
+    reports = []
+    for _ in range(20):
+        m = random_steps(rng, nonincreasing=False)
+        h = StepFunction(np.asarray(m.breaks), np.asarray(m.values))
+        reports.append(discretization_check(h, lam, q, **given))
+    report = reports[0]
+    report.members = [member for r in reports for member in r.members]
+    report.seed = seed
+    return report.finalize()
 
 
 # ---------------------------------------------------------------------------
@@ -569,9 +604,7 @@ def lemma31_33_check(
 
     def g31(t):
         t = np.asarray(t, dtype=float)
-        return t**-1.0 * (1.0 - np.log(t)) ** (-alpha / p) * prefix_power_at(
-            f, 1.0, t**sigma
-        )
+        return t**-1.0 * (1.0 - np.log(t)) ** (-alpha / p) * prefix_power_at(f, 1.0, t**sigma)
 
     lhs31, _ = sup_on_grid(g31, grid, f.breaks[1:])
     rhs31 = grand_norm(f, p, alpha, res)

@@ -9,7 +9,7 @@ import pytest
 
 from rispaces.cli import main
 from rispaces.config import Resolution
-from rispaces.equivharness import hardy_check, standard_family
+from rispaces.equivharness import hardy_check, run_experiment, run_identity_experiment, standard_family
 from rispaces.kfunctional import GrandGrand, GrandLq, GrandSmallSameP, SmallSmall, k_curve
 from rispaces.logcalc import UGrid
 from rispaces.rearrangement import PowerLog, discretize_model
@@ -227,6 +227,61 @@ def test_experiment_hardy(tmp_path, which, params):
     assert json.loads(out.read_text())["experiment"] == f"hardy:{which}"
 
 
+def test_interp_rows_are_the_identity_experiments_rows():
+    """interp reads the harness's row loop: the members outside a required
+    space (here the two whose LZ target norm is infinite) get empty sides,
+    and every other row carries the sides the experiment reports."""
+    flags = ("--panels", "64", "--sup-count", "256", "--k-nodes", "32")
+    code, out = run_cli("interp", "T1.2", "p=2", "q=4", "theta=0.5", "r=2", "alpha=1", *flags)
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    params = dict(p=2.0, q=4.0, theta=0.5, r=2.0, alpha=1.0)
+    rep = run_identity_experiment("T1.2", params, res=Resolution(panels=64, sup_count=256, k_nodes=32))
+    members = {m["id"]: m for m in rep.members}
+    assert [r[0] for r in rows if r[1:] == ["", "", ""]] == ["plog_g0.375_d-1", "plog_g0.375_d0"]
+    assert [r[0] for r in rows if r[1]] == list(members)
+    for name, lhs, rhs, _ in (r for r in rows if r[1]):
+        assert (lhs, rhs) == (repr(members[name]["lhs"]), repr(members[name]["rhs"]))
+
+
+def test_experiment_writes_run_experiments_report(capsys):
+    code, out = run_cli("experiment", "discretization", "lambda=0.5", "q=2", "--seed", "7")
+    assert code == 0
+    assert out == run_experiment("discretization", {"lambda": 0.5, "q": 2.0}, seed=7).to_json() + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("experiment", "discretization", "lamda=0.5", "q=2"),
+         "discretization takes no parameter 'lamda'; it takes lambda, q"),
+        (("experiment", "discretization", "lam=0.5", "q=2"),
+         "discretization takes no parameter 'lam'; it takes lambda, q"),
+        (("experiment", "T1.1", "p=2", "q=4", "alpha=1", "theta=0.3"),
+         "T1.1 takes no parameter 'theta'; it takes p, q, alpha"),
+        (("interp", "P4.1", "p=2", "alpha=1", "q=4", "--fn", '{"kind":"char","a":0.5}'),
+         "P4.1 takes no parameter 'q'; it takes p, alpha"),
+    ],
+)
+def test_parameters_outside_the_catalogue_exit_2(capsys, argv, message):
+    code, stdout = run_cli(*argv)
+    assert code == 2 and stdout == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flag", ["--space", "--fn"])
+@pytest.mark.parametrize("target", ["missing.json", "."])
+def test_unreadable_spec_file_exits_2(tmp_path, capsys, flag, target):
+    """A spec file that cannot be opened or read is an input error naming it."""
+    path = str(tmp_path / target)
+    specs = {"--space": '{"space":"lebesgue","p":2}', "--fn": '{"kind":"char","a":0.5}'}
+    specs[flag] = "@" + path
+    code, stdout = run_cli("norm", *(item for pair in specs.items() for item in pair))
+    assert code == 2 and stdout == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path!r}: ") and err.count("\n") == 1
+
+
 def test_experiment_unknown_name():
     code, _ = run_cli("experiment", "T9.9", "p=2")
     assert code == 2
@@ -277,6 +332,8 @@ def test_small_norm_near_the_edge_exponent():
         '{"kind":"power_log","gamma":1.5,"delta":0}',
         '{"kind":"char","a":1.5}',
         '{"kind":"steps","breaks":[0,0.5,1],"values":[1,2]}',
+        '{"kind":"char","a":null}',
+        '{"kind":"steps","breaks":5,"values":[1]}',
     ],
 )
 def test_rejected_function_model_exits_2(capsys, fn):

@@ -11,14 +11,17 @@ from rispaces import equivharness
 from rispaces.config import Resolution
 from rispaces.equivharness import (
     EquivReport,
+    EXPERIMENTS,
     FunctionFamily,
     associate_lower_bound,
     discretization_check,
     hardy_check,
+    identity_rows,
     lemma31_33_check,
     model_in_space,
     prop32_check,
     random_steps,
+    run_experiment,
     run_identity_experiment,
     standard_family,
     sup_smoothing_check,
@@ -123,6 +126,52 @@ def test_identity_experiment_filters_infinite_members():
     rep = run_identity_experiment("T1.1", dict(p=2, q=4, alpha=1.0), fam, FAST)
     assert any(s["id"] == "toohot" for s in rep.skipped)
     assert rep.passed
+
+
+def test_identity_rows_leave_members_outside_a_required_space_unevaluated():
+    """The row loop the experiment judges: None sides for the member whose
+    Grand target norm is infinite, and the sides identify_target gives for the
+    others, which the experiment reports as its members."""
+    fam = FunctionFamily("hot", (("toohot", PowerLog(0.5, 0.0)), ("const", PowerLog(0, 0))))
+    params = dict(p=2, q=4, alpha=1.0)
+    rows = list(identity_rows("T1.1", params, fam, FAST))
+    assert [row[0] for row in rows] == ["toohot", "const"] and rows[0][1:] == (None, None)
+    rep = run_identity_experiment("T1.1", params, fam, FAST)
+    assert [(m["id"], m["lhs"], m["rhs"]) for m in rep.members] == [rows[1]]
+
+
+def test_identity_rows_check_hypotheses_on_the_call():
+    with pytest.raises(HypothesisViolation, match="need 1 < p < q < inf"):
+        identity_rows("T1.1", dict(p=4, q=2, alpha=1.0), MINI, FAST)
+
+
+@pytest.mark.parametrize(
+    "name,params,key",
+    [
+        ("discretization", {"lamda": 0.5, "q": 2.0}, "lamda"),
+        ("discretization", {"lam": 0.5, "q": 2.0}, "lam"),
+        ("T1.1", {"p": 2.0, "q": 4.0, "alpha": 1.0, "theta": 0.3}, "theta"),
+        ("hardy:thm2.2-first", {"a": 2.0, "alpha": 0.5, "beta": 0.0}, "beta"),
+    ],
+)
+def test_run_experiment_rejects_parameters_outside_the_catalogue(name, params, key):
+    accepted = ", ".join(EXPERIMENTS[name])
+    with pytest.raises(HypothesisViolation) as err:
+        run_experiment(name, params, FAST)
+    assert str(err.value) == f"{name} takes no parameter {key!r}; it takes {accepted}"
+
+
+def test_run_experiment_unknown_name():
+    with pytest.raises(HypothesisViolation, match="unknown experiment 'T9.9'"):
+        run_experiment("T9.9", {"p": 2.0})
+
+
+def test_run_experiment_hardy_beta_defaults_to_zero():
+    res = Resolution(panels=32, sup_count=64)
+    fam = standard_family(seed=3)
+    got = run_experiment("hardy:thm2.1-first", {"lam": 0.5, "b": 2.0}, res, seed=3)
+    want = hardy_check("thm2.1-first", {"lam": 0.5, "b": 2.0, "beta": 0.0}, fam, res, seed=3)
+    assert got.members == want.members and got.params == {"lam": 0.5, "b": 2.0}
 
 
 def test_hardy_thm22_first_closed_form(one):
