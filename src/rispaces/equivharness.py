@@ -324,15 +324,37 @@ HARDY_PARAMS = {
 }
 
 
+def _check_hardy(which: str, exponents: dict, error=BadExponent) -> None:
+    """Raise error naming the parameter for an unknown display, or for a
+    missing or out-of-range exponent (beta defaults to 0): before any numerics."""
+    if which not in HARDY_PARAMS:
+        raise error(f"unknown display {which!r}; pick one of {tuple(HARDY_PARAMS)}")
+    missing = [key for key in HARDY_PARAMS[which] if key not in exponents and key != "beta"]
+    if missing:
+        raise error(f"hardy:{which} needs parameter {missing[0]!r}; it takes {', '.join(HARDY_PARAMS[which])}")
+    if which.startswith("thm2.1"):
+        lam, b = exponents["lam"], exponents["b"]
+        if not lam > 0.0:
+            raise error(f"hardy:{which} needs lam > 0, got lam = {lam!r}")
+        if not b >= 1.0:
+            raise error(f"hardy:{which} needs b >= 1, got b = {b!r}")
+        return
+    a, alpha = exponents["a"], exponents["alpha"]
+    if not a >= 1.0:
+        raise error(f"hardy:{which} needs a >= 1, got a = {a!r}")
+    prefix = which.endswith("first")
+    if not (alpha + 1.0 / a) * (1.0 if prefix else -1.0) > 0.0:
+        side = "> 0 (prefix branch)" if prefix else "< 0 (tail branch)"
+        raise error(f"hardy:{which} needs alpha + 1/a {side}, got alpha = {alpha!r} with a = {a!r}")
+
+
 def _hardy_sides(which: str, exponents: dict, f: StepFunction, res: Resolution):
     """Both sides of one display: the lhs is a prefix or tail power integral
     ∫_0^1 w(t) (∫_0^t f or ∫_t^1 f)^s dt, the rhs ∫_0^1 f^s w_rhs, each to the
-    power root."""
+    power root.  The exponents are in range (_check_hardy)."""
     prefix = which.endswith("first")
     if which.startswith("thm2.1"):
         lam, b, beta = exponents["lam"], exponents["b"], exponents.get("beta", 0.0)
-        if not lam > 0.0 or not b >= 1.0:
-            raise BadExponent("need lam > 0 and b >= 1")
         if math.isinf(b):
             return _hardy_sup_sides(which, lam, beta, f, res)
         # [t^{∓lam} (1-Log t)^beta · inner]^b dt/t against [t^{1∓lam} (1-Log t)^beta f]^b dt/t
@@ -342,12 +364,6 @@ def _hardy_sides(which: str, exponents: dict, f: StepFunction, res: Resolution):
         w_rhs = LogWeight((1.0 + signed) * b - 1.0, beta * b)
     else:
         a, alpha = exponents["a"], exponents["alpha"]
-        if not a >= 1.0 or alpha + 1.0 / a == 0.0:
-            raise BadExponent("need a >= 1 and alpha + 1/a != 0")
-        if prefix and not alpha + 1.0 / a > 0.0:
-            raise BadExponent("prefix branch needs alpha + 1/a > 0")
-        if not prefix and not alpha + 1.0 / a < 0.0:
-            raise BadExponent("tail branch needs alpha + 1/a < 0")
         s, root = a, 1.0 / a
         w = LogWeight(-1.0, alpha * a)
         w_rhs = LogWeight(a - 1.0, (1.0 + alpha) * a)
@@ -386,8 +402,7 @@ def hardy_check(
     seed: int = DEFAULT_SEED,
 ) -> EquivReport:
     """LHS/RHS of one weighted Hardy display per member; family-uniform bracket."""
-    if which not in HARDY_PARAMS:
-        raise BadExponent(f"unknown display {which!r}; pick one of {tuple(HARDY_PARAMS)}")
+    _check_hardy(which, exponents)
 
     def rows_at(resolution: Resolution):
         realized = family.realize(resolution)
@@ -454,6 +469,14 @@ def sup_smoothing_check(
 # ---------------------------------------------------------------------------
 
 
+def _check_discretization(lam: float, q: float, error=BadExponent) -> None:
+    """Raise error naming an out-of-range exponent: before any numerics."""
+    if not math.isfinite(lam):
+        raise error(f"discretization needs a finite lambda, got lambda = {lam!r}")
+    if not 0.0 < q < math.inf:
+        raise error(f"discretization needs 0 < q < inf, got q = {q!r}")
+
+
 def discretization_check(
     h: StepFunction, lam: float, q: float, ceiling: float = 32.0
 ) -> EquivReport:
@@ -464,8 +487,7 @@ def discretization_check(
     panel integrals against 2^{k lam}, and the sum-integral comparison in each
     sign regime of lam (including lam = 0).
     """
-    if q <= 0.0:
-        raise BadExponent("need q > 0")
+    _check_discretization(lam, q)
     lam_abs = abs(lam) if lam != 0.0 else 1.0
     blocks = doubling_blocks(h, 1.0)
     n = blocks.size
@@ -519,11 +541,22 @@ EXPERIMENTS = {
 
 
 def check_params(name: str, params: dict) -> None:
-    """Raise HypothesisViolation for a parameter the named experiment does not take."""
+    """Raise HypothesisViolation for a parameter the named experiment does not
+    take, and for a Hardy display's or the discretization check's parameter
+    that is missing or out of range; an identity's own hypotheses are
+    check_hypotheses'."""
     unknown = [key for key in params if key not in EXPERIMENTS[name]]
     if unknown:
         accepted = ", ".join(EXPERIMENTS[name])
         raise HypothesisViolation(f"{name} takes no parameter {unknown[0]!r}; it takes {accepted}")
+    if name.startswith("hardy:"):
+        _check_hardy(name.split(":", 1)[1], params, HypothesisViolation)
+    elif name == "discretization":
+        _check_discretization(*_discretization_exponents(params), HypothesisViolation)
+
+
+def _discretization_exponents(params: dict) -> Tuple[float, float]:
+    return params.get("lambda", 1.0), params.get("q", 1.0)
 
 
 def run_experiment(
@@ -532,17 +565,16 @@ def run_experiment(
     """One named experiment: an identity or a Hardy display over the seeded standard family, or
     the discretization check over 20 seeded random step functions (the first one's params and
     skips, every one's members); a ceiling of None keeps the experiment's own."""
-    if name in EXPERIMENTS:
-        check_params(name, params)
+    if name not in EXPERIMENTS:
+        raise HypothesisViolation(f"unknown experiment {name!r}; see list-experiments")
+    check_params(name, params)
     given = {} if ceiling is None else {"ceiling": ceiling}
     if name in THEOREM_IDS:
         return run_identity_experiment(name, params, res=res, seed=seed, **given)
     if name.startswith("hardy:"):
         family = standard_family(seed=seed)
         return hardy_check(name.split(":", 1)[1], params, family, res, seed=seed, **given)
-    if name != "discretization":
-        raise HypothesisViolation(f"unknown experiment {name!r}; see list-experiments")
-    lam, q = params.get("lambda", 1.0), params.get("q", 1.0)
+    lam, q = _discretization_exponents(params)
     rng = np.random.default_rng(seed)
     reports = []
     for _ in range(20):

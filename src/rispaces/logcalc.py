@@ -68,6 +68,7 @@ _GL = {n: np.polynomial.legendre.leggauss(n) for n, _ in _RUNGS}
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _TAIL_CHUNKS = 4000
 _TAIL_EPS = 1e-16  # a marched chunk below this share of the sum is negligible
+_PIECE_EPS = 2.0**-60  # a root-side piece proved below this share of its stretch is skipped
 _SCAN_BLOCK = 1 << 16  # (point, column) values per block of a grid scan
 _BLOCK = 1 << 20  # (node, column) values per block of a κ pass
 _SCAN_LEVELS = (4096, 512, 64, 8)  # run sizes of a pruned window scan, coarse to fine
@@ -244,7 +245,8 @@ def linear_power_integrals(w: LogWeight, s: float, near, far, at_near, slope, sh
     h = min(Log 2, 1/(2κ)), κ = |a+1| + (1+|b|)/u.  A stretch whose root lies
     at least its length away is one far_root_integrals stretch; the rest is
     cut where its distance from L's root doubles, and each piece is one κ
-    pass with σ = 0 and the 15-point rule.
+    pass with σ = 0 and the 15-point rule, but for the pieces proved below
+    _PIECE_EPS of their stretch's integral (_felt_pieces), which are skipped.
     Exponents meet the shift before one exp, so nothing overflows that the
     shifted value does not.
     """
@@ -283,12 +285,31 @@ def linear_power_integrals(w: LogWeight, s: float, near, far, at_near, slope, sh
     off_a, off_b = np.minimum(np.ldexp(d0, k) - d0, sp), np.minimum(np.ldexp(d0, k + 1) - d0, sp)
     ta = near[ids] + side[ids] * off_a
     tb = np.where(off_b >= sp, far[ids], near[ids] + side[ids] * off_b)
+    la = at_near[ids] + slope[ids] * off_a
+    felt = np.flatnonzero(_felt_pieces(w, s, ta, tb, la, at_near[ids] + slope[ids] * off_b, n))
+    ids = ids[felt]
     # a piece next to a root has σ = 0 but takes the full rule: L at most
     # doubles on it, and its root lies a piece's width away, which κ·w misses
-    pieces = _stretch_sums(
-        w, s, ta, tb, (at_near[ids] + slope[ids] * off_a)[:, None], slope[ids, None], shift[ids], 0.0, 0.5
-    )
+    pieces = _stretch_sums(w, s, ta[felt], tb[felt], la[felt, None], slope[ids, None], shift[ids], 0.0, 0.5)
     return out + np.bincount(ids, pieces[:, 0], out.size)
+
+
+def _felt_pieces(w: LogWeight, s: float, ta, tb, la, lb, n: np.ndarray) -> np.ndarray:
+    """Which of the root-side pieces [ta, tb] (either order), n to a stretch,
+    on which L runs from la to lb > 0, may reach _PIECE_EPS of their stretch's
+    integral.  L^s is monotone on a piece and Log w moves by at most
+    κ = |a| + |b|/u per unit of u, so a piece's integral lies within
+    e^{±κΔu} of its length times the larger, or the smaller, w·L^s at its
+    ends, Δu its width in u; a stretch's integral is at least each of its
+    pieces'.  Pieces of zero length in t are never felt."""
+    lo, hi = np.minimum(ta, tb), np.maximum(ta, tb)
+    width = _log1p_ratio(hi - lo, lo)
+    with np.errstate(divide="ignore"):
+        length = np.log(hi - lo)
+    slack = (abs(w.a) + abs(w.b) / (1.0 - np.log(hi))) * width
+    at = [w.a * np.log(t) + w.b * np.log1p(-np.log(t)) + s * np.log(big_l) for t, big_l in ((ta, la), (tb, lb))]
+    floor = np.maximum.reduceat(length + np.minimum(*at) - slack, np.cumsum(n) - n)
+    return length + np.maximum(*at) + slack >= np.repeat(floor, n) + math.log(_PIECE_EPS)
 
 
 def far_root_integrals(w: LogWeight, s: float, near, far, at_near, slope, need=True, shift=0.0):
@@ -829,8 +850,8 @@ class MonotoneMap:
         elementwise over an array of targets; a scalar target gives a float.
 
         A target at or above top (within that residual) maps to t0 exactly;
-        each other target expands its own bracket in u and bisects it until its
-        own residual meets the tolerance."""
+        b = 0 and a = 0 have closed forms, and every other target is a Newton
+        solve of its own (_newton)."""
         a, b = self.forward.a, self.forward.b
         ys = np.asarray(y, dtype=float)
         flat = ys.reshape(-1)
@@ -845,38 +866,57 @@ class MonotoneMap:
         elif a == 0.0:
             out[inner] = np.exp(1.0 - flat[inner] ** (1.0 / b))
         else:
-            out[inner] = self._bisect(flat[inner])
+            out[inner] = self._newton(flat[inner])
         return float(out[0]) if ys.ndim == 0 else out.reshape(ys.shape)
 
-    def _bisect(self, ys: np.ndarray) -> np.ndarray:
-        goal = _INVERT_TOL * np.maximum(np.abs(ys), 1e-300)
-        u_lo = np.full(ys.size, float(u_of_t(self.t0)))
-        u_hi = u_lo + 1.0
-        grow = np.arange(ys.size)
-        for _ in range(200):
-            grow = grow[self.forward.value_at_u(u_hi[grow]) >= ys[grow]]
-            if grow.size == 0:
+    def _newton(self, ys: np.ndarray) -> np.ndarray:
+        """The roots of h(u) = a(1 - u) + b·Log u - Log y, the Log of forward
+        over y at t = e^{1-u}, for 0 < y < top, a > 0 and b != 0: a Lambert-W
+        type equation (Corless et al., Adv. Comput. Math. 5, 1996).
+
+        For b < 0, h is convex and decreasing, so Newton's steps from u0 = 1,
+        where h >= 0, climb to the root without passing it.  For b > 0, h is
+        concave with its top at u* = b/a, so one step from a point left of the
+        root with h' < 0 lands at or right of it, and the steps then fall to
+        it.  That point is u0 = 1 when a > 2b, else the root of h's quadratic
+        expansion about u*, left of the root as h''' > 0; at a double root
+        (a <= b, u0 = u*) a step from u0 would divide by h'(u0) = 0.  A target
+        stops after a step of at most 1e-15·u, or before one that would turn
+        back, so its bits do not depend on the other targets; its residual is
+        then checked against _INVERT_TOL."""
+        a, b = self.forward.a, self.forward.b
+        log_y = np.log(ys)
+
+        def step(u, i):  # the Newton step -h/h' at u for the targets i
+            return (a * (1.0 - u) + b * np.log(u) - log_y[i]) / (a - b / u)
+
+        every = np.arange(ys.size)
+        u = np.ones(ys.size)
+        if b > 0.0:
+            if a <= 2.0 * b:
+                peak = b / a
+                gap = np.maximum(a * (1.0 - peak) + b * math.log(peak) - log_y, 0.0)
+                u = peak * (1.0 + np.sqrt(2.0 * gap / b))
+                every = every[gap > 0.0]  # a target in rounding of top is u*
+            u[every] += step(u[every], every)
+        live, toward = every, (1.0 if b < 0.0 else -1.0)
+        for _ in range(100):
+            v = u[live]
+            d = step(v, live)
+            on = d * toward > 0.0
+            u[live[on]] = v[on] + d[on]
+            live = live[on & (np.abs(d) > 1e-15 * v)]
+            if live.size == 0:
                 break
-            u_hi[grow] += np.maximum(4.0, u_hi[grow])
-            far = grow[u_hi[grow] > 1e7]
-            if far.size:
-                raise OutOfRange(f"target {float(ys[far[0]])} not bracketed on the monotone domain")
-        # a target keeps the midpoint that first met its residual; bisecting
-        # on past that leaves it unchanged
-        out = np.full(ys.size, np.nan)
-        open_ = np.ones(ys.size, dtype=bool)
-        for _ in range(400):
-            um = 0.5 * (u_lo + u_hi)
-            fm = self.forward.value_at_u(um)
-            hit = np.abs(fm - ys) <= goal
-            out = np.where(hit & open_, um, out)
-            open_ &= ~hit
-            if not open_.any():
-                return t_of_u(out)
-            above = fm > ys
-            u_lo = np.where(above, um, u_lo)
-            u_hi = np.where(above, u_hi, um)
-        raise NoConvergence("bisection failed to reach the requested residual")
+        else:
+            raise NoConvergence("Newton's method failed to reach the requested residual")
+        far = np.flatnonzero(u > 1e7)
+        if far.size:
+            raise OutOfRange(f"target {float(ys[far[0]])} lies past u = 1e7 on the monotone domain")
+        miss = np.flatnonzero(np.abs(self.forward.value_at_u(u) - ys) > _INVERT_TOL * np.maximum(ys, 1e-300))
+        if miss.size:
+            raise NoConvergence(f"target {float(ys[miss[0]])} inverted with a residual above {_INVERT_TOL}")
+        return t_of_u(u)
 
 
 def invert_monotone(psi, y):

@@ -16,7 +16,7 @@ from typing import Tuple, Union
 import numpy as np
 
 from .config import DEFAULT, Resolution
-from .errors import BadExponent, ConditionC2Failed
+from .errors import BadExponent, ConditionC2Failed, Divergent
 from .logcalc import (
     LogWeight,
     UGrid,
@@ -209,6 +209,18 @@ def _w2_sigma(spec: GammaDouble, s: float):
     W2 = u^{b2+1}/(-(b2+1)), so t w2/W2 = -(b2+1)/u exactly."""
     e, d = spec.growth
     return lambda u: s * (e + max(-d, 0.0) / u)
+
+
+def _log_only_head(spec: GammaDouble, gm, x: float):
+    """∫_0^x w1·gm for a1 = a2 = -1, where gm(t) = c·W2(t)^{m/p} on (0, x]:
+    there W2 = u^{b2+1}/(-(b2+1)), u = 1 - Log t, so the integrand in u is
+    C·u^E, E = b1 + (b2 + 1)·m/p, and the integral its value at U = u(x)
+    times U/(-1 - E).  Divergent for E >= -1."""
+    e = spec.w1.b + (spec.w2.b + 1.0) * spec.m / spec.p
+    if e >= -1.0:
+        raise Divergent(f"u^{e!r} is not integrable toward t = 0 for {spec!r}")
+    u = 1.0 - math.log(x)
+    return gm(np.array([x]))[0] * u ** (spec.w1.b + 1.0) / (-1.0 - e)
 
 
 def space_norm(f: StepRearrangement, spec: SpaceSpec, res: Resolution = DEFAULT) -> float:
@@ -689,7 +701,11 @@ def _ggamma_over_cuts(f: StepRearrangement, spec: GammaDouble, cuts: np.ndarray,
 
     if not math.isinf(m):
         breaks = np.concatenate([f.breaks[1:-1], heads])
-        return log_quad_multi(gm, spec.w1, 0.0, 1.0, breaks, _w2_sigma(spec, m / p)) ** (1.0 / m)
+        lo, head = 0.0, 0.0
+        if spec.w1.a == spec.w2.a == -1.0:  # below the first break, a power of u
+            lo = min(f.breaks[1], heads.min(initial=1.0))
+            head = _log_only_head(spec, gm, lo)
+        return (log_quad_multi(gm, spec.w1, lo, 1.0, breaks, _w2_sigma(spec, m / p)) + head) ** (1.0 / m)
     # on the first panel the objective is ~ t^a (1-Log t)^b, which peaks near
     # u = b/a, maybe far below the grid: probe there and at half and twice that
     e_t, e_b = spec.growth
@@ -754,7 +770,10 @@ def ggamma_lower_bound_check(
         def gm(t):
             return weight_prefix_many(spec.w2, t) ** (m / p)
 
-        denom = log_quad(gm, spec.w1, 0.0, measE, (), _w2_sigma(spec, m / p)) ** (1.0 / m)
+        if spec.w1.a == spec.w2.a == -1.0:
+            denom = float(_log_only_head(spec, gm, measE)) ** (1.0 / m)
+        else:
+            denom = log_quad(gm, spec.w1, 0.0, measE, (), _w2_sigma(spec, m / p)) ** (1.0 / m)
     lhs = rho * w2_mass ** (1.0 / p) / denom if denom > 0 else math.inf
     rhs_sq = _w2_prefix_over_cuts(f, spec, np.zeros(1), "excess")(np.array([measE]), 0)[0]
     return lhs, float(rhs_sq ** (1.0 / p))

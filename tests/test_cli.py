@@ -287,6 +287,32 @@ def test_experiment_unknown_name():
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("hardy:thm2.1-first", "lam=0.5"), "hardy:thm2.1-first needs parameter 'b'; it takes lam, b, beta"),
+        (("hardy:thm2.1-second", "lam=0", "b=2"), "hardy:thm2.1-second needs lam > 0, got lam = 0.0"),
+        (("hardy:thm2.1-first", "lam=0.5", "b=0.5"), "hardy:thm2.1-first needs b >= 1, got b = 0.5"),
+        (("hardy:thm2.2-first", "alpha=1"), "hardy:thm2.2-first needs parameter 'a'; it takes a, alpha"),
+        (("hardy:thm2.2-first", "a=0.5", "alpha=1"), "hardy:thm2.2-first needs a >= 1, got a = 0.5"),
+        (("hardy:thm2.2-second", "a=2", "alpha=0.5"),
+         "hardy:thm2.2-second needs alpha + 1/a < 0 (tail branch), got alpha = 0.5 with a = 2.0"),
+        (("hardy:thm2.2-first", "a=2", "alpha=-0.5"),
+         "hardy:thm2.2-first needs alpha + 1/a > 0 (prefix branch), got alpha = -0.5 with a = 2.0"),
+        (("hardy:thm2.9", "a=2"), "unknown experiment 'hardy:thm2.9'; see list-experiments"),
+        (("discretization", "lambda=1", "q=0"), "discretization needs 0 < q < inf, got q = 0.0"),
+        (("discretization", "q=inf"), "discretization needs 0 < q < inf, got q = inf"),
+        (("discretization", "lambda=nan"), "discretization needs a finite lambda, got lambda = nan"),
+    ],
+)
+def test_bad_hardy_and_discretization_parameters_exit_2(capsys, argv, message):
+    """A missing or out-of-range parameter, or an unknown display, is a
+    configuration error named before any numerics, not a numerical failure."""
+    code, stdout = run_cli("experiment", *argv)
+    assert code == 2 and stdout == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_divergent_space_exits_1():
     # the inner-weight membership check detects divergence: a numerical failure
     code, _ = run_cli(

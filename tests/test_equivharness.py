@@ -166,6 +166,39 @@ def test_run_experiment_unknown_name():
         run_experiment("T9.9", {"p": 2.0})
 
 
+@pytest.mark.parametrize(
+    "name,params,names",
+    [
+        ("hardy:thm2.1-first", {"lam": 0.5}, "'b'"),
+        ("hardy:thm2.1-second", {"lam": -1.0, "b": 2.0}, "lam"),
+        ("hardy:thm2.2-second", {"a": 2.0, "alpha": 0.5}, "alpha"),
+        ("hardy:thm2.2-first", {"a": 0.0, "alpha": 1.0}, "a >= 1"),
+        ("discretization", {"lambda": 1.0, "q": 0.0}, "q"),
+        ("discretization", {"q": -2.0}, "q"),
+    ],
+)
+def test_run_experiment_names_a_bad_parameter_before_any_numerics(monkeypatch, name, params, names):
+    """Presence and range are checked before a family is realized; the
+    direct checks keep raising BadExponent with the same message."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numerics started")
+
+    monkeypatch.setattr(equivharness, "standard_family", refuse)
+    monkeypatch.setattr(equivharness, "random_steps", refuse)
+    with pytest.raises(HypothesisViolation, match=names) as err:
+        run_experiment(name, params, FAST)
+    if name.startswith("hardy:"):
+        with pytest.raises(BadExponent) as direct:
+            hardy_check(name.split(":", 1)[1], params, MINI, FAST)
+        assert str(direct.value) == str(err.value)
+
+
+def test_run_experiment_unknown_hardy_display():
+    with pytest.raises(HypothesisViolation, match="unknown experiment 'hardy:thm2.9'"):
+        run_experiment("hardy:thm2.9", {"a": 2.0})
+
+
 def test_run_experiment_hardy_beta_defaults_to_zero():
     res = Resolution(panels=32, sup_count=64)
     fam = standard_family(seed=3)

@@ -67,7 +67,7 @@ PINNED = {
         "const": (
             1.7139084315420453e-15, 1.0000000083798358e-09, 0.001004337619354353,
             0.0013576837564880655, 0.02119253871244288, 0.2635811893022194,
-            0.8387052591860213, 0.7541365045634025, 0.5637769354091853,
+            0.8387052591860213, 0.7541365045323585, 0.5637769354091853,
         ),
         "char_0.125": (
             1.0190960506264903e-15, 5.946035658811963e-10, 0.0005989411763839586,
@@ -77,19 +77,19 @@ PINNED = {
         "plog_g0_d-1": (
             4.8666621956275015e-15, 2.839511498484724e-09, 0.0029406026845364623,
             0.0040039393193159216, 0.07165621162073042, 0.8076273880524403,
-            1.5529914903697843, 1.1616416789630057, 0.9655110338143247,
+            1.5529914903697843, 1.161641678930834, 0.9655110338143247,
         ),
         "rand_00": (
             3.3333637228996416e-15, 1.944890231152964e-09, 0.0019577853986829344,
             0.0026484446101699057, 0.0424422300363389, 0.5647184115113654,
-            1.1314195795257078, 0.7568591916591862, 0.7233054653862862,
+            1.1314195795257078, 0.7568591916505977, 0.7233054653862862,
         ),
     },
     "grand-grand": {
         "const": (
             1.2868895301305496e-15, 7.508508086577482e-10, 0.0007517741155254888,
             0.0010153266424207936, 0.015370944389695666, 0.18220789809773474,
-            0.6961094493693655, 0.7741075687411253, 0.5637769354091853,
+            0.6961094493693655, 0.774107568782074, 0.5637769354091853,
         ),
         "char_0.125": (
             6.5541799205514435e-16, 3.824113246957802e-10, 0.0003833346315635209,
@@ -99,12 +99,12 @@ PINNED = {
         "plog_g0_d-1": (
             2.8607885315364655e-15, 1.6691604198167593e-09, 0.0016934420323662547,
             0.00229555551137758, 0.03864666376365919, 0.5407245857414207,
-            1.4545279569947809, 1.1823636634781203, 0.9655110338143247,
+            1.4545279569947809, 1.182363663520416, 0.9655110338143247,
         ),
         "rand_00": (
             2.1887067519877873e-15, 1.2770266582724776e-09, 0.0012797715327430936,
             0.001728974621134345, 0.026592716962576996, 0.3506494674021863,
-            1.0541318279495226, 0.7604146942119027, 0.7233054653862862,
+            1.0541318279495226, 0.76041469422112, 0.7233054653862862,
         ),
     },
     "small-small": {

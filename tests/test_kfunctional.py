@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate as si
@@ -27,7 +28,7 @@ from rispaces.kfunctional import (
     oracle_lines,
     split_point,
 )
-from rispaces.logcalc import LogWeight, UGrid
+from rispaces.logcalc import LogWeight, MonotoneMap, UGrid
 from rispaces.norms import Grand, Lebesgue, space_norm
 from rispaces.rearrangement import StepRearrangement
 
@@ -162,6 +163,43 @@ def test_split_point_residuals():
         for t in ts:
             phi = split_point(c, float(t))
             assert abs(float(psi(phi)) - t) <= 1e-10 * t
+
+
+def _mpmath_split_point(psi: LogWeight, t: float, guess: float) -> float:
+    """The root of a(1 - u) + b·Log u = Log t in 40 digits, from Newton's
+    method in mpmath started at u(guess): the map is monotone on its domain,
+    so the root is the one split point."""
+    with mpmath.workdps(40):
+        a, b, log_t = mpmath.mpf(psi.a), mpmath.mpf(psi.b), mpmath.log(mpmath.mpf(t))
+
+        def h(u):
+            return a * (1 - u) + b * mpmath.log(u) - log_t
+
+        u = mpmath.findroot(h, 1 - mpmath.log(mpmath.mpf(guess)))
+        assert abs(h(u)) < mpmath.mpf(10) ** -30 and u >= 1 - mpmath.log(MonotoneMap(psi).t0) - 1e-30
+        return float(mpmath.exp(1 - u))
+
+
+@pytest.mark.parametrize(
+    "c", COUPLES + [SmallSmall(1.5, 8), GrandGrand(3, 9, 2.0), GrandLq(1.5, 3, 0.5)], ids=repr
+)
+def test_split_points_match_an_mpmath_root(c):
+    """At 120 targets t = e^{1-u}, u from 1 to the default u_max = 35, and for
+    SmallSmall(2, 4) also next to the double root at the top of its map,
+    t = top·(1 - δ): the split point within 1e-13 of an mpmath root, relative
+    in t.  Closer to the double root the root's own condition, 1/|h'|, grows
+    past that.  Split points that underflow past the normal range are left
+    out."""
+    m = MonotoneMap(couple_psi(c))
+    ts = np.exp(1.0 - np.linspace(1.0, 35.0, 120))
+    ts = ts[ts < m.top]
+    if isinstance(c, SmallSmall) and m.t0 < 1.0:
+        ts = np.concatenate([ts, m.top * (1.0 - np.array([1e-1, 1e-2, 1e-3, 1e-4, 1e-5]))])
+    phi = split_point(c, ts)
+    for t, got in zip(ts, phi):
+        if got >= np.finfo(float).tiny:
+            want = _mpmath_split_point(m.forward, float(t), float(got))
+            assert abs(got - want) <= 1e-13 * want, (t, got, want)
 
 
 def _psi_by_formula(c):

@@ -40,7 +40,7 @@ from rispaces.logcalc import (
 )
 from rispaces.equivharness import standard_family
 from rispaces.kfunctional import GrandGrand, GrandLq, GrandSmallSameP, SmallSmall, k_curve, k_explicit
-from rispaces.norms import Grand, norms_over_cuts
+from rispaces.norms import Grand, Small, norms_over_cuts
 from rispaces.rearrangement import PowerLog, StepFunction, discretize_model
 
 
@@ -226,6 +226,59 @@ def test_gauss_jacobi_root_rule_against_scipy(s):
     assert x == pytest.approx((1.0 + y) / 2.0, rel=1e-13, abs=0.0)
     assert w == pytest.approx(mu / 2.0 ** (s + 1.0), rel=1e-13, abs=0.0)
     assert mu == pytest.approx(sp.roots_jacobi(15, 0.0, s)[1], rel=1e-12, abs=0.0)
+
+
+def _count_felt(monkeypatch):
+    """Record (felt, laid) root-side pieces of every linear_power_integrals call."""
+    felt, keep = [], logcalc._felt_pieces
+
+    def spy(*args):
+        out = keep(*args)
+        felt.append((int(out.sum()), out.size))
+        return out
+
+    monkeypatch.setattr(logcalc, "_felt_pieces", spy)
+    return felt
+
+
+def _feel_every_piece(monkeypatch):
+    monkeypatch.setattr(logcalc, "_felt_pieces", lambda w, s, ta, *rest: np.ones(ta.size, dtype=bool))
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_root_side_pieces_below_rounding_are_skipped(monkeypatch, p):
+    """Small tails of rand_00 cut far below its first break x_1 = 0.143: each
+    has a stretch whose root lies at the cut, laid in up to ~1,000 pieces as
+    its distance from the root doubles, most of them proved below 2^-60 of
+    the stretch and skipped.  The norms agree with every piece summed to
+    1e-15."""
+    f = dict(standard_family(q=4).realize(Resolution()))["rand_00"]
+    cuts = np.array([1e-300, 1e-200, 1e-100, 1e-30, 1e-16])
+    felt = _count_felt(monkeypatch)
+    got = norms_over_cuts(f, Small(p, 1.0), cuts, "tail")
+    _feel_every_piece(monkeypatch)
+    want = norms_over_cuts(f, Small(p, 1.0), cuts, "tail")
+    assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+    kept, laid = map(sum, zip(*felt))
+    assert laid > 2000 and kept < laid / 2
+
+
+@pytest.mark.parametrize("s", [-0.9, -0.5, 0.5, 3.0])
+@pytest.mark.parametrize("w", [LogWeight(-0.5, 1.0), LogWeight(2.0, -3.0), LogWeight(-1.0, 0.0)])
+def test_skipped_root_side_pieces_keep_the_stretch(monkeypatch, w, s):
+    """Stretches whose root lies from 1e-300 to 0.15 of their length away, up
+    and down in t: where s < 0 the pieces next to the root carry the stretch
+    and are kept; the skipped and unskipped integrals agree to 1e-15."""
+    near = np.array([1e-3, 1e-3, 0.5, 0.5, 0.2, 0.9])
+    far = np.array([0.9, 0.9, 1e-6, 1e-6, 0.4, 0.1])
+    at_near = np.array([1e-300, 1e-12, 1e-100, 1e-5, 1e-40, 3e-2])
+    slope = np.array([1.0, 2.0, 0.5, 3.0, 1e-3, 0.25])
+    felt = _count_felt(monkeypatch)
+    got = logcalc.linear_power_integrals(w, s, near, far, at_near, slope)
+    _feel_every_piece(monkeypatch)
+    want = logcalc.linear_power_integrals(w, s, near, far, at_near, slope)
+    assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert 0 < felt[0][0] < felt[0][1]
 
 
 def test_weight_integral_takes_no_adaptive_step(monkeypatch):

@@ -303,6 +303,47 @@ def test_ggamma_with_an_a2_minus_one_inner_weight_raises_no_warning(name):
     assert math.isfinite(lhs) and lhs >= rhs > 0.0
 
 
+def _log_only_ggamma(spec):
+    """[∫_0^1 w1 (∫_0^t w2)^{m/p} dt]^{1/m} for a1 = a2 = -1 in closed form:
+    with u = 1 - Log t, ∫_0^t w2 = u^s/(-s), s = b2 + 1, the integrand in u
+    is u^E/(-s)^{m/p}, E = b1 + s·m/p."""
+    e = spec.w1.b + (spec.w2.b + 1.0) * spec.m / spec.p
+    return ((-spec.w2.b - 1.0) ** (-spec.m / spec.p) / (-1.0 - e)) ** (1.0 / spec.m)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        A2_ONE,
+        GammaDouble(2, 2, LogWeight(-1.0, -4.0), LogWeight(-1.0, -3.0)),
+        GammaDouble(3, 1.5, LogWeight(-1.0, 0.5), LogWeight(-1.0, -5.0)),
+        GammaDouble(1, 4, LogWeight(-1.0, -0.5), LogWeight(-1.0, -1.5)),
+    ],
+    ids=repr,
+)
+def test_ggamma_of_a_constant_with_log_only_weights_is_closed_form(spec):
+    """a1 = a2 = -1: below the first break the outer integrand is a power of
+    u, closed from there on, so nothing is lost where the u-tail's march
+    would stop at t = 0 (u ≈ 745; A2_ONE read 0.7066329 against 1/√2 that
+    way).  const and its value cuts, and the lower bound check's
+    denominator, to 1e-12.  (Head cuts below 1 wait on the w2 table, which
+    leaves ∫_0^{x_1} w2 out of a head's value past its cut.)"""
+    f = dict(standard_family().realize(FAST))["const"]
+    norm = _log_only_ggamma(spec)
+    assert ggamma_norm(f, spec, FAST) == pytest.approx(norm, rel=1e-12, abs=0.0)
+    for kind, cuts, scale in (("excess", [0.0, 0.25], [1.0, 0.75]), ("capped", [0.5, 2.0], [0.5, 1.0])):
+        got = norms.norms_over_cuts(f, spec, np.array(cuts), kind, FAST)
+        assert got == pytest.approx(norm * np.array(scale), rel=1e-12, abs=0.0)
+    assert norms.norms_over_cuts(f, spec, np.ones(1), "head", FAST) == pytest.approx(norm, rel=1e-12)
+    for measure in (1e-3, 0.5, 1.0):
+        u, s, e = 1.0 - math.log(measure), spec.w2.b + 1.0, spec.m / spec.p
+        w2_mass = u**s / -s
+        denom = (w2_mass**e * u ** (spec.w1.b + 1.0) / -(spec.w1.b + s * e + 1.0)) ** (1.0 / spec.m)
+        lhs, rhs = ggamma_lower_bound_check(f, spec, measure, FAST)
+        assert lhs == pytest.approx(norm * w2_mass ** (1.0 / spec.p) / denom, rel=1e-12)
+        assert rhs == pytest.approx(w2_mass ** (1.0 / spec.p), rel=1e-12)
+
+
 def test_ggamma_quasi_triangle(rng):
     spec = GammaDouble(2, 2, THM13_W1, THM13_W2)
     k12 = spec.k12
