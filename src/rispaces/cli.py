@@ -192,7 +192,7 @@ def cmd_interp(args, res: Resolution) -> int:
     params = args.params
     harness.check_params(args.theorem, params)
     if not args.fn:
-        family = harness.standard_family(params.get("q") or params.get("p") or 4.0, args.seed)
+        family = harness.default_family(params, args.seed)
     else:
         family = harness.FunctionFamily("fn", (("fn", args.fn),))
     lines = ["function_id,lhs,rhs,ratio"]
@@ -265,12 +265,18 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     a = vars(args)  # the namespace's own dict: the parsed specs replace their text
     try:
-        if "seed" in a and args.seed is None:
-            env = os.environ.get("RISPACES_SEED", str(harness.DEFAULT_SEED))
-            try:
-                args.seed = int(env)
-            except ValueError:
-                raise ConfigError(f"RISPACES_SEED must be an integer, got {env!r}") from None
+        if "seed" in a:
+            source = "--seed"
+            if args.seed is None:
+                source, env = "RISPACES_SEED", os.environ.get("RISPACES_SEED", str(harness.DEFAULT_SEED))
+                try:
+                    args.seed = int(env)
+                except ValueError:
+                    raise ConfigError(f"RISPACES_SEED must be an integer, got {env!r}") from None
+            if args.seed < 0:
+                raise ConfigError(f"{source} must be a non-negative integer, got {args.seed}")
+        if a.get("ceiling") is not None and not args.ceiling > 0.0:
+            raise ConfigError(f"--ceiling must exceed 0, got {args.ceiling}")
         floors = {"u_max": 1.0, "panels": 1, "sup_count": 1, "k_nodes": 1}  # the smallest grids
         bad = [k for k in floors if k in a and not a[k] > floors[k]]
         if bad:

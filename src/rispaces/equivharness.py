@@ -39,10 +39,8 @@ from .norms import (
     Lebesgue,
     LorentzZygmund,
     Small,
-    SpaceSpec,
     grand_norm,
     prefix_log_integral,
-    space_norm,
     tail_log_integral,
 )
 from .rearrangement import (
@@ -55,7 +53,6 @@ from .rearrangement import (
     discretize_model,
     evaluate_many,
     prefix_power_at,
-    product_integral,
     tail_power_at,
 )
 
@@ -63,6 +60,7 @@ __all__ = [
     "FunctionFamily",
     "EquivReport",
     "standard_family",
+    "default_family",
     "random_steps",
     "identity_rows",
     "run_identity_experiment",
@@ -75,7 +73,8 @@ __all__ = [
     "discretization_check",
     "prop32_check",
     "lemma31_33_check",
-    "associate_lower_bound",
+    "LEMMA_PARAMS",
+    "run_lemma_experiment",
     "model_in_space",
     "ZSpace",
     "k_curve",
@@ -136,6 +135,12 @@ def standard_family(q: float = 4.0, seed: int = DEFAULT_SEED) -> FunctionFamily:
     for i in range(10):
         members.append((f"rand_{i:02d}", random_steps(rng)))
     return FunctionFamily("standard", tuple(members))
+
+
+def default_family(params: dict, seed: int = DEFAULT_SEED) -> FunctionFamily:
+    """The family an identity runs over by default: the standard family keyed
+    to q, or to p when the identity takes no q."""
+    return standard_family(params.get("q") or params.get("p") or 4.0, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +300,11 @@ def run_identity_experiment(
     ceiling: float = DEFAULT_CEILING,
     seed: int = DEFAULT_SEED,
 ) -> EquivReport:
-    """Both sides of one identity over a family (by default the standard
-    family keyed to q, or to p when the identity takes no q), plus refinement
-    drift; a member's failure names the identity, member, resolution and side."""
+    """Both sides of one identity over a family (by default
+    default_family(params, seed)), plus refinement drift; a member's failure
+    names the identity, member, resolution and side."""
     if family is None:
-        family = standard_family(params.get("q") or params.get("p") or 4.0, seed)
+        family = default_family(params, seed)
 
     def rows_at(resolution: Resolution):
         rows = identity_rows(theorem_id, params, family, resolution)
@@ -416,6 +421,42 @@ def hardy_check(
 # sup-smoothing equivalences
 # ---------------------------------------------------------------------------
 
+# The exponents of each one-function check behind the K-functionals (props 3.1,
+# 3.2 and 5.1, lemmas 3.1 and 3.3), under the name of the report it writes.
+LEMMA_PARAMS = {
+    "prop3.2": ("p", "r", "eps"),
+    "lemma3.1+3.3": ("p", "q", "alpha"),
+    "sup_smoothing:prop3.1": ("theta", "r", "alpha", "q"),
+    "sup_smoothing:prop5.1": ("nu", "beta", "q", "r"),
+}
+
+
+def _check_lemma(name: str, exponents: dict, error=BadExponent) -> None:
+    """Raise error naming an unknown check, or the first missing or
+    out-of-range exponent in LEMMA_PARAMS order: before any numerics."""
+    if name not in LEMMA_PARAMS:
+        raise error(f"unknown lemma check {name!r}; pick one of {tuple(LEMMA_PARAMS)}")
+    names = LEMMA_PARAMS[name]
+    missing = [key for key in names if key not in exponents]
+    if missing:
+        raise error(f"{name} needs parameter {missing[0]!r}; it takes {', '.join(names)}")
+    x, inf = exponents, math.inf
+    if name == "prop3.2":
+        ranges = [("p", 1.0 <= x["p"] < inf, "1 <= p < inf"), ("r", 1.0 < x["r"] < inf, "1 < r < inf"),
+                  ("eps", 0.0 < x["eps"] < 1.0, "0 < eps < 1")]
+    elif name == "lemma3.1+3.3":
+        ranges = [("p", 1.0 < x["p"] < inf, "1 < p < inf"), ("q", x["p"] < x["q"] < inf, "p < q < inf"),
+                  ("alpha", 0.0 < x["alpha"] < inf, "0 < alpha < inf")]
+    elif name == "sup_smoothing:prop3.1":
+        ranges = [("theta", 0.0 < x["theta"] < 1.0, "0 < theta < 1"), ("r", 1.0 <= x["r"] < inf, "1 <= r < inf"),
+                  ("alpha", 0.0 < x["alpha"] < inf, "0 < alpha < inf"), ("q", x["q"] > 0.0, "q > 0")]
+    else:
+        ranges = [("nu", 0.0 < x["nu"] < inf, "0 < nu < inf"), ("beta", -inf < x["beta"] < inf, "a finite beta"),
+                  ("q", x["q"] > 0.0, "q > 0"), ("r", 1.0 <= x["r"] < inf, "1 <= r < inf")]
+    for key, ok, statement in ranges:
+        if not ok:
+            raise error(f"{name} needs {statement}, got {key} = {x[key]!r}")
+
 
 def sup_smoothing_check(
     kd: StepFunction,
@@ -429,29 +470,24 @@ def sup_smoothing_check(
     log factor increases in s, so each panel peaks at its right endpoint and a
     suffix maximum gives the sup as another step function.
     """
+    _check_lemma(f"sup_smoothing:{which}", exponents)
     if np.any(np.diff(kd.values) > 0):
         raise NotMonotone("K_d must be nonincreasing")
     if which == "prop3.1":
         theta, r, alpha, q = (exponents[k] for k in ("theta", "r", "alpha", "q"))
-        if not (0.0 < theta < 1.0 and alpha > 0.0 and r >= 1.0 and q > 0.0):
-            raise BadExponent("need 0 < theta < 1, alpha > 0, r >= 1, q > 0")
         e = alpha / q
         w_sup = LogWeight((1.0 - theta) * r - 1.0, alpha * (1.0 - theta) * r / q)
         w_dir = LogWeight((1.0 - theta) * r - 1.0, -alpha * theta * r / q)
-    elif which == "prop5.1":
+    else:
         nu, beta, q, r = exponents["nu"], exponents["beta"], exponents["q"], exponents["r"]
-        if not (nu > 0.0 and r >= 1.0 and q > 0.0):
-            raise BadExponent("need nu > 0, r >= 1, q > 0")
         e = 1.0 / q
         w_sup = LogWeight(nu * r - 1.0, beta * r)
         w_dir = LogWeight(nu * r - 1.0, (beta - 1.0 / q) * r)
-    else:
-        raise BadExponent(f"unknown display {which!r}")
     peaks = (1.0 - np.log(kd.breaks[1:])) ** (-e) * kd.values
     sup_vals = np.maximum.accumulate(peaks[::-1])[::-1]
     m_step = StepFunction(kd.breaks, sup_vals)
-    i_sup = float(log_weight_integral(m_step, exponents["r"], w_sup, 0.0, 1.0))
-    i_dir = float(log_weight_integral(kd, exponents["r"], w_dir, 0.0, 1.0))
+    i_sup = float(log_weight_integral(m_step, r, w_sup, 0.0, 1.0))
+    i_dir = float(log_weight_integral(kd, r, w_dir, 0.0, 1.0))
     report = EquivReport(f"sup_smoothing:{which}", dict(exponents), ceiling=ceiling)
     if i_sup > 0.0 and i_dir > 0.0:
         report.members.append({"id": "kd", "lhs": i_sup, "rhs": i_dir, "ratio": i_sup / i_dir})
@@ -537,22 +573,26 @@ EXPERIMENTS = {
     **THEOREM_PARAMS,
     **{f"hardy:{which}": names for which, names in HARDY_PARAMS.items()},
     "discretization": ("lambda", "q"),
+    **LEMMA_PARAMS,
 }
 
 
 def check_params(name: str, params: dict) -> None:
     """Raise HypothesisViolation for a parameter the named experiment does not
-    take, and for a Hardy display's or the discretization check's parameter
-    that is missing or out of range; an identity's own hypotheses are
-    check_hypotheses'."""
+    take, and for one that is missing or out of range (an identity's
+    hypotheses are check_hypotheses'): before any family is built."""
     unknown = [key for key in params if key not in EXPERIMENTS[name]]
     if unknown:
         accepted = ", ".join(EXPERIMENTS[name])
         raise HypothesisViolation(f"{name} takes no parameter {unknown[0]!r}; it takes {accepted}")
-    if name.startswith("hardy:"):
+    if name in THEOREM_IDS:
+        check_hypotheses(name, **params)
+    elif name.startswith("hardy:"):
         _check_hardy(name.split(":", 1)[1], params, HypothesisViolation)
     elif name == "discretization":
         _check_discretization(*_discretization_exponents(params), HypothesisViolation)
+    elif name in LEMMA_PARAMS:
+        _check_lemma(name, params, HypothesisViolation)
 
 
 def _discretization_exponents(params: dict) -> Tuple[float, float]:
@@ -562,9 +602,9 @@ def _discretization_exponents(params: dict) -> Tuple[float, float]:
 def run_experiment(
     name: str, params: dict, res: Resolution = DEFAULT, seed: int = DEFAULT_SEED, ceiling=None
 ) -> EquivReport:
-    """One named experiment: an identity or a Hardy display over the seeded standard family, or
-    the discretization check over 20 seeded random step functions (the first one's params and
-    skips, every one's members); a ceiling of None keeps the experiment's own."""
+    """One named experiment: an identity, a Hardy display or a lemma check over the seeded
+    standard family, or the discretization check over 20 seeded random step functions (the first
+    one's params and skips, every one's members); a ceiling of None keeps the experiment's own."""
     if name not in EXPERIMENTS:
         raise HypothesisViolation(f"unknown experiment {name!r}; see list-experiments")
     check_params(name, params)
@@ -574,6 +614,8 @@ def run_experiment(
     if name.startswith("hardy:"):
         family = standard_family(seed=seed)
         return hardy_check(name.split(":", 1)[1], params, family, res, seed=seed, **given)
+    if name in LEMMA_PARAMS:
+        return run_lemma_experiment(name, params, standard_family(seed=seed), res, seed=seed, **given)
     lam, q = _discretization_exponents(params)
     rng = np.random.default_rng(seed)
     reports = []
@@ -596,12 +638,12 @@ def prop32_check(f: StepRearrangement, p: float, r: float, eps: float) -> EquivR
     """sup_{t<x} t^{(1-eps)/p} f(t) against its prefix-integral bound
     (∫_0^x f^r s^{c-1} ds)^{1/r}, c = r(1-eps)/p, with the explicit constant
     2 (Log 2)^{1/r'}, at 27 log-spaced x; asserted, not bracketed."""
-    if not (0.0 < eps < 1.0 and r > 1.0 and p >= 1.0):
-        raise BadExponent("need eps in (0,1), r > 1, p >= 1")
+    exponents = {"p": p, "r": r, "eps": eps}
+    _check_lemma("prop3.2", exponents)
     e = (1.0 - eps) / p
     c = r * (1.0 - eps) / p
     const = 2.0 * math.log(2.0) ** (1.0 - 1.0 / r)
-    report = EquivReport("prop3.2", {"p": p, "r": r, "eps": eps}, ceiling=1.0)
+    report = EquivReport("prop3.2", exponents, ceiling=1.0)
     violations = 0
     for x in np.exp(1.0 - np.linspace(1.0, 14.0, 27))[::-1].tolist():  # e^{-13} up to 1
         ends = np.minimum(f.breaks[1:], x)
@@ -629,8 +671,8 @@ def lemma31_33_check(
     ceiling: float = DEFAULT_CEILING,
 ) -> EquivReport:
     """Windowed-sup domination ratios: prefix means against grand-type sups."""
-    if not (1.0 < p < q and alpha > 0.0):
-        raise BadExponent("need 1 < p < q and alpha > 0")
+    exponents = {"p": p, "q": q, "alpha": alpha}
+    _check_lemma("lemma3.1+3.3", exponents)
     grid = UGrid(res.u_max, res.sup_count)
     sigma = p / (p - 1.0)
 
@@ -649,22 +691,47 @@ def lemma31_33_check(
 
     lhs33, _ = sup_on_grid(g33, grid, f.breaks[1:])
     rhs33 = grand_norm(f, q, alpha, res)
-    report = EquivReport("lemma3.1+3.3", {"p": p, "q": q, "alpha": alpha}, ceiling=ceiling)
+    report = EquivReport("lemma3.1+3.3", exponents, ceiling=ceiling)
     pairs = [("windowed-l1-mean", lhs31, rhs31), ("prefix-p-mean", lhs33, rhs33)]
     return _judge(report, pairs).finalize(require_two_sided=False)
 
 
-def associate_lower_bound(
-    f: StepRearrangement,
-    spec: SpaceSpec,
+def _lemma_report(name: str, f: StepRearrangement, exponents: dict, res: Resolution, ceiling: float):
+    if name == "prop3.2":
+        return prop32_check(f, exponents["p"], exponents["r"], exponents["eps"])
+    if name == "lemma3.1+3.3":
+        return lemma31_33_check(f, exponents["p"], exponents["q"], exponents["alpha"], res, ceiling)
+    return sup_smoothing_check(f, exponents, name.split(":", 1)[1], ceiling)
+
+
+def run_lemma_experiment(
+    name: str,
+    exponents: dict,
     family: FunctionFamily,
     res: Resolution = DEFAULT,
-) -> float:
-    """max over g of ∫ f g / norm(g): a lower bound for the associate norm."""
-    best = 0.0
-    for _, g in family.realize(res):
-        denom = space_norm(g, spec, res)
-        if denom <= 0.0 or not math.isfinite(denom):
-            continue
-        best = max(best, product_integral(f, g) / denom)
-    return best
+    ceiling: float = DEFAULT_CEILING,
+    seed: int = DEFAULT_SEED,
+) -> EquivReport:
+    """One lemma check over a family: every member's rows (named member/row)
+    judged one-sided, with the drift under doubling.  The experiment also fails
+    where a member's own verdict fails at either resolution (prop 3.2's
+    violations, sup smoothing's i_sup >= i_dir), and lists those members in
+    params["failed_members"]."""
+    _check_lemma(name, exponents)
+    failed: List[str] = []
+
+    def rows_at(resolution: Resolution):
+        for member, f in family.realize(resolution):
+            with failure_context(f"{name} member {member} at {resolution}"):
+                rep = _lemma_report(name, f, exponents, resolution, ceiling)
+            if rep.members and not rep.passed and member not in failed:
+                failed.append(member)
+            yield from ((f"{member}/{m['id']}", m["lhs"], m["rhs"]) for m in rep.members)
+            # a row the check skipped has a zero side, so it is skipped again
+            yield from ((f"{member}/{m['id']}", 0.0, 0.0) for m in rep.skipped)
+
+    report = EquivReport(name, dict(exponents), ceiling=ceiling, seed=seed)
+    report = _judge_with_drift(report, rows_at, res, two_sided=False)
+    report.params["failed_members"] = failed
+    report.passed = report.passed and not failed
+    return report

@@ -831,8 +831,10 @@ def sups_on_grid(g: Callable, grid: UGrid, columns: int, extra_points: Iterable[
 class MonotoneMap:
     """A weight t^a (1 - Log t)^b restricted to the interval where it increases.
 
-    For a > 0 the map increases on (0, t0] with t0 = e^{(a-b)/a} when a < b and
-    t0 = 1 otherwise; for a = 0 it increases on all of (0, 1] iff b < 0.
+    For a > 0 the map increases on (0, t0] with t0 = e^{(a-b)/a}, that is
+    u0 = b/a, when a < b and t0 = 1 otherwise; for a = 0 it increases on all of
+    (0, 1] iff b < 0.  The top forward(t0) is taken at u0, so it stays finite
+    where t0 underflows to 0.
     """
 
     forward: LogWeight
@@ -841,9 +843,9 @@ class MonotoneMap:
         a, b = self.forward.a, self.forward.b
         if a < 0.0 or (a == 0.0 and b >= 0.0):
             raise BadExponent("map must be increasing near 0: need a > 0, or a = 0 with b < 0")
-        t0 = 1.0 if (a == 0.0 or a >= b) else math.exp((a - b) / a)
-        object.__setattr__(self, "t0", t0)
-        object.__setattr__(self, "top", float(self.forward(t0)))
+        u0 = 1.0 if (a == 0.0 or a >= b) else b / a
+        object.__setattr__(self, "t0", float(t_of_u(u0)))
+        object.__setattr__(self, "top", float(self.forward.value_at_u(u0)))
 
     def inverse(self, y):
         """t in the monotone domain with |forward(t) - y| <= 1e-12·max(|y|, tiny),

@@ -33,7 +33,6 @@ __all__ = [
     "prefix_power_at",
     "tail_power_at",
     "tail_rearranged",
-    "product_integral",
 ]
 
 
@@ -298,10 +297,3 @@ def tail_rearranged(f: StepRearrangement, x: float) -> StepRearrangement:
     else:
         breaks[-1] = 1.0
     return StepRearrangement(breaks, vals)
-
-
-def product_integral(f: StepFunction, g: StepFunction) -> float:
-    """Exact ∫_0^1 f(s) g(s) ds over the merged panel grid."""
-    edges = np.union1d(f.breaks, g.breaks)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    return float(np.sum(evaluate_many(f, mids) * evaluate_many(g, mids) * np.diff(edges)))

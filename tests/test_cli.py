@@ -2,14 +2,22 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 
 import pytest
 
+from rispaces import equivharness
 from rispaces.cli import main
 from rispaces.config import Resolution
-from rispaces.equivharness import hardy_check, run_experiment, run_identity_experiment, standard_family
+from rispaces.equivharness import (
+    EXPERIMENTS,
+    hardy_check,
+    run_experiment,
+    run_identity_experiment,
+    standard_family,
+)
 from rispaces.kfunctional import GrandGrand, GrandLq, GrandSmallSameP, SmallSmall, k_curve
 from rispaces.logcalc import UGrid
 from rispaces.rearrangement import PowerLog, discretize_model
@@ -303,14 +311,138 @@ def test_experiment_unknown_name():
         (("discretization", "lambda=1", "q=0"), "discretization needs 0 < q < inf, got q = 0.0"),
         (("discretization", "q=inf"), "discretization needs 0 < q < inf, got q = inf"),
         (("discretization", "lambda=nan"), "discretization needs a finite lambda, got lambda = nan"),
+        (("prop3.2", "p=inf", "r=2", "eps=0.5"), "prop3.2 needs 1 <= p < inf, got p = inf"),
+        (("lemma3.1+3.3", "p=2", "q=2", "alpha=1"), "lemma3.1+3.3 needs p < q < inf, got q = 2.0"),
+        (("sup_smoothing:prop3.1", "theta=0.5", "r=0.5", "alpha=1", "q=4"),
+         "sup_smoothing:prop3.1 needs 1 <= r < inf, got r = 0.5"),
+        (("sup_smoothing:prop5.1", "nu=0", "beta=1", "q=4", "r=2"),
+         "sup_smoothing:prop5.1 needs 0 < nu < inf, got nu = 0.0"),
+        (("T1.1", "p=2", "q=1", "alpha=1"), "need 1 < p < q < inf"),
     ],
 )
 def test_bad_hardy_and_discretization_parameters_exit_2(capsys, argv, message):
     """A missing or out-of-range parameter, or an unknown display, is a
-    configuration error named before any numerics, not a numerical failure."""
+    configuration error named before any numerics, not a numerical failure:
+    so are a lemma check's (prop 3.2 at p = inf would pass vacuously, its
+    right side being infinite) and an identity's (at q = 1 building the
+    family divided by zero)."""
     code, stdout = run_cli("experiment", *argv)
     assert code == 2 and stdout == ""
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# One valid parameter set of each experiment, and the parameters it may leave
+# out (each has a default).
+VALID = {
+    "T1.1": ("p=2 q=4 alpha=1", ""),
+    "T3.1": ("p=2 q=4 alpha=1", ""),
+    "T1.2": ("p=2 q=4 theta=0.5 r=2 alpha=1", ""),
+    "T3.4": ("p=2 q=4 theta=0.5 r=2 alpha=1", ""),
+    "T5.1": ("p=2 q=4 theta=0.5 r=2", ""),
+    "P4.1": ("p=2 alpha=1", ""),
+    "P4.2": ("p=2 q=4 alpha=1", ""),
+    "T1.3": ("p=2 theta=0.5 r=2", ""),
+    "T6.2": ("p=2 theta=0.5 r=2", ""),
+    "hardy:thm2.1-first": ("lam=0.5 b=2 beta=0", "beta"),
+    "hardy:thm2.1-second": ("lam=0.5 b=2 beta=0", "beta"),
+    "hardy:thm2.2-first": ("a=2 alpha=1", ""),
+    "hardy:thm2.2-second": ("a=2 alpha=-1", ""),
+    "discretization": ("lambda=1 q=2", "lambda q"),
+    "prop3.2": ("p=2 r=2 eps=0.5", ""),
+    "lemma3.1+3.3": ("p=2 q=4 alpha=1", ""),
+    "sup_smoothing:prop3.1": ("theta=0.5 r=2 alpha=1 q=4", ""),
+    "sup_smoothing:prop5.1": ("nu=0.5 beta=1 q=4 r=2", ""),
+}
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_every_experiment_names_a_dropped_or_unknown_parameter_before_any_numerics(
+    monkeypatch, capsys, name
+):
+    """Each required parameter left out, and one the experiment does not
+    take, is a configuration error that names it; no family is built."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numerics started")
+
+    monkeypatch.setattr(equivharness, "standard_family", refuse)
+    monkeypatch.setattr(equivharness, "random_steps", refuse)
+    assert set(VALID) == set(EXPERIMENTS)
+    given, optional = (text.split() for text in VALID[name])
+    assert [kv.split("=")[0] for kv in given] == list(EXPERIMENTS[name])
+    for kv in given:
+        key = kv.split("=")[0]
+        if key in optional:
+            continue
+        code, stdout = run_cli("experiment", name, *(other for other in given if other != kv))
+        err = capsys.readouterr().err
+        assert code == 2 and stdout == "" and re.search(rf"\b{re.escape(key)}\b", err), err
+    code, stdout = run_cli("experiment", name, *given, "nu2=1")
+    assert code == 2 and stdout == ""
+    assert capsys.readouterr().err.startswith(f"error: {name} takes no parameter 'nu2'; it takes ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("prop3.2", "p=2", "r=2", "eps=0.5"),
+        ("lemma3.1+3.3", "p=2", "q=4", "alpha=1"),
+        ("sup_smoothing:prop3.1", "theta=0.5", "r=2", "alpha=1", "q=4"),
+        ("sup_smoothing:prop5.1", "nu=0.5", "beta=1", "q=4", "r=2"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_lemma_experiments_pass_at_the_default_resolution(monkeypatch, argv):
+    """AC11's and AC12's parameters over the standard family: a strict-JSON
+    report that passes, with every member's own verdict."""
+    monkeypatch.delenv("RISPACES_SEED", raising=False)
+    code, out = run_cli("experiment", *argv)
+
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    report = json.loads(out, parse_constant=refuse)
+    assert code == 0 and report["pass"] and report["experiment"] == argv[0]
+    assert report["params"]["failed_members"] == [] and report["drift"] < 0.05
+    assert report["seed"] == 20240801 and report["ceiling"] == 64.0
+
+
+@pytest.mark.parametrize(
+    "argv,env,message",
+    [
+        (("experiment", "T1.1", "p=2", "q=4", "alpha=1", "--seed", "-1"), None,
+         "--seed must be a non-negative integer, got -1"),
+        (("interp", "P4.1", "p=2", "alpha=1", "--seed", "-5"), None,
+         "--seed must be a non-negative integer, got -5"),
+        (("experiment", "P4.1", "p=2", "alpha=1"), "-3",
+         "RISPACES_SEED must be a non-negative integer, got -3"),
+    ],
+    ids=["experiment-flag", "interp-flag", "environment"],
+)
+def test_negative_seed_exits_2(monkeypatch, capsys, argv, env, message):
+    """numpy refuses a negative seed; it is named before any numerics."""
+    monkeypatch.setattr(equivharness, "standard_family", None)
+    if env is None:
+        monkeypatch.delenv("RISPACES_SEED", raising=False)
+    else:
+        monkeypatch.setenv("RISPACES_SEED", env)
+    code, stdout = run_cli(*argv)
+    assert code == 2 and stdout == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("ceiling", ["0", "-1", "nan"])
+def test_a_ceiling_that_is_not_positive_exits_2(monkeypatch, capsys, ceiling):
+    monkeypatch.setattr(equivharness, "standard_family", None)
+    code, stdout = run_cli("experiment", "P4.1", "p=2", "alpha=1", "--ceiling", ceiling)
+    assert code == 2 and stdout == ""
+    assert capsys.readouterr().err == f"error: --ceiling must exceed 0, got {float(ceiling)}\n"
+
+
+def test_an_infinite_ceiling_is_allowed():
+    code, out = run_cli("experiment", "discretization", "lambda=0.5", "q=2", "--ceiling", "inf")
+    report = json.loads(out)
+    assert code == 0 and report["pass"] and report["ceiling"] is None
 
 
 def test_divergent_space_exits_1():
@@ -467,6 +599,10 @@ def test_list_experiments():
         "hardy:thm2.2-first       a alpha",
         "hardy:thm2.2-second      a alpha",
         "discretization           lambda q",
+        "prop3.2                  p r eps",
+        "lemma3.1+3.3             p q alpha",
+        "sup_smoothing:prop3.1    theta r alpha q",
+        "sup_smoothing:prop5.1    nu beta q r",
     ]
 
 

@@ -13,16 +13,17 @@ from rispaces.equivharness import (
     EquivReport,
     EXPERIMENTS,
     FunctionFamily,
-    associate_lower_bound,
     discretization_check,
     hardy_check,
     identity_rows,
+    LEMMA_PARAMS,
     lemma31_33_check,
     model_in_space,
     prop32_check,
     random_steps,
     run_experiment,
     run_identity_experiment,
+    run_lemma_experiment,
     standard_family,
     sup_smoothing_check,
 )
@@ -38,6 +39,7 @@ from rispaces.rearrangement import (
     discretize_model,
 )
 
+from associate import associate_lower_bound
 from conftest import FAST
 
 MINI = FunctionFamily(
@@ -166,6 +168,15 @@ def test_run_experiment_unknown_name():
         run_experiment("T9.9", {"p": 2.0})
 
 
+def lemma_report(name, f, params, res):
+    """The report of the lemma check that the named experiment runs on one function."""
+    if name == "prop3.2":
+        return prop32_check(f, params["p"], params["r"], params["eps"])
+    if name == "lemma3.1+3.3":
+        return lemma31_33_check(f, params["p"], params["q"], params["alpha"], res)
+    return sup_smoothing_check(f, params, name.split(":", 1)[1])
+
+
 @pytest.mark.parametrize(
     "name,params,names",
     [
@@ -175,11 +186,20 @@ def test_run_experiment_unknown_name():
         ("hardy:thm2.2-first", {"a": 0.0, "alpha": 1.0}, "a >= 1"),
         ("discretization", {"lambda": 1.0, "q": 0.0}, "q"),
         ("discretization", {"q": -2.0}, "q"),
+        ("T1.1", {"p": 2.0, "q": 1.0, "alpha": 1.0}, "need 1 < p < q < inf"),
+        ("prop3.2", {"p": math.inf, "r": 2.0, "eps": 0.5}, "needs 1 <= p < inf, got p = inf"),
+        ("prop3.2", {"p": 2.0, "r": 1.0, "eps": 0.5}, "needs 1 < r < inf, got r = 1.0"),
+        ("lemma3.1+3.3", {"p": 4.0, "q": 2.0, "alpha": 1.0}, "needs p < q < inf, got q = 2.0"),
+        ("lemma3.1+3.3", {"p": 2.0, "q": 4.0, "alpha": math.inf}, "got alpha = inf"),
+        ("sup_smoothing:prop3.1", {"theta": 1.0, "r": 2.0, "alpha": 1.0, "q": 4.0}, "got theta = 1.0"),
+        ("sup_smoothing:prop3.1", {"theta": 0.5, "r": math.inf, "alpha": 1.0, "q": 4.0}, "got r = inf"),
+        ("sup_smoothing:prop5.1", {"nu": 0.5, "beta": math.nan, "q": 4.0, "r": 2.0}, "got beta = nan"),
+        ("sup_smoothing:prop5.1", {"nu": 0.5, "beta": 1.0, "q": 0.0, "r": 2.0}, "needs q > 0"),
     ],
 )
 def test_run_experiment_names_a_bad_parameter_before_any_numerics(monkeypatch, name, params, names):
-    """Presence and range are checked before a family is realized; the
-    direct checks keep raising BadExponent with the same message."""
+    """Presence and range are checked before a family is built; the direct
+    checks keep raising BadExponent with the same message."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("numerics started")
@@ -188,9 +208,13 @@ def test_run_experiment_names_a_bad_parameter_before_any_numerics(monkeypatch, n
     monkeypatch.setattr(equivharness, "random_steps", refuse)
     with pytest.raises(HypothesisViolation, match=names) as err:
         run_experiment(name, params, FAST)
-    if name.startswith("hardy:"):
+    if name.startswith("hardy:") or name in LEMMA_PARAMS:
+        one = StepRearrangement(np.array([0.0, 1.0]), np.array([1.0]))
         with pytest.raises(BadExponent) as direct:
-            hardy_check(name.split(":", 1)[1], params, MINI, FAST)
+            if name.startswith("hardy:"):
+                hardy_check(name.split(":", 1)[1], params, MINI, FAST)
+            else:
+                lemma_report(name, one, params, FAST)
         assert str(direct.value) == str(err.value)
 
 
@@ -418,6 +442,56 @@ def test_prop32_zero():
     z = StepRearrangement(np.array([0.0, 1.0]), np.array([0.0]))
     rep = prop32_check(z, 2.0, 2.0, 0.5)
     assert not rep.members
+
+
+# The acceptance suite's parameters (AC11, AC12) of each lemma experiment.
+LEMMA_CASES = {
+    "prop3.2": dict(p=2.0, r=2.0, eps=0.5),
+    "lemma3.1+3.3": dict(p=2.0, q=4.0, alpha=1.0),
+    "sup_smoothing:prop3.1": dict(theta=0.5, r=2.0, alpha=1.0, q=4.0),
+    "sup_smoothing:prop5.1": dict(nu=0.5, beta=1.0, q=4.0, r=2.0),
+}
+WITH_ZERO = FunctionFamily("mini+zero", MINI.members + (("zero", ExplicitSteps((0.0, 1.0), (0.0,))),))
+
+
+@pytest.mark.parametrize("name", LEMMA_CASES)
+def test_lemma_experiment_judges_every_members_rows(name):
+    """A lemma experiment's members are the direct check's rows of each
+    family member, named member/row; the rows a check skips stay skipped."""
+    params = LEMMA_CASES[name]
+    assert set(LEMMA_PARAMS) == set(LEMMA_CASES) and LEMMA_PARAMS[name] == tuple(params)
+    rep = run_lemma_experiment(name, params, WITH_ZERO, FAST, seed=5)
+    rows, skipped = [], []
+    for member, f in WITH_ZERO.realize(FAST):
+        direct = lemma_report(name, f, params, FAST)
+        assert direct.passed == (member != "zero")
+        rows += [(f"{member}/{m['id']}", m["lhs"], m["rhs"]) for m in direct.members]
+        skipped += [f"{member}/{m['id']}" for m in direct.skipped]
+    assert [(m["id"], m["lhs"], m["rhs"]) for m in rep.members] == rows
+    assert [m["id"] for m in rep.skipped] == skipped and any(m.startswith("zero/") for m in skipped)
+    assert rep.passed and rep.drift < 0.05 and rep.seed == 5
+    assert rep.params == {**params, "failed_members": []}
+    # run_experiment runs it over the seeded standard family
+    coarse = Resolution(panels=32, sup_count=64)
+    got = run_experiment(name, params, coarse, seed=3)
+    want = run_lemma_experiment(name, params, standard_family(seed=3), coarse, seed=3)
+    assert got.members == want.members and got.passed == want.passed
+
+
+def test_lemma_experiment_fails_where_a_members_own_verdict_fails(monkeypatch):
+    """Prop 3.2's violations fail the experiment even where every ratio lies
+    below the ceiling; the members that failed are listed."""
+    original = equivharness.prop32_check
+
+    def violated(f, p, r, eps):
+        rep = original(f, p, r, eps)
+        rep.params["violations"], rep.passed = 1, False
+        return rep
+
+    monkeypatch.setattr(equivharness, "prop32_check", violated)
+    rep = run_lemma_experiment("prop3.2", LEMMA_CASES["prop3.2"], WITH_ZERO, FAST)
+    assert rep.max_ratio < 1.0 and rep.drift < 0.05 and not rep.passed
+    assert rep.params["failed_members"] == [name for name, _ in MINI.members]
 
 
 def test_lemma31_33_zero_skipped():

@@ -830,6 +830,24 @@ def test_monotone_map_t0_rule():
         MonotoneMap(LogWeight(0.0, 1.0))  # decreasing near zero
 
 
+def test_monotone_map_whose_t0_underflows():
+    """t0 = e^{1 - b/a} underflows to 0 for b/a past about 745; the top is
+    taken at u0 = b/a, so it stays finite and the Newton solve still runs.
+    (RuntimeWarnings are errors in this suite.)"""
+    m = MonotoneMap(LogWeight(1e-8, 5.0))
+    assert m.t0 == 0.0 and math.isfinite(m.top)
+    assert m.top == pytest.approx(math.exp(1e-8 * (1.0 - 5e8)) * 5e8**5, rel=1e-12)
+    with pytest.raises(OutOfRange, match=re.escape(f"target {0.5 * m.top!r} lies past u = 1e7")):
+        m.inverse(0.5 * m.top)  # its root lies past u0 = 5e8
+    # u0 = 5e5: a root below u = 1e7 meets the 1e-12 residual on the u scale
+    # (a miss raises NoConvergence), though its t underflows to 0
+    m = MonotoneMap(LogWeight(1e-5, 5.0))
+    assert m.t0 == 0.0 and math.isfinite(m.top)
+    assert m.inverse(np.array([0.5, 1e-30]) * m.top).tolist() == [0.0, 0.0]
+    with pytest.raises(OutOfRange, match=re.escape(f"target {1e-100 * m.top!r} lies past u = 1e7")):
+        m.inverse(1e-100 * m.top)
+
+
 @given(st.floats(0.1, 3.0), st.floats(-3.0, 3.0), st.floats(-11.0, -0.01))
 @settings(max_examples=60, deadline=None)
 def test_roundtrip_on_monotone_domain(a, b, log_y):

@@ -91,6 +91,14 @@ def test_sibling_imports_are_exported():
     assert not problems, "\n".join(problems)
 
 
+def test_package_root_is_no_second_import_path():
+    """Every name is imported from the module that defines it: the package
+    root imports nothing and defines only __version__."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert not [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert [t.id for n in tree.body if isinstance(n, ast.Assign) for t in n.targets] == ["__version__"]
+
+
 def test_explicit_forms_reach_integrals_only_through_norms():
     """kfunctional imports no quadrature, supremum search or step-power helper:
     every term of an explicit K-form is a norm of a truncation or a log

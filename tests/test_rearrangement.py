@@ -16,10 +16,10 @@ from rispaces.rearrangement import (
     discretize_model,
     evaluate_at,
     power_integral,
-    product_integral,
     rearrange_from_samples,
     tail_rearranged,
 )
+from associate import product_integral
 from truncations import capped_part, excess_part, head_restriction
 
 
