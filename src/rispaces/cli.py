@@ -18,14 +18,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from . import equivharness as harness
 from .config import DEFAULT, Resolution
 from .errors import BadExponent, BadModel, BadWeights, HypothesisViolation, NonFiniteInput
-from .errors import RispacesError
-from .interpolation import THEOREM_IDS
+from .errors import NonFiniteValue, RispacesError
+from .interpolation import HYPOTHESES, THEOREM_IDS, check_params
 from .kfunctional import General, GrandGrand, GrandLq, GrandSmallSameP, LpLq, SmallSmall, k_curve
 from .logcalc import LogWeight, UGrid
 from .norms import GammaDouble, Grand, Lebesgue, LorentzZygmund, Small, space_norm
@@ -162,8 +163,11 @@ def cmd_norm(args, res: Resolution) -> int:
     if not (args.fn and args.space):
         raise ConfigError("norm needs --fn and --space")
     f = discretize_model(args.fn, res.u_max, res.panels)
-    payload = {"space": type(args.space).__name__.lower(), "value": space_norm(f, args.space, res)}
-    _write_text(args.out, json.dumps(payload) + "\n")
+    kind = next(kind for kind, (build, _) in _SPECS["space"].items() if type(args.space) is build)
+    value = space_norm(f, args.space, res)
+    if not math.isfinite(value):
+        raise NonFiniteValue(f"{kind} norm is {value!r}")
+    _write_text(args.out, json.dumps({"space": kind, "value": value}) + "\n")
     return 0
 
 
@@ -190,7 +194,7 @@ def cmd_kfunc(args, res: Resolution) -> int:
 
 def cmd_interp(args, res: Resolution) -> int:
     params = args.params
-    harness.check_params(args.theorem, params)
+    check_params(HYPOTHESES, args.theorem, params)
     if not args.fn:
         family = harness.default_family(params, args.seed)
     else:

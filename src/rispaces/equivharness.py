@@ -13,18 +13,26 @@ import functools
 import json
 import math
 import statistics
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from .config import DEFAULT, DEFAULT_CEILING, Resolution
-from .errors import BadExponent, HypothesisViolation, NotMonotone, failure_context
+from .errors import NotMonotone, failure_context
 from .interpolation import (
+    ALPHA,
+    HYPOTHESES,
+    P,
+    P_FROM_1,
+    Q,
+    R,
+    R_ABOVE_1,
     THEOREM_IDS,
-    THEOREM_PARAMS,
+    THETA,
+    Param,
     ZSpace,
-    check_hypotheses,
+    check_params,
     doubling_blocks,
     doubling_time,
     identify_target,
@@ -66,8 +74,8 @@ __all__ = [
     "run_identity_experiment",
     "hardy_check",
     "HARDY_PARAMS",
+    "CATALOGUE",
     "EXPERIMENTS",
-    "check_params",
     "run_experiment",
     "sup_smoothing_check",
     "discretization_check",
@@ -76,7 +84,6 @@ __all__ = [
     "LEMMA_PARAMS",
     "run_lemma_experiment",
     "model_in_space",
-    "ZSpace",
     "k_curve",
 ]
 
@@ -278,9 +285,8 @@ def identity_rows(theorem_id: str, params: dict, family: FunctionFamily, res: Re
     """(member, lhs, rhs) of one identity for each member of a family, evaluated
     as the row is read, after the hypotheses are checked on the call; a member
     outside the couple's first space or the target space has None sides."""
-    args = {name: params.get(name) for name in ("p", "q", "theta", "r", "alpha")}
-    check_hypotheses(theorem_id, **args)
-    couple = theorem_couple(theorem_id, args["p"], args["q"], args["alpha"])
+    args = check_params(HYPOTHESES, theorem_id, params)
+    couple = theorem_couple(theorem_id, args.get("p"), args.get("q"), args.get("alpha"))
     required = (couple_spaces(couple)[0], target_space(theorem_id, **args))
     realized = dict(family.realize(res))
 
@@ -320,46 +326,29 @@ def run_identity_experiment(
 # weighted Hardy inequalities
 # ---------------------------------------------------------------------------
 
-# Each display's exponents.
+# Each display's exponents: b = inf is thm 2.1's sup form, and thm 2.2's branch
+# puts alpha on its side of -1/a.
+_LAM = Param("lam", lambda x: 0.0 < x["lam"] < math.inf, "0 < lam < inf")
+_B = Param("b", lambda x: x["b"] >= 1.0, "b >= 1")
+_BETA = Param("beta", lambda x: math.isfinite(x["beta"]), "a finite beta", 0.0)
+_A = Param("a", lambda x: 1.0 <= x["a"] < math.inf, "1 <= a < inf")
+_PREFIX = Param("alpha", lambda x: -1.0 / x["a"] < x["alpha"] < math.inf, "-1/a < alpha < inf (prefix branch)")
+_TAIL = Param("alpha", lambda x: -math.inf < x["alpha"] < -1.0 / x["a"], "-inf < alpha < -1/a (tail branch)")
 HARDY_PARAMS = {
-    "thm2.1-first": ("lam", "b", "beta"),
-    "thm2.1-second": ("lam", "b", "beta"),
-    "thm2.2-first": ("a", "alpha"),
-    "thm2.2-second": ("a", "alpha"),
+    "thm2.1-first": (_LAM, _B, _BETA),
+    "thm2.1-second": (_LAM, _B, _BETA),
+    "thm2.2-first": (_A, _PREFIX),
+    "thm2.2-second": (_A, _TAIL),
 }
-
-
-def _check_hardy(which: str, exponents: dict, error=BadExponent) -> None:
-    """Raise error naming the parameter for an unknown display, or for a
-    missing or out-of-range exponent (beta defaults to 0): before any numerics."""
-    if which not in HARDY_PARAMS:
-        raise error(f"unknown display {which!r}; pick one of {tuple(HARDY_PARAMS)}")
-    missing = [key for key in HARDY_PARAMS[which] if key not in exponents and key != "beta"]
-    if missing:
-        raise error(f"hardy:{which} needs parameter {missing[0]!r}; it takes {', '.join(HARDY_PARAMS[which])}")
-    if which.startswith("thm2.1"):
-        lam, b = exponents["lam"], exponents["b"]
-        if not lam > 0.0:
-            raise error(f"hardy:{which} needs lam > 0, got lam = {lam!r}")
-        if not b >= 1.0:
-            raise error(f"hardy:{which} needs b >= 1, got b = {b!r}")
-        return
-    a, alpha = exponents["a"], exponents["alpha"]
-    if not a >= 1.0:
-        raise error(f"hardy:{which} needs a >= 1, got a = {a!r}")
-    prefix = which.endswith("first")
-    if not (alpha + 1.0 / a) * (1.0 if prefix else -1.0) > 0.0:
-        side = "> 0 (prefix branch)" if prefix else "< 0 (tail branch)"
-        raise error(f"hardy:{which} needs alpha + 1/a {side}, got alpha = {alpha!r} with a = {a!r}")
 
 
 def _hardy_sides(which: str, exponents: dict, f: StepFunction, res: Resolution):
     """Both sides of one display: the lhs is a prefix or tail power integral
     ∫_0^1 w(t) (∫_0^t f or ∫_t^1 f)^s dt, the rhs ∫_0^1 f^s w_rhs, each to the
-    power root.  The exponents are in range (_check_hardy)."""
+    power root.  The exponents are checked, beta filled in."""
     prefix = which.endswith("first")
     if which.startswith("thm2.1"):
-        lam, b, beta = exponents["lam"], exponents["b"], exponents.get("beta", 0.0)
+        lam, b, beta = exponents["lam"], exponents["b"], exponents["beta"]
         if math.isinf(b):
             return _hardy_sup_sides(which, lam, beta, f, res)
         # [t^{∓lam} (1-Log t)^beta · inner]^b dt/t against [t^{1∓lam} (1-Log t)^beta f]^b dt/t
@@ -406,12 +395,13 @@ def hardy_check(
     ceiling: float = DEFAULT_CEILING,
     seed: int = DEFAULT_SEED,
 ) -> EquivReport:
-    """LHS/RHS of one weighted Hardy display per member; family-uniform bracket."""
-    _check_hardy(which, exponents)
+    """LHS/RHS of one weighted Hardy display per member; family-uniform bracket.
+    The report records the exponents as given."""
+    checked = check_params(CATALOGUE, f"hardy:{which}", exponents)
 
     def rows_at(resolution: Resolution):
         realized = family.realize(resolution)
-        return [(name, *_hardy_sides(which, exponents, f, resolution)) for name, f in realized]
+        return [(name, *_hardy_sides(which, checked, f, resolution)) for name, f in realized]
 
     report = EquivReport(f"hardy:{which}", dict(exponents), ceiling=ceiling, seed=seed)
     return _judge_with_drift(report, rows_at, res, two_sided=False)
@@ -422,40 +412,17 @@ def hardy_check(
 # ---------------------------------------------------------------------------
 
 # The exponents of each one-function check behind the K-functionals (props 3.1,
-# 3.2 and 5.1, lemmas 3.1 and 3.3), under the name of the report it writes.
+# 3.2 and 5.1, lemmas 3.1 and 3.3), under the name of the report it writes;
+# prop 5.1's beta has Hardy's range but no default.
+_EPS = Param("eps", lambda x: 0.0 < x["eps"] < 1.0, "0 < eps < 1")
+_NU = Param("nu", lambda x: 0.0 < x["nu"] < math.inf, "0 < nu < inf")
+_Q_POSITIVE = Param("q", lambda x: x["q"] > 0.0, "q > 0")
 LEMMA_PARAMS = {
-    "prop3.2": ("p", "r", "eps"),
-    "lemma3.1+3.3": ("p", "q", "alpha"),
-    "sup_smoothing:prop3.1": ("theta", "r", "alpha", "q"),
-    "sup_smoothing:prop5.1": ("nu", "beta", "q", "r"),
+    "prop3.2": (P_FROM_1, R_ABOVE_1, _EPS),
+    "lemma3.1+3.3": (P, Q, ALPHA),
+    "sup_smoothing:prop3.1": (THETA, R, ALPHA, _Q_POSITIVE),
+    "sup_smoothing:prop5.1": (_NU, replace(_BETA, default=None), _Q_POSITIVE, R),
 }
-
-
-def _check_lemma(name: str, exponents: dict, error=BadExponent) -> None:
-    """Raise error naming an unknown check, or the first missing or
-    out-of-range exponent in LEMMA_PARAMS order: before any numerics."""
-    if name not in LEMMA_PARAMS:
-        raise error(f"unknown lemma check {name!r}; pick one of {tuple(LEMMA_PARAMS)}")
-    names = LEMMA_PARAMS[name]
-    missing = [key for key in names if key not in exponents]
-    if missing:
-        raise error(f"{name} needs parameter {missing[0]!r}; it takes {', '.join(names)}")
-    x, inf = exponents, math.inf
-    if name == "prop3.2":
-        ranges = [("p", 1.0 <= x["p"] < inf, "1 <= p < inf"), ("r", 1.0 < x["r"] < inf, "1 < r < inf"),
-                  ("eps", 0.0 < x["eps"] < 1.0, "0 < eps < 1")]
-    elif name == "lemma3.1+3.3":
-        ranges = [("p", 1.0 < x["p"] < inf, "1 < p < inf"), ("q", x["p"] < x["q"] < inf, "p < q < inf"),
-                  ("alpha", 0.0 < x["alpha"] < inf, "0 < alpha < inf")]
-    elif name == "sup_smoothing:prop3.1":
-        ranges = [("theta", 0.0 < x["theta"] < 1.0, "0 < theta < 1"), ("r", 1.0 <= x["r"] < inf, "1 <= r < inf"),
-                  ("alpha", 0.0 < x["alpha"] < inf, "0 < alpha < inf"), ("q", x["q"] > 0.0, "q > 0")]
-    else:
-        ranges = [("nu", 0.0 < x["nu"] < inf, "0 < nu < inf"), ("beta", -inf < x["beta"] < inf, "a finite beta"),
-                  ("q", x["q"] > 0.0, "q > 0"), ("r", 1.0 <= x["r"] < inf, "1 <= r < inf")]
-    for key, ok, statement in ranges:
-        if not ok:
-            raise error(f"{name} needs {statement}, got {key} = {x[key]!r}")
 
 
 def sup_smoothing_check(
@@ -470,7 +437,7 @@ def sup_smoothing_check(
     log factor increases in s, so each panel peaks at its right endpoint and a
     suffix maximum gives the sup as another step function.
     """
-    _check_lemma(f"sup_smoothing:{which}", exponents)
+    check_params(CATALOGUE, f"sup_smoothing:{which}", exponents)
     if np.any(np.diff(kd.values) > 0):
         raise NotMonotone("K_d must be nonincreasing")
     if which == "prop3.1":
@@ -505,14 +472,6 @@ def sup_smoothing_check(
 # ---------------------------------------------------------------------------
 
 
-def _check_discretization(lam: float, q: float, error=BadExponent) -> None:
-    """Raise error naming an out-of-range exponent: before any numerics."""
-    if not math.isfinite(lam):
-        raise error(f"discretization needs a finite lambda, got lambda = {lam!r}")
-    if not 0.0 < q < math.inf:
-        raise error(f"discretization needs 0 < q < inf, got q = {q!r}")
-
-
 def discretization_check(
     h: StepFunction, lam: float, q: float, ceiling: float = 32.0
 ) -> EquivReport:
@@ -523,7 +482,7 @@ def discretization_check(
     panel integrals against 2^{k lam}, and the sum-integral comparison in each
     sign regime of lam (including lam = 0).
     """
-    _check_discretization(lam, q)
+    check_params(CATALOGUE, "discretization", {"lambda": lam, "q": q})
     lam_abs = abs(lam) if lam != 0.0 else 1.0
     blocks = doubling_blocks(h, 1.0)
     n = blocks.size
@@ -569,34 +528,14 @@ def discretization_check(
 # ---------------------------------------------------------------------------
 
 # Each named experiment's parameters, in the order `rispaces list-experiments` prints them.
-EXPERIMENTS = {
-    **THEOREM_PARAMS,
-    **{f"hardy:{which}": names for which, names in HARDY_PARAMS.items()},
-    "discretization": ("lambda", "q"),
+CATALOGUE = {
+    **HYPOTHESES,
+    **{f"hardy:{which}": params for which, params in HARDY_PARAMS.items()},
+    "discretization": (Param("lambda", lambda x: math.isfinite(x["lambda"]), "a finite lambda", 1.0),
+                       Param("q", lambda x: 0.0 < x["q"] < math.inf, "0 < q < inf", 1.0)),
     **LEMMA_PARAMS,
 }
-
-
-def check_params(name: str, params: dict) -> None:
-    """Raise HypothesisViolation for a parameter the named experiment does not
-    take, and for one that is missing or out of range (an identity's
-    hypotheses are check_hypotheses'): before any family is built."""
-    unknown = [key for key in params if key not in EXPERIMENTS[name]]
-    if unknown:
-        accepted = ", ".join(EXPERIMENTS[name])
-        raise HypothesisViolation(f"{name} takes no parameter {unknown[0]!r}; it takes {accepted}")
-    if name in THEOREM_IDS:
-        check_hypotheses(name, **params)
-    elif name.startswith("hardy:"):
-        _check_hardy(name.split(":", 1)[1], params, HypothesisViolation)
-    elif name == "discretization":
-        _check_discretization(*_discretization_exponents(params), HypothesisViolation)
-    elif name in LEMMA_PARAMS:
-        _check_lemma(name, params, HypothesisViolation)
-
-
-def _discretization_exponents(params: dict) -> Tuple[float, float]:
-    return params.get("lambda", 1.0), params.get("q", 1.0)
+EXPERIMENTS = {name: tuple(d.name for d in params) for name, params in CATALOGUE.items()}
 
 
 def run_experiment(
@@ -605,9 +544,7 @@ def run_experiment(
     """One named experiment: an identity, a Hardy display or a lemma check over the seeded
     standard family, or the discretization check over 20 seeded random step functions (the first
     one's params and skips, every one's members); a ceiling of None keeps the experiment's own."""
-    if name not in EXPERIMENTS:
-        raise HypothesisViolation(f"unknown experiment {name!r}; see list-experiments")
-    check_params(name, params)
+    checked = check_params(CATALOGUE, name, params)
     given = {} if ceiling is None else {"ceiling": ceiling}
     if name in THEOREM_IDS:
         return run_identity_experiment(name, params, res=res, seed=seed, **given)
@@ -616,13 +553,12 @@ def run_experiment(
         return hardy_check(name.split(":", 1)[1], params, family, res, seed=seed, **given)
     if name in LEMMA_PARAMS:
         return run_lemma_experiment(name, params, standard_family(seed=seed), res, seed=seed, **given)
-    lam, q = _discretization_exponents(params)
     rng = np.random.default_rng(seed)
     reports = []
     for _ in range(20):
         m = random_steps(rng, nonincreasing=False)
         h = StepFunction(np.asarray(m.breaks), np.asarray(m.values))
-        reports.append(discretization_check(h, lam, q, **given))
+        reports.append(discretization_check(h, checked["lambda"], checked["q"], **given))
     report = reports[0]
     report.members = [member for r in reports for member in r.members]
     report.seed = seed
@@ -639,7 +575,7 @@ def prop32_check(f: StepRearrangement, p: float, r: float, eps: float) -> EquivR
     (∫_0^x f^r s^{c-1} ds)^{1/r}, c = r(1-eps)/p, with the explicit constant
     2 (Log 2)^{1/r'}, at 27 log-spaced x; asserted, not bracketed."""
     exponents = {"p": p, "r": r, "eps": eps}
-    _check_lemma("prop3.2", exponents)
+    check_params(CATALOGUE, "prop3.2", exponents)
     e = (1.0 - eps) / p
     c = r * (1.0 - eps) / p
     const = 2.0 * math.log(2.0) ** (1.0 - 1.0 / r)
@@ -672,7 +608,7 @@ def lemma31_33_check(
 ) -> EquivReport:
     """Windowed-sup domination ratios: prefix means against grand-type sups."""
     exponents = {"p": p, "q": q, "alpha": alpha}
-    _check_lemma("lemma3.1+3.3", exponents)
+    check_params(CATALOGUE, "lemma3.1+3.3", exponents)
     grid = UGrid(res.u_max, res.sup_count)
     sigma = p / (p - 1.0)
 
@@ -717,7 +653,7 @@ def run_lemma_experiment(
     where a member's own verdict fails at either resolution (prop 3.2's
     violations, sup smoothing's i_sup >= i_dir), and lists those members in
     params["failed_members"]."""
-    _check_lemma(name, exponents)
+    check_params(CATALOGUE, name, exponents)
     failed: List[str] = []
 
     def rows_at(resolution: Resolution):

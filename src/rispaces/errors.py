@@ -32,11 +32,14 @@ class BadExponent(RispacesError):
 
 
 class NoConvergence(RispacesError):
-    """Adaptive quadrature exhausted its depth before reaching tolerance."""
+    """An iteration stopped short of its target: the u-tail march of an
+    open-ended integral, the incomplete-gamma continued fraction or a
+    monotone map's Newton solve."""
 
 
 class NonFiniteValue(RispacesError):
-    """A probed objective returned nan/inf during a supremum search."""
+    """A probed objective returned nan/inf during a supremum search, or a
+    computed norm is not finite."""
 
 
 class OutOfRange(RispacesError):
@@ -64,8 +67,9 @@ class NotMonotone(RispacesError):
     """A step function required to be nonincreasing is not."""
 
 
-class HypothesisViolation(RispacesError):
-    """Experiment parameters violate the hypotheses of the identity under test."""
+class HypothesisViolation(BadExponent):
+    """An unknown experiment, or a parameter of one that it does not take, or
+    that is missing or outside its declared range."""
 
 
 @contextmanager

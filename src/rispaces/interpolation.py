@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -47,7 +47,16 @@ __all__ = [
     "derived_exponents",
     "interp_norm",
     "identify_target",
-    "check_hypotheses",
+    "Param",
+    "check_params",
+    "P",
+    "P_FROM_1",
+    "Q",
+    "THETA",
+    "R",
+    "R_ABOVE_1",
+    "ALPHA",
+    "HYPOTHESES",
     "target_space",
     "theorem_couple",
     "z_norm",
@@ -55,7 +64,6 @@ __all__ = [
     "doubling_time",
     "doubling_blocks",
     "THEOREM_IDS",
-    "THEOREM_PARAMS",
     "ZSpace",
 ]
 
@@ -167,22 +175,67 @@ def interp_norm(curve: KCurve, params: InterpParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# identified target norms
+# experiment parameters and identified target norms
 # ---------------------------------------------------------------------------
 
-# Each identity's parameters, in catalogue order.
-THEOREM_PARAMS = {
-    "T1.1": ("p", "q", "alpha"),
-    "T3.1": ("p", "q", "alpha"),
-    "T1.2": ("p", "q", "theta", "r", "alpha"),
-    "T3.4": ("p", "q", "theta", "r", "alpha"),
-    "T5.1": ("p", "q", "theta", "r"),
-    "P4.1": ("p", "alpha"),
-    "P4.2": ("p", "q", "alpha"),
-    "T1.3": ("p", "theta", "r"),
-    "T6.2": ("p", "theta", "r"),
+
+@dataclass(frozen=True)
+class Param:
+    """One catalogue parameter, declared once: its name, its range as a test of
+    the call's values by name (defaults filled in) and as the statement an
+    error quotes, and its default (None: the parameter is required)."""
+
+    name: str
+    test: Callable[[dict], bool]
+    statement: str
+    default: Optional[float] = None
+
+
+def check_params(catalogue: dict, name: str, params: dict) -> dict:
+    """The named experiment's parameters in catalogue order, its defaults filled
+    in.  Raise HypothesisViolation for a name the catalogue (name -> Params)
+    lacks, a parameter its entry does not declare, and the first declared one
+    that is missing or fails its range: the one check of every experiment."""
+    if name not in catalogue:
+        raise HypothesisViolation(f"unknown experiment {name!r}; see list-experiments")
+    declared = catalogue[name]
+    names = ", ".join(d.name for d in declared)
+    x = {d.name: params.get(d.name, d.default) for d in declared}
+    unknown = [key for key in params if key not in x]
+    if unknown:
+        raise HypothesisViolation(f"{name} takes no parameter {unknown[0]!r}; it takes {names}")
+    missing = [key for key, value in x.items() if value is None]
+    if missing:
+        raise HypothesisViolation(f"{name} needs parameter {missing[0]!r}; it takes {names}")
+    for d in declared:
+        if not d.test(x):
+            raise HypothesisViolation(f"{name} needs {d.statement}, got {d.name} = {x[d.name]!r}")
+    return x
+
+
+# The identities' parameters, each range declared once (T3.1 admits p = 1, T3.4
+# needs r > 1); the lemma checks of equivharness share them.
+P = Param("p", lambda x: 1.0 < x["p"] < math.inf, "1 < p < inf")
+P_FROM_1 = Param("p", lambda x: 1.0 <= x["p"] < math.inf, "1 <= p < inf")
+Q = Param("q", lambda x: x["p"] < x["q"] < math.inf, "p < q < inf")
+THETA = Param("theta", lambda x: 0.0 < x["theta"] < 1.0, "0 < theta < 1")
+R = Param("r", lambda x: 1.0 <= x["r"] < math.inf, "1 <= r < inf")
+R_ABOVE_1 = Param("r", lambda x: 1.0 < x["r"] < math.inf, "1 < r < inf")
+ALPHA = Param("alpha", lambda x: 0.0 < x["alpha"] < math.inf, "0 < alpha < inf")
+
+# Each identity's hypotheses, in catalogue order.
+HYPOTHESES = {
+    "T1.1": (P, Q, ALPHA),
+    "T3.1": (P_FROM_1, Q, ALPHA),
+    "T1.2": (P, Q, THETA, R, ALPHA),
+    "T3.4": (P, Q, THETA, R_ABOVE_1, ALPHA),
+    "T5.1": (P, Q, THETA, R),
+    "P4.1": (P, ALPHA),
+    "P4.2": (P, Q, ALPHA),
+    "T1.3": (P, THETA, R),
+    "T6.2": (P, THETA, R),
 }
-THEOREM_IDS = tuple(THEOREM_PARAMS)
+THEOREM_IDS = tuple(HYPOTHESES)
 
 
 @dataclass(frozen=True)
@@ -193,11 +246,6 @@ class ZSpace:
     p: float
     theta: float
     r: float
-
-
-def _need(cond: bool, msg: str) -> None:
-    if not cond:
-        raise HypothesisViolation(msg)
 
 
 def theorem_couple(theorem_id: str, p=None, q=None, alpha=None) -> CoupleSpec:
@@ -227,32 +275,7 @@ def _interp_params(theorem_id, p, q, theta, r, alpha) -> InterpParams:
         return InterpParams(1.0, math.inf, -alpha / q)
     if theorem_id in ("T1.2", "T3.4", "T5.1", "T1.3", "T6.2"):
         return InterpParams(theta, r, 0.0)
-    if theorem_id in ("P4.1", "P4.2"):
-        return InterpParams(0.0, 1.0, -alpha / p + alpha - 1.0)
-    raise HypothesisViolation(f"unknown experiment id {theorem_id!r}")
-
-
-def check_hypotheses(theorem_id, p=None, q=None, theta=None, r=None, alpha=None) -> None:
-    """Raise HypothesisViolation unless the identity's parameters are all given
-    and lie in its range."""
-    if theorem_id not in THEOREM_PARAMS:
-        raise HypothesisViolation(f"unknown experiment id {theorem_id!r}")
-    names = THEOREM_PARAMS[theorem_id]
-    given = dict(p=p, q=q, theta=theta, r=r, alpha=alpha)
-    _need(all(given[n] is not None for n in names), "need " + ", ".join(names))
-    if theorem_id == "T3.1":
-        _need(1.0 <= p < q < math.inf, "need 1 <= p < q < inf")
-    elif "q" in names:
-        _need(1.0 < p < q < math.inf, "need 1 < p < q < inf")
-    else:
-        _need(1.0 < p < math.inf, "need 1 < p < inf")
-    if "theta" in names:
-        _need(0.0 < theta < 1.0, "need 0 < theta < 1")
-        _need(1.0 <= r < math.inf, "need 1 <= r < inf")
-    if "alpha" in names:
-        _need(alpha > 0.0, "need alpha > 0")
-    if theorem_id == "T3.4":
-        _need(r > 1.0, "need r > 1")
+    return InterpParams(0.0, 1.0, -alpha / p + alpha - 1.0)  # P4.1 and P4.2
 
 
 def target_space(theorem_id, p=None, q=None, theta=None, r=None, alpha=None):
@@ -286,7 +309,8 @@ def identify_target(
     """(interpolation norm from the oracle K-curve, identified target norm); a
     failure names its side.  The left side is memoized on the function: the
     identities that share a couple and parameters (T1.3 and T6.2) share it."""
-    check_hypotheses(theorem_id, p, q, theta, r, alpha)
+    given = dict(p=p, q=q, theta=theta, r=r, alpha=alpha)
+    check_params(HYPOTHESES, theorem_id, {key: value for key, value in given.items() if value is not None})
     couple = theorem_couple(theorem_id, p, q, alpha)
     params = _interp_params(theorem_id, p, q, theta, r, alpha)
 
@@ -331,8 +355,7 @@ def z_norm(f: StepRearrangement, p: float, theta: float, r: float) -> float:
     Three regimes split on theta vs 1/p: a tail form, a prefix form, and the
     doubly-exponential block sum at theta = 1/p (exact on step data).
     """
-    if not (1.0 < p < math.inf and 0.0 < theta < 1.0 and 1.0 <= r < math.inf):
-        raise BadExponent("need 1 < p < inf, 0 < theta < 1, 1 <= r < inf")
+    check_params(HYPOTHESES, "T6.2", dict(p=p, theta=theta, r=r))
     bt = theta - 1.0 / p - 1.0 / r
     ip = 1.0 / p
     if theta == ip:
@@ -350,7 +373,6 @@ def z_norm_alt(f: StepRearrangement, p: float, theta: float, r: float) -> float:
     """The discretization-derived twin of z_norm, T1.3's target norm: the inner
     prefix integrals of f^p against (1 - Log t)^{-1} under an outer
     (1 - Log t)^{theta r - 1} dt/t."""
-    if not (1.0 < p < math.inf and 0.0 < theta < 1.0 and 1.0 <= r < math.inf):
-        raise BadExponent("need 1 < p < inf, 0 < theta < 1, 1 <= r < inf")
+    check_params(HYPOTHESES, "T1.3", dict(p=p, theta=theta, r=r))
     space = GammaDouble(p, r, LogWeight(-1.0, theta * r - 1.0), LogWeight(0.0, -1.0))
     return ggamma_norm(f, space)

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from rispaces import equivharness
@@ -64,6 +65,32 @@ def test_norm_writes_to_out(tmp_path):
     assert json.loads(out.read_text())["value"] == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "space",
+    [
+        '{"space":"lebesgue","p":2}',
+        '{"space":"lorentz_zygmund","p":2,"q":2,"alpha":0}',
+        '{"space":"grand","p":2,"alpha":1}',
+        '{"space":"small","p":2,"alpha":1}',
+        '{"space":"ggamma","p":2,"m":2,"w1":{"a":-1,"b":0.5},"w2":{"a":0,"b":-1}}',
+    ],
+)
+def test_norm_echoes_the_space_kind_of_the_spec(space):
+    code, out = run_cli("norm", "--space", space, "--fn", '{"kind":"char","a":0.5}')
+    assert code == 0 and json.loads(out)["space"] == json.loads(space)["space"]
+
+
+def test_non_finite_norm_is_a_numerical_failure(capsys):
+    """Small(1000)'s norm of a log-damped constant overflows to nan: a
+    numerical failure that names the space, not a value printed as invalid
+    JSON."""
+    spec = ('{"space":"small","p":1000,"alpha":1}', '{"kind":"power_log","gamma":0,"delta":-1}')
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, stdout = run_cli("norm", "--space", spec[0], "--fn", spec[1])
+    assert code == 1 and stdout == ""
+    assert capsys.readouterr().err == "numerical failure: NonFiniteValue: small norm is nan\n"
+
+
 def test_malformed_json_exits_2(capsys):
     assert main(["norm", "--space", "{oops", "--fn", '{"kind":"char","a":0.5}']) == 2
 
@@ -91,7 +118,7 @@ def test_reversed_exponents_are_a_hypothesis_violation(capsys):
     """p > q is checked before the couple is built: exit 2, not a numerical failure."""
     code, stdout = run_cli("experiment", "T1.2", "p=4", "q=2", "theta=0.5", "r=2", "alpha=1")
     assert code == 2 and stdout == ""
-    assert capsys.readouterr().err == "error: need 1 < p < q < inf\n"
+    assert capsys.readouterr().err == "error: T1.2 needs p < q < inf, got q = 2.0\n"
 
 
 @pytest.mark.parametrize(
@@ -269,6 +296,7 @@ def test_experiment_writes_run_experiments_report(capsys):
          "T1.1 takes no parameter 'theta'; it takes p, q, alpha"),
         (("interp", "P4.1", "p=2", "alpha=1", "q=4", "--fn", '{"kind":"char","a":0.5}'),
          "P4.1 takes no parameter 'q'; it takes p, alpha"),
+        (("interp", "T1.1", "p=2", "q=4", "alpha=inf"), "T1.1 needs 0 < alpha < inf, got alpha = inf"),
     ],
 )
 def test_parameters_outside_the_catalogue_exit_2(capsys, argv, message):
@@ -299,14 +327,14 @@ def test_experiment_unknown_name():
     "argv,message",
     [
         (("hardy:thm2.1-first", "lam=0.5"), "hardy:thm2.1-first needs parameter 'b'; it takes lam, b, beta"),
-        (("hardy:thm2.1-second", "lam=0", "b=2"), "hardy:thm2.1-second needs lam > 0, got lam = 0.0"),
+        (("hardy:thm2.1-second", "lam=0", "b=2"), "hardy:thm2.1-second needs 0 < lam < inf, got lam = 0.0"),
         (("hardy:thm2.1-first", "lam=0.5", "b=0.5"), "hardy:thm2.1-first needs b >= 1, got b = 0.5"),
         (("hardy:thm2.2-first", "alpha=1"), "hardy:thm2.2-first needs parameter 'a'; it takes a, alpha"),
-        (("hardy:thm2.2-first", "a=0.5", "alpha=1"), "hardy:thm2.2-first needs a >= 1, got a = 0.5"),
+        (("hardy:thm2.2-first", "a=0.5", "alpha=1"), "hardy:thm2.2-first needs 1 <= a < inf, got a = 0.5"),
         (("hardy:thm2.2-second", "a=2", "alpha=0.5"),
-         "hardy:thm2.2-second needs alpha + 1/a < 0 (tail branch), got alpha = 0.5 with a = 2.0"),
+         "hardy:thm2.2-second needs -inf < alpha < -1/a (tail branch), got alpha = 0.5"),
         (("hardy:thm2.2-first", "a=2", "alpha=-0.5"),
-         "hardy:thm2.2-first needs alpha + 1/a > 0 (prefix branch), got alpha = -0.5 with a = 2.0"),
+         "hardy:thm2.2-first needs -1/a < alpha < inf (prefix branch), got alpha = -0.5"),
         (("hardy:thm2.9", "a=2"), "unknown experiment 'hardy:thm2.9'; see list-experiments"),
         (("discretization", "lambda=1", "q=0"), "discretization needs 0 < q < inf, got q = 0.0"),
         (("discretization", "q=inf"), "discretization needs 0 < q < inf, got q = inf"),
@@ -317,15 +345,25 @@ def test_experiment_unknown_name():
          "sup_smoothing:prop3.1 needs 1 <= r < inf, got r = 0.5"),
         (("sup_smoothing:prop5.1", "nu=0", "beta=1", "q=4", "r=2"),
          "sup_smoothing:prop5.1 needs 0 < nu < inf, got nu = 0.0"),
-        (("T1.1", "p=2", "q=1", "alpha=1"), "need 1 < p < q < inf"),
+        (("T1.1", "p=2", "q=1", "alpha=1"), "T1.1 needs p < q < inf, got q = 1.0"),
+        (("T1.1", "p=2", "q=4", "alpha=inf"), "T1.1 needs 0 < alpha < inf, got alpha = inf"),
+        (("T1.2", "p=2", "q=4", "theta=0.5", "r=2", "alpha=inf"), "T1.2 needs 0 < alpha < inf, got alpha = inf"),
+        (("P4.1", "p=2", "alpha=inf"), "P4.1 needs 0 < alpha < inf, got alpha = inf"),
+        (("hardy:thm2.1-first", "lam=0.5", "b=2", "beta=nan"), "hardy:thm2.1-first needs a finite beta, got beta = nan"),
+        (("hardy:thm2.1-first", "lam=0.5", "b=2", "beta=inf"), "hardy:thm2.1-first needs a finite beta, got beta = inf"),
+        (("hardy:thm2.1-first", "lam=inf", "b=2"), "hardy:thm2.1-first needs 0 < lam < inf, got lam = inf"),
+        (("hardy:thm2.2-first", "a=inf", "alpha=1"), "hardy:thm2.2-first needs 1 <= a < inf, got a = inf"),
+        (("hardy:thm2.2-first", "a=2", "alpha=inf"),
+         "hardy:thm2.2-first needs -1/a < alpha < inf (prefix branch), got alpha = inf"),
     ],
 )
 def test_bad_hardy_and_discretization_parameters_exit_2(capsys, argv, message):
     """A missing or out-of-range parameter, or an unknown display, is a
     configuration error named before any numerics, not a numerical failure:
     so are a lemma check's (prop 3.2 at p = inf would pass vacuously, its
-    right side being infinite) and an identity's (at q = 1 building the
-    family divided by zero)."""
+    right side being infinite), an identity's (at q = 1 building the family
+    divided by zero) and a non-finite exponent's (each ended in a BadExponent
+    from the numerics)."""
     code, stdout = run_cli("experiment", *argv)
     assert code == 2 and stdout == ""
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -28,6 +28,7 @@ from rispaces.equivharness import (
     sup_smoothing_check,
 )
 from rispaces.errors import BadExponent, HypothesisViolation, NonFiniteValue, NotMonotone
+from rispaces.interpolation import identify_target
 from rispaces.logcalc import sup_on_grid
 from rispaces.norms import Grand, Lebesgue, Small, small_norm
 from rispaces.rearrangement import (
@@ -143,7 +144,7 @@ def test_identity_rows_leave_members_outside_a_required_space_unevaluated():
 
 
 def test_identity_rows_check_hypotheses_on_the_call():
-    with pytest.raises(HypothesisViolation, match="need 1 < p < q < inf"):
+    with pytest.raises(HypothesisViolation, match="T1.1 needs p < q < inf, got q = 2"):
         identity_rows("T1.1", dict(p=4, q=2, alpha=1.0), MINI, FAST)
 
 
@@ -177,16 +178,37 @@ def lemma_report(name, f, params, res):
     return sup_smoothing_check(f, params, name.split(":", 1)[1])
 
 
+# One valid parameter set of each catalogue entry, defaults included.
+VALID = {
+    **{tid: dict(p=2.0, q=4.0, alpha=1.0) for tid in ("T1.1", "T3.1", "P4.2", "lemma3.1+3.3")},
+    **{tid: dict(p=2.0, q=4.0, theta=0.5, r=2.0, alpha=1.0) for tid in ("T1.2", "T3.4")},
+    "T5.1": dict(p=2.0, q=4.0, theta=0.5, r=2.0),
+    "P4.1": dict(p=2.0, alpha=1.0),
+    **{tid: dict(p=2.0, theta=0.5, r=2.0) for tid in ("T1.3", "T6.2")},
+    **{f"hardy:thm2.1-{side}": dict(lam=0.5, b=2.0, beta=0.0) for side in ("first", "second")},
+    "hardy:thm2.2-first": dict(a=2.0, alpha=1.0),
+    "hardy:thm2.2-second": dict(a=2.0, alpha=-1.0),
+    "discretization": {"lambda": 1.0, "q": 2.0},
+    "prop3.2": dict(p=2.0, r=2.0, eps=0.5),
+    "sup_smoothing:prop3.1": dict(theta=0.5, r=2.0, alpha=1.0, q=4.0),
+    "sup_smoothing:prop5.1": dict(nu=0.5, beta=1.0, q=4.0, r=2.0),
+}
+# A nan in each parameter of each entry, which every range test refuses.
+NAN_CASES = [
+    (name, {**VALID[name], key: math.nan}, f"got {key} = nan$") for name, keys in EXPERIMENTS.items() for key in keys
+]
+
+
 @pytest.mark.parametrize(
     "name,params,names",
     [
         ("hardy:thm2.1-first", {"lam": 0.5}, "'b'"),
         ("hardy:thm2.1-second", {"lam": -1.0, "b": 2.0}, "lam"),
         ("hardy:thm2.2-second", {"a": 2.0, "alpha": 0.5}, "alpha"),
-        ("hardy:thm2.2-first", {"a": 0.0, "alpha": 1.0}, "a >= 1"),
+        ("hardy:thm2.2-first", {"a": 0.0, "alpha": 1.0}, "1 <= a < inf, got a = 0.0"),
         ("discretization", {"lambda": 1.0, "q": 0.0}, "q"),
         ("discretization", {"q": -2.0}, "q"),
-        ("T1.1", {"p": 2.0, "q": 1.0, "alpha": 1.0}, "need 1 < p < q < inf"),
+        ("T1.1", {"p": 2.0, "q": 1.0, "alpha": 1.0}, "T1.1 needs p < q < inf, got q = 1.0"),
         ("prop3.2", {"p": math.inf, "r": 2.0, "eps": 0.5}, "needs 1 <= p < inf, got p = inf"),
         ("prop3.2", {"p": 2.0, "r": 1.0, "eps": 0.5}, "needs 1 < r < inf, got r = 1.0"),
         ("lemma3.1+3.3", {"p": 4.0, "q": 2.0, "alpha": 1.0}, "needs p < q < inf, got q = 2.0"),
@@ -195,11 +217,12 @@ def lemma_report(name, f, params, res):
         ("sup_smoothing:prop3.1", {"theta": 0.5, "r": math.inf, "alpha": 1.0, "q": 4.0}, "got r = inf"),
         ("sup_smoothing:prop5.1", {"nu": 0.5, "beta": math.nan, "q": 4.0, "r": 2.0}, "got beta = nan"),
         ("sup_smoothing:prop5.1", {"nu": 0.5, "beta": 1.0, "q": 0.0, "r": 2.0}, "needs q > 0"),
-    ],
+    ] + NAN_CASES,
 )
 def test_run_experiment_names_a_bad_parameter_before_any_numerics(monkeypatch, name, params, names):
     """Presence and range are checked before a family is built; the direct
-    checks keep raising BadExponent with the same message."""
+    call of the entry's check raises the same error, which callers may catch
+    as BadExponent."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("numerics started")
@@ -208,14 +231,17 @@ def test_run_experiment_names_a_bad_parameter_before_any_numerics(monkeypatch, n
     monkeypatch.setattr(equivharness, "random_steps", refuse)
     with pytest.raises(HypothesisViolation, match=names) as err:
         run_experiment(name, params, FAST)
-    if name.startswith("hardy:") or name in LEMMA_PARAMS:
-        one = StepRearrangement(np.array([0.0, 1.0]), np.array([1.0]))
-        with pytest.raises(BadExponent) as direct:
-            if name.startswith("hardy:"):
-                hardy_check(name.split(":", 1)[1], params, MINI, FAST)
-            else:
-                lemma_report(name, one, params, FAST)
-        assert str(direct.value) == str(err.value)
+    one = StepRearrangement(np.array([0.0, 1.0]), np.array([1.0]))
+    with pytest.raises(BadExponent) as direct:
+        if name.startswith("hardy:"):
+            hardy_check(name.split(":", 1)[1], params, MINI, FAST)
+        elif name in LEMMA_PARAMS:
+            lemma_report(name, one, params, FAST)
+        elif name == "discretization":
+            discretization_check(one, params.get("lambda", 1.0), params.get("q", 1.0))
+        else:
+            identify_target(name, one, **params, res=FAST)
+    assert type(direct.value) is HypothesisViolation and str(direct.value) == str(err.value)
 
 
 def test_run_experiment_unknown_hardy_display():
@@ -224,11 +250,13 @@ def test_run_experiment_unknown_hardy_display():
 
 
 def test_run_experiment_hardy_beta_defaults_to_zero():
+    """Also in the sup form, b = inf being in range."""
     res = Resolution(panels=32, sup_count=64)
     fam = standard_family(seed=3)
-    got = run_experiment("hardy:thm2.1-first", {"lam": 0.5, "b": 2.0}, res, seed=3)
-    want = hardy_check("thm2.1-first", {"lam": 0.5, "b": 2.0, "beta": 0.0}, fam, res, seed=3)
-    assert got.members == want.members and got.params == {"lam": 0.5, "b": 2.0}
+    for b in (2.0, math.inf):
+        got = run_experiment("hardy:thm2.1-first", {"lam": 0.5, "b": b}, res, seed=3)
+        want = hardy_check("thm2.1-first", {"lam": 0.5, "b": b, "beta": 0.0}, fam, res, seed=3)
+        assert got.members and got.members == want.members and got.params == {"lam": 0.5, "b": b}
 
 
 def test_hardy_thm22_first_closed_form(one):
@@ -304,9 +332,9 @@ def test_t12_at_r64_keeps_a_member_far_below_its_top():
 
 def test_identity_experiment_checks_hypotheses_first():
     """p > q is a hypothesis violation, not a failure to build the couple."""
-    with pytest.raises(HypothesisViolation, match="need 1 < p < q < inf"):
+    with pytest.raises(HypothesisViolation, match="T1.2 needs p < q < inf, got q = 2"):
         run_identity_experiment("T1.2", dict(p=4, q=2, theta=0.5, r=2, alpha=1.0), MINI, FAST)
-    with pytest.raises(HypothesisViolation, match="need p, q, alpha"):
+    with pytest.raises(HypothesisViolation, match="T1.1 needs parameter 'alpha'; it takes p, q, alpha"):
         run_identity_experiment("T1.1", dict(p=2, q=4), MINI, FAST)
 
 
@@ -459,7 +487,7 @@ def test_lemma_experiment_judges_every_members_rows(name):
     """A lemma experiment's members are the direct check's rows of each
     family member, named member/row; the rows a check skips stay skipped."""
     params = LEMMA_CASES[name]
-    assert set(LEMMA_PARAMS) == set(LEMMA_CASES) and LEMMA_PARAMS[name] == tuple(params)
+    assert set(LEMMA_PARAMS) == set(LEMMA_CASES) and EXPERIMENTS[name] == tuple(params)
     rep = run_lemma_experiment(name, params, WITH_ZERO, FAST, seed=5)
     rows, skipped = [], []
     for member, f in WITH_ZERO.realize(FAST):

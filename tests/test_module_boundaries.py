@@ -213,6 +213,21 @@ def test_no_inversion_tolerance():
     assert not problems, "\n".join(problems)
 
 
+def test_no_error_type_option():
+    """Every experiment parameter is checked by interpolation.check_params,
+    which raises HypothesisViolation, a BadExponent: no function takes an
+    error parameter to choose the type it raises."""
+    problems = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        problems += [
+            f"{path.name}:{node.lineno} takes error"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)) and "error" in _params(node)
+        ]
+    assert not problems, "\n".join(problems)
+
+
 # The pure helpers a functools cache may keep for the process: their arguments
 # are values, not step functions.
 PROCESS_CACHED = {
