@@ -27,7 +27,7 @@ from .config import DEFAULT, Resolution
 from .errors import BadExponent, BadModel, BadWeights, HypothesisViolation, NonFiniteInput
 from .errors import NonFiniteValue, RispacesError
 from .interpolation import HYPOTHESES, THEOREM_IDS, check_params
-from .kfunctional import General, GrandGrand, GrandLq, GrandSmallSameP, LpLq, SmallSmall, k_curve
+from .kfunctional import General, GrandGrand, GrandLq, GrandSmallSameP, LpLq, SmallSmall, couple_spaces, k_curve
 from .logcalc import LogWeight, UGrid
 from .norms import GammaDouble, Grand, Lebesgue, LorentzZygmund, Small, space_norm
 from .rearrangement import Char, ExplicitSteps, FunctionModel, PowerLog, Samples, discretize_model
@@ -159,9 +159,17 @@ def _fmt(x) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _require_in(model: FunctionModel, space) -> None:
+    """Refuse a model whose norm in the space is infinite: the step function
+    cut off at u_max would have a finite one."""
+    if not harness.model_in_space(model, space):
+        raise NonFiniteValue(f"{model} lies outside {space}: its norm there is infinite")
+
+
 def cmd_norm(args, res: Resolution) -> int:
     if not (args.fn and args.space):
         raise ConfigError("norm needs --fn and --space")
+    _require_in(args.fn, args.space)
     f = discretize_model(args.fn, res.u_max, res.panels)
     kind = next(kind for kind, (build, _) in _SPECS["space"].items() if type(args.space) is build)
     value = space_norm(f, args.space, res)
@@ -174,6 +182,7 @@ def cmd_norm(args, res: Resolution) -> int:
 def cmd_kfunc(args, res: Resolution) -> int:
     if not (args.fn and args.couple):
         raise ConfigError("kfunc needs --fn and --couple")
+    _require_in(args.fn, couple_spaces(args.couple)[0])
     f = discretize_model(args.fn, res.u_max, res.panels)
     grid = UGrid(res.u_max, res.k_nodes)
     oracle = k_curve(f, args.couple, grid, "oracle", res)

@@ -23,6 +23,7 @@ from .errors import NotMonotone, failure_context
 from .interpolation import (
     ALPHA,
     HYPOTHESES,
+    IDENTITIES,
     P,
     P_FROM_1,
     Q,
@@ -36,8 +37,6 @@ from .interpolation import (
     doubling_blocks,
     doubling_time,
     identify_target,
-    target_space,
-    theorem_couple,
 )
 from .kfunctional import couple_spaces, k_curve
 from .logcalc import LogWeight, UGrid, log_weight_integral, sup_on_grid, weight_integral
@@ -183,9 +182,7 @@ def model_in_space(model: FunctionModel, spec) -> bool:
         ip = 1.0 / spec.p
         return g < ip or (g == ip and d > spec.theta)
     if isinstance(spec, GammaDouble):
-        # only the log-damped inner weight appears in-scope
-        ip = 1.0 / spec.p
-        return g < ip or (g == ip and d > max(0.0, -spec.w1.b / spec.m + ip))
+        return spec.holds_power_log(g, d)
     return True
 
 
@@ -286,8 +283,8 @@ def identity_rows(theorem_id: str, params: dict, family: FunctionFamily, res: Re
     as the row is read, after the hypotheses are checked on the call; a member
     outside the couple's first space or the target space has None sides."""
     args = check_params(HYPOTHESES, theorem_id, params)
-    couple = theorem_couple(theorem_id, args.get("p"), args.get("q"), args.get("alpha"))
-    required = (couple_spaces(couple)[0], target_space(theorem_id, **args))
+    identity = IDENTITIES[theorem_id]
+    required = (couple_spaces(identity.couple(**args))[0], identity.target(**args))
     realized = dict(family.realize(res))
 
     def sides(name, model):
@@ -400,8 +397,10 @@ def hardy_check(
     checked = check_params(CATALOGUE, f"hardy:{which}", exponents)
 
     def rows_at(resolution: Resolution):
-        realized = family.realize(resolution)
-        return [(name, *_hardy_sides(which, checked, f, resolution)) for name, f in realized]
+        for name, f in family.realize(resolution):
+            with failure_context(f"hardy:{which} member {name} at {resolution}"):
+                sides = _hardy_sides(which, checked, f, resolution)
+            yield (name, *sides)
 
     report = EquivReport(f"hardy:{which}", dict(exponents), ceiling=ceiling, seed=seed)
     return _judge_with_drift(report, rows_at, res, two_sided=False)

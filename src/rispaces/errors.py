@@ -38,8 +38,8 @@ class NoConvergence(RispacesError):
 
 
 class NonFiniteValue(RispacesError):
-    """A probed objective returned nan/inf during a supremum search, or a
-    computed norm is not finite."""
+    """A probed objective returned nan/inf during a supremum search, or a norm
+    is not finite: computed so, or of a model outside the space."""
 
 
 class OutOfRange(RispacesError):

@@ -43,8 +43,6 @@ from .rearrangement import StepFunction, StepRearrangement, prefix_power_at
 
 __all__ = [
     "InterpParams",
-    "DerivedExponents",
-    "derived_exponents",
     "interp_norm",
     "identify_target",
     "Param",
@@ -56,9 +54,9 @@ __all__ = [
     "R",
     "R_ABOVE_1",
     "ALPHA",
+    "Identity",
+    "IDENTITIES",
     "HYPOTHESES",
-    "target_space",
-    "theorem_couple",
     "z_norm",
     "z_norm_alt",
     "doubling_time",
@@ -81,34 +79,6 @@ class InterpParams:
             raise BadExponent("r must be >= 1")
         if not math.isfinite(self.alpha):
             raise BadExponent("alpha must be finite")
-
-
-@dataclass(frozen=True)
-class DerivedExponents:
-    p_theta: float
-    sigma: float
-    alpha_theta: float
-    lam: float
-    lam1: float
-    a: float
-    beta_theta: float
-
-
-def derived_exponents(p: float, q: float, theta: float, r: float) -> DerivedExponents:
-    """The exponent bookkeeping shared by all identities."""
-    inv_p_theta = (1.0 - theta) / p + (theta / q if not math.isinf(q) else 0.0)
-    lam = theta * (1.0 / p - (1.0 / q if not math.isinf(q) else 0.0))
-    lam1 = (1.0 - theta) * (1.0 / p - (1.0 / q if not math.isinf(q) else 0.0))
-    p_theta = 1.0 / inv_p_theta
-    return DerivedExponents(
-        p_theta=p_theta,
-        sigma=p * q / (q - p) if not math.isinf(q) else p,
-        alpha_theta=1.0 - theta - inv_p_theta,
-        lam=lam,
-        lam1=lam1,
-        a=lam - theta,
-        beta_theta=theta - 1.0 / p - 1.0 / r,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -223,77 +193,66 @@ R = Param("r", lambda x: 1.0 <= x["r"] < math.inf, "1 <= r < inf")
 R_ABOVE_1 = Param("r", lambda x: 1.0 < x["r"] < math.inf, "1 < r < inf")
 ALPHA = Param("alpha", lambda x: 0.0 < x["alpha"] < math.inf, "0 < alpha < inf")
 
-# Each identity's hypotheses, in catalogue order.
-HYPOTHESES = {
-    "T1.1": (P, Q, ALPHA),
-    "T3.1": (P_FROM_1, Q, ALPHA),
-    "T1.2": (P, Q, THETA, R, ALPHA),
-    "T3.4": (P, Q, THETA, R_ABOVE_1, ALPHA),
-    "T5.1": (P, Q, THETA, R),
-    "P4.1": (P, ALPHA),
-    "P4.2": (P, Q, ALPHA),
-    "T1.3": (P, THETA, R),
-    "T6.2": (P, THETA, R),
-}
-THEOREM_IDS = tuple(HYPOTHESES)
-
 
 @dataclass(frozen=True)
 class ZSpace:
-    """The same-exponent couple's (theta, r) interpolation space, normed by
-    z_norm (T6.2) or z_norm_alt (T1.3)."""
+    """The same-exponent couple's (theta, r) interpolation space, normed by its
+    norm: z_norm (T6.2) or z_norm_alt (T1.3)."""
 
     p: float
     theta: float
     r: float
+    norm: Callable[[StepRearrangement, float, float, float], float]
 
 
-def theorem_couple(theorem_id: str, p=None, q=None, alpha=None) -> CoupleSpec:
-    if theorem_id == "T1.1":
-        return GrandLq(p, q, alpha)
-    if theorem_id == "T3.1":
-        return LpLq(p, q)
-    if theorem_id == "T1.2":
-        return GrandGrand(p, q, alpha)
-    if theorem_id == "T3.4":
-        if alpha == 1.0:
-            return SmallSmall(p, q)
-        return General(Small(p, alpha), Small(q, alpha))
-    if theorem_id == "T5.1":
-        return SmallSmall(p, q)
-    if theorem_id == "P4.1":
-        return LpLq(p, math.inf)
-    if theorem_id == "P4.2":
-        return LpLq(p, q)
-    if theorem_id in ("T1.3", "T6.2"):
-        return GrandSmallSameP(p)
-    raise HypothesisViolation(f"unknown experiment id {theorem_id!r}")
+@dataclass(frozen=True)
+class Identity:
+    """One identity, declared once: its parameters and, each a function of the
+    checked parameters by name, the couple whose oracle K-curve gives the left
+    side, that side's InterpParams, and the right side's space."""
+
+    params: Tuple[Param, ...]
+    couple: Callable[..., CoupleSpec]
+    side: Callable[..., InterpParams]
+    target: Callable[..., object]
 
 
-def _interp_params(theorem_id, p, q, theta, r, alpha) -> InterpParams:
-    if theorem_id in ("T1.1", "T3.1"):
-        return InterpParams(1.0, math.inf, -alpha / q)
-    if theorem_id in ("T1.2", "T3.4", "T5.1", "T1.3", "T6.2"):
-        return InterpParams(theta, r, 0.0)
-    return InterpParams(0.0, 1.0, -alpha / p + alpha - 1.0)  # P4.1 and P4.2
+def _lz_target(p, q, theta, r, alpha=None):
+    """LZ(p_theta, r, alpha/p_theta), and without alpha LZ(p_theta, r, alpha_theta), where
+    1/p_theta = (1 - theta)/p + theta/q and alpha_theta = 1 - theta - 1/p_theta."""
+    inv_p_theta = (1.0 - theta) / p + theta / q
+    p_theta = 1.0 / inv_p_theta
+    return LorentzZygmund(p_theta, r, 1.0 - theta - inv_p_theta if alpha is None else alpha / p_theta)
 
 
-def target_space(theorem_id, p=None, q=None, theta=None, r=None, alpha=None):
-    """The space whose norm is the identity's right side."""
-    if theorem_id in ("T1.1", "T3.1"):
-        return Grand(q, alpha)
-    if theorem_id in ("P4.1", "P4.2"):
-        return Small(p, alpha)
-    if theorem_id in ("T1.3", "T6.2"):
-        return ZSpace(p, theta, r)
-    if theorem_id in ("T1.2", "T3.4", "T5.1"):
-        d = derived_exponents(p, q, theta, r)
-        if theorem_id == "T1.2":
-            return LorentzZygmund(d.p_theta, r, -alpha / d.p_theta)
-        if theorem_id == "T3.4":
-            return LorentzZygmund(d.p_theta, r, alpha / d.p_theta)
-        return LorentzZygmund(d.p_theta, r, d.alpha_theta)
-    raise HypothesisViolation(f"unknown experiment id {theorem_id!r}")
+# The left sides: the log-damped sup (T1.1, T3.1), the (theta, r) norm, and
+# the log-weighted L^1(dt/t) norm (P4.1, P4.2).
+_SUP_SIDE = lambda q, alpha, **_: InterpParams(1.0, math.inf, -alpha / q)  # noqa: E731
+_THETA_R_SIDE = lambda theta, r, **_: InterpParams(theta, r, 0.0)  # noqa: E731
+_L1_SIDE = lambda p, alpha, **_: InterpParams(0.0, 1.0, -alpha / p + alpha - 1.0)  # noqa: E731
+_SMALL_TARGET = lambda p, alpha, **_: Small(p, alpha)  # noqa: E731
+
+# The nine identities, in catalogue order.
+IDENTITIES = {
+    "T1.1": Identity((P, Q, ALPHA), lambda p, q, alpha: GrandLq(p, q, alpha), _SUP_SIDE,
+                     lambda q, alpha, **_: Grand(q, alpha)),
+    "T3.1": Identity((P_FROM_1, Q, ALPHA), lambda p, q, **_: LpLq(p, q), _SUP_SIDE,
+                     lambda q, alpha, **_: Grand(q, alpha)),
+    "T1.2": Identity((P, Q, THETA, R, ALPHA), lambda p, q, alpha, **_: GrandGrand(p, q, alpha), _THETA_R_SIDE,
+                     lambda alpha, **x: _lz_target(**x, alpha=-alpha)),
+    "T3.4": Identity((P, Q, THETA, R_ABOVE_1, ALPHA),
+                     lambda p, q, alpha, **_: SmallSmall(p, q) if alpha == 1.0
+                     else General(Small(p, alpha), Small(q, alpha)), _THETA_R_SIDE, _lz_target),
+    "T5.1": Identity((P, Q, THETA, R), lambda p, q, **_: SmallSmall(p, q), _THETA_R_SIDE, _lz_target),
+    "P4.1": Identity((P, ALPHA), lambda p, **_: LpLq(p, math.inf), _L1_SIDE, _SMALL_TARGET),
+    "P4.2": Identity((P, Q, ALPHA), lambda p, q, **_: LpLq(p, q), _L1_SIDE, _SMALL_TARGET),
+    "T1.3": Identity((P, THETA, R), lambda p, **_: GrandSmallSameP(p), _THETA_R_SIDE,
+                     lambda p, theta, r: ZSpace(p, theta, r, z_norm_alt)),
+    "T6.2": Identity((P, THETA, R), lambda p, **_: GrandSmallSameP(p), _THETA_R_SIDE,
+                     lambda p, theta, r: ZSpace(p, theta, r, z_norm)),
+}
+HYPOTHESES = {name: identity.params for name, identity in IDENTITIES.items()}
+THEOREM_IDS = tuple(IDENTITIES)
 
 
 def identify_target(
@@ -310,20 +269,19 @@ def identify_target(
     failure names its side.  The left side is memoized on the function: the
     identities that share a couple and parameters (T1.3 and T6.2) share it."""
     given = dict(p=p, q=q, theta=theta, r=r, alpha=alpha)
-    check_params(HYPOTHESES, theorem_id, {key: value for key, value in given.items() if value is not None})
-    couple = theorem_couple(theorem_id, p, q, alpha)
-    params = _interp_params(theorem_id, p, q, theta, r, alpha)
+    args = check_params(HYPOTHESES, theorem_id, {key: v for key, v in given.items() if v is not None})
+    identity = IDENTITIES[theorem_id]
+    couple, params = identity.couple(**args), identity.side(**args)
 
     def left_side():
         return interp_norm(k_curve(f, couple, UGrid(res.u_max, res.k_nodes), "oracle", res), params)
 
     with failure_context("oracle K-curve"):
         lhs = f.memo(("lhs", couple, params, res), left_side)
-    space = target_space(theorem_id, p, q, theta, r, alpha)
+    space = identity.target(**args)
     with failure_context("target norm"):
         if isinstance(space, ZSpace):
-            norm = z_norm if theorem_id == "T6.2" else z_norm_alt
-            return lhs, norm(f, space.p, space.theta, space.r)
+            return lhs, space.norm(f, space.p, space.theta, space.r)
         return lhs, space_norm(f, space, res)
 
 

@@ -128,7 +128,7 @@ class GammaDouble:
         self._validate_weights()
 
     def _validate_weights(self):
-        p, m = self.p, self.m
+        p = self.p
         a2, b2 = self.w2.a, self.w2.b
         # embedding of L^p(w2) into L^1 (Hoelder against w2^{-p'/p})
         if p > 1.0:
@@ -138,25 +138,40 @@ class GammaDouble:
             ok = a2 < 0.0 or (a2 == 0.0 and b2 >= 0.0)
         if not ok:
             raise ConditionC2Failed("inner weight does not embed L^p(w2) into L^1")
-        # leading behavior of W2(t) = ∫_0^t w2 near zero: t^e_t (1 - Log t)^e_b
-        if a2 > -1.0:
-            e_t, e_b = a2 + 1.0, b2
-        elif a2 == -1.0 and b2 < -1.0:
-            e_t, e_b = 0.0, b2 + 1.0
-        else:
+        growth = _prefix_growth(a2, b2)
+        if growth is None:
             raise ConditionC2Failed("∫_0^t w2 diverges")
-        object.__setattr__(self, "growth", (e_t, e_b))
-        a1, b1 = self.w1.a, self.w1.b
-        if math.isinf(m):
-            power = a1 + e_t / p
-            logexp = b1 + e_b / p
-            ok = power > 0.0 or (power == 0.0 and logexp <= 0.0)
-        else:
-            power = a1 + e_t * m / p
-            logexp = b1 + e_b * m / p
-            ok = power > -1.0 or (power == -1.0 and logexp < -1.0)
-        if not ok:
+        object.__setattr__(self, "growth", growth)
+        if not self._outer_holds(*growth):
             raise ConditionC2Failed("∫_0^t w2 is not in the outer weighted space")
+
+    def _outer_holds(self, e_t: float, e_b: float) -> bool:
+        """Whether an inner prefix that behaves like t^e_t (1 - Log t)^e_b near 0
+        lies in the outer L^{m/p}(w1)."""
+        a1, b1 = self.w1.a, self.w1.b
+        if math.isinf(self.m):
+            power = a1 + e_t / self.p
+            logexp = b1 + e_b / self.p
+            return power > 0.0 or (power == 0.0 and logexp <= 0.0)
+        power = a1 + e_t * self.m / self.p
+        logexp = b1 + e_b * self.m / self.p
+        return power > -1.0 or (power == -1.0 and logexp < -1.0)
+
+    def holds_power_log(self, gamma: float, delta: float) -> bool:
+        """Whether t^{-gamma}(1 - Log t)^{-delta} has a finite norm: its inner
+        prefix ∫_0^t f^p w2 converges and lies in the outer space."""
+        growth = _prefix_growth(self.w2.a - gamma * self.p, self.w2.b - delta * self.p)
+        return growth is not None and self._outer_holds(*growth)
+
+
+def _prefix_growth(a: float, b: float):
+    """(e_t, e_b) with ∫_0^t s^a (1 - Log s)^b ds ~ t^e_t (1 - Log t)^e_b near
+    0, or None where that integral diverges."""
+    if a > -1.0:
+        return a + 1.0, b
+    if a == -1.0 and b < -1.0:
+        return 0.0, b + 1.0
+    return None
 
 
 SpaceSpec = Union[Lebesgue, LorentzZygmund, Grand, Small, GammaDouble]

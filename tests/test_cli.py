@@ -56,6 +56,21 @@ def test_norm_grand_constant():
     assert json.loads(out)["value"] == pytest.approx(0.4199, abs=1e-3)
 
 
+@pytest.mark.parametrize("args, space", [
+    (("norm", "--space", '{"space":"lebesgue","p":2}'), "Lebesgue(p=2.0)"),
+    (("kfunc", "--couple", '{"couple":"lp_lq","p":2,"q":4}'), "Lebesgue(p=2.0)"),
+    (("kfunc", "--couple", '{"couple":"grand_grand","p":2,"q":4,"alpha":1}'), "Grand(p=2.0, alpha=1.0)"),
+])
+def test_norm_and_kfunc_refuse_a_model_outside_the_space(args, space, capsys):
+    """t^{-0.6} is in neither L^2 nor the Grand space G^{2)}: the norm, or the
+    K-functional of a couple whose first space that is, is infinite, so the
+    command fails with nothing on stdout and names the model and the space."""
+    code, out = run_cli(*args, "--fn", '{"kind":"power_log","gamma":0.6,"delta":0}')
+    assert (code, out) == (1, "")
+    err = capsys.readouterr().err
+    assert "PowerLog(gamma=0.6, delta=0.0)" in err and f"outside {space}" in err
+
+
 def test_norm_writes_to_out(tmp_path):
     args = ("norm", "--space", '{"space":"lebesgue","p":2}', "--fn", '{"kind":"char","a":0.25}')
     out = tmp_path / "norm.json"

@@ -27,10 +27,10 @@ from rispaces.equivharness import (
     standard_family,
     sup_smoothing_check,
 )
-from rispaces.errors import BadExponent, HypothesisViolation, NonFiniteValue, NotMonotone
-from rispaces.interpolation import identify_target
-from rispaces.logcalc import sup_on_grid
-from rispaces.norms import Grand, Lebesgue, Small, small_norm
+from rispaces.errors import BadExponent, HypothesisViolation, NoConvergence, NonFiniteValue, NotMonotone
+from rispaces.interpolation import ZSpace, identify_target, z_norm_alt
+from rispaces.logcalc import LogWeight, sup_on_grid
+from rispaces.norms import GammaDouble, Grand, Lebesgue, Small, ggamma_norm, small_norm
 from rispaces.rearrangement import (
     Char,
     ExplicitSteps,
@@ -83,6 +83,36 @@ def test_model_in_space_rules():
     assert not model_in_space(PowerLog(0.5, 1.0), Small(2, 1.0))
     assert model_in_space(PowerLog(0.5, 1.1), Small(2, 1.0))
     assert model_in_space(Char(0.5), Lebesgue(math.inf))
+
+
+@pytest.mark.parametrize("b1, inside", [(-0.9, True), (0.5, False)])
+def test_model_in_space_gamma_double_reads_both_weights(b1, inside):
+    """t^{-1/2}(1 - Log t)^{-1/2} in GammaDouble(2, 2, t^{-1}(1 - Log t)^{b1},
+    (1 - Log t)^{-1}): the inner prefix is about (1 - Log t)^{-1}, so the norm
+    is finite iff 1/2 > (b1 + 1)/m + (b2 + 1)/p = (b1 + 1)/2.  The norm of the
+    step function cut off at u_max settles as u_max doubles inside the space
+    (its increments shrink) and keeps growing outside it."""
+    model, spec = PowerLog(0.5, 0.5), GammaDouble(2, 2, LogWeight(-1.0, b1), LogWeight(0.0, -1.0))
+    assert model_in_space(model, spec) is inside
+    norms = [ggamma_norm(discretize_model(model, u, 600 * round(u / 35)), spec, Resolution(u_max=u))
+             for u in (35.0, 70.0, 140.0, 280.0)]
+    steps = np.diff(norms)
+    assert np.all(steps > 0.0)
+    assert bool(np.all(steps[1:] < steps[:-1])) is inside
+
+
+def test_model_in_space_gamma_double_of_t13_is_the_z_space():
+    """T1.3's target, GammaDouble(p, r, t^{-1}(1 - Log t)^{theta r - 1},
+    (1 - Log t)^{-1}), holds t^{-1/p}(1 - Log t)^{-d} iff d > theta, as its
+    ZSpace says; below 1/p every power-log profile is in both."""
+    for theta in (0.25, 0.5, 0.75):
+        for r in (1.0, 2.0, 4.0):
+            spec = GammaDouble(2, r, LogWeight(-1.0, theta * r - 1.0), LogWeight(0.0, -1.0))
+            z = ZSpace(2, theta, r, z_norm_alt)
+            for g in (0.0, 0.25, 0.5):
+                for d in (-1.0, 0.0, theta - 0.125, theta, theta + 0.125, 2.0):
+                    model = PowerLog(g, d)
+                    assert model_in_space(model, spec) is model_in_space(model, z) is (g < 0.5 or d > theta)
 
 
 def test_identity_experiment_passes():
@@ -336,6 +366,19 @@ def test_identity_experiment_checks_hypotheses_first():
         run_identity_experiment("T1.2", dict(p=4, q=2, theta=0.5, r=2, alpha=1.0), MINI, FAST)
     with pytest.raises(HypothesisViolation, match="T1.1 needs parameter 'alpha'; it takes p, q, alpha"):
         run_identity_experiment("T1.1", dict(p=2, q=4), MINI, FAST)
+
+
+def test_hardy_failure_names_its_member(monkeypatch):
+    """A Hardy display's failure is raised as its own type, its message led by
+    the display, the member and the resolution."""
+    def failing(which, exponents, f, res):
+        raise NoConvergence("u-tail march stopped")
+
+    monkeypatch.setattr(equivharness, "_hardy_sides", failing)
+    with pytest.raises(NoConvergence) as err:
+        hardy_check("thm2.1-first", dict(lam=0.5, b=2.0), MINI, FAST)
+    assert str(err.value) == f"hardy:thm2.1-first member const at {FAST}: u-tail march stopped"
+    assert str(err.value.__cause__) == "u-tail march stopped"
 
 
 def test_identity_experiment_failure_names_its_member():

@@ -1,4 +1,4 @@
-"""Interpolation norms, derived exponents, and the equivalent-norm displays."""
+"""Interpolation norms, the identity declarations, and the equivalent-norm displays."""
 
 import math
 
@@ -12,19 +12,19 @@ from rispaces.config import DEFAULT
 from rispaces.equivharness import FunctionFamily, run_identity_experiment, standard_family
 from rispaces.errors import BadExponent, HypothesisViolation
 from rispaces.interpolation import (
+    IDENTITIES,
     InterpParams,
     KCurve,
-    derived_exponents,
+    ZSpace,
     doubling_time,
     identify_target,
     interp_norm,
-    theorem_couple,
     z_norm,
     z_norm_alt,
 )
-from rispaces.kfunctional import k_curve
+from rispaces.kfunctional import General, GrandGrand, GrandLq, GrandSmallSameP, LpLq, SmallSmall, k_curve
 from rispaces.logcalc import LogWeight, UGrid
-from rispaces.norms import GammaDouble, ggamma_norm, lebesgue_norm
+from rispaces.norms import GammaDouble, Grand, LorentzZygmund, Small, ggamma_norm, lebesgue_norm
 from rispaces.rearrangement import StepRearrangement
 
 from conftest import FAST
@@ -115,7 +115,7 @@ def test_interp_norm_large_r_against_mpmath(r):
     to t_1 = 1.7e-15, so each piece is scaled inside its exponent and the sum
     is taken in logs; T1.2's oracle curves at theta = 0.5."""
     realized = dict(standard_family().realize(DEFAULT))
-    couple = theorem_couple("T1.2", 2.0, 4.0, 1.0)
+    couple = IDENTITIES["T1.2"].couple(p=2.0, q=4.0, alpha=1.0)
     grid = UGrid(DEFAULT.u_max, DEFAULT.k_nodes)
     for name in ("const", "rand_00"):
         curve = k_curve(realized[name], couple, grid, "oracle", DEFAULT)
@@ -153,18 +153,49 @@ def test_interp_norm_monotone_in_curve():
     assert interp_norm(c2, params) >= interp_norm(c1, params)
 
 
-def test_derived_exponent_identities():
+# Each identity at reference parameters: its couple, left side and right side;
+# p_theta = 8/3 for (p, q, theta) = (2, 4, 1/2).
+DECLARATIONS = [
+    ("T1.1", dict(p=2, q=4, alpha=1), GrandLq(2, 4, 1), InterpParams(1, math.inf, -0.25), Grand(4, 1)),
+    ("T3.1", dict(p=1, q=4, alpha=2), LpLq(1, 4), InterpParams(1, math.inf, -0.5), Grand(4, 2)),
+    ("T1.2", dict(p=2, q=4, theta=0.5, r=2, alpha=1), GrandGrand(2, 4, 1), InterpParams(0.5, 2),
+     LorentzZygmund(8 / 3, 2, -3 / 8)),
+    ("T3.4", dict(p=2, q=4, theta=0.5, r=2, alpha=1), SmallSmall(2, 4), InterpParams(0.5, 2),
+     LorentzZygmund(8 / 3, 2, 3 / 8)),
+    ("T3.4", dict(p=2, q=4, theta=0.5, r=2, alpha=0.5), General(Small(2, 0.5), Small(4, 0.5)),
+     InterpParams(0.5, 2), LorentzZygmund(8 / 3, 2, 3 / 16)),
+    ("T5.1", dict(p=2, q=4, theta=0.5, r=2), SmallSmall(2, 4), InterpParams(0.5, 2), LorentzZygmund(8 / 3, 2, 1 / 8)),
+    ("P4.1", dict(p=2, alpha=1), LpLq(2, math.inf), InterpParams(0, 1, -0.5), Small(2, 1)),
+    ("P4.2", dict(p=2, q=4, alpha=2), LpLq(2, 4), InterpParams(0, 1, 0.0), Small(2, 2)),
+    ("T1.3", dict(p=2, theta=0.75, r=2), GrandSmallSameP(2), InterpParams(0.75, 2), ZSpace(2, 0.75, 2, z_norm_alt)),
+    ("T6.2", dict(p=2, theta=0.75, r=2), GrandSmallSameP(2), InterpParams(0.75, 2), ZSpace(2, 0.75, 2, z_norm)),
+]
+
+
+@pytest.mark.parametrize("tid, params, couple, side, target", DECLARATIONS)
+def test_identity_declarations(tid, params, couple, side, target):
+    identity = IDENTITIES[tid]
+    assert tuple(d.name for d in identity.params) == tuple(params)
+    assert identity.couple(**params) == couple
+    got = identity.side(**params)
+    assert (got.theta, got.r) == (side.theta, side.r) and got.alpha == pytest.approx(side.alpha, abs=1e-15)
+    got = identity.target(**params)
+    assert type(got) is type(target)
+    assert vars(got) == pytest.approx(vars(target), rel=1e-15)
+
+
+def test_lorentz_zygmund_target_exponents():
+    """1/p_theta = (1 - theta)/p + theta/q, alpha_theta = 1 - theta - 1/p_theta
+    (T5.1's log exponent), and T1.2 and T3.4 take -+alpha/p_theta."""
     for p, q, theta, r in [(2, 4, 0.5, 2), (1.5, 3, 0.25, 1), (2, 8, 0.9, 3)]:
-        d = derived_exponents(p, q, theta, r)
-        assert 1 / d.p_theta == pytest.approx((1 - theta) / p + theta / q, abs=1e-15)
-        assert d.sigma == pytest.approx(p * q / (q - p), abs=1e-12)
-        assert d.alpha_theta == pytest.approx(1 - theta - 1 / d.p_theta, abs=1e-15)
-        assert d.lam == pytest.approx(theta * (1 / p - 1 / q), abs=1e-15)
-        assert d.lam1 == pytest.approx((1 - theta) * (1 / p - 1 / q), abs=1e-15)
-        assert d.a == pytest.approx(d.lam - theta, abs=1e-15)
-        assert d.beta_theta == pytest.approx(theta - 1 / p - 1 / r, abs=1e-15)
-        # the identity used after the tail estimate: 1/q + lam1 = 1/p_theta
-        assert 1 / q + d.lam1 == pytest.approx(1 / d.p_theta, abs=1e-15)
+        lz = IDENTITIES["T5.1"].target(p=p, q=q, theta=theta, r=r)
+        assert 1 / lz.p == pytest.approx((1 - theta) / p + theta / q, abs=1e-15)
+        assert lz.alpha == pytest.approx(1 - theta - 1 / lz.p, abs=1e-15)
+        assert lz.q == r
+        for tid, sign in (("T1.2", -1.0), ("T3.4", 1.0)):
+            got = IDENTITIES[tid].target(p=p, q=q, theta=theta, r=r, alpha=0.75)
+            assert (got.p, got.q) == (lz.p, r)
+            assert got.alpha == pytest.approx(sign * 0.75 / lz.p, rel=1e-15)
 
 
 def test_doubling_times():
