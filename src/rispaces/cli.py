@@ -21,10 +21,11 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 
 from . import equivharness as harness
 from .config import DEFAULT, Resolution
-from .errors import BadExponent, BadModel, BadWeights, HypothesisViolation, NonFiniteInput
+from .errors import BadExponent, BadModel, BadWeights, ConditionC2Failed, HypothesisViolation, NonFiniteInput
 from .errors import NonFiniteValue, RispacesError
 from .interpolation import HYPOTHESES, THEOREM_IDS, check_params
 from .kfunctional import General, GrandGrand, GrandLq, GrandSmallSameP, LpLq, SmallSmall, couple_spaces, k_curve
@@ -84,31 +85,31 @@ def parse_fn(obj: dict) -> FunctionModel:
         raise ConfigError(f"bad function spec: {exc}") from exc
 
 
-# Each spec kind's constructor and its fields in order: w1 and w2 are weights
-# {"a", "b"}, x0 and x1 space specs, and every other field a number.
+# Each spec kind's dataclass, whose fields in order are the spec's keys: a field
+# annotated LogWeight is {"a", "b"}, a SpaceSpec a space spec, any other a number.
 _SPECS = {
     "space": {
-        "lebesgue": (Lebesgue, ("p",)),
-        "lorentz_zygmund": (LorentzZygmund, ("p", "q", "alpha")),
-        "grand": (Grand, ("p", "alpha")),
-        "small": (Small, ("p", "alpha")),
-        "ggamma": (GammaDouble, ("p", "m", "w1", "w2")),
+        "lebesgue": Lebesgue,
+        "lorentz_zygmund": LorentzZygmund,
+        "grand": Grand,
+        "small": Small,
+        "ggamma": GammaDouble,
     },
     "couple": {
-        "lp_lq": (LpLq, ("p", "q")),
-        "grand_lq": (GrandLq, ("p", "q", "alpha")),
-        "grand_grand": (GrandGrand, ("p", "q", "alpha")),
-        "small_small": (SmallSmall, ("p", "q")),
-        "grand_small_same_p": (GrandSmallSameP, ("p",)),
-        "general": (General, ("x0", "x1")),
+        "lp_lq": LpLq,
+        "grand_lq": GrandLq,
+        "grand_grand": GrandGrand,
+        "small_small": SmallSmall,
+        "grand_small_same_p": GrandSmallSameP,
+        "general": General,
     },
 }
 
 
-def _field(name: str, value):
-    if name in ("w1", "w2"):
+def _field(kind: str, value):
+    if kind == "LogWeight":
         return LogWeight(float(value["a"]), float(value["b"]))
-    if name in ("x0", "x1"):
+    if kind == "SpaceSpec":
         return parse_spec("space", value)
     return float(value)
 
@@ -120,12 +121,12 @@ def parse_spec(what: str, obj):
     kind = obj.get(what)
     if not isinstance(kind, str) or kind not in _SPECS[what]:
         raise ConfigError(f"unknown {what} {kind!r}")
-    build, fields = _SPECS[what][kind]
+    build = _SPECS[what][kind]
     try:
-        return build(*(_field(name, obj[name]) for name in fields))
+        return build(*(_field(f.type, obj[f.name]) for f in fields(build)))
     except ConfigError:
         raise
-    except (KeyError, ValueError, TypeError, BadExponent) as exc:
+    except (KeyError, ValueError, TypeError, BadExponent, ConditionC2Failed) as exc:
         raise ConfigError(f"bad {what} spec: {exc}") from exc
 
 
@@ -142,12 +143,16 @@ def _parse_kv(tokens) -> dict:
     return out
 
 
-def _write_text(path, text: str) -> None:
+def _write_text(path, text: str, mode: str = "w") -> None:
+    """text to stdout for no path or "-", else to the file at path, or a ConfigError."""
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="") as fh:
+        return
+    try:
+        with open(path, mode, newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror}") from exc
 
 
 def _fmt(x) -> str:
@@ -171,7 +176,7 @@ def cmd_norm(args, res: Resolution) -> int:
         raise ConfigError("norm needs --fn and --space")
     _require_in(args.fn, args.space)
     f = discretize_model(args.fn, res.u_max, res.panels)
-    kind = next(kind for kind, (build, _) in _SPECS["space"].items() if type(args.space) is build)
+    kind = next(kind for kind, build in _SPECS["space"].items() if type(args.space) is build)
     value = space_norm(f, args.space, res)
     if not math.isfinite(value):
         raise NonFiniteValue(f"{kind} norm is {value!r}")
@@ -246,6 +251,7 @@ _FLAGS = {
     "--ceiling": dict(type=float, help="ratio ceiling (default: the experiment's)"),
 }
 _RUN = ("--out", "--u-max", "--panels", "--sup-count")
+_DEEPEST = 1.0 - math.log(sys.float_info.min)  # the deepest grid whose breaks e^{1-u} are normal floats
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -294,7 +300,14 @@ def main(argv=None) -> int:
         bad = [k for k in floors if k in a and not a[k] > floors[k]]
         if bad:
             raise ConfigError(f"--{bad[0].replace('_', '-')} must exceed {floors[bad[0]]:g}, got {a[bad[0]]}")
+        if a.get("u_max", 1.0) > _DEEPEST:
+            raise ConfigError(f"--u-max must not exceed {_DEEPEST:g}, got {args.u_max}")
         res = Resolution(**{k: a[k] for k in floors if k in a})
+        if a.get("out") not in (None, "-"):  # an --out that cannot be written is refused before any work
+            new = not os.path.lexists(args.out)
+            _write_text(args.out, "", "a")
+            if new:
+                os.remove(args.out)
         for key in ("fn", "space", "couple"):
             if a.get(key):
                 obj = _load_json(a[key])

@@ -20,36 +20,11 @@ import numpy as np
 
 from .config import DEFAULT, DEFAULT_CEILING, Resolution
 from .errors import NotMonotone, failure_context
-from .interpolation import (
-    ALPHA,
-    HYPOTHESES,
-    IDENTITIES,
-    P,
-    P_FROM_1,
-    Q,
-    R,
-    R_ABOVE_1,
-    THEOREM_IDS,
-    THETA,
-    Param,
-    ZSpace,
-    check_params,
-    doubling_blocks,
-    doubling_time,
-    identify_target,
-)
+from .interpolation import ALPHA, HYPOTHESES, IDENTITIES, P, P_FROM_1, Q, R, R_ABOVE_1, THEOREM_IDS, THETA, Param
+from .interpolation import check_params, doubling_blocks, doubling_time, identify_target
 from .kfunctional import couple_spaces, k_curve
 from .logcalc import LogWeight, UGrid, log_weight_integral, sup_on_grid, weight_integral
-from .norms import (
-    Grand,
-    GammaDouble,
-    Lebesgue,
-    LorentzZygmund,
-    Small,
-    grand_norm,
-    prefix_log_integral,
-    tail_log_integral,
-)
+from .norms import grand_norm, prefix_log_integral, tail_log_integral
 from .rearrangement import (
     Char,
     ExplicitSteps,
@@ -149,41 +124,10 @@ def default_family(params: dict, seed: int = DEFAULT_SEED) -> FunctionFamily:
     return standard_family(params.get("q") or params.get("p") or 4.0, seed)
 
 
-# ---------------------------------------------------------------------------
-# finiteness of power-log profiles in each space (analytic, used to pre-check
-# family members against the spaces an experiment touches)
-# ---------------------------------------------------------------------------
-
-
 def model_in_space(model: FunctionModel, spec) -> bool:
-    if not isinstance(model, PowerLog):
-        return True  # indicators, explicit steps and samples are bounded
-    g, d = model.gamma, model.delta
-    if isinstance(spec, Lebesgue):
-        if math.isinf(spec.p):
-            return g == 0.0 and d >= 0.0
-        return g < 1.0 / spec.p or (g == 1.0 / spec.p and d * spec.p > 1.0)
-    if isinstance(spec, LorentzZygmund):
-        ip = 1.0 / spec.p
-        if g < ip:
-            return True
-        if g > ip:
-            return False
-        if math.isinf(spec.q):
-            return spec.alpha <= d
-        return (spec.alpha - d) * spec.q < -1.0
-    if isinstance(spec, Grand):
-        ip = 1.0 / spec.p
-        return g < ip or (g == ip and d >= (1.0 - spec.alpha) / spec.p)
-    if isinstance(spec, Small):
-        ip = 1.0 / spec.p
-        return g < ip or (g == ip and d > spec.alpha * (1.0 - ip) + ip)
-    if isinstance(spec, ZSpace):
-        ip = 1.0 / spec.p
-        return g < ip or (g == ip and d > spec.theta)
-    if isinstance(spec, GammaDouble):
-        return spec.holds_power_log(g, d)
-    return True
+    """Whether the model has a finite norm in the space: indicators, explicit
+    steps and samples are bounded, and the space answers for power-log profiles."""
+    return not isinstance(model, PowerLog) or spec.holds_power_log(model.gamma, model.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +436,7 @@ def discretization_check(
     d1_rhs = float(np.sum((2.0 ** (lam_abs * k) * blocks) ** q))
     d2_lhs = float(np.sum(tail_k**q * 2.0 ** (-lam_abs * k * q)))
     d2_rhs = float(np.sum((2.0 ** (-lam_abs * k) * blocks) ** q))
-    report = EquivReport("discretization", {"lam": lam, "q": q}, ceiling=ceiling)
+    report = EquivReport("discretization", {"lambda": lam, "q": q}, ceiling=ceiling)
     pairs = [("blocks-prefix", d1_lhs, d1_rhs), ("blocks-tail", d2_lhs, d2_rhs)]
     # panel bracket: (1 - Log s)/2^k over s in [t_{k+1}, t_k], k small enough to matter
     ln2 = math.log(2.0)
@@ -559,6 +503,8 @@ def run_experiment(
         h = StepFunction(np.asarray(m.breaks), np.asarray(m.values))
         reports.append(discretization_check(h, checked["lambda"], checked["q"], **given))
     report = reports[0]
+    for key in checked.keys() - params.keys():  # record the parameters as given
+        del report.params[key]
     report.members = [member for r in reports for member in r.members]
     report.seed = seed
     return report.finalize()

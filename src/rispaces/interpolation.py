@@ -196,13 +196,21 @@ ALPHA = Param("alpha", lambda x: 0.0 < x["alpha"] < math.inf, "0 < alpha < inf")
 
 @dataclass(frozen=True)
 class ZSpace:
-    """The same-exponent couple's (theta, r) interpolation space, normed by its
-    norm: z_norm (T6.2) or z_norm_alt (T1.3)."""
+    """The same-exponent couple's (theta, r) interpolation space, T6.2's
+    target, normed by z_norm."""
 
     p: float
     theta: float
     r: float
-    norm: Callable[[StepRearrangement, float, float, float], float]
+
+    def holds_power_log(self, gamma: float, delta: float) -> bool:
+        ip = 1.0 / self.p
+        return gamma < ip or (gamma == ip and delta > self.theta)
+
+
+def _t13_space(p, theta, r):
+    """T1.3's target GΓ(p, r, t^{-1}(1 - Log t)^{theta r - 1}, (1 - Log t)^{-1})."""
+    return GammaDouble(p, r, LogWeight(-1.0, theta * r - 1.0), LogWeight(0.0, -1.0))
 
 
 @dataclass(frozen=True)
@@ -230,14 +238,13 @@ def _lz_target(p, q, theta, r, alpha=None):
 _SUP_SIDE = lambda q, alpha, **_: InterpParams(1.0, math.inf, -alpha / q)  # noqa: E731
 _THETA_R_SIDE = lambda theta, r, **_: InterpParams(theta, r, 0.0)  # noqa: E731
 _L1_SIDE = lambda p, alpha, **_: InterpParams(0.0, 1.0, -alpha / p + alpha - 1.0)  # noqa: E731
+_GRAND_TARGET = lambda q, alpha, **_: Grand(q, alpha)  # noqa: E731
 _SMALL_TARGET = lambda p, alpha, **_: Small(p, alpha)  # noqa: E731
 
 # The nine identities, in catalogue order.
 IDENTITIES = {
-    "T1.1": Identity((P, Q, ALPHA), lambda p, q, alpha: GrandLq(p, q, alpha), _SUP_SIDE,
-                     lambda q, alpha, **_: Grand(q, alpha)),
-    "T3.1": Identity((P_FROM_1, Q, ALPHA), lambda p, q, **_: LpLq(p, q), _SUP_SIDE,
-                     lambda q, alpha, **_: Grand(q, alpha)),
+    "T1.1": Identity((P, Q, ALPHA), lambda p, q, alpha: GrandLq(p, q, alpha), _SUP_SIDE, _GRAND_TARGET),
+    "T3.1": Identity((P_FROM_1, Q, ALPHA), lambda p, q, **_: LpLq(p, q), _SUP_SIDE, _GRAND_TARGET),
     "T1.2": Identity((P, Q, THETA, R, ALPHA), lambda p, q, alpha, **_: GrandGrand(p, q, alpha), _THETA_R_SIDE,
                      lambda alpha, **x: _lz_target(**x, alpha=-alpha)),
     "T3.4": Identity((P, Q, THETA, R_ABOVE_1, ALPHA),
@@ -246,10 +253,8 @@ IDENTITIES = {
     "T5.1": Identity((P, Q, THETA, R), lambda p, q, **_: SmallSmall(p, q), _THETA_R_SIDE, _lz_target),
     "P4.1": Identity((P, ALPHA), lambda p, **_: LpLq(p, math.inf), _L1_SIDE, _SMALL_TARGET),
     "P4.2": Identity((P, Q, ALPHA), lambda p, q, **_: LpLq(p, q), _L1_SIDE, _SMALL_TARGET),
-    "T1.3": Identity((P, THETA, R), lambda p, **_: GrandSmallSameP(p), _THETA_R_SIDE,
-                     lambda p, theta, r: ZSpace(p, theta, r, z_norm_alt)),
-    "T6.2": Identity((P, THETA, R), lambda p, **_: GrandSmallSameP(p), _THETA_R_SIDE,
-                     lambda p, theta, r: ZSpace(p, theta, r, z_norm)),
+    "T1.3": Identity((P, THETA, R), lambda p, **_: GrandSmallSameP(p), _THETA_R_SIDE, _t13_space),
+    "T6.2": Identity((P, THETA, R), lambda p, **_: GrandSmallSameP(p), _THETA_R_SIDE, ZSpace),
 }
 HYPOTHESES = {name: identity.params for name, identity in IDENTITIES.items()}
 THEOREM_IDS = tuple(IDENTITIES)
@@ -281,7 +286,7 @@ def identify_target(
     space = identity.target(**args)
     with failure_context("target norm"):
         if isinstance(space, ZSpace):
-            return lhs, space.norm(f, space.p, space.theta, space.r)
+            return lhs, z_norm(f, space.p, space.theta, space.r)
         return lhs, space_norm(f, space, res)
 
 
@@ -332,5 +337,4 @@ def z_norm_alt(f: StepRearrangement, p: float, theta: float, r: float) -> float:
     prefix integrals of f^p against (1 - Log t)^{-1} under an outer
     (1 - Log t)^{theta r - 1} dt/t."""
     check_params(HYPOTHESES, "T1.3", dict(p=p, theta=theta, r=r))
-    space = GammaDouble(p, r, LogWeight(-1.0, theta * r - 1.0), LogWeight(0.0, -1.0))
-    return ggamma_norm(f, space)
+    return ggamma_norm(f, _t13_space(p, theta, r))

@@ -1,9 +1,10 @@
 """Norms of the five space families, evaluated on decreasing rearrangements.
 
-Space descriptors are small frozen dataclasses; every norm is a pure function
-of a ``StepRearrangement``.  Inner prefix/tail power integrals are exact on
-step data; outer weighted integrals and suprema run on the log scale through
-:mod:`rispaces.logcalc`.
+Space descriptors are small frozen dataclasses, each answering
+holds_power_log(gamma, delta): whether t^{-gamma}(1 - Log t)^{-delta} has a
+finite norm in it.  Every norm is a pure function of a ``StepRearrangement``.
+Inner prefix/tail power integrals are exact on step data; outer weighted
+integrals and suprema run on the log scale through :mod:`rispaces.logcalc`.
 """
 
 from __future__ import annotations
@@ -73,6 +74,11 @@ class Lebesgue:
     def __post_init__(self):
         _check(self.p >= 1.0, "Lebesgue exponent must be >= 1")
 
+    def holds_power_log(self, gamma: float, delta: float) -> bool:
+        if math.isinf(self.p):
+            return gamma == 0.0 and delta >= 0.0
+        return gamma < 1.0 / self.p or (gamma == 1.0 / self.p and delta * self.p > 1.0)
+
 
 @dataclass(frozen=True)
 class LorentzZygmund:
@@ -85,6 +91,14 @@ class LorentzZygmund:
         _check(self.q >= 1.0, "second exponent must be >= 1")
         _check(math.isfinite(self.alpha), "log exponent must be finite")
 
+    def holds_power_log(self, gamma: float, delta: float) -> bool:
+        ip = 1.0 / self.p
+        if gamma != ip:
+            return gamma < ip
+        if math.isinf(self.q):
+            return self.alpha <= delta
+        return (self.alpha - delta) * self.q < -1.0
+
 
 @dataclass(frozen=True)
 class Grand:
@@ -94,6 +108,10 @@ class Grand:
     def __post_init__(self):
         _check(1.0 < self.p < math.inf, "grand exponent must lie in (1, inf)")
         _check(self.alpha > 0.0, "grand log parameter must be positive")
+
+    def holds_power_log(self, gamma: float, delta: float) -> bool:
+        ip = 1.0 / self.p
+        return gamma < ip or (gamma == ip and delta >= (1.0 - self.alpha) / self.p)
 
 
 @dataclass(frozen=True)
@@ -106,6 +124,10 @@ class Small:
     def __post_init__(self):
         _check(1.0 < self.p < math.inf, "small exponent must lie in (1, inf)")
         _check(self.alpha > 0.0, "small log parameter must be positive")
+
+    def holds_power_log(self, gamma: float, delta: float) -> bool:
+        ip = 1.0 / self.p
+        return gamma < ip or (gamma == ip and delta > self.alpha * (1.0 - ip) + ip)
 
 
 @dataclass(frozen=True)

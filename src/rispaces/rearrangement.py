@@ -221,7 +221,9 @@ def discretize_model(
         return StepRearrangement(breaks, values)
 
     du = (u_max - 1.0) / (panels - 1)
-    mids = np.sqrt(breaks[1:-1] * breaks[2:])
+    lo, hi = breaks[1:-1], breaks[2:]
+    prod = lo * hi  # below the normal floats (u past ~373) it loses digits, then underflows to 0
+    mids = np.where(prod < np.finfo(float).tiny, np.sqrt(lo) * np.sqrt(hi), np.sqrt(prod))
     first_mid = breaks[1] * math.exp(-0.5 * du)
     mids = np.concatenate([[first_mid], mids])
     values = np.asarray(model(mids), dtype=float)

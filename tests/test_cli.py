@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from rispaces import equivharness
+from rispaces import cli, equivharness
 from rispaces.cli import main
 from rispaces.config import Resolution
 from rispaces.equivharness import (
@@ -147,6 +147,57 @@ def test_out_of_range_resolution_is_an_input_error(capsys, flag, value, floor):
     code, stdout = run_cli(*args)
     assert code == 2 and stdout == ""
     assert capsys.readouterr().err == f"error: {flag} must exceed {floor}, got {value}\n"
+
+
+def test_u_max_past_the_normal_floats_is_an_input_error(capsys):
+    """The breaks e^{1-u} of a grid deeper than 1 - Log(tiny) ~ 709.40 leave the
+    normal floats: refused as a configuration error; one just above u = 373,
+    where the products of neighbouring breaks do, gives a finite norm."""
+    args = ["norm", "--space", '{"space":"grand","p":2,"alpha":1}',
+            "--fn", '{"kind":"power_log","gamma":0,"delta":-1}']
+    for u_max in ("709.4", "inf"):
+        code, stdout = run_cli(*args, "--u-max", u_max)
+        assert code == 2 and stdout == ""
+        assert capsys.readouterr().err == f"error: --u-max must not exceed 709.396, got {float(u_max)}\n"
+    for u_max in ("375", "709.39"):
+        code, stdout = run_cli(*args, "--u-max", u_max)
+        assert code == 0 and 0.97 < json.loads(stdout)["value"] < 1.02
+
+
+@pytest.mark.parametrize("argv", [
+    ("norm", "--space", '{"space":"grand","p":2,"alpha":1}', "--fn", '{"kind":"char","a":0.5}'),
+    ("experiment", "P4.1", "p=2", "alpha=1"),
+])
+def test_unwritable_out_exits_2_before_any_work(monkeypatch, tmp_path, capsys, argv):
+    """An --out path that cannot be written is a configuration error, found
+    with the other flags before any spec is parsed or family built; an OSError
+    from the final write is the same error."""
+    monkeypatch.setattr(equivharness, "run_experiment", None)  # any work would raise
+    monkeypatch.setattr(cli, "parse_spec", None)
+    for out, reason in ((tmp_path / "missing" / "x.json", "No such file or directory"), (tmp_path, "Is a directory")):
+        code, stdout = run_cli(*argv, "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert capsys.readouterr().err == f"error: cannot write {str(out)!r}: {reason}\n"
+    monkeypatch.undo()
+    gone = tmp_path / "gone"
+    gone.mkdir()
+    for owner, name in ((cli, "space_norm"), (equivharness, "run_experiment")):
+        work = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, work=work, **k: (work(*a, **k), gone.rmdir())[0])
+    out = gone / "r.json"
+    code, stdout = run_cli(*argv, "--out", str(out), "--panels", "32", "--sup-count", "64")
+    assert (code, stdout) == (2, "")
+    assert capsys.readouterr().err == f"error: cannot write {str(out)!r}: No such file or directory\n"
+
+
+def test_writable_out_is_probed_without_a_trace(tmp_path):
+    """The probe of a new --out path removes the file it made, so a run that
+    then fails leaves none behind, and it leaves an existing file as it was."""
+    out = tmp_path / "r.json"
+    argv = ("norm", "--space", '{"space":"grand","p":2}', "--fn", '{"kind":"char","a":0.5}', "--out", str(out))
+    assert run_cli(*argv)[0] == 2 and not out.exists()
+    out.write_text("kept")
+    assert run_cli(*argv)[0] == 2 and out.read_text() == "kept"
 
 
 def test_kfunc_csv(tmp_path):
@@ -498,15 +549,20 @@ def test_an_infinite_ceiling_is_allowed():
     assert code == 0 and report["pass"] and report["ceiling"] is None
 
 
-def test_divergent_space_exits_1():
-    # the inner-weight membership check detects divergence: a numerical failure
-    code, _ = run_cli(
-        "norm",
-        "--space",
-        '{"space":"ggamma","p":2,"m":2,"w1":{"a":-2,"b":0},"w2":{"a":0,"b":-1}}',
-        "--fn", '{"kind":"char","a":0.5}',
-    )
-    assert code == 1
+@pytest.mark.parametrize("w1, w2, reason", [
+    ('{"a":-2,"b":0}', '{"a":0,"b":-1}', "∫_0^t w2 is not in the outer weighted space"),
+    ('{"a":-1,"b":0}', '{"a":3,"b":0}', "inner weight does not embed L^p(w2) into L^1"),
+], ids=["outer", "embedding"])
+def test_space_failing_condition_c2_is_a_bad_spec(capsys, w1, w2, reason):
+    """A ggamma spec whose constructor rejects it on condition C2 is refused
+    like every other rejected spec: exit 2, nothing on stdout, also inside a
+    general couple."""
+    space = f'{{"space":"ggamma","p":2,"m":2,"w1":{w1},"w2":{w2}}}'
+    couple = f'{{"couple":"general","x0":{space},"x1":{space}}}'
+    for args in (("norm", "--space", space), ("kfunc", "--couple", couple)):
+        code, out = run_cli(*args, "--fn", '{"kind":"char","a":0.5}')
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == f"error: bad space spec: {reason}\n"
 
 
 def test_ggamma_with_an_a2_minus_one_inner_weight_exits_0():
@@ -632,6 +688,16 @@ def test_discretization_report_takes_ceiling_and_seed(monkeypatch):
     report = json.loads(out)
     assert report["ceiling"] == 1.5 and report["seed"] == 7
     assert report["max_ratio"] > 1.5 and not report["pass"] and code == 3
+
+
+def test_discretization_report_records_the_parameters_given(monkeypatch):
+    """Under the catalogue's name lambda, and without the defaults filled in."""
+    monkeypatch.delenv("RISPACES_SEED", raising=False)
+    for argv, given in [((), {}), (("lambda=0.5",), {"lambda": 0.5}),
+                        (("lambda=-1", "q=2"), {"lambda": -1.0, "q": 2.0})]:
+        code, out = run_cli("experiment", "discretization", *argv)
+        params = json.loads(out)["params"]
+        assert code == 0 and {k: params[k] for k in ("lambda", "lam", "q") if k in params} == given
 
 
 def test_list_experiments():

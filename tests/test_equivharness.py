@@ -28,9 +28,9 @@ from rispaces.equivharness import (
     sup_smoothing_check,
 )
 from rispaces.errors import BadExponent, HypothesisViolation, NoConvergence, NonFiniteValue, NotMonotone
-from rispaces.interpolation import ZSpace, identify_target, z_norm_alt
+from rispaces.interpolation import ZSpace, identify_target
 from rispaces.logcalc import LogWeight, sup_on_grid
-from rispaces.norms import GammaDouble, Grand, Lebesgue, Small, ggamma_norm, small_norm
+from rispaces.norms import GammaDouble, Grand, Lebesgue, LorentzZygmund, Small, ggamma_norm, small_norm
 from rispaces.rearrangement import (
     Char,
     ExplicitSteps,
@@ -108,11 +108,64 @@ def test_model_in_space_gamma_double_of_t13_is_the_z_space():
     for theta in (0.25, 0.5, 0.75):
         for r in (1.0, 2.0, 4.0):
             spec = GammaDouble(2, r, LogWeight(-1.0, theta * r - 1.0), LogWeight(0.0, -1.0))
-            z = ZSpace(2, theta, r, z_norm_alt)
+            z = ZSpace(2, theta, r)
             for g in (0.0, 0.25, 0.5):
                 for d in (-1.0, 0.0, theta - 0.125, theta, theta + 0.125, 2.0):
                     model = PowerLog(g, d)
                     assert model_in_space(model, spec) is model_in_space(model, z) is (g < 0.5 or d > theta)
+
+
+def _reference_in_space(spec, g, d):
+    """The power-log rules as the harness held them before each space type
+    answered for itself, kept verbatim as the reference of the moved rules."""
+    if isinstance(spec, Lebesgue):
+        if math.isinf(spec.p):
+            return g == 0.0 and d >= 0.0
+        return g < 1.0 / spec.p or (g == 1.0 / spec.p and d * spec.p > 1.0)
+    if isinstance(spec, LorentzZygmund):
+        ip = 1.0 / spec.p
+        if g < ip:
+            return True
+        if g > ip:
+            return False
+        if math.isinf(spec.q):
+            return spec.alpha <= d
+        return (spec.alpha - d) * spec.q < -1.0
+    if isinstance(spec, Grand):
+        ip = 1.0 / spec.p
+        return g < ip or (g == ip and d >= (1.0 - spec.alpha) / spec.p)
+    if isinstance(spec, Small):
+        ip = 1.0 / spec.p
+        return g < ip or (g == ip and d > spec.alpha * (1.0 - ip) + ip)
+    ip = 1.0 / spec.p
+    return g < ip or (g == ip and d > spec.theta)
+
+
+# Each space type for p in {1, 2, 4, inf} where it allows it, with the deltas
+# at which its rule turns.
+MOVED_RULES = (
+    [(Lebesgue(p), [0.0, 1.0 / p]) for p in (1.0, 2.0, 4.0, math.inf)]
+    + [(LorentzZygmund(p, q, a), [a, a + 1.0 / q]) for p in (1.0, 2.0, 4.0) for q in (1.0, 3.0, math.inf)
+       for a in (-1.0, 0.5)]
+    + [(Grand(p, a), [(1.0 - a) / p]) for p in (2.0, 4.0) for a in (0.5, 1.0, 2.0)]
+    + [(Small(p, a), [a * (1.0 - 1.0 / p) + 1.0 / p]) for p in (2.0, 4.0) for a in (0.5, 1.0, 2.0)]
+    + [(ZSpace(p, theta, r), [theta]) for p in (2.0, 4.0) for theta in (0.25, 0.75) for r in (1.0, 2.0)]
+)
+
+
+@pytest.mark.parametrize("spec, turns", MOVED_RULES, ids=repr)
+def test_holds_power_log_keeps_the_harness_rules(spec, turns):
+    """Each space type's holds_power_log agrees with the rule model_in_space
+    held for it, on a (gamma, delta) grid through gamma = 1/p and each turning
+    delta, and model_in_space asks the space."""
+    ip = 1.0 / spec.p
+    gammas = sorted({0.0, ip / 2.0, ip, (ip + 1.0) / 2.0, 0.9} - {1.0})
+    deltas = sorted({-1.0, 0.0, 2.0} | {t + e for t in turns for e in (-0.125, -1e-12, 0.0, 1e-12, 0.125)})
+    for g in gammas:
+        for d in deltas:
+            want = _reference_in_space(spec, g, d)
+            assert spec.holds_power_log(g, d) is want, (g, d)
+            assert model_in_space(PowerLog(g, d), spec) is want
 
 
 def test_identity_experiment_passes():
@@ -272,6 +325,17 @@ def test_run_experiment_names_a_bad_parameter_before_any_numerics(monkeypatch, n
         else:
             identify_target(name, one, **params, res=FAST)
     assert type(direct.value) is HypothesisViolation and str(direct.value) == str(err.value)
+
+
+@pytest.mark.parametrize("params", [{}, {"lambda": 0.5}, {"q": 2.0}, {"lambda": -1.0, "q": 1.5}])
+def test_discretization_report_records_its_parameters_as_given(params):
+    """As every other report does: no default filled in, and lambda under its
+    catalogue name; the check's own brackets are recorded beside them."""
+    report = run_experiment("discretization", params, FAST, seed=5)
+    assert {k: v for k, v in report.params.items() if k in ("lambda", "lam", "q")} == params
+    assert {"panel_bracket", "panel_integral_bracket"} <= report.params.keys()
+    h = StepFunction(np.array([0.0, 0.5, 1.0]), np.array([2.0, 1.0]))
+    assert discretization_check(h, 0.5, 2.0).params["lambda"] == 0.5
 
 
 def test_run_experiment_unknown_hardy_display():

@@ -167,8 +167,9 @@ DECLARATIONS = [
     ("T5.1", dict(p=2, q=4, theta=0.5, r=2), SmallSmall(2, 4), InterpParams(0.5, 2), LorentzZygmund(8 / 3, 2, 1 / 8)),
     ("P4.1", dict(p=2, alpha=1), LpLq(2, math.inf), InterpParams(0, 1, -0.5), Small(2, 1)),
     ("P4.2", dict(p=2, q=4, alpha=2), LpLq(2, 4), InterpParams(0, 1, 0.0), Small(2, 2)),
-    ("T1.3", dict(p=2, theta=0.75, r=2), GrandSmallSameP(2), InterpParams(0.75, 2), ZSpace(2, 0.75, 2, z_norm_alt)),
-    ("T6.2", dict(p=2, theta=0.75, r=2), GrandSmallSameP(2), InterpParams(0.75, 2), ZSpace(2, 0.75, 2, z_norm)),
+    ("T1.3", dict(p=2, theta=0.75, r=2), GrandSmallSameP(2), InterpParams(0.75, 2),
+     GammaDouble(2, 2, LogWeight(-1.0, 0.5), LogWeight(0.0, -1.0))),
+    ("T6.2", dict(p=2, theta=0.75, r=2), GrandSmallSameP(2), InterpParams(0.75, 2), ZSpace(2, 0.75, 2)),
 ]
 
 

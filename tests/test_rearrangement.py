@@ -115,6 +115,29 @@ def test_discretize_powerlog_integral(power_quarter):
     assert val == pytest.approx(4.0 / 3.0, rel=1e-3)
 
 
+@pytest.mark.parametrize("u_max", [375.0, 500.0, 709.0])
+def test_discretize_takes_geometric_midpoints_past_the_normal_floats(u_max):
+    """1 - Log of the geometric midpoint of (e^{1-u_{j+1}}, e^{1-u_j}] is the
+    u midpoint, also where the product of the two breaks leaves the normal
+    floats (u past ~373): the profile (1 - Log t)^1 stays finite and linear in u."""
+    f = discretize_model(PowerLog(0.0, -1.0), u_max, 600)
+    u = np.linspace(1.0, u_max, 600)[::-1]
+    du = u[0] - u[1]
+    want = np.concatenate([[u[0] + 0.5 * du], 0.5 * (u[:-1] + u[1:])])
+    np.testing.assert_allclose(f.values, want, rtol=1e-13)
+
+
+@pytest.mark.parametrize("model", [PowerLog(0.3, 1.0), PowerLog(0.0, -1.0), PowerLog(0.9, 2.0)])
+def test_discretize_midpoints_keep_their_bits_on_normal_grids(model):
+    """At u_max = 35 every break product is a normal float, so the panel values
+    are the model at sqrt(x_{i-1} x_i), bit for bit."""
+    f = discretize_model(model, 35.0, 600)
+    x = f.breaks
+    mids = np.concatenate([[x[1] * math.exp(-0.5 * 34.0 / 599)], np.sqrt(x[1:-1] * x[2:])])
+    want = np.maximum.accumulate(model(mids)[::-1])[::-1]
+    assert np.array_equal(f.values, want)
+
+
 def test_discretize_rejects_bad_grid():
     with pytest.raises(BadModel):
         discretize_model(PowerLog(0, 0), 0.5, 100)
